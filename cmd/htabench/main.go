@@ -5,8 +5,11 @@
 //
 // Usage:
 //
-//	htabench [-seed N] [-runs fig2,fig4,fig6,fig10,fig11,ablations,chaos,recovery,io,ioscale,tenants,tenantchaos]
+//	htabench [-seed N] [-runs fig2,fig4,fig6,fig10,fig11,ablations,sweeps,stream,chaos,recovery,io,ioscale,tenants,tenantchaos]
 //	         [-json] [-cpuprofile FILE] [-memprofile FILE]
+//
+// A name -runs does not know is a usage error (exit 2, the valid names
+// on stderr); -runs none selects nothing.
 //
 // The io run is experiment E-H — the Fig. 11 I/O-bound workload swept
 // to 1k/5k/10k-worker fleets — and is not in the default set: its
@@ -48,11 +51,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -61,54 +67,30 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stderr))
 }
 
 // run is main's body behind an exit code so the deferred profile
-// writers fire on every path (os.Exit skips defers).
-func run() int {
-	seed := flag.Int64("seed", 1, "simulation seed")
-	runs := flag.String("runs", "fig2,fig4,fig6,fig10,fig11,ablations,sweeps,stream,chaos,recovery",
+// writers fire on every path (os.Exit skips defers). A malformed flag
+// or an unknown -runs name is a usage error: nothing runs, the valid
+// names go to stderr and the exit code is 2.
+func run(args []string, stderr io.Writer) int {
+	flags := flag.NewFlagSet("htabench", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	seed := flags.Int64("seed", 1, "simulation seed")
+	runs := flags.String("runs", "fig2,fig4,fig6,fig10,fig11,ablations,sweeps,stream,chaos,recovery",
 		"comma-separated experiments to run")
-	csvDir := flag.String("csv", "", "directory to export per-run CSV series into")
-	htmlOut := flag.String("html", "", "write an HTML report with SVG charts to this file")
-	jsonBench := flag.Bool("json", false,
+	csvDir := flags.String("csv", "", "directory to export per-run CSV series into")
+	htmlOut := flags.String("html", "", "write an HTML report with SVG charts to this file")
+	jsonBench := flags.Bool("json", false,
 		"run the scale benchmarks and write wall-clock results to "+scaleBenchFile)
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile taken at exit to this file")
-	flag.Parse()
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
+	cpuProfile := flags.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := flags.String("memprofile", "", "write a heap profile taken at exit to this file")
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		defer f.Close()
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle live heap before the snapshot
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-		}()
-	}
-
-	selected := make(map[string]bool)
-	for _, r := range strings.Split(*runs, ",") {
-		selected[strings.TrimSpace(r)] = true
+		return 2
 	}
 
 	type experiment struct {
@@ -131,6 +113,49 @@ func run() int {
 		{"tenants", func() (fmt.Stringer, error) { return experiments.TenantsEJ(*seed, 100) }},
 		{"tenantchaos", func() (fmt.Stringer, error) { return experiments.TenantChaosEK(*seed) }},
 	}
+	// "none" selects nothing and "scale" narrows -json to the
+	// memory-engine ladder; neither is an experiment.
+	valid := []string{"none", "scale"}
+	for _, ex := range all {
+		valid = append(valid, ex.name)
+	}
+	selected := make(map[string]bool)
+	for _, r := range strings.Split(*runs, ",") {
+		r = strings.TrimSpace(r)
+		if !slices.Contains(valid, r) {
+			fmt.Fprintf(stderr, "htabench: unknown run %q in -runs; valid names: %s\n", r, strings.Join(valid, ", "))
+			return 2
+		}
+		selected[r] = true
+	}
+
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		defer f.Close()
+		defer pprof.StopCPUProfile()
+	}
+	if *memProfile != "" {
+		defer func() {
+			f, err := os.Create(*memProfile)
+			if err != nil {
+				fmt.Fprintln(stderr, err)
+				return
+			}
+			defer f.Close()
+			runtime.GC() // settle live heap before the snapshot
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				fmt.Fprintln(stderr, err)
+			}
+		}()
+	}
 
 	var page *report.Page
 	if *htmlOut != "" {
@@ -144,7 +169,7 @@ func run() int {
 		start := time.Now()
 		rep, err := ex.run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", ex.name, err)
+			fmt.Fprintf(stderr, "%s: %v\n", ex.name, err)
 			failed = true
 			continue
 		}
@@ -152,7 +177,7 @@ func run() int {
 		if *csvDir != "" {
 			if d, ok := rep.(interface{ WriteCSVs(string) error }); ok {
 				if err := d.WriteCSVs(*csvDir); err != nil {
-					fmt.Fprintf(os.Stderr, "%s: csv export: %v\n", ex.name, err)
+					fmt.Fprintf(stderr, "%s: csv export: %v\n", ex.name, err)
 					failed = true
 				}
 			}
@@ -169,56 +194,56 @@ func run() int {
 			// (BENCH_10.json) — the headline cells take ~1 min; the full
 			// bench battery takes far longer.
 			if err := runMemoryBench(*seed); err != nil {
-				fmt.Fprintf(os.Stderr, "memory bench: %v\n", err)
+				fmt.Fprintf(stderr, "memory bench: %v\n", err)
 				return 1
 			}
 			return 0
 		}
 		if err := runScaleBench(*seed); err != nil {
-			fmt.Fprintf(os.Stderr, "scale bench: %v\n", err)
+			fmt.Fprintf(stderr, "scale bench: %v\n", err)
 			failed = true
 		}
 		if err := runChaosBench(*seed); err != nil {
-			fmt.Fprintf(os.Stderr, "chaos bench: %v\n", err)
+			fmt.Fprintf(stderr, "chaos bench: %v\n", err)
 			failed = true
 		}
 		if err := runRecoveryBench(*seed); err != nil {
-			fmt.Fprintf(os.Stderr, "recovery bench: %v\n", err)
+			fmt.Fprintf(stderr, "recovery bench: %v\n", err)
 			failed = true
 		}
 		if err := runIOBench(*seed); err != nil {
-			fmt.Fprintf(os.Stderr, "io bench: %v\n", err)
+			fmt.Fprintf(stderr, "io bench: %v\n", err)
 			failed = true
 		}
 		if err := runEngineBench(*seed); err != nil {
-			fmt.Fprintf(os.Stderr, "engine bench: %v\n", err)
+			fmt.Fprintf(stderr, "engine bench: %v\n", err)
 			failed = true
 		}
 		if err := runStreamBench(*seed); err != nil {
-			fmt.Fprintf(os.Stderr, "stream bench: %v\n", err)
+			fmt.Fprintf(stderr, "stream bench: %v\n", err)
 			failed = true
 		}
 		if err := runTenantBench(*seed); err != nil {
-			fmt.Fprintf(os.Stderr, "tenant bench: %v\n", err)
+			fmt.Fprintf(stderr, "tenant bench: %v\n", err)
 			failed = true
 		}
 		if err := runTenantChaosBench(*seed); err != nil {
-			fmt.Fprintf(os.Stderr, "tenant chaos bench: %v\n", err)
+			fmt.Fprintf(stderr, "tenant chaos bench: %v\n", err)
 			failed = true
 		}
 		if err := runMemoryBench(*seed); err != nil {
-			fmt.Fprintf(os.Stderr, "memory bench: %v\n", err)
+			fmt.Fprintf(stderr, "memory bench: %v\n", err)
 			failed = true
 		}
 	}
 	if page != nil && !failed {
 		f, err := os.Create(*htmlOut)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		if err := page.Render(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			failed = true
 		}
 		f.Close()

@@ -50,7 +50,7 @@ func benchChurnCluster(b *testing.B, naive bool) *Cluster {
 		}
 	}
 	c.scheduleOnce()
-	if n := len(c.pendingPods); n != 0 {
+	if n := c.pendingLive; n != 0 {
 		b.Fatalf("%d residents unschedulable after setup", n)
 	}
 	c.cfg.NaiveScheduling = naive
@@ -92,7 +92,7 @@ func churnRound(b *testing.B, c *Cluster, round int) {
 		}
 	}
 	c.scheduleOnce()
-	if n := len(c.pendingPods); n != 0 {
+	if n := c.pendingLive; n != 0 {
 		b.Fatalf("round %d: %d pods unschedulable", round, n)
 	}
 }
@@ -132,5 +132,43 @@ func BenchmarkClusterLifecycle(b *testing.B) {
 			b.Fatalf("nodes = %d", got)
 		}
 		c.Stop()
+	}
+}
+
+// BenchmarkKubesimFleet is the scaling evidence for reconcile cost
+// proportional to change: the io-fleet ramp without the rest of the
+// stack. 3 initial nodes, a quota of W, W whole-node pods created up
+// front; the engine runs until every pod is Running — one provisioning
+// wave of W-3 nodes, every scheduler and cloud-controller sync on the
+// way. The required 20k/10k ratio is ≤ 2.2 (the full sweeps were ≈3.3).
+func BenchmarkKubesimFleet(b *testing.B) {
+	for _, w := range []int{10_000, 20_000} {
+		b.Run(fmt.Sprintf("W=%dk", w/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				eng := simclock.NewEngine(t0)
+				c := NewCluster(eng, Config{InitialNodes: 3, MaxNodes: w, Seed: 1})
+				running := 0
+				c.OnPod(func(ev PodWatchEvent) {
+					if ev.Reason == ReasonStarted {
+						running++
+					}
+				})
+				for j := 0; j < w; j++ {
+					spec := smallPod(fmt.Sprintf("p%d", j))
+					spec.Resources = c.Config().NodeAllocatable
+					if _, err := c.CreatePod(spec); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for running < w {
+					if eng.Now().Sub(t0) > time.Hour {
+						b.Fatalf("only %d of %d pods running after an hour", running, w)
+					}
+					eng.RunFor(time.Minute)
+				}
+				c.Stop()
+			}
+		})
 	}
 }

@@ -5,11 +5,10 @@ import (
 	"fmt"
 	"slices"
 	"time"
-
-	"hta/internal/resources"
 )
 
-// addNode registers a ready node with the API server.
+// addNode registers a ready node with the API server. Nodes are Ready
+// from here until removeNode; nothing in between clears the flag.
 func (c *Cluster) addNode() *Node {
 	c.nodeSeq++
 	now := c.eng.Now()
@@ -20,10 +19,13 @@ func (c *Cluster) addNode() *Node {
 		CreatedAt:   now,
 		ReadyAt:     now,
 		Images:      make(map[string]bool),
-		EmptySince:  now,
 	}
 	c.nodes[n.Name] = n
-	c.nodeDirty = true
+	c.nodeList = append(c.nodeList, n) // merged into place by the next sortedNodes
+	c.readyNodes++
+	c.totalAllocatable = c.totalAllocatable.Add(n.Allocatable)
+	c.stampEmpty(n, now)
+	c.schedDirty, c.scaleDirty = true, true
 	c.recordEvent("node/"+n.Name, ReasonNodeReady, "node is ready")
 	c.notifyNode(Added, n)
 	return n
@@ -32,7 +34,11 @@ func (c *Cluster) addNode() *Node {
 func (c *Cluster) removeNode(n *Node) {
 	delete(c.nodes, n.Name)
 	delete(c.podsByNode, n.Name)
-	c.nodeDirty = true
+	c.nodeStale = true
+	c.readyNodes--
+	c.totalAllocatable = c.totalAllocatable.Sub(n.Allocatable)
+	c.stampEmpty(n, time.Time{})
+	c.scaleDirty = true
 	c.recordEvent("node/"+n.Name, ReasonNodeRemoved, "empty node removed")
 	c.notifyNode(Deleted, n)
 }
@@ -41,55 +47,42 @@ func (c *Cluster) removeNode(n *Node) {
 // autoscaler loop: reserve machines for unschedulable pods (batched
 // per loop iteration, so same-batch nodes share provisioning latency,
 // matching the paper's observation in §IV-B) and release nodes that
-// have been empty longer than ScaleDownDelay. Both sweeps share one
-// node-roster snapshot per sync; the reference path re-sorts before
-// the scale-down sweep, as the pre-index controller did.
+// have been empty longer than ScaleDownDelay. A sync after which
+// nothing changed costs O(1): scale-up is re-evaluated only when
+// scaleDirty says its inputs moved, scale-down only when some
+// emptiness stamp can have expired.
 func (c *Cluster) cloudControllerOnce() {
-	nodes := c.sortedNodes()
-	c.scaleUpForPending(nodes)
 	if c.cfg.NaiveScheduling {
-		nodes = c.naiveSortedNodes()
+		c.naiveCloudControllerOnce()
+		return
 	}
-	c.scaleDownEmpty(nodes)
+	if c.scaleDirty {
+		// Re-evaluating unchanged inputs is a no-op even right after a
+		// reservation: that either covered the whole need or used up
+		// the room, and provisioning now accounts for it.
+		c.scaleDirty = false
+		c.scaleUpForPending()
+	}
+	c.scaleDownEmpty()
 }
 
-func (c *Cluster) scaleUpForPending(nodes []*Node) {
-	unsched := c.pendingScratch[:0]
-	if c.cfg.NaiveScheduling {
-		for _, p := range c.pods {
-			if p.Phase == PodPending && p.NodeName == "" && p.UnschedulableSeen {
-				// A node of the standard shape must be able to host the
-				// pod at all, or provisioning would never help.
-				if p.Resources.Fits(c.cfg.NodeAllocatable) {
-					unsched = append(unsched, p)
-				}
-			}
-		}
-	} else {
-		for _, p := range c.pendingPods {
-			if p.UnschedulableSeen && p.Resources.Fits(c.cfg.NodeAllocatable) {
-				unsched = append(unsched, p)
-			}
-		}
-	}
-	// Deterministic queue order: the bin-packed node estimate below is
-	// order-sensitive for mixed pod sizes.
-	slices.SortFunc(unsched, func(a, b *Pod) int { return cmp.Compare(a.UID, b.UID) })
-	c.pendingScratch = unsched
-	defer c.releaseScratch(unsched)
-	if len(unsched) == 0 {
+func (c *Cluster) scaleUpForPending() {
+	// The reservation is clamped to the quota's remaining room, so
+	// without room the packing below cannot matter.
+	room := c.cfg.MaxNodes - len(c.nodes) - c.provisioning
+	if room <= 0 || c.pendingLive == 0 {
 		return
 	}
 	// Nodes already being reserved will absorb part of the pending
 	// demand; only provision the remainder.
-	needed := c.nodesNeededFor(nodes, unsched) - c.provisioning
-	room := c.cfg.MaxNodes - len(c.nodes) - c.provisioning
-	if needed > room {
-		needed = room
+	bins, unsched := c.packUnschedulable()
+	if needed := min(bins-c.provisioning, room); needed > 0 {
+		c.provision(needed, unsched)
 	}
-	if needed <= 0 {
-		return
-	}
+}
+
+// provision reserves needed machines as one batch.
+func (c *Cluster) provision(needed, unsched int) {
 	// One latency sample per batch: machines reserved together in the
 	// same zone become ready at nearly the same time, so the wave is a
 	// single batch event — one ready time, one heap settle — rather
@@ -106,7 +99,7 @@ func (c *Cluster) scaleUpForPending(nodes []*Node) {
 	}
 	c.provisioning += needed
 	c.recordEvent("cluster", ReasonScaleUp,
-		fmt.Sprintf("reserving %d nodes (pending unschedulable pods: %d)", needed, len(unsched)))
+		fmt.Sprintf("reserving %d nodes (pending unschedulable pods: %d)", needed, unsched))
 	d := time.Duration((base + jitter) * float64(time.Second))
 	c.eng.AfterBatchN(d, c.lane, "node-provision", needed, func() {
 		c.provisioning--
@@ -114,67 +107,77 @@ func (c *Cluster) scaleUpForPending(nodes []*Node) {
 	})
 }
 
-// nodesNeededFor first-fit packs the pending pods onto the free
-// space of existing ready nodes (capacity the scheduler has not yet
+// packUnschedulable first-fit packs the unschedulable pods, in UID
+// order (the estimate is order-sensitive for mixed sizes), onto the
+// free space of existing nodes (capacity the scheduler has not yet
 // used, e.g. a node that just came up) and then onto hypothetical
-// empty nodes of the configured shape, returning only the count of
-// new nodes required.
-func (c *Cluster) nodesNeededFor(nodes []*Node, pods []*Pod) int {
-	var existing []resources.Vector
-	for _, n := range nodes {
-		if !n.Ready {
-			continue
-		}
-		existing = append(existing, c.nodeFree(n))
+// empty nodes of the configured shape. It returns the count of new
+// nodes required and of pods packed. A pod no standard node could host
+// is left out: provisioning would never help it.
+func (c *Cluster) packUnschedulable() (newNodes, unsched int) {
+	free := c.freeSpace[:0]
+	for _, n := range c.sortedNodes() {
+		free = append(free, n.Allocatable.Sub(n.Allocated))
 	}
-	var bins []resources.Vector // free space per hypothetical new node
-	for _, p := range pods {
-		placedExisting := false
-		for i := range existing {
-			if p.Resources.Fits(existing[i]) {
-				existing[i] = existing[i].Sub(p.Resources)
-				placedExisting = true
-				break
-			}
-		}
-		if placedExisting {
+	bins := c.bins[:0] // free space per hypothetical new node
+	c.resetCursors()
+	var cur *fitCursor
+	for _, p := range c.pendingQ {
+		if !p.waiting() || !p.UnschedulableSeen || !p.Resources.Fits(c.cfg.NodeAllocatable) {
 			continue
 		}
-		placed := false
-		for i := range bins {
-			if p.Resources.Fits(bins[i]) {
-				bins[i] = bins[i].Sub(p.Resources)
-				placed = true
-				break
-			}
+		unsched++
+		if cur == nil || cur.shape != p.Resources {
+			cur = c.cursorFor(p.Resources)
 		}
-		if !placed {
+		i := cur.node
+		for i < len(free) && !c.fits(p.Resources, free[i]) {
+			i++
+		}
+		cur.node = i
+		if i < len(free) {
+			free[i] = free[i].Sub(p.Resources)
+			continue
+		}
+		b := cur.bin
+		for b < len(bins) && !c.fits(p.Resources, bins[b]) {
+			b++
+		}
+		cur.bin = b
+		if b == len(bins) {
 			bins = append(bins, c.cfg.NodeAllocatable.Sub(p.Resources))
+		} else {
+			bins[b] = bins[b].Sub(p.Resources)
 		}
 	}
-	return len(bins)
+	c.freeSpace, c.bins = free, bins
+	return len(bins), unsched
 }
 
-func (c *Cluster) scaleDownEmpty(nodes []*Node) {
+// scaleDownEmpty removes, in roster order and down to MinNodes, the
+// nodes that have stayed empty for ScaleDownDelay. In the indexed
+// control plane a stamped node is an empty node (bind clears the
+// stamp), so the walk needs no occupancy check.
+func (c *Cluster) scaleDownEmpty() {
 	now := c.eng.Now()
-	for _, n := range nodes {
+	if c.emptyNodes == 0 || now.Sub(c.emptyOldest) < c.cfg.ScaleDownDelay {
+		return
+	}
+	var oldest time.Time
+	for _, n := range c.sortedNodes() {
 		if len(c.nodes)+c.provisioning <= c.cfg.MinNodes {
 			return
 		}
-		if !n.Ready || n.EmptySince.IsZero() {
-			continue
+		switch {
+		case n.EmptySince.IsZero():
+		case now.Sub(n.EmptySince) >= c.cfg.ScaleDownDelay:
+			c.recordEvent("cluster", ReasonScaleDown, "removing empty node "+n.Name)
+			c.removeNode(n)
+		case oldest.IsZero() || n.EmptySince.Before(oldest):
+			oldest = n.EmptySince
 		}
-		if now.Sub(n.EmptySince) < c.cfg.ScaleDownDelay {
-			continue
-		}
-		if !c.nodeIsEmpty(n) {
-			// Stale stamp; clear it.
-			n.EmptySince = time.Time{}
-			continue
-		}
-		c.recordEvent("cluster", ReasonScaleDown, "removing empty node "+n.Name)
-		c.removeNode(n)
 	}
+	c.emptyOldest = oldest
 }
 
 // FailNode simulates an abrupt node loss (hardware failure): the node

@@ -136,17 +136,48 @@ type Cluster struct {
 	// Incremental scheduling indexes. podsByNode holds the live
 	// (non-terminal) pods bound to each node; podsByLabel holds every
 	// stored pod under each of its label pairs (labels are immutable
-	// after CreatePod); pendingPods holds Pending pods not yet bound.
-	// nodeList caches the age-sorted node roster and is invalidated on
-	// node add/remove. The naive reference path (Config.NaiveScheduling)
-	// ignores all four and rescans the stores.
+	// after CreatePod). The naive reference path
+	// (Config.NaiveScheduling) ignores every index in this block and
+	// rescans the stores; maintenance is unconditional.
 	podsByNode  map[string]map[string]*Pod
 	podsByLabel map[string]map[string]*Pod
-	pendingPods map[string]*Pod
-	nodeList    []*Node
-	nodeDirty   bool
+	// pendingQ holds the Pending, not-yet-bound pods in UID order:
+	// CreatePod assigns UIDs monotonically and appends; a bind or a
+	// delete leaves the entry behind as a tombstone (Pod.waiting turns
+	// false and never turns true again) and the scheduler pass drops
+	// tombstones when it has walked the queue. pendingLive counts the
+	// entries still waiting.
+	pendingQ    []*Pod
+	pendingLive int
+	// nodeList is the age-sorted roster: its first nodeSorted entries
+	// are in order, addNode appends behind them, and nodeStale says a
+	// removal has not been filtered out yet (see sortedNodes).
+	nodeList   []*Node
+	nodeSorted int
+	nodeStale  bool
+	// Fleet aggregates maintained at addNode/removeNode. emptyNodes
+	// counts the nodes with a non-zero EmptySince and emptyOldest is a
+	// lower bound on the oldest such stamp.
+	readyNodes       int
+	totalAllocatable resources.Vector
+	emptyNodes       int
+	emptyOldest      time.Time
 
-	pendingScratch []*Pod // reused by scheduleOnce/scaleUpForPending
+	// Dirty flags: what a control loop would have to look at again.
+	// schedDirty — a pod was created, capacity was released or a node
+	// was added since the last scheduler pass; while it is clear every
+	// waiting pod has already been rejected by every node. scaleDirty —
+	// the unschedulable set, a node's free capacity, the roster or
+	// provisioning changed since the last scale-up evaluation. ssDirty —
+	// a StatefulSet member was deleted since the last reconcile.
+	schedDirty, scaleDirty, ssDirty bool
+
+	// Per-pass scratch of the first-fit sweeps (see fitCursor).
+	cursors   []fitCursor
+	cursorIdx map[resources.Vector]int
+	freeSpace []resources.Vector
+	bins      []resources.Vector
+	fitProbes int64 // Fits evaluations made by the indexed sweeps
 
 	uid     int64
 	nodeSeq int
@@ -178,7 +209,7 @@ func NewCluster(eng *simclock.Engine, cfg Config) *Cluster {
 		statefulsets: make(map[string]*StatefulSet),
 		podsByNode:   make(map[string]map[string]*Pod),
 		podsByLabel:  make(map[string]map[string]*Pod),
-		pendingPods:  make(map[string]*Pod),
+		cursorIdx:    make(map[resources.Vector]int),
 		pulls:        make(map[string][]func()),
 	}
 	for i := 0; i < cfg.InitialNodes; i++ {
@@ -320,6 +351,9 @@ func (c *Cluster) CreatePod(spec PodSpec) (Pod, error) {
 	}
 	c.pods[spec.Name] = p
 	c.indexPod(p)
+	c.pendingQ = append(c.pendingQ, p)
+	c.pendingLive++
+	c.schedDirty = true
 	c.notifyPod(Added, p, "")
 	return p.DeepCopy(), nil
 }
@@ -327,9 +361,9 @@ func (c *Cluster) CreatePod(spec PodSpec) (Pod, error) {
 // labelKey composes the podsByLabel index key for one label pair.
 func labelKey(k, v string) string { return k + "\x00" + v }
 
-// indexPod registers a freshly stored pod in the label and pending
-// indexes. Pod labels are immutable after creation, so membership only
-// changes at create/delete time.
+// indexPod registers a freshly stored pod in the label index. Pod
+// labels are immutable after creation, so membership only changes at
+// create/delete time.
 func (c *Cluster) indexPod(p *Pod) {
 	for k, v := range p.Labels {
 		key := labelKey(k, v)
@@ -340,13 +374,9 @@ func (c *Cluster) indexPod(p *Pod) {
 		}
 		m[p.Name] = p
 	}
-	if p.Phase == PodPending && p.NodeName == "" {
-		c.pendingPods[p.Name] = p
-	}
 }
 
-// unindexPod removes a pod from the label and pending indexes at
-// deletion time.
+// unindexPod removes a pod from the label index at deletion time.
 func (c *Cluster) unindexPod(p *Pod) {
 	for k, v := range p.Labels {
 		key := labelKey(k, v)
@@ -357,7 +387,6 @@ func (c *Cluster) unindexPod(p *Pod) {
 			}
 		}
 	}
-	delete(c.pendingPods, p.Name)
 }
 
 // release removes a formerly live, bound pod from its node's
@@ -370,6 +399,7 @@ func (c *Cluster) release(p *Pod) {
 	if n, ok := c.nodes[p.NodeName]; ok {
 		n.Allocated = n.Allocated.Sub(p.Resources)
 		n.livePods--
+		c.schedDirty, c.scaleDirty = true, true
 	}
 	if m := c.podsByNode[p.NodeName]; m != nil {
 		delete(m, p.Name)
@@ -407,6 +437,15 @@ func (c *Cluster) DeletePod(name string) error {
 	if p.Phase == PodRunning || (p.Phase == PodPending && p.NodeName != "") {
 		reason = ReasonKilling
 		c.recordEvent("pod/"+name, ReasonKilling, "stopping container")
+	}
+	if p.waiting() {
+		c.pendingLive--
+		if p.UnschedulableSeen {
+			c.scaleDirty = true
+		}
+	}
+	if _, member := c.statefulsets[p.Labels["statefulset"]]; member {
+		c.ssDirty = true
 	}
 	c.unbind(p)
 	c.unindexPod(p)
@@ -468,7 +507,9 @@ func (c *Cluster) ListPods(selector map[string]string) []Pod {
 
 // --- node accessors ---
 
-// Nodes returns copies of all nodes sorted by name sequence.
+// Nodes returns copies of all nodes in scheduler order: creation time,
+// then name compared as a string — within one provisioning wave
+// "node-10" comes before "node-9".
 func (c *Cluster) Nodes() []Node {
 	nodes := c.sortedNodes()
 	out := make([]Node, 0, len(nodes))
@@ -480,13 +521,10 @@ func (c *Cluster) Nodes() []Node {
 
 // ReadyNodes returns the number of ready nodes.
 func (c *Cluster) ReadyNodes() int {
-	n := 0
-	for _, node := range c.nodes {
-		if node.Ready {
-			n++
-		}
+	if c.cfg.NaiveScheduling {
+		return c.naiveReadyNodes()
 	}
-	return n
+	return c.readyNodes
 }
 
 // NodeCount returns ready plus provisioning node count.
@@ -522,13 +560,10 @@ func (c *Cluster) PodsOnNode(name string) int {
 
 // TotalAllocatable returns the summed allocatable of ready nodes.
 func (c *Cluster) TotalAllocatable() resources.Vector {
-	var v resources.Vector
-	for _, n := range c.nodes {
-		if n.Ready {
-			v = v.Add(n.Allocatable)
-		}
+	if c.cfg.NaiveScheduling {
+		return c.naiveTotalAllocatable()
 	}
-	return v
+	return c.totalAllocatable
 }
 
 // --- services & statefulsets ---

@@ -1,8 +1,10 @@
 package kubesim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -127,6 +129,38 @@ func diffEvents(t *testing.T, naive, indexed []Event) {
 	}
 }
 
+// assertSameRun requires the indexed run to reproduce the naive one:
+// event stream byte-for-byte, then the final pod and node states.
+func assertSameRun(t *testing.T, naive, indexed churnResult) {
+	t.Helper()
+	diffEvents(t, naive.events, indexed.events)
+	if len(naive.events) < 100 {
+		t.Errorf("script too quiet: only %d events", len(naive.events))
+	}
+	if len(naive.pods) != len(indexed.pods) {
+		t.Fatalf("pod count diverges: %d vs %d", len(naive.pods), len(indexed.pods))
+	}
+	for i := range naive.pods {
+		a, b := naive.pods[i], indexed.pods[i]
+		a.usage, b.usage = nil, nil
+		if a.Name != b.Name || a.UID != b.UID || a.Phase != b.Phase ||
+			a.NodeName != b.NodeName || !a.ScheduledAt.Equal(b.ScheduledAt) ||
+			!a.FinishedAt.Equal(b.FinishedAt) || a.UnschedulableSeen != b.UnschedulableSeen {
+			t.Fatalf("pod %d diverges:\n  naive:   %+v\n  indexed: %+v", i, a, b)
+		}
+	}
+	if len(naive.nodes) != len(indexed.nodes) {
+		t.Fatalf("node count diverges: %d vs %d", len(naive.nodes), len(indexed.nodes))
+	}
+	for i := range naive.nodes {
+		a, b := naive.nodes[i], indexed.nodes[i]
+		if a.Name != b.Name || a.Allocated != b.Allocated ||
+			a.livePods != b.livePods || !a.EmptySince.Equal(b.EmptySince) {
+			t.Fatalf("node %d diverges:\n  naive:   %+v\n  indexed: %+v", i, a, b)
+		}
+	}
+}
+
 // TestDifferentialSchedulingIdentical pins the tentpole's contract:
 // for fixed seeds, the indexed control plane reproduces the naive
 // reference's bind sequence, event stream (FailedScheduling records
@@ -136,34 +170,110 @@ func TestDifferentialSchedulingIdentical(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			naive := runChurnScript(t, seed, true)
-			indexed := runChurnScript(t, seed, false)
-			diffEvents(t, naive.events, indexed.events)
-			if len(naive.events) < 100 {
-				t.Errorf("script too quiet: only %d events", len(naive.events))
+			assertSameRun(t, runChurnScript(t, seed, true), runChurnScript(t, seed, false))
+		})
+	}
+}
+
+// runFleetScript drives a cluster the way io-fleet does rather than the
+// way churn does: homogeneous whole-node pods created in bursts that
+// overshoot the quota, provisioning waves of a dozen and more nodes
+// arriving at one instant (so the roster's string-ordered tail is
+// exercised), a node failure while a wave is in flight, the fleet
+// drained through MarkPodSucceeded with the backlog refilling freed
+// nodes, and finally scale-down after ScaleDownDelay. Long quiet
+// stretches at quota are where the dirty-skip paths run.
+func runFleetScript(t *testing.T, seed int64, naive bool) churnResult {
+	t.Helper()
+	eng := simclock.NewEngine(t0)
+	rng := rand.New(rand.NewSource(seed))
+	quota := 22 + rng.Intn(8)
+	c := NewCluster(eng, Config{
+		InitialNodes:    3,
+		MinNodes:        2,
+		MaxNodes:        quota,
+		Seed:            seed,
+		NaiveScheduling: naive,
+		ScaleDownDelay:  2 * time.Minute,
+	})
+	defer c.Stop()
+	podN := 0
+	burst := func(n int) {
+		for i := 0; i < n; i++ {
+			podN++
+			spec := smallPod(fmt.Sprintf("fleet-%d", podN))
+			spec.Resources = c.Config().NodeAllocatable
+			if _, err := c.CreatePod(spec); err != nil {
+				t.Fatalf("create: %v", err)
 			}
-			if len(naive.pods) != len(indexed.pods) {
-				t.Fatalf("pod count diverges: %d vs %d", len(naive.pods), len(indexed.pods))
+		}
+	}
+	running := func() []Pod {
+		var out []Pod
+		for _, p := range c.ListPods(nil) {
+			if p.Phase == PodRunning {
+				out = append(out, p)
 			}
-			for i := range naive.pods {
-				a, b := naive.pods[i], indexed.pods[i]
-				a.usage, b.usage = nil, nil
-				if a.Name != b.Name || a.UID != b.UID || a.Phase != b.Phase ||
-					a.NodeName != b.NodeName || !a.ScheduledAt.Equal(b.ScheduledAt) ||
-					!a.FinishedAt.Equal(b.FinishedAt) || a.UnschedulableSeen != b.UnschedulableSeen {
-					t.Fatalf("pod %d diverges:\n  naive:   %+v\n  indexed: %+v", i, a, b)
+		}
+		return out
+	}
+
+	burst(quota/2 + rng.Intn(4))
+	eng.RunFor(time.Duration(40+rng.Intn(80)) * time.Second) // first wave in flight
+	burst(quota)                                             // past the quota
+	eng.RunFor(time.Duration(20+rng.Intn(40)) * time.Second)
+	names := c.ReadyNodeNames()
+	if err := c.FailNode(names[rng.Intn(len(names))]); err != nil {
+		t.Fatalf("fail node: %v", err)
+	}
+	eng.RunFor(time.Duration(5+rng.Intn(5)) * time.Minute) // waves land, quota reached
+	if got := c.ReadyNodes(); got != quota {
+		t.Fatalf("fleet did not reach quota: %d of %d nodes", got, quota)
+	}
+	names = c.ReadyNodeNames()
+	if err := c.PreemptNode(names[rng.Intn(len(names))]); err != nil {
+		t.Fatalf("preempt node: %v", err)
+	}
+	eng.RunFor(4 * time.Minute)
+
+	// Drain: workers exit a few at a time and the unschedulable backlog
+	// takes over the freed nodes until no pod is left running.
+	for round := 0; round < 200; round++ {
+		run := running()
+		if len(run) == 0 {
+			break
+		}
+		for i := rng.Intn(4); i >= 0 && len(run) > 0; i-- {
+			k := rng.Intn(len(run))
+			if err := c.MarkPodSucceeded(run[k].Name); err != nil {
+				t.Fatalf("succeed: %v", err)
+			}
+			if rng.Intn(2) == 0 { // the operator reaps some exited pods at once
+				if err := c.DeletePod(run[k].Name); err != nil {
+					t.Fatalf("delete: %v", err)
 				}
 			}
-			if len(naive.nodes) != len(indexed.nodes) {
-				t.Fatalf("node count diverges: %d vs %d", len(naive.nodes), len(indexed.nodes))
-			}
-			for i := range naive.nodes {
-				a, b := naive.nodes[i], indexed.nodes[i]
-				if a.Name != b.Name || a.Allocated != b.Allocated ||
-					a.livePods != b.livePods || !a.EmptySince.Equal(b.EmptySince) {
-					t.Fatalf("node %d diverges:\n  naive:   %+v\n  indexed: %+v", i, a, b)
-				}
-			}
+			run = append(run[:k], run[k+1:]...)
+		}
+		eng.RunFor(time.Duration(1+rng.Intn(30)) * time.Second)
+	}
+	if left := len(running()); left != 0 {
+		t.Fatalf("drain did not finish: %d pods still running", left)
+	}
+	eng.RunFor(10 * time.Minute) // scale-down to the floor
+	if got := c.ReadyNodes(); got != 2 {
+		t.Fatalf("fleet did not scale down to MinNodes: %d nodes", got)
+	}
+	return churnResult{events: c.Events(), pods: c.ListPods(nil), nodes: c.Nodes()}
+}
+
+// TestDifferentialFleetIdentical is the second differential script:
+// the io-fleet shape, exact against the naive reference on 8 seeds.
+func TestDifferentialFleetIdentical(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			assertSameRun(t, runFleetScript(t, seed, true), runFleetScript(t, seed, false))
 		})
 	}
 }
@@ -175,7 +285,13 @@ func TestIndexInvariants(t *testing.T) {
 	eng := simclock.NewEngine(t0)
 	c := NewCluster(eng, Config{InitialNodes: 4, MaxNodes: 10, Seed: 7, ScaleDownDelay: time.Minute})
 	defer c.Stop()
+	// A StatefulSet under the churn: random deletes hit its members, and
+	// the reconcile that restores them runs only when one did.
+	if err := c.CreateStatefulSet(StatefulSet{Name: "inv-ss", Replicas: 2, Template: smallPod("")}); err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(42))
+	var clean cleanChecks
 	check := func(step int) {
 		t.Helper()
 		for _, n := range c.nodes {
@@ -199,18 +315,9 @@ func TestIndexInvariants(t *testing.T) {
 				t.Fatalf("step %d: node %s emptiness disagrees", step, n.Name)
 			}
 		}
-		pending := 0
-		for _, p := range c.pods {
-			if p.Phase == PodPending && p.NodeName == "" {
-				pending++
-				if c.pendingPods[p.Name] != p {
-					t.Fatalf("step %d: pod %s missing from pending index", step, p.Name)
-				}
-			}
-		}
-		if len(c.pendingPods) != pending {
-			t.Fatalf("step %d: pending index size %d, naive %d", step, len(c.pendingPods), pending)
-		}
+		checkPendingQueue(t, c, step)
+		checkFleetAggregates(t, c, step)
+		clean.check(t, c, step)
 		for _, sel := range []map[string]string{
 			{"tier": "t0"}, {"tier": "t1"}, {"tier": "t0", "app": "x"},
 		} {
@@ -276,5 +383,99 @@ func TestIndexInvariants(t *testing.T) {
 		}
 		eng.RunFor(time.Duration(rng.Intn(15)+1) * time.Second)
 		check(step)
+	}
+	if clean.sched == 0 || clean.scaleUp == 0 || clean.scaleDown == 0 || clean.statefulSets == 0 {
+		t.Errorf("a dirty-skip path was never exercised: %+v", clean)
+	}
+}
+
+// checkPendingQueue cross-checks the ordered pending queue against a
+// scan of the pod store: its live entries are exactly the Pending
+// unbound pods, UIDs strictly ascend, and — every step ends after a
+// scheduler sync — no tombstone outlived the sync's compaction.
+func checkPendingQueue(t *testing.T, c *Cluster, step int) {
+	t.Helper()
+	want := c.naivePendingUnbound(nil)
+	slices.SortFunc(want, func(a, b *Pod) int { return cmp.Compare(a.UID, b.UID) })
+	if len(c.pendingQ) != len(want) || c.pendingLive != len(want) {
+		t.Fatalf("step %d: pending queue len %d, live count %d, naive %d",
+			step, len(c.pendingQ), c.pendingLive, len(want))
+	}
+	for i, p := range c.pendingQ {
+		if p != want[i] {
+			t.Fatalf("step %d: pendingQ[%d] = %s (uid %d), naive %s (uid %d)",
+				step, i, p.Name, p.UID, want[i].Name, want[i].UID)
+		}
+	}
+}
+
+// checkFleetAggregates cross-checks the O(1) fleet counters and the
+// empty-node bookkeeping against walks of the node map.
+func checkFleetAggregates(t *testing.T, c *Cluster, step int) {
+	t.Helper()
+	if got, want := c.readyNodes, c.naiveReadyNodes(); got != want {
+		t.Fatalf("step %d: readyNodes %d, naive %d", step, got, want)
+	}
+	if got, want := c.totalAllocatable, c.naiveTotalAllocatable(); got != want {
+		t.Fatalf("step %d: totalAllocatable %v, naive %v", step, got, want)
+	}
+	stamped := 0
+	for _, n := range c.nodes {
+		if n.EmptySince.IsZero() != (n.livePods != 0) {
+			t.Fatalf("step %d: node %s has %d live pods but EmptySince %v", step, n.Name, n.livePods, n.EmptySince)
+		}
+		if n.EmptySince.IsZero() {
+			continue
+		}
+		stamped++
+		if n.EmptySince.Before(c.emptyOldest) {
+			t.Fatalf("step %d: node %s empty since %v, before the bound %v", step, n.Name, n.EmptySince, c.emptyOldest)
+		}
+	}
+	if c.emptyNodes != stamped {
+		t.Fatalf("step %d: emptyNodes %d, naive %d", step, c.emptyNodes, stamped)
+	}
+}
+
+// cleanChecks counts how often each dirty-skip path was put to the
+// test below.
+type cleanChecks struct{ sched, statefulSets, scaleUp, scaleDown int }
+
+// check asserts that a clear dirty flag means no outstanding work: the
+// sweep the flag lets the control loop skip is run in its retained
+// reference form, and must change nothing — no event, no pod, no node,
+// no reservation. (A sweep that finds nothing to do mutates nothing, so
+// running it here does not perturb the churn.)
+func (cc *cleanChecks) check(t *testing.T, c *Cluster, step int) {
+	t.Helper()
+	events, pods, nodes, provisioning := len(c.events), len(c.pods), len(c.nodes), c.provisioning
+	unchanged := func(what string) {
+		t.Helper()
+		if len(c.events) != events || len(c.pods) != pods || len(c.nodes) != nodes || c.provisioning != provisioning {
+			t.Fatalf("step %d: %s was clean but the reference sweep found work: events %d→%d pods %d→%d nodes %d→%d provisioning %d→%d",
+				step, what, events, len(c.events), pods, len(c.pods), nodes, len(c.nodes), provisioning, c.provisioning)
+		}
+	}
+	if !c.ssDirty {
+		cc.statefulSets++
+		for _, ss := range c.statefulsets {
+			c.reconcileStatefulSet(ss)
+		}
+		unchanged("ssDirty")
+	}
+	if !c.ssDirty && !c.schedDirty {
+		cc.sched++
+		c.naiveScheduleOnce()
+		unchanged("schedDirty")
+	}
+	if !c.scaleDirty {
+		cc.scaleUp++
+		c.naiveScaleUpForPending(c.naiveSortedNodes())
+		unchanged("scaleDirty")
+	}
+	if c.emptyNodes == 0 || c.eng.Now().Sub(c.emptyOldest) < c.cfg.ScaleDownDelay {
+		cc.scaleDown++
+		c.naiveScaleDownEmpty(c.naiveSortedNodes())
+		unchanged("the scale-down bound")
 	}
 }

@@ -1,6 +1,8 @@
 package kubesim
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -587,5 +589,91 @@ func TestEventsFor(t *testing.T) {
 	}
 	if got := c.EventsFor("pod/ghost"); got != nil {
 		t.Errorf("ghost events = %v", got)
+	}
+}
+
+// TestRosterOrderWithinWave pins the roster-order trap: nodes sort by
+// (CreatedAt, Name) with Name compared as a string, so inside one
+// same-instant wave "node-10" precedes "node-4". First-fit follows the
+// roster, so the bind order shows it too. Anything that keys node order
+// by the numeric sequence fails here, not only in the differential.
+func TestRosterOrderWithinWave(t *testing.T) {
+	eng, c := newTestCluster(t, Config{InitialNodes: 3, MaxNodes: 16})
+	for i := 1; i <= 16; i++ {
+		spec := smallPod(fmt.Sprintf("p%02d", i))
+		spec.Resources = c.Config().NodeAllocatable
+		if _, err := c.CreatePod(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.RunFor(5 * time.Minute) // one 13-node wave: node-4 … node-16
+	want := []string{
+		"node-1", "node-2", "node-3",
+		"node-10", "node-11", "node-12", "node-13", "node-14", "node-15", "node-16",
+		"node-4", "node-5", "node-6", "node-7", "node-8", "node-9",
+	}
+	if got := c.ReadyNodeNames(); !slices.Equal(got, want) {
+		t.Fatalf("ReadyNodeNames =\n  %v, want\n  %v", got, want)
+	}
+	wave := c.Nodes()[3:]
+	for _, n := range wave[1:] {
+		if !n.CreatedAt.Equal(wave[0].CreatedAt) {
+			t.Fatalf("wave did not arrive at one instant: %s at %v, %s at %v",
+				wave[0].Name, wave[0].CreatedAt, n.Name, n.CreatedAt)
+		}
+	}
+	for i, node := range want {
+		pod := fmt.Sprintf("p%02d", i+1)
+		if p, _ := c.GetPod(pod); p.NodeName != node {
+			t.Errorf("%s bound to %q, want %s (UID order onto roster order)", pod, p.NodeName, node)
+		}
+	}
+
+	// The initial fleet is a same-instant wave as well.
+	_, c = newTestCluster(t, Config{InitialNodes: 12, MaxNodes: 12})
+	want = []string{
+		"node-1", "node-10", "node-11", "node-12",
+		"node-2", "node-3", "node-4", "node-5", "node-6", "node-7", "node-8", "node-9",
+	}
+	if got := c.ReadyNodeNames(); !slices.Equal(got, want) {
+		t.Fatalf("initial ReadyNodeNames = %v, want %v", got, want)
+	}
+}
+
+// TestSchedulerCleanPassZeroAlloc pins the dirty-skip: at quota, with
+// unschedulable pods pending and nothing changed since the last sync,
+// a scheduler sync plus a cloud-controller sync allocate nothing and
+// evaluate no placement predicate.
+func TestSchedulerCleanPassZeroAlloc(t *testing.T) {
+	eng, c := newTestCluster(t, Config{InitialNodes: 3, MaxNodes: 5})
+	for i := 0; i < 8; i++ {
+		spec := smallPod(fmt.Sprintf("p%d", i))
+		spec.Resources = c.Config().NodeAllocatable
+		if _, err := c.CreatePod(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.RunFor(10 * time.Minute)
+	if c.ReadyNodes() != 5 || c.pendingLive != 3 {
+		t.Fatalf("fixture: %d nodes, %d pending; want 5 at quota with 3 pending", c.ReadyNodes(), c.pendingLive)
+	}
+	for _, p := range c.pendingQ {
+		if !p.UnschedulableSeen {
+			t.Fatalf("fixture: pending pod %s was never marked unschedulable", p.Name)
+		}
+	}
+	probes, events := c.fitProbes, len(c.events)
+	allocs := testing.AllocsPerRun(100, func() {
+		c.scheduleOnce()
+		c.cloudControllerOnce()
+	})
+	if allocs != 0 {
+		t.Errorf("clean scheduler + cloud-controller sync allocates %.1f times, want 0", allocs)
+	}
+	if c.fitProbes != probes {
+		t.Errorf("clean syncs made %d Fits probes, want 0", c.fitProbes-probes)
+	}
+	if len(c.events) != events {
+		t.Errorf("clean syncs recorded %d events", len(c.events)-events)
 	}
 }

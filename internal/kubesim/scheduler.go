@@ -1,13 +1,18 @@
 package kubesim
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 
 	"hta/internal/resources"
 )
+
+// waiting reports whether the pod is Pending and not yet bound — the
+// scheduler's work queue. The transition is one-way: a bind sets
+// NodeName for good and a delete makes the pod terminal.
+func (p *Pod) waiting() bool { return p.Phase == PodPending && p.NodeName == "" }
 
 // nodeIsEmpty reports whether no live pod is bound to the node.
 func (c *Cluster) nodeIsEmpty(n *Node) bool {
@@ -17,12 +22,20 @@ func (c *Cluster) nodeIsEmpty(n *Node) bool {
 	return n.livePods == 0
 }
 
-// nodeFree returns the node's unallocated capacity.
-func (c *Cluster) nodeFree(n *Node) resources.Vector {
-	if c.cfg.NaiveScheduling {
-		return c.naiveNodeFree(n)
+// stampEmpty sets the node's emptiness stamp (the zero time clears it)
+// and keeps the empty-node bookkeeping in step. Stamps are taken from
+// the clock, so a new one is never older than emptyOldest.
+func (c *Cluster) stampEmpty(n *Node, at time.Time) {
+	switch {
+	case n.EmptySince.IsZero() && !at.IsZero():
+		if c.emptyNodes == 0 {
+			c.emptyOldest = at
+		}
+		c.emptyNodes++
+	case !n.EmptySince.IsZero() && at.IsZero():
+		c.emptyNodes--
 	}
-	return n.Allocatable.Sub(n.Allocated)
+	n.EmptySince = at
 }
 
 // freeNodeOf updates the hosting node's emptiness stamp after a pod
@@ -36,7 +49,7 @@ func (c *Cluster) freeNodeOf(p *Pod) {
 		return
 	}
 	if c.nodeIsEmpty(n) {
-		n.EmptySince = c.eng.Now()
+		c.stampEmpty(n, c.eng.Now())
 	}
 }
 
@@ -51,97 +64,177 @@ func (c *Cluster) unbind(p *Pod) {
 	c.freeNodeOf(p)
 }
 
-// pendingUnbound returns the Pending, not-yet-bound pods in UID order,
-// reusing the cluster's scratch slice.
-func (c *Cluster) pendingUnbound() []*Pod {
-	pending := c.pendingScratch[:0]
-	if c.cfg.NaiveScheduling {
-		pending = c.naivePendingUnbound(pending)
-	} else {
-		for _, p := range c.pendingPods {
-			pending = append(pending, p)
-		}
-	}
-	slices.SortFunc(pending, func(a, b *Pod) int { return cmp.Compare(a.UID, b.UID) })
-	c.pendingScratch = pending
-	return pending
+// fitCursor is one request shape's first-fit resume point. Within one
+// sweep free capacity only shrinks, so the prefix of nodes (or of
+// hypothetical bins) that rejected a shape keeps rejecting it and every
+// later pod of that shape resumes where the last one stopped: exact
+// first-fit at O(shapes × nodes + pods) per sweep.
+type fitCursor struct {
+	shape resources.Vector
+	node  int // nodes [0, node) have rejected shape
+	bin   int // bins [0, bin) have rejected shape (scale-up packing only)
 }
 
-// releaseScratch drops the pod references held by the pending scratch
-// slice so deleted pods can be collected.
-func (c *Cluster) releaseScratch(pending []*Pod) {
-	for i := range pending {
-		pending[i] = nil
+func (c *Cluster) resetCursors() {
+	c.cursors = c.cursors[:0]
+	clear(c.cursorIdx)
+}
+
+// cursorFor returns the sweep's cursor for a request shape. The pointer
+// is valid until the next call.
+func (c *Cluster) cursorFor(shape resources.Vector) *fitCursor {
+	i, ok := c.cursorIdx[shape]
+	if !ok {
+		i = len(c.cursors)
+		c.cursors = append(c.cursors, fitCursor{shape: shape})
+		c.cursorIdx[shape] = i
 	}
+	return &c.cursors[i]
+}
+
+// fits is the indexed sweeps' placement predicate.
+func (c *Cluster) fits(request, free resources.Vector) bool {
+	c.fitProbes++
+	return request.Fits(free)
 }
 
 // scheduleOnce is the kube-scheduler sync loop: bind pending pods to
 // ready nodes with sufficient free resources, first-fit in node-age
 // order; emit FailedScheduling for pods that cannot be placed. The
 // controller-manager's StatefulSet reconciliation piggybacks on the
-// same loop.
+// same loop. Both halves do work only for what changed since the last
+// sync (see the dirty flags on Cluster); the ticker still fires every
+// period.
 func (c *Cluster) scheduleOnce() {
-	for _, ss := range c.statefulsets {
-		c.reconcileStatefulSet(ss)
+	if c.cfg.NaiveScheduling {
+		c.naiveScheduleOnce()
+	} else {
+		if c.ssDirty {
+			c.ssDirty = false
+			for _, ss := range c.statefulsets {
+				c.reconcileStatefulSet(ss)
+			}
+		}
+		if c.schedDirty {
+			c.schedDirty = false
+			c.bindPending()
+		}
 	}
+	c.compactPending()
+}
 
-	pending := c.pendingUnbound()
+// bindPending first-fits every waiting pod, in UID order, over the
+// age-sorted roster.
+func (c *Cluster) bindPending() {
 	nodes := c.sortedNodes()
-	for _, p := range pending {
-		placed := false
-		for _, n := range nodes {
-			if !n.Ready {
-				continue
-			}
-			if c.fitsOnNode(p, n) {
-				c.bind(p, n)
-				placed = true
-				break
-			}
+	c.resetCursors()
+	var cur *fitCursor
+	// Pods a handler creates during the pass are appended past queued
+	// and wait for the next one, as they did when the pass worked on a
+	// snapshot.
+	queued := len(c.pendingQ)
+	for i := 0; i < queued; i++ {
+		p := c.pendingQ[i]
+		if !p.waiting() {
+			continue
 		}
-		if !placed && !p.UnschedulableSeen {
-			p.UnschedulableSeen = true
-			c.recordEvent("pod/"+p.Name, ReasonFailedScheduling,
-				fmt.Sprintf("0/%d nodes are available: Insufficient resources (request %v)", len(nodes), p.Resources))
-			c.notifyPod(Modified, p, ReasonFailedScheduling)
+		if cur == nil || cur.shape != p.Resources {
+			cur = c.cursorFor(p.Resources)
+		}
+		k := cur.node
+		for k < len(nodes) && !c.fits(p.Resources, nodes[k].Allocatable.Sub(nodes[k].Allocated)) {
+			k++
+		}
+		cur.node = k
+		if k < len(nodes) {
+			c.bind(p, nodes[k])
+		} else if !p.UnschedulableSeen {
+			c.markUnschedulable(p, len(nodes))
+		}
+		if c.schedDirty {
+			// A handler released capacity under the pass: rejected
+			// prefixes no longer hold. The flag stays set, so the next
+			// sync looks again too.
+			c.resetCursors()
+			cur = nil
 		}
 	}
-	c.releaseScratch(pending)
+}
+
+// compactPending drops the tombstones from the pending queue; without
+// any it costs one comparison.
+func (c *Cluster) compactPending() {
+	if len(c.pendingQ) == c.pendingLive {
+		return
+	}
+	q := c.pendingQ
+	w := 0
+	for _, p := range q {
+		if p.waiting() {
+			q[w] = p
+			w++
+		}
+	}
+	clear(q[w:])
+	c.pendingQ = q[:w]
+}
+
+// markUnschedulable records the pod's first failed placement — the
+// paper's "No Available Node" state, which the cloud controller acts on.
+func (c *Cluster) markUnschedulable(p *Pod, nodes int) {
+	p.UnschedulableSeen = true
+	c.scaleDirty = true
+	c.recordEvent("pod/"+p.Name, ReasonFailedScheduling,
+		fmt.Sprintf("0/%d nodes are available: Insufficient resources (request %v)", nodes, p.Resources))
+	c.notifyPod(Modified, p, ReasonFailedScheduling)
+}
+
+// compareNodes is the roster order: creation time, then name compared
+// as a string (so "node-10" sorts before "node-9" within one wave).
+func compareNodes(a, b *Node) int {
+	if c := a.CreatedAt.Compare(b.CreatedAt); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Name, b.Name)
 }
 
 // sortedNodes returns the node roster sorted by creation time then
-// name. The fast path serves a cached slice invalidated on node
-// add/remove; a rebuild allocates a fresh backing array so callers
-// holding an older snapshot can keep iterating it safely.
+// name. addNode appends; the first read after it merges the newcomers
+// in. Older nodes never reorder — the clock is monotonic — so only the
+// tail from the newcomers' first instant on is sorted, in place: nodes
+// arrive from NewCluster and the provisioning batch event, never under
+// a control loop that is walking a roster snapshot. A removal, which
+// does happen under such a walk (scaleDownEmpty), is filtered out into
+// a fresh backing array instead, so the older snapshot stays intact.
 func (c *Cluster) sortedNodes() []*Node {
 	if c.cfg.NaiveScheduling {
 		return c.naiveSortedNodes()
 	}
-	if c.nodeDirty || c.nodeList == nil {
-		out := make([]*Node, 0, len(c.nodes))
-		for _, n := range c.nodes {
-			out = append(out, n)
+	if c.nodeSorted < len(c.nodeList) {
+		lo, first := c.nodeSorted, c.nodeList[c.nodeSorted].CreatedAt
+		for lo > 0 && c.nodeList[lo-1].CreatedAt.Equal(first) {
+			lo--
 		}
-		slices.SortFunc(out, func(a, b *Node) int {
-			if c := a.CreatedAt.Compare(b.CreatedAt); c != 0 {
-				return c
+		slices.SortFunc(c.nodeList[lo:], compareNodes)
+		c.nodeSorted = len(c.nodeList)
+	}
+	if c.nodeStale {
+		out := make([]*Node, 0, len(c.nodes))
+		for _, n := range c.nodeList {
+			if c.nodes[n.Name] == n {
+				out = append(out, n)
 			}
-			return cmp.Compare(a.Name, b.Name)
-		})
-		c.nodeList = out
-		c.nodeDirty = false
+		}
+		c.nodeList, c.nodeSorted = out, len(out)
+		c.nodeStale = false
 	}
 	return c.nodeList
-}
-
-func (c *Cluster) fitsOnNode(p *Pod, n *Node) bool {
-	return p.Resources.Fits(c.nodeFree(n))
 }
 
 func (c *Cluster) bind(p *Pod, n *Node) {
 	p.NodeName = n.Name
 	p.ScheduledAt = c.eng.Now()
-	n.EmptySince = time.Time{}
+	c.stampEmpty(n, time.Time{})
 	n.Allocated = n.Allocated.Add(p.Resources)
 	n.livePods++
 	m := c.podsByNode[n.Name]
@@ -150,7 +243,8 @@ func (c *Cluster) bind(p *Pod, n *Node) {
 		c.podsByNode[n.Name] = m
 	}
 	m[p.Name] = p
-	delete(c.pendingPods, p.Name)
+	c.pendingLive--
+	c.scaleDirty = true
 	c.recordEvent("pod/"+p.Name, ReasonScheduled, "bound to "+n.Name)
 	c.notifyPod(Modified, p, ReasonScheduled)
 	c.kubeletStart(p, n)
