@@ -31,7 +31,6 @@
 package arbiter
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -147,10 +146,8 @@ type Tenant struct {
 	masterSnap  wq.Snapshot
 	reattach    []wq.WorkerReattach
 
-	// Digest snapshot scratch, reused across cycles.
-	waitBuf []wq.Task
-	runBuf  []wq.Task
-	wiBuf   []core.WorkerInfo
+	// wiBuf is the digest's worker-list scratch, reused across cycles.
+	wiBuf []core.WorkerInfo
 }
 
 // Master returns the tenant's work-queue master (submit tasks here).
@@ -448,8 +445,8 @@ func (a *Arbiter) digest(t *Tenant) int64 {
 	return d
 }
 
-// estimateInput assembles the digest's planner input from reused
-// per-tenant scratch buffers.
+// estimateInput assembles the digest's planner input: the tenant's
+// master is the task view, the worker list is reused scratch.
 func (a *Arbiter) estimateInput(t *Tenant) core.EstimateInput {
 	t.wiBuf = t.wiBuf[:0]
 	t.master.ForEachWorker(func(id string, capacity resources.Vector, draining bool) {
@@ -458,17 +455,11 @@ func (a *Arbiter) estimateInput(t *Tenant) core.EstimateInput {
 		}
 		t.wiBuf = append(t.wiBuf, core.WorkerInfo{ID: id, Capacity: capacity})
 	})
-	t.runBuf = t.runBuf[:0]
-	t.master.ForEachRunning(func(task *wq.Task) { t.runBuf = append(t.runBuf, *task) })
-	slices.SortFunc(t.runBuf, func(x, y wq.Task) int { return cmp.Compare(x.ID, y.ID) })
-	t.waitBuf = t.waitBuf[:0]
-	t.master.ForEachWaiting(func(task *wq.Task) { t.waitBuf = append(t.waitBuf, *task) })
 	return core.EstimateInput{
 		Now:            time.Time{}, // time-free: see digest
 		InitTime:       0,
 		DefaultCycle:   a.cfg.Cycle,
-		Running:        t.runBuf,
-		Waiting:        t.waitBuf,
+		Tasks:          t.master,
 		Estimator:      t.mon,
 		Workers:        t.wiBuf,
 		WorkerTemplate: a.template,

@@ -130,6 +130,57 @@ func BenchmarkEstimateScaleSmall(b *testing.B) {
 	}
 }
 
+// BenchmarkAutoscalerDecide measures one whole resize decision —
+// assembling Algorithm 1's input from the live system and evaluating
+// it — on a workflow-hta-shaped cell: 2 000 four-core workers running
+// 8 000 undeclared tasks of 20 monitor-measured categories with
+// 10 000 more waiting. Parent vs change is the before/after of the
+// live task view.
+func BenchmarkAutoscalerDecide(b *testing.B) {
+	const workers, categories, tasks = 2000, 20, 18000
+	eng := simclock.NewEngine(t0)
+	cluster := kubesim.NewCluster(eng, kubesim.Config{
+		InitialNodes:    workers,
+		MaxNodes:        workers,
+		NodeAllocatable: resources.New(4, 16384, 100000),
+		Seed:            1,
+	})
+	defer cluster.Stop()
+	master := wq.NewMaster(eng, nil)
+	// The resize loop stays asleep: the benchmark calls decide itself.
+	a := New(eng, cluster, master, Config{InitialWorkers: workers, DefaultCycle: time.Hour})
+	if err := a.Start(); err != nil {
+		b.Fatal(err)
+	}
+	spec := func(cat int, exec time.Duration) wq.TaskSpec {
+		return wq.TaskSpec{
+			Category: fmt.Sprintf("stage%d", cat),
+			Profile:  wq.Profile{ExecDuration: exec, UsedCPUMilli: 900, UsedMemoryMB: 1024},
+		}
+	}
+	// One probe per category teaches the monitor its estimates: even
+	// categories finish inside the planning window, odd ones outlast it.
+	for c := 0; c < categories; c++ {
+		a.Submit(spec(c, time.Duration(60+340*(c%2)+c)*time.Second))
+	}
+	eng.RunFor(8 * time.Minute)
+	for i := 0; i < tasks; i++ {
+		a.Submit(spec(i*categories/tasks, time.Duration(90+i%60)*time.Second))
+	}
+	eng.RunFor(time.Second)
+	if st := master.Stats(); st.Workers != workers || st.Running != 4*workers || st.Waiting != tasks-4*workers {
+		b.Fatalf("cell not in shape: %+v", st)
+	}
+	a.decide() // warm the scratch state
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if dec := a.decide(); dec.ScaleChange <= 0 {
+			b.Fatalf("expected a scale-up, got %+v", dec)
+		}
+	}
+}
+
 // BenchmarkPanicBurst runs the panic fast path end to end — a
 // submission burst into a small simulated fleet gets sampled,
 // triggers, and scales — so regressions in the checker's sampling or

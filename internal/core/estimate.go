@@ -42,7 +42,17 @@ type EstimateInput struct {
 	// DefaultCycle is returned as the next-action delay when the
 	// queue drains within the window.
 	DefaultCycle time.Duration
-	// Running and Waiting are the scheduler's task snapshots.
+	// Tasks is a live view of the scheduler's running and waiting sets
+	// (*wq.Master satisfies it): the planner reads the records in place
+	// instead of a copied snapshot. ForEachRunning must visit in
+	// ascending task ID order — the completion heap breaks ties by push
+	// order — and ForEachWaiting in dispatch order.
+	Tasks interface {
+		ForEachRunning(fn func(t *wq.Task))
+		ForEachWaiting(fn func(t *wq.Task))
+	}
+	// Running and Waiting are task snapshots, read only when Tasks is
+	// nil: Running in ascending ID order, Waiting in dispatch order.
 	Running []wq.Task
 	Waiting []wq.Task
 	// Estimator supplies per-category resource and execution-time
@@ -125,7 +135,8 @@ type catEstimate struct {
 
 // Planner evaluates Algorithm 1 with reusable scratch state so
 // steady-state cycles allocate nothing. The zero value is ready to
-// use; a Planner is not safe for concurrent use.
+// use; a Planner is not safe for concurrent use and must not be copied
+// after first use (its visitors are bound to its address).
 type Planner struct {
 	pools    []resources.Vector
 	index    map[string]int
@@ -138,6 +149,14 @@ type Planner struct {
 	groupIdx map[groupKey]int
 	cats     map[string]catEstimate
 	bins     []resources.Vector
+
+	// in and maxRemaining belong to the evaluation in progress; the
+	// visitors are bound once so handing them to a task view allocates
+	// nothing.
+	in           EstimateInput
+	maxRemaining time.Duration
+	visitRunning func(t *wq.Task)
+	visitWaiting func(t *wq.Task)
 }
 
 // EstimateScale implements the paper's Algorithm 1. It simulates the
@@ -162,7 +181,14 @@ func (p *Planner) EstimateScale(in EstimateInput) Decision {
 		in.DefaultCycle = 30 * time.Second
 	}
 	p.reset(len(in.Workers))
+	p.in = in
+	dec := p.estimate()
+	p.in = EstimateInput{} // retain no caller state between cycles
+	return dec
+}
 
+func (p *Planner) estimate() Decision {
+	in := &p.in
 	for i, w := range in.Workers {
 		p.pools = append(p.pools, discountCapacity(w.Capacity, in.CapacityDiscount))
 		p.index[w.ID] = i
@@ -170,27 +196,19 @@ func (p *Planner) EstimateScale(in EstimateInput) Decision {
 		p.busy = append(p.busy, 0)
 	}
 
-	var maxRemaining time.Duration
-	for _, t := range in.Running {
-		wi, ok := p.index[t.WorkerID]
-		if !ok {
-			// Task on a draining or unknown worker: its capacity is
-			// not part of the active pool.
-			continue
+	// Running tasks in ascending ID order seed the completion heap;
+	// waiting tasks in dispatch order compress into runs.
+	if in.Tasks != nil {
+		in.Tasks.ForEachRunning(p.visitRunning)
+		in.Tasks.ForEachWaiting(p.visitWaiting)
+	} else {
+		for i := range in.Running {
+			p.addRunning(&in.Running[i])
 		}
-		p.pools[wi] = p.pools[wi].Sub(t.Allocated)
-		p.busy[wi]++
-		rem, known := p.remainingTime(in, t)
-		if !known || rem > in.InitTime {
-			if rem > maxRemaining {
-				maxRemaining = rem
-			}
-			continue // holds its allocation past the window
+		for i := range in.Waiting {
+			p.addWaiting(&in.Waiting[i])
 		}
-		p.pushEvent(completionEvent{at: rem, worker: wi, alloc: t.Allocated})
 	}
-
-	p.buildRuns(in)
 
 	// Initial dispatch pass at t=0: walk the runs in queue order,
 	// first-fit over all pools with per-key resume pointers.
@@ -213,9 +231,9 @@ func (p *Planner) EstimateScale(in EstimateInput) Decision {
 				break
 			}
 			if r.key.known {
-				p.placeBatch(in, r, wi, 0, &maxRemaining)
+				p.placeBatch(r, wi, 0)
 			} else {
-				p.placeOneExclusive(in, r, wi, 0, &maxRemaining)
+				p.placeOneExclusive(r, wi, 0)
 			}
 		}
 		if r.count > 0 {
@@ -249,11 +267,11 @@ func (p *Planner) EstimateScale(in EstimateInput) Decision {
 			}
 			if r.key.known {
 				if !p.used[w] && r.key.res.Fits(p.pools[w]) {
-					p.placeBatch(in, r, w, ev.at, &maxRemaining)
+					p.placeBatch(r, w, ev.at)
 					changed = true
 				}
 			} else if p.busy[w] == 0 && !p.used[w] {
-				p.placeOneExclusive(in, r, w, ev.at, &maxRemaining)
+				p.placeOneExclusive(r, w, ev.at)
 				changed = true
 			}
 		}
@@ -291,7 +309,7 @@ func (p *Planner) EstimateScale(in EstimateInput) Decision {
 	// Spare whole workers at the end of the window: scale down by
 	// the number of idle workers (paper line 22-24).
 	if idle > 0 {
-		next := maxRemaining
+		next := p.maxRemaining
 		if next <= 0 || next > in.InitTime {
 			next = in.InitTime
 		}
@@ -349,10 +367,13 @@ func (p *Planner) reset(workers int) {
 	p.pending = p.pending[:0]
 	p.groups = p.groups[:0]
 	p.bins = p.bins[:0]
+	p.maxRemaining = 0
 	if p.index == nil {
 		p.index = make(map[string]int, workers)
 		p.groupIdx = make(map[groupKey]int)
 		p.cats = make(map[string]catEstimate)
+		p.visitRunning = p.addRunning
+		p.visitWaiting = p.addWaiting
 	} else {
 		clear(p.index)
 		clear(p.groupIdx)
@@ -362,27 +383,48 @@ func (p *Planner) reset(workers int) {
 
 // catEstimate memoizes the estimator's per-category answers; the
 // estimator is assumed pure within one evaluation.
-func (p *Planner) catEstimate(in EstimateInput, cat string) catEstimate {
+func (p *Planner) catEstimate(cat string) catEstimate {
 	if ce, ok := p.cats[cat]; ok {
 		return ce
 	}
 	var ce catEstimate
-	if in.Estimator != nil {
-		ce.res, ce.resOK = in.Estimator.EstimateResources(cat)
-		ce.exec, ce.execOK = in.Estimator.EstimateExecTime(cat)
+	if p.in.Estimator != nil {
+		ce.res, ce.resOK = p.in.Estimator.EstimateResources(cat)
+		ce.exec, ce.execOK = p.in.Estimator.EstimateExecTime(cat)
 	}
 	p.cats[cat] = ce
 	return ce
 }
 
+// addRunning charges a running task's allocation to its worker's pool
+// and queues its predicted completion if that falls inside the window.
+func (p *Planner) addRunning(t *wq.Task) {
+	wi, ok := p.index[t.WorkerID]
+	if !ok {
+		// Task on a draining or unknown worker: its capacity is not
+		// part of the active pool.
+		return
+	}
+	p.pools[wi] = p.pools[wi].Sub(t.Allocated)
+	p.busy[wi]++
+	rem, known := p.remainingTime(t)
+	if !known || rem > p.in.InitTime {
+		if rem > p.maxRemaining {
+			p.maxRemaining = rem
+		}
+		return // holds its allocation past the window
+	}
+	p.pushEvent(completionEvent{at: rem, worker: wi, alloc: t.Allocated})
+}
+
 // remainingTime predicts how much longer a running task needs, via the
 // memoized per-category execution time.
-func (p *Planner) remainingTime(in EstimateInput, t wq.Task) (time.Duration, bool) {
-	ce := p.catEstimate(in, t.Category)
+func (p *Planner) remainingTime(t *wq.Task) (time.Duration, bool) {
+	ce := p.catEstimate(t.Category)
 	if !ce.execOK {
 		return 0, false
 	}
-	elapsed := in.Now.Sub(t.StartedAt)
+	elapsed := p.in.Now.Sub(t.StartedAt)
 	rem := ce.exec - elapsed
 	if rem < 0 {
 		rem = 0
@@ -390,44 +432,37 @@ func (p *Planner) remainingTime(in EstimateInput, t wq.Task) (time.Duration, boo
 	return rem, true
 }
 
-// buildRuns compresses the waiting queue into maximal runs of
-// identically predicted tasks, preserving queue order.
-func (p *Planner) buildRuns(in EstimateInput) {
-	for i := range in.Waiting {
-		t := &in.Waiting[i]
-		var key groupKey
-		if !t.Resources.IsZero() {
-			key.res, key.known = t.Resources, true
-			ce := p.catEstimate(in, t.Category)
-			key.exec, key.hasExc = ce.exec, ce.execOK
-		} else {
-			ce := p.catEstimate(in, t.Category)
-			if ce.resOK && !ce.res.IsZero() {
-				key.res, key.known = ce.res, true
-			}
-			key.exec, key.hasExc = ce.exec, ce.execOK
-		}
-		if !key.hasExc {
-			key.exec = 0
-		}
-		if n := len(p.runs); n > 0 && p.runs[n-1].key == key {
-			p.runs[n-1].count++
-			continue
-		}
-		gi, ok := p.groupIdx[key]
-		if !ok {
-			gi = len(p.groups)
-			p.groups = append(p.groups, groupState{})
-			p.groupIdx[key] = gi
-		}
-		p.runs = append(p.runs, taskRun{key: key, group: gi, count: 1})
+// addWaiting appends the next waiting task (in dispatch order) to the
+// run-length compressed queue: it extends the last run when its
+// prediction matches, and opens a new run otherwise.
+func (p *Planner) addWaiting(t *wq.Task) {
+	ce := p.catEstimate(t.Category)
+	key := groupKey{exec: ce.exec, hasExc: ce.execOK}
+	if !t.Resources.IsZero() {
+		key.res, key.known = t.Resources, true
+	} else if ce.resOK && !ce.res.IsZero() {
+		key.res, key.known = ce.res, true
 	}
+	if !key.hasExc {
+		key.exec = 0
+	}
+	if n := len(p.runs); n > 0 && p.runs[n-1].key == key {
+		p.runs[n-1].count++
+		return
+	}
+	gi, ok := p.groupIdx[key]
+	if !ok {
+		gi = len(p.groups)
+		p.groups = append(p.groups, groupState{})
+		p.groupIdx[key] = gi
+	}
+	p.runs = append(p.runs, taskRun{key: key, group: gi, count: 1})
 }
 
 // placeBatch places as many tasks of the run as fit on pool wi at
 // simulated time at — the exact sequence of single placements the
 // per-task form performs, collapsed into one capacity division.
-func (p *Planner) placeBatch(in EstimateInput, r *taskRun, wi int, at time.Duration, maxRemaining *time.Duration) {
+func (p *Planner) placeBatch(r *taskRun, wi int, at time.Duration) {
 	res := r.key.res
 	k := r.count
 	// Only strictly positive components bound the batch; Fits already
@@ -450,36 +485,36 @@ func (p *Planner) placeBatch(in EstimateInput, r *taskRun, wi int, at time.Durat
 	for i := 0; i < k; i++ {
 		p.busy[wi]++
 		p.pools[wi] = p.pools[wi].Sub(res)
-		p.finishPlacement(in, r.key, wi, at, res, maxRemaining)
+		p.finishPlacement(r.key, wi, at, res)
 	}
 	r.count -= k
 }
 
 // placeOneExclusive dedicates the idle pool wi to one unknown-size
 // task of the run.
-func (p *Planner) placeOneExclusive(in EstimateInput, r *taskRun, wi int, at time.Duration, maxRemaining *time.Duration) {
+func (p *Planner) placeOneExclusive(r *taskRun, wi int, at time.Duration) {
 	alloc := p.pools[wi] // whole remaining (idle) worker
 	p.used[wi] = true
 	p.busy[wi]++
 	p.pools[wi] = p.pools[wi].Sub(alloc)
-	p.finishPlacement(in, r.key, wi, at, alloc, maxRemaining)
+	p.finishPlacement(r.key, wi, at, alloc)
 	r.count--
 }
 
 // finishPlacement replays the per-task epilogue: queue a completion
 // event when the task finishes inside the window, otherwise extend the
 // predicted busy horizon.
-func (p *Planner) finishPlacement(in EstimateInput, key groupKey, wi int, at time.Duration, alloc resources.Vector, maxRemaining *time.Duration) {
-	if key.hasExc && at+key.exec <= in.InitTime {
+func (p *Planner) finishPlacement(key groupKey, wi int, at time.Duration, alloc resources.Vector) {
+	if key.hasExc && at+key.exec <= p.in.InitTime {
 		p.pushEvent(completionEvent{at: at + key.exec, worker: wi, alloc: alloc})
 		return
 	}
 	rem := at + key.exec
 	if !key.hasExc {
-		rem = in.InitTime + in.DefaultCycle
+		rem = p.in.InitTime + p.in.DefaultCycle
 	}
-	if rem > *maxRemaining {
-		*maxRemaining = rem
+	if rem > p.maxRemaining {
+		p.maxRemaining = rem
 	}
 }
 

@@ -114,9 +114,10 @@ type Autoscaler struct {
 	recentKills []time.Time
 	lastStale   time.Time
 
-	// planner holds Algorithm 1's reusable scratch state so the
-	// per-cycle estimate allocates nothing in steady state.
-	planner Planner
+	// planner and workerBuf hold Algorithm 1's reusable scratch state
+	// so the per-cycle estimate allocates nothing in steady state.
+	planner   Planner
+	workerBuf []WorkerInfo
 
 	// panicSt is the spike fast path's bookkeeping (see panic.go);
 	// inert while cfg.Panic is disabled.
@@ -539,18 +540,16 @@ func (a *Autoscaler) decide() Decision {
 	return a.planner.EstimateScale(a.estimateInput())
 }
 
-// estimateInput snapshots Algorithm 1's inputs from the live system;
-// shared by the per-cycle decision and the panic fast path.
+// estimateInput assembles Algorithm 1's inputs from the live system —
+// the master itself is the task view, the worker list is reused
+// scratch; shared by the per-cycle decision and the panic fast path.
 func (a *Autoscaler) estimateInput() EstimateInput {
-	var workers []WorkerInfo
-	for _, id := range a.master.Workers() {
-		if a.pods[id] == podDraining {
-			continue
+	a.workerBuf = a.workerBuf[:0]
+	a.master.ForEachWorker(func(id string, capacity resources.Vector, _ bool) {
+		if a.pods[id] != podDraining {
+			a.workerBuf = append(a.workerBuf, WorkerInfo{ID: id, Capacity: capacity})
 		}
-		if cap, ok := a.master.WorkerCapacity(id); ok {
-			workers = append(workers, WorkerInfo{ID: id, Capacity: cap})
-		}
-	}
+	})
 	var estimator wq.Estimator
 	if !a.cfg.DisableEstimator {
 		estimator = a.mon
@@ -560,12 +559,11 @@ func (a *Autoscaler) estimateInput() EstimateInput {
 		Now:              a.eng.Now(),
 		InitTime:         a.planningInitTime(),
 		DefaultCycle:     a.cfg.DefaultCycle,
-		Running:          a.master.RunningTasks(),
-		Waiting:          a.master.WaitingTasks(),
+		Tasks:            a.master,
 		Estimator:        estimator,
-		Workers:          workers,
+		Workers:          a.workerBuf,
 		WorkerTemplate:   a.cluster.Config().NodeAllocatable,
-		CapacityDiscount: a.capacityDiscount(len(workers)),
+		CapacityDiscount: a.capacityDiscount(len(a.workerBuf)),
 	}
 }
 

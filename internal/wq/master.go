@@ -3,6 +3,7 @@ package wq
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -69,6 +70,14 @@ type Master struct {
 	rtFree   []*runningTask // recycled runningTask records
 	rtSlab   []runningTask  // allocation slab for fresh records
 	wkSlab   []simWorker    // allocation slab for joining workers; see AddWorker
+
+	// runBits has bit id set while task id sits in some connected
+	// worker's running set, so ForEachRunning visits running tasks in
+	// ascending id order without a copy or a sort (the planner's
+	// completion heap breaks ties by push order). Every word below
+	// runLo is zero.
+	runBits []uint64
+	runLo   int
 
 	// Worker ids, shared-file names and task categories are interned
 	// into dense int32 ids at the API boundary (AddWorker, Submit,
@@ -263,6 +272,21 @@ func (s *runningSet) remove(id int) {
 }
 
 func (s *runningSet) len() int { return len(s.rts) }
+
+// markRunning and unmarkRunning keep runBits in step with the workers'
+// running sets; call them beside every put and remove.
+func (m *Master) markRunning(id int) {
+	i := id >> 6
+	for i >= len(m.runBits) {
+		m.runBits = append(m.runBits, 0)
+	}
+	m.runBits[i] |= 1 << (id & 63)
+	if i < m.runLo {
+		m.runLo = i
+	}
+}
+
+func (m *Master) unmarkRunning(id int) { m.runBits[id>>6] &^= 1 << (id & 63) }
 
 // NewMaster creates a master on the given engine. link models the
 // master's egress bandwidth; pass nil to make data movement free.
@@ -626,6 +650,9 @@ func (m *Master) removeWorker(w *simWorker) {
 	m.totalCap = m.totalCap.Sub(w.pool.Capacity())
 	m.totalUsed = m.totalUsed.Sub(w.pool.Used())
 	m.runningCount -= w.running.len()
+	for _, id := range w.running.ids {
+		m.unmarkRunning(int(id))
+	}
 	if w.draining {
 		m.drainingCount--
 	} else if w.running.len() == 0 {
@@ -1029,6 +1056,7 @@ func (m *Master) startTask(t *Task, w *simWorker, alloc resources.Vector, exclus
 	rt.task, rt.worker = t, w
 	rt.aborted = false
 	w.running.put(rt)
+	m.markRunning(t.ID)
 	m.armFastAbort(rt)
 
 	// Input staging: shared files are fetched once per worker and
@@ -1159,6 +1187,7 @@ func (m *Master) completeTask(rt *runningTask) {
 	t, w := rt.task, rt.worker
 	rt.abortTmr.Stop()
 	w.running.remove(t.ID)
+	m.unmarkRunning(t.ID)
 	w.pool.Release(t.Allocated)
 	m.syncAvail(w)
 	m.runningCount--
@@ -1234,28 +1263,31 @@ func (m *Master) Stats() Stats {
 
 // ForEachWaiting visits every waiting task in dispatch order
 // (priority descending, submission order within a priority) without
-// allocating. The callback must treat the task as read-only and must
-// not call back into the master.
+// allocating — the order the master places them in, and the order
+// Algorithm 1 must plan them in. The callback must treat the task as
+// read-only and must not call back into the master.
 func (m *Master) ForEachWaiting(fn func(t *Task)) {
 	m.waiting.ForEach(func(id int) { fn(m.byID[id]) })
 }
 
-// ForEachRunning visits every dispatched task without allocating,
-// grouped by worker in join order; the order within a worker is
-// unspecified. The callback must treat the task as read-only and must
-// not call back into the master.
+// ForEachRunning visits every dispatched task in ascending ID order
+// without allocating or sorting: it walks the running-id bitset the
+// dispatch and completion paths maintain. The callback must treat the
+// task as read-only and must not call back into the master.
 func (m *Master) ForEachRunning(fn func(t *Task)) {
-	for _, w := range m.roster {
-		if w == nil {
-			continue
-		}
-		for _, rt := range w.running.rts {
-			fn(rt.task)
+	for m.runLo < len(m.runBits) && m.runBits[m.runLo] == 0 {
+		m.runLo++
+	}
+	for i := m.runLo; i < len(m.runBits); i++ {
+		for b := m.runBits[i]; b != 0; b &= b - 1 {
+			fn(m.byID[i<<6|bits.TrailingZeros64(b)])
 		}
 	}
 }
 
-// WaitingTasks returns copies of the queued tasks in queue order.
+// WaitingTasks returns copies of the queued tasks in global FIFO
+// (submission) order, which differs from ForEachWaiting's dispatch
+// order only when tasks carry different priorities.
 func (m *Master) WaitingTasks() []Task {
 	ids := m.waiting.QueueOrder()
 	out := make([]Task, 0, len(ids))
@@ -1267,9 +1299,8 @@ func (m *Master) WaitingTasks() []Task {
 
 // RunningTasks returns copies of all dispatched tasks, ordered by ID.
 func (m *Master) RunningTasks() []Task {
-	var out []Task
+	out := make([]Task, 0, m.runningCount)
 	m.ForEachRunning(func(t *Task) { out = append(out, *t) })
-	slices.SortFunc(out, func(a, b Task) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 

@@ -251,6 +251,7 @@ func (m *Master) detachRunning(rt *runningTask) {
 	t, w := rt.task, rt.worker
 	m.stopTask(rt)
 	w.running.remove(t.ID)
+	m.unmarkRunning(t.ID)
 	w.pool.Release(t.Allocated)
 	m.syncAvail(w)
 	m.runningCount--

@@ -173,6 +173,7 @@ func (m *Master) Crash() (Snapshot, []WorkerReattach) {
 	m.nextID = 0
 	m.byID = make([]*Task, 1)
 	m.taskSlab = nil
+	m.runBits, m.runLo = nil, 0
 	m.waiting = newWaitQueue()
 	m.rtFree = nil
 	m.wids = intern.NewTable()
@@ -347,6 +348,7 @@ func (m *Master) rescue(w *simWorker, t *Task, remaining time.Duration) {
 	rt.aborted = false
 	rt.pending = 0
 	w.running.put(rt)
+	m.markRunning(t.ID)
 	rt.executing = true
 	rt.execStart = m.eng.Elapsed()
 	rt.execUsage = t.Profile.Usage().Min(t.Allocated)

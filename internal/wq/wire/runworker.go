@@ -55,6 +55,8 @@ func RunWorker(addr string, cfg WorkerConfig, opts RunOptions) error {
 	if err != nil {
 		return err
 	}
+	// Giving up on the master must not leave commands running unowned.
+	defer w.Close()
 	opts = opts.withDefaults()
 	lastHealthy := opts.Now()
 	for {

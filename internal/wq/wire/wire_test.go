@@ -3,8 +3,12 @@ package wire
 import (
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -196,6 +200,86 @@ func TestTaskTimeout(t *testing.T) {
 	st, _ := m.Task(id)
 	if st.ExitCode == 0 {
 		t.Errorf("timed-out task exit = %d, want non-zero", st.ExitCode)
+	}
+}
+
+// orphanCommand backgrounds a long sleep, records its pid in dir and
+// waits on it: killing only the shell would leave the sleep running.
+func orphanCommand(dir string) string {
+	return fmt.Sprintf("sleep 30 & echo $! > %s/pid; wait", dir)
+}
+
+// childPid polls for the pid orphanCommand records.
+func childPid(t *testing.T, dir string) int {
+	t.Helper()
+	var pid int
+	waitFor(t, func() bool {
+		b, err := os.ReadFile(filepath.Join(dir, "pid"))
+		if err != nil {
+			return false
+		}
+		pid, err = strconv.Atoi(strings.TrimSpace(string(b)))
+		return err == nil
+	}, "child pid")
+	return pid
+}
+
+// waitProcessGone requires the process to disappear: kill(pid, 0)
+// reports ESRCH. A zombie also counts — it has exited, and whether it
+// is reaped is up to the container's init, not the worker.
+func waitProcessGone(t *testing.T, pid int) {
+	t.Helper()
+	waitFor(t, func() bool {
+		if syscall.Kill(pid, 0) == syscall.ESRCH {
+			return true
+		}
+		stat, err := os.ReadFile(fmt.Sprintf("/proc/%d/stat", pid))
+		if err != nil {
+			return true
+		}
+		s := string(stat)
+		return strings.HasPrefix(s[strings.LastIndexByte(s, ')')+1:], " Z")
+	}, fmt.Sprintf("process %d to exit", pid))
+}
+
+func TestTaskTimeoutKillsChildren(t *testing.T) {
+	m, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	w, err := Connect(m.Addr(), WorkerConfig{
+		ID:          "w1",
+		Capacity:    resources.New(1, 256, 10),
+		TaskTimeout: 100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	dir := t.TempDir()
+	id := m.Submit(orphanCommand(dir), "t", resources.New(1, 1, 1))
+	waitFor(t, func() bool { st, _ := m.Task(id); return st.Status == StatusDone }, "timeout kill")
+	waitProcessGone(t, childPid(t, dir))
+}
+
+func TestCloseKillsRunningChildren(t *testing.T) {
+	m, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	w, err := Connect(m.Addr(), WorkerConfig{ID: "w1", Capacity: resources.New(1, 256, 10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	id := m.Submit(orphanCommand(dir), "t", resources.New(1, 1, 1))
+	pid := childPid(t, dir)
+	w.Close()
+	waitProcessGone(t, pid)
+	if st, _ := m.Task(id); st.Status == StatusDone {
+		t.Errorf("killed attempt reported as the task's result: %+v", st)
 	}
 }
 

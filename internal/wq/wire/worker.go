@@ -7,6 +7,7 @@ import (
 	"os/exec"
 	"slices"
 	"sync"
+	"syscall"
 	"time"
 
 	"hta/internal/resources"
@@ -204,18 +205,26 @@ func (w *Worker) Wait() error {
 	return w.err
 }
 
-// Close disconnects immediately, cancelling running commands.
+// Close disconnects immediately, kills running commands together with
+// their child processes, and returns once their goroutines have exited.
+// The connection closes first, so a killed attempt's exit status is
+// never reported to the master as the task's result.
 func (w *Worker) Close() error {
+	w.mu.Lock()
+	c, connDone := w.conn, w.connDone
+	w.mu.Unlock()
+	var err error
+	if c != nil {
+		err = c.close()
+		<-connDone // the read loop starts no task after this
+	}
 	w.mu.Lock()
 	for _, cancel := range w.running {
 		cancel()
 	}
-	c := w.conn
 	w.mu.Unlock()
-	if c != nil {
-		return c.close()
-	}
-	return nil
+	w.wg.Wait()
+	return err
 }
 
 func (w *Worker) loop(c *conn, connDone chan struct{}) {
@@ -301,6 +310,11 @@ func (w *Worker) startTask(f Frame) {
 func (w *Worker) execute(ctx context.Context, f Frame) Frame {
 	start := time.Now()
 	cmd := exec.CommandContext(ctx, w.cfg.Shell, "-c", f.Command)
+	// The shell leads its own process group and cancellation (timeout,
+	// drop, Close) kills the whole group: killing only the shell would
+	// orphan every process it started.
+	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
+	cmd.Cancel = func() error { return syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL) }
 	// Without a wait delay, a killed shell whose children still hold
 	// the output pipe would block CombinedOutput forever.
 	cmd.WaitDelay = time.Second
