@@ -7,7 +7,6 @@ import (
 
 	"hta/internal/core"
 	"hta/internal/hpa"
-	"hta/internal/resources"
 	"hta/internal/workload"
 )
 
@@ -26,47 +25,29 @@ type AblationFixedCycleReport struct {
 // AblationFixedCycle runs A1 on the multistage workflow. The three
 // HTA variants run concurrently through the parallel harness.
 func AblationFixedCycle(seed int64) (*AblationFixedCycleReport, error) {
-	variants := []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"HTA (measured init time)", core.Config{MaxWorkers: 20}},
-		{"HTA (fixed 30s cycle)", core.Config{
+	runs, err := compare(fig10Stack(seed), []entrant{
+		{"HTA (measured init time)", &htaScaler{cfg: core.Config{MaxWorkers: 20}}},
+		{"HTA (fixed 30s cycle)", &htaScaler{cfg: core.Config{
 			MaxWorkers:          20,
 			DisableInitFeedback: true,
 			InitTimeFallback:    30 * time.Second,
-		}},
-		{"HTA (fixed 600s cycle)", core.Config{
+		}}},
+		{"HTA (fixed 600s cycle)", &htaScaler{cfg: core.Config{
 			MaxWorkers:          20,
 			DisableInitFeedback: true,
 			InitTimeFallback:    600 * time.Second,
-		}},
-	}
-	results := make([]*RunResult, len(variants))
-	err := Parallel(len(variants), func(i int) error {
-		p := workload.DefaultMultistage()
-		p.Seed = seed
-		g, spec, err := p.Build()
-		if err != nil {
-			return err
-		}
-		results[i], err = RunHTA(variants[i].name, Workload{Graph: g, Spec: spec}, HTAOptions{
-			Kube:    fig10Kube(seed),
-			HTA:     variants[i].cfg,
-			Timeout: fig10Timeout,
-		})
-		return err
-	})
+		}}},
+	}, multistageBags(seed, [3]int{}))
 	if err != nil {
 		return nil, err
 	}
 	rep := &AblationFixedCycleReport{Runs: make(map[string]*RunResult)}
-	for i, res := range results {
-		rep.Runs[variants[i].name] = res
+	for _, res := range runs {
+		rep.Runs[res.Name] = res
 	}
-	rep.Full = summaryRow(variants[0].name, results[0])
-	rep.FixedFast = summaryRow(variants[1].name, results[1])
-	rep.FixedSlow = summaryRow(variants[2].name, results[2])
+	rep.Full = summaryRow(runs[0].Name, runs[0])
+	rep.FixedFast = summaryRow(runs[1].Name, runs[1])
+	rep.FixedSlow = summaryRow(runs[2].Name, runs[2])
 	return rep, nil
 }
 
@@ -90,41 +71,28 @@ type AblationNoCategoriesReport struct {
 // AblationNoCategories runs A2 on a flat BLAST bag with unknown
 // requirements; the two variants run concurrently.
 func AblationNoCategories(seed int64) (*AblationNoCategoriesReport, error) {
-	variants := []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"HTA (category estimation)", core.Config{MaxWorkers: 20}},
-		{"HTA (no estimation)", core.Config{
+	runs, err := compare(fig10Stack(seed), []entrant{
+		{"HTA (category estimation)", &htaScaler{cfg: core.Config{MaxWorkers: 20}}},
+		{"HTA (no estimation)", &htaScaler{cfg: core.Config{
 			MaxWorkers:       20,
 			DisableEstimator: true,
-		}},
-	}
-	results := make([]*RunResult, len(variants))
-	err := Parallel(len(variants), func(i int) error {
+		}}},
+	}, func(scaler) (arrivals, error) {
 		p := workload.DefaultBlastFlat(120)
 		p.Seed = seed
 		p.Declared = false
 		wl, err := Flat(p.Specs())
-		if err != nil {
-			return err
-		}
-		results[i], err = RunHTA(variants[i].name, wl, HTAOptions{
-			Kube:    fig10Kube(seed),
-			HTA:     variants[i].cfg,
-			Timeout: fig10Timeout,
-		})
-		return err
+		return &bag{wl: wl}, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	rep := &AblationNoCategoriesReport{Runs: make(map[string]*RunResult)}
-	for i, res := range results {
-		rep.Runs[variants[i].name] = res
+	for _, res := range runs {
+		rep.Runs[res.Name] = res
 	}
-	rep.Full, rep.FullUtil = summaryRow(variants[0].name, results[0]), results[0].MeanCPUUtil
-	rep.Disabled, rep.DisUtil = summaryRow(variants[1].name, results[1]), results[1].MeanCPUUtil
+	rep.Full, rep.FullUtil = summaryRow(runs[0].Name, runs[0]), runs[0].MeanCPUUtil
+	rep.Disabled, rep.DisUtil = summaryRow(runs[1].Name, runs[1]), runs[1].MeanCPUUtil
 	return rep, nil
 }
 
@@ -150,37 +118,17 @@ type AblationHPAStabilizationReport struct {
 // AblationHPAStabilization runs A3; the three stabilization windows
 // run concurrently.
 func AblationHPAStabilization(seed int64) (*AblationHPAStabilizationReport, error) {
-	podRes := resources.Vector{MilliCPU: 1000, MemoryMB: 4096, DiskMB: 20000}
-	windows := []time.Duration{time.Minute, 5 * time.Minute, 15 * time.Minute}
-	results := make([]*RunResult, len(windows))
-	err := Parallel(len(windows), func(i int) error {
-		p := workload.DefaultMultistage()
-		p.Seed = seed
-		p.Declared = true
-		g, spec, err := p.Build()
-		if err != nil {
-			return err
-		}
-		name := fmt.Sprintf("HPA-20%% (stab %v)", windows[i])
-		results[i], err = RunHPA(name, Workload{Graph: g, Spec: spec}, HPAOptions{
-			Kube:            fig10Kube(seed),
-			PodResources:    podRes,
-			InitialReplicas: 3,
-			HPA: hpa.Config{
-				TargetCPUUtilization:   0.20,
-				MinReplicas:            1,
-				MaxReplicas:            60,
-				ScaleDownStabilization: windows[i],
-			},
-			Timeout: fig10Timeout,
-		})
-		return err
-	})
+	var entrants []entrant
+	for _, w := range []time.Duration{time.Minute, 5 * time.Minute, 15 * time.Minute} {
+		entrants = append(entrants, entrant{fmt.Sprintf("HPA-20%% (stab %v)", w),
+			fig10HPA(hpa.Config{TargetCPUUtilization: 0.20, ScaleDownStabilization: w})})
+	}
+	runs, err := compare(fig10Stack(seed), entrants, multistageBags(seed, [3]int{}))
 	if err != nil {
 		return nil, err
 	}
 	rep := &AblationHPAStabilizationReport{Runs: make(map[string]*RunResult)}
-	for _, res := range results {
+	for _, res := range runs {
 		rep.Runs[res.Name] = res
 		rep.Rows = append(rep.Rows, summaryRow(res.Name, res))
 	}

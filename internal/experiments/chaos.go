@@ -17,9 +17,6 @@ import (
 	"hta/internal/chaos"
 	"hta/internal/core"
 	"hta/internal/hpa"
-	"hta/internal/qpa"
-	"hta/internal/resources"
-	"hta/internal/workload"
 	"hta/internal/wq"
 )
 
@@ -83,132 +80,60 @@ func ChaosEF(seed int64) (*ChaosEFReport, error) {
 	return ChaosEFWith(DefaultChaosEFConfig(seed))
 }
 
-// ChaosEFWith runs E-F under an explicit configuration. All cells run
-// concurrently; each is its own deterministic simulation.
+// ChaosEFWith runs E-F under an explicit configuration. At each
+// preemption rate the three scalers run concurrently on one stack
+// configuration; each is its own deterministic simulation.
 func ChaosEFWith(cfg ChaosEFConfig) (*ChaosEFReport, error) {
 	if len(cfg.PreemptMeans) == 0 {
 		cfg.PreemptMeans = DefaultChaosEFConfig(cfg.Seed).PreemptMeans
 	}
-	if cfg.Timeout == 0 {
-		cfg.Timeout = fig10Timeout
-	}
-	type cell struct {
-		scaler string
-		mean   time.Duration
-	}
-	var cells []cell
+	rep := &ChaosEFReport{Runs: make(map[string]*RunResult)}
 	for _, mean := range cfg.PreemptMeans {
-		for _, s := range chaosScalers {
-			cells = append(cells, cell{s, mean})
+		st := fig10Stack(cfg.Seed)
+		st.retry = cfg.Retry
+		if cfg.Timeout > 0 {
+			st.timeout = cfg.Timeout
 		}
-	}
-	results := make([]*RunResult, len(cells))
-	err := Parallel(len(cells), func(i int) error {
-		var err error
-		results[i], err = chaosCell(cells[i].scaler, cfg, cells[i].mean)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep := &ChaosEFReport{Runs: make(map[string]*RunResult, len(cells))}
-	for i, c := range cells {
-		res := results[i]
-		rep.Runs[res.Name] = res
-		rep.Rows = append(rep.Rows, ChaosRow{
-			Autoscaler:  c.scaler,
-			PreemptMean: c.mean,
-			Runtime:     res.Runtime,
-			Preemptions: res.Chaos.Preemptions,
-			WorkerKills: res.Failures.WorkerKills,
-			Requeues:    res.Failures.Requeues,
-			FastAborts:  res.Failures.FastAborts,
-			Quarantined: res.Failures.Quarantined,
-			Submitted:   res.Submitted,
-			Completed:   res.Completed,
-			LostCoreSec: res.Failures.LostCoreSeconds,
-			Goodput:     res.Failures.Goodput(),
-		})
+		if mean > 0 {
+			st.chaos = &chaos.Plan{
+				Seed: cfg.Seed,
+				Preemption: chaos.PreemptionPlan{
+					MeanInterval: mean,
+					// Spare an on-demand floor of one node, like a mixed
+					// spot/on-demand pool.
+					MinNodesSpared: 1,
+				},
+			}
+		}
+		at := "@" + preemptLabel(mean)
+		runs, err := compare(st, []entrant{
+			{chaosScalers[0] + at, &htaScaler{cfg: core.Config{MaxWorkers: 20}}},
+			{chaosScalers[1] + at, fig10HPA(hpa.Config{TargetCPUUtilization: 0.20})},
+			{chaosScalers[2] + at, fig10QPA()},
+		}, multistageBags(cfg.Seed, cfg.Stages))
+		if err != nil {
+			return nil, err
+		}
+		for i, res := range runs {
+			rep.Runs[res.Name] = res
+			rep.Rows = append(rep.Rows, ChaosRow{
+				Autoscaler:  chaosScalers[i],
+				PreemptMean: mean,
+				Runtime:     res.Runtime,
+				Preemptions: res.Chaos.Preemptions,
+				WorkerKills: res.Failures.WorkerKills,
+				Requeues:    res.Failures.Requeues,
+				FastAborts:  res.Failures.FastAborts,
+				Quarantined: res.Failures.Quarantined,
+				Submitted:   res.Submitted,
+				Completed:   res.Completed,
+				LostCoreSec: res.Failures.LostCoreSeconds,
+				Goodput:     res.Failures.Goodput(),
+			})
+		}
 	}
 	return rep, nil
 }
-
-// chaosCell runs one (autoscaler, preemption rate) simulation.
-func chaosCell(scaler string, cfg ChaosEFConfig, mean time.Duration) (*RunResult, error) {
-	p := workload.DefaultMultistage()
-	p.Seed = cfg.Seed
-	if cfg.Stages != ([3]int{}) {
-		p.StageCounts = cfg.Stages
-	}
-	var plan *chaos.Plan
-	if mean > 0 {
-		plan = &chaos.Plan{
-			Seed: cfg.Seed,
-			Preemption: chaos.PreemptionPlan{
-				MeanInterval: mean,
-				// Spare an on-demand floor of one node, like a mixed
-				// spot/on-demand pool.
-				MinNodesSpared: 1,
-			},
-		}
-	}
-	name := fmt.Sprintf("%s@%s", scaler, preemptLabel(mean))
-	switch scaler {
-	case "HTA":
-		g, spec, err := p.Build() // undeclared: HTA measures categories
-		if err != nil {
-			return nil, err
-		}
-		return RunHTA(name, Workload{Graph: g, Spec: spec}, HTAOptions{
-			Kube:    fig10Kube(cfg.Seed),
-			HTA:     core.Config{MaxWorkers: 20},
-			Timeout: cfg.Timeout,
-			Retry:   cfg.Retry,
-			Chaos:   plan,
-		})
-	case "HPA(20% CPU)":
-		p.Declared = true
-		g, spec, err := p.Build()
-		if err != nil {
-			return nil, err
-		}
-		return RunHPA(name, Workload{Graph: g, Spec: spec}, HPAOptions{
-			Kube:            fig10Kube(cfg.Seed),
-			PodResources:    fig10PodResources,
-			InitialReplicas: 3,
-			HPA: hpa.Config{
-				TargetCPUUtilization: 0.20,
-				MinReplicas:          1,
-				MaxReplicas:          60, // 20 nodes × 3 pods
-			},
-			Timeout: cfg.Timeout,
-			Retry:   cfg.Retry,
-			Chaos:   plan,
-		})
-	case "QPA(queue/3)":
-		p.Declared = true
-		g, spec, err := p.Build()
-		if err != nil {
-			return nil, err
-		}
-		return RunQPA(name, Workload{Graph: g, Spec: spec}, QPAOptions{
-			Kube:            fig10Kube(cfg.Seed),
-			InitialReplicas: 3,
-			QPA: qpa.Config{
-				TasksPerWorker: 3, // node-sized workers hold 3 one-core tasks
-				MaxReplicas:    20,
-			},
-			Timeout: cfg.Timeout,
-			Retry:   cfg.Retry,
-			Chaos:   plan,
-		})
-	}
-	return nil, fmt.Errorf("experiments: unknown chaos scaler %q", scaler)
-}
-
-// fig10PodResources is the HPA worker-pod size used across the
-// multistage comparisons.
-var fig10PodResources = resources.Vector{MilliCPU: 1000, MemoryMB: 4096, DiskMB: 20000}
 
 func preemptLabel(d time.Duration) string {
 	if d == 0 {

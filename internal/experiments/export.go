@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"hta/internal/metrics"
@@ -42,14 +43,7 @@ func sortedCategorySeries(run *RunResult) []*metrics.Series {
 	for name := range run.CategoryOutstanding {
 		names = append(names, name)
 	}
-	// Deterministic column order.
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			if names[j] < names[i] {
-				names[i], names[j] = names[j], names[i]
-			}
-		}
-	}
+	slices.Sort(names) // deterministic column order
 	out := make([]*metrics.Series, 0, len(names))
 	for _, n := range names {
 		out = append(out, run.CategoryOutstanding[n])

@@ -46,59 +46,61 @@ func fig10Kube(seed int64) kubesim.Config {
 	}
 }
 
-// Fig10 runs the three autoscalers over the multistage workflow.
-func Fig10(seed int64) (*Fig10Report, error) {
-	rep := &Fig10Report{Runs: make(map[string]*RunResult)}
+// fig10Stack is the cluster and deadline of the multistage comparisons.
+func fig10Stack(seed int64) stackConfig {
+	kube := fig10Kube(seed)
+	return stackConfig{kube: &kube, timeout: fig10Timeout}
+}
+
+// fig10PodResources is the HPA worker-pod size of the multistage
+// comparisons: one core, with memory for one alignment.
+var fig10PodResources = resources.Vector{MilliCPU: 1000, MemoryMB: 4096, DiskMB: 20000}
+
+// fig10HPA is the HPA baseline of the multistage comparisons: three
+// one-core pods at first, at most 60 (20 nodes × 3 pods).
+func fig10HPA(cfg hpa.Config) *workerSet {
+	cfg.MinReplicas, cfg.MaxReplicas = 1, 60
+	return hpaScaler(cfg, fig10PodResources, 3)
+}
+
+// multistage builds the multistage BLAST workflow; zero stages keep
+// the paper's 200/34/164 tasks.
+func multistage(seed int64, stages [3]int, declared bool) (Workload, error) {
 	p := workload.DefaultMultistage()
 	p.Seed = seed
-	rep.StageCounts = p.StageCounts
-
-	// HPA runs declare task requirements (the comparison isolates the
-	// autoscaler, not the estimator); pods are one-core with enough
-	// memory for one alignment.
-	podRes := resources.Vector{MilliCPU: 1000, MemoryMB: 4096, DiskMB: 20000}
-	for _, target := range []float64{0.20, 0.50} {
-		pd := p
-		pd.Declared = true
-		g, spec, err := pd.Build()
-		if err != nil {
-			return nil, err
-		}
-		name := fmt.Sprintf("HPA(%d%% CPU)", int(target*100))
-		res, err := RunHPA(name, Workload{Graph: g, Spec: spec}, HPAOptions{
-			Kube:            fig10Kube(seed),
-			PodResources:    podRes,
-			InitialReplicas: 3,
-			HPA: hpa.Config{
-				TargetCPUUtilization: target,
-				MinReplicas:          1,
-				MaxReplicas:          60, // 20 nodes × 3 pods
-			},
-			Timeout:    fig10Timeout,
-			Categories: multistageCategories,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rep.Runs[name] = res
-		rep.Rows = append(rep.Rows, summaryRow(name, res))
+	if stages != ([3]int{}) {
+		p.StageCounts = stages
 	}
+	p.Declared = declared
+	g, spec, err := p.Build()
+	return Workload{Graph: g, Spec: spec}, err
+}
 
-	g, spec, err := p.Build() // undeclared: HTA measures categories
+// multistageBags feeds the multistage workflow to a comparison.
+func multistageBags(seed int64, stages [3]int) func(scaler) (arrivals, error) {
+	return func(sc scaler) (arrivals, error) {
+		wl, err := multistage(seed, stages, declared(sc))
+		return &bag{wl: wl}, err
+	}
+}
+
+// Fig10 runs the three autoscalers over the multistage workflow.
+func Fig10(seed int64) (*Fig10Report, error) {
+	cfg := fig10Stack(seed)
+	cfg.categories = multistageCategories
+	runs, err := compare(cfg, []entrant{
+		{"HPA(20% CPU)", fig10HPA(hpa.Config{TargetCPUUtilization: 0.20})},
+		{"HPA(50% CPU)", fig10HPA(hpa.Config{TargetCPUUtilization: 0.50})},
+		{"HTA", &htaScaler{cfg: core.Config{MaxWorkers: 20}}},
+	}, multistageBags(seed, [3]int{}))
 	if err != nil {
 		return nil, err
 	}
-	res, err := RunHTA("HTA", Workload{Graph: g, Spec: spec}, HTAOptions{
-		Kube:       fig10Kube(seed),
-		HTA:        core.Config{MaxWorkers: 20},
-		Timeout:    fig10Timeout,
-		Categories: multistageCategories,
-	})
-	if err != nil {
-		return nil, err
+	rep := &Fig10Report{Runs: make(map[string]*RunResult), StageCounts: workload.DefaultMultistage().StageCounts}
+	for _, res := range runs {
+		rep.Runs[res.Name] = res
+		rep.Rows = append(rep.Rows, summaryRow(res.Name, res))
 	}
-	rep.Runs["HTA"] = res
-	rep.Rows = append(rep.Rows, summaryRow("HTA", res))
 	return rep, nil
 }
 

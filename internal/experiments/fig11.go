@@ -7,7 +7,6 @@ import (
 
 	"hta/internal/core"
 	"hta/internal/hpa"
-	"hta/internal/kubesim"
 	"hta/internal/resources"
 	"hta/internal/workload"
 )
@@ -27,59 +26,33 @@ const fig11Timeout = 12 * time.Hour
 
 // Fig11 runs the three autoscalers over the I/O-bound workload.
 func Fig11(seed int64) (*Fig11Report, error) {
-	rep := &Fig11Report{Runs: make(map[string]*RunResult)}
-	kube := kubesim.Config{
-		InitialNodes:   3,
-		MinNodes:       1,
-		MaxNodes:       20,
-		ScaleDownDelay: 10 * time.Minute,
-		Seed:           seed,
+	kube := fig10Kube(seed)
+	hpaAt := func(target float64) *workerSet {
+		return hpaScaler(hpa.Config{
+			TargetCPUUtilization: target,
+			MinReplicas:          3, // the paper's initial 3-node floor
+			MaxReplicas:          60,
+		}, resources.Vector{MilliCPU: 1000, MemoryMB: 1024, DiskMB: 10000}, 3)
 	}
-	podRes := resources.Vector{MilliCPU: 1000, MemoryMB: 1024, DiskMB: 10000}
-
-	for _, target := range []float64{0.20, 0.50} {
+	runs, err := compare(stackConfig{kube: &kube, timeout: fig11Timeout}, []entrant{
+		{"HPA(20% CPU)", hpaAt(0.20)},
+		{"HPA(50% CPU)", hpaAt(0.50)},
+		{"HTA", &htaScaler{cfg: core.Config{MaxWorkers: 20}}},
+	}, func(sc scaler) (arrivals, error) {
 		p := workload.DefaultIOBound()
 		p.Seed = seed
-		p.Declared = true // HPA runs declare one processor per task
+		p.Declared = declared(sc) // one processor per task
 		wl, err := Flat(p.Specs())
-		if err != nil {
-			return nil, err
-		}
-		name := fmt.Sprintf("HPA(%d%% CPU)", int(target*100))
-		res, err := RunHPA(name, wl, HPAOptions{
-			Kube:            kube,
-			PodResources:    podRes,
-			InitialReplicas: 3,
-			HPA: hpa.Config{
-				TargetCPUUtilization: target,
-				MinReplicas:          3, // the paper's initial 3-node floor
-				MaxReplicas:          60,
-			},
-			Timeout: fig11Timeout,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rep.Runs[name] = res
-		rep.Rows = append(rep.Rows, summaryRow(name, res))
-	}
-
-	p := workload.DefaultIOBound()
-	p.Seed = seed
-	wl, err := Flat(p.Specs()) // undeclared: HTA measures the category
-	if err != nil {
-		return nil, err
-	}
-	res, err := RunHTA("HTA", wl, HTAOptions{
-		Kube:    kube,
-		HTA:     core.Config{MaxWorkers: 20},
-		Timeout: fig11Timeout,
+		return &bag{wl: wl}, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	rep.Runs["HTA"] = res
-	rep.Rows = append(rep.Rows, summaryRow("HTA", res))
+	rep := &Fig11Report{Runs: make(map[string]*RunResult)}
+	for _, res := range runs {
+		rep.Runs[res.Name] = res
+		rep.Rows = append(rep.Rows, summaryRow(res.Name, res))
+	}
 	return rep, nil
 }
 

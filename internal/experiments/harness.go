@@ -18,6 +18,7 @@ import (
 	"hta/internal/flow"
 	"hta/internal/hpa"
 	"hta/internal/kubesim"
+	"hta/internal/makeflow"
 	"hta/internal/metrics"
 	"hta/internal/netsim"
 	"hta/internal/resources"
@@ -122,7 +123,7 @@ type sampler struct {
 	nodes     *metrics.Series
 	busyCPU   *metrics.Series
 	capCPU    *metrics.Series
-	maxIdeal  int
+	maxIdeal  int // 0 = uncapped
 	master    *wq.Master
 	cluster   *kubesim.Cluster // may be nil (static runs)
 	estimator wq.Estimator     // may be nil
@@ -136,20 +137,26 @@ type sampler struct {
 	quotaCores float64
 }
 
-func newSampler(master *wq.Master, cluster *kubesim.Cluster, maxIdeal int) *sampler {
-	return &sampler{
-		acct:     metrics.NewAccount(),
-		workers:  metrics.NewSeries("workers"),
-		idle:     metrics.NewSeries("idle"),
-		desired:  metrics.NewSeries("desired"),
-		ideal:    metrics.NewSeries("ideal"),
-		nodes:    metrics.NewSeries("nodes"),
-		busyCPU:  metrics.NewSeries("busy-cpu"),
-		capCPU:   metrics.NewSeries("cap-cpu"),
-		maxIdeal: maxIdeal,
-		master:   master,
-		cluster:  cluster,
+// newSampler builds the sampler of a stack; with a cluster, shortage
+// is bounded by the cluster's node quota. The scaler fills in the rest.
+func newSampler(master *wq.Master, cluster *kubesim.Cluster) *sampler {
+	sm := &sampler{
+		acct:    metrics.NewAccount(),
+		workers: metrics.NewSeries("workers"),
+		idle:    metrics.NewSeries("idle"),
+		desired: metrics.NewSeries("desired"),
+		ideal:   metrics.NewSeries("ideal"),
+		nodes:   metrics.NewSeries("nodes"),
+		busyCPU: metrics.NewSeries("busy-cpu"),
+		capCPU:  metrics.NewSeries("cap-cpu"),
+		master:  master,
+		cluster: cluster,
 	}
+	if cluster != nil {
+		kc := cluster.Config()
+		sm.quotaCores = float64(kc.MaxNodes) * kc.NodeAllocatable.CoresValue()
+	}
+	return sm
 }
 
 // trackCategories enables per-category outstanding-task series.
@@ -249,45 +256,6 @@ func (sm *sampler) shortageCores() float64 {
 	return float64(milli) / 1000
 }
 
-// newEngine builds a run's event engine. reference selects the
-// retained container/heap core (simclock.NewReferenceEngine) for
-// differential experiment runs, mirroring newLink's reference switch.
-func newEngine(reference bool) *simclock.Engine {
-	if reference {
-		return simclock.NewReferenceEngine(SimStart)
-	}
-	return simclock.NewEngine(SimStart)
-}
-
-// newLink builds the master egress link, or nil when mbps is zero.
-// reference selects the retained O(n)-per-event link implementation
-// (netsim.NewReferenceLink) for differential experiment runs.
-func newLink(eng *simclock.Engine, mbps, contention, perTransfer float64, reference bool) *netsim.Link {
-	if mbps <= 0 {
-		return nil
-	}
-	var l *netsim.Link
-	if reference {
-		l = netsim.NewReferenceLink(eng, mbps, perTransfer)
-	} else {
-		l = netsim.NewLink(eng, mbps, perTransfer)
-	}
-	if contention > 0 && contention < 1 {
-		l.SetContention(contention)
-	}
-	return l
-}
-
-// samplePeriod returns the sampler tick for a run: the experiment's
-// override, or the default SampleInterval. Long large-fleet runs
-// override it because every tick walks the waiting queue.
-func samplePeriod(every time.Duration) time.Duration {
-	if every > 0 {
-		return every
-	}
-	return SampleInterval
-}
-
 // ErrTimeout reports a scenario that did not finish within its
 // simulated deadline.
 type ErrTimeout struct {
@@ -300,22 +268,247 @@ func (e *ErrTimeout) Error() string {
 	return fmt.Sprintf("experiments: %s did not finish within %v (stats %+v)", e.Name, e.Deadline, e.Stats)
 }
 
-// attachChaos arms a fault plan against a run's components, returning
-// nil when the plan is absent or injects nothing.
-func attachChaos(eng *simclock.Engine, plan *chaos.Plan, cluster *kubesim.Cluster, master *wq.Master, link *netsim.Link) *chaos.Injector {
+// --- the scenario path ---
+//
+// Every runner is one stack × scaler × arrivals combination executed by
+// simulate. The stack is the simulated system: the event engine, an
+// optional cluster and egress link, and the wq master with its
+// dispatch, retry and admission policies. The scaler plug-in sizes the
+// worker fleet: HTA, a WorkerSet under the HPA or the
+// queue-proportional scaler, or a static fleet. The arrival driver
+// feeds the workload: a DAG bag through flow.Runner, timed tasks, or
+// timed workflows. Sampling, the run loop, the deadline and the result
+// bookkeeping are shared, so swapping one part leaves the measurement
+// of the other two untouched. The engine and every timer on it are
+// dropped with the stack when a scenario returns, so nothing is
+// stopped explicitly.
+
+// stackConfig describes a scenario's stack and the run around it.
+type stackConfig struct {
+	kube *kubesim.Config // nil: no cluster (static fleets)
+	// linkMBps > 0 puts a netsim egress link behind the master.
+	linkMBps, contention, perTransfer float64
+	// referenceLink and referenceEngine select the retained netsim and
+	// simclock implementations, for differential runs.
+	referenceLink, referenceEngine bool
+	policy                         wq.Policy
+	retry                          wq.RetryPolicy
+	admission                      wq.AdmissionPolicy
+	// chaos, when enabled, is armed by the scaler; controlPlane
+	// receives its control-plane kills.
+	chaos        *chaos.Plan
+	controlPlane chaos.ControlPlane
+	timeout      time.Duration // simulated; 0 = 24 h
+	sampleEvery  time.Duration // 0 = SampleInterval
+	categories   []string      // per-category outstanding series
+}
+
+// stack is one scenario's simulated system.
+type stack struct {
+	cfg     stackConfig
+	eng     *simclock.Engine
+	cluster *kubesim.Cluster // nil without cfg.kube
+	link    *netsim.Link     // nil without cfg.linkMBps
+	master  *wq.Master
+	inj     *chaos.Injector // nil unless armChaos armed a plan
+}
+
+func newStack(cfg stackConfig) *stack {
+	st := &stack{cfg: cfg}
+	if cfg.referenceEngine {
+		st.eng = simclock.NewReferenceEngine(SimStart)
+	} else {
+		st.eng = simclock.NewEngine(SimStart)
+	}
+	if cfg.kube != nil {
+		kube := *cfg.kube
+		if kube.Seed == 0 {
+			kube.Seed = 1
+		}
+		st.cluster = kubesim.NewCluster(st.eng, kube)
+	}
+	if cfg.linkMBps > 0 {
+		if cfg.referenceLink {
+			st.link = netsim.NewReferenceLink(st.eng, cfg.linkMBps, cfg.perTransfer)
+		} else {
+			st.link = netsim.NewLink(st.eng, cfg.linkMBps, cfg.perTransfer)
+		}
+		if cfg.contention > 0 && cfg.contention < 1 {
+			st.link.SetContention(cfg.contention)
+		}
+	}
+	st.master = wq.NewMaster(st.eng, st.link)
+	st.master.SetPolicy(cfg.policy)
+	st.master.SetRetryPolicy(cfg.retry)
+	st.master.SetAdmissionPolicy(cfg.admission)
+	return st
+}
+
+// armChaos starts the scenario's fault injector when its plan injects
+// anything. Each scaler calls it at its own point of construction: the
+// injector's first timers take their place in the event order there,
+// and the seeded reports depend on that order.
+func (st *stack) armChaos() {
+	plan := st.cfg.chaos
 	if plan == nil || !plan.Enabled() {
-		return nil
+		return
 	}
-	inj := chaos.New(eng, *plan)
-	if cluster != nil {
-		inj.AttachCluster(cluster)
+	st.inj = chaos.New(st.eng, *plan)
+	if st.cluster != nil {
+		st.inj.AttachCluster(st.cluster)
 	}
-	inj.AttachMaster(master)
-	if link != nil {
-		inj.AttachLink(link)
+	st.inj.AttachMaster(st.master)
+	if st.link != nil {
+		st.inj.AttachLink(st.link)
 	}
-	inj.Start()
-	return inj
+	if st.cfg.controlPlane != nil {
+		st.inj.AttachControlPlane(st.cfg.controlPlane)
+	}
+	st.inj.Start()
+}
+
+// scaler is the plug-in that sizes a scenario's worker fleet.
+type scaler interface {
+	// attach builds the scaler on st, arming st's fault injector on the
+	// way, points sm at the scaler's signals, and returns the target
+	// arrivals submit to.
+	attach(st *stack, sm *sampler) (flow.Scheduler, error)
+	// shutdown runs the scaler's clean-up stage once the workload is
+	// done, then calls done.
+	shutdown(done func())
+	// report copies the scaler's counters into a finished run's result.
+	report(res *RunResult) error
+}
+
+// arrivals is the plug-in that feeds a scenario's workload.
+type arrivals interface {
+	// start submits or schedules the workload. The driver ends the run
+	// through r.finish or r.finishThroughCleanup once every arrival
+	// reached its end, or aborts it through r.fail.
+	start(r *run)
+	// report checks the workload of a finished run and copies the
+	// driver's own fields into res.
+	report(res *RunResult) error
+}
+
+// run is a scenario in progress, as its arrival driver sees it.
+type run struct {
+	*stack
+	target   flow.Scheduler
+	scaler   scaler
+	res      *RunResult
+	ended    bool  // the workload is done; the scaler may still be cleaning up
+	finished bool  // the run is over
+	failed   error // aborts the run
+}
+
+// finish ends the run now.
+func (r *run) finish() {
+	r.end()
+	r.finished = true
+}
+
+// finishThroughCleanup ends the workload now and the run once the
+// scaler's clean-up stage completes.
+func (r *run) finishThroughCleanup() {
+	r.end()
+	r.scaler.shutdown(func() { r.finished = true })
+}
+
+func (r *run) end() {
+	r.ended = true
+	r.res.End = r.eng.Now()
+	r.res.Runtime = r.eng.Elapsed()
+}
+
+// fail aborts the run; the first error wins.
+func (r *run) fail(err error) {
+	if r.failed == nil {
+		r.failed = err
+	}
+}
+
+// simulate executes one stack × scaler × arrivals combination.
+func simulate(name string, cfg stackConfig, sc scaler, arr arrivals) (*RunResult, error) {
+	st := newStack(cfg)
+	sm := newSampler(st.master, st.cluster)
+	target, err := sc.attach(st, sm)
+	if err != nil {
+		return nil, err
+	}
+	if len(cfg.categories) > 0 {
+		sm.trackCategories(cfg.categories)
+	}
+	every := cfg.sampleEvery
+	if every <= 0 {
+		every = SampleInterval
+	}
+	st.eng.Every(every, "sampler", func() { sm.sample(st.eng.Now()) })
+
+	res := &RunResult{Name: name, Start: st.eng.Now()}
+	countRequeues(st.master, res)
+	r := &run{stack: st, target: target, scaler: sc, res: res}
+	sm.sample(st.eng.Now())
+	arr.start(r)
+	timeout := cfg.timeout
+	if timeout == 0 {
+		timeout = 24 * time.Hour
+	}
+	deadline := SimStart.Add(timeout)
+	st.eng.RunWhile(func() bool { return !r.finished && r.failed == nil && st.eng.Now().Before(deadline) })
+	if r.failed != nil {
+		return nil, r.failed
+	}
+	if !r.finished {
+		return nil, &ErrTimeout{Name: name, Deadline: timeout, Stats: st.master.Stats()}
+	}
+	res.Completed = st.master.CompletedCount()
+	captureFailures(res, st.master, st.inj)
+	if err := arr.report(res); err != nil {
+		return nil, err
+	}
+	if err := sc.report(res); err != nil {
+		return nil, err
+	}
+	sm.finish(res)
+	if st.link != nil {
+		res.AvgBandwidthMBps = st.link.Stats().AvgBandwidth
+	}
+	return res, nil
+}
+
+// entrant is one scaler of a comparison, under its run name.
+type entrant struct {
+	name string
+	sc   scaler
+}
+
+// compare runs every entrant on its own stack built from cfg,
+// concurrently, each fed the arrivals feed builds for its scaler, and
+// returns the runs in entrant order.
+func compare(cfg stackConfig, entrants []entrant, feed func(scaler) (arrivals, error)) ([]*RunResult, error) {
+	runs := make([]*RunResult, len(entrants))
+	err := Parallel(len(entrants), func(i int) error {
+		arr, err := feed(entrants[i].sc)
+		if err != nil {
+			return err
+		}
+		runs[i], err = simulate(entrants[i].name, cfg, entrants[i].sc, arr)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return runs, nil
+}
+
+// declared reports whether a workload fed to sc declares its task
+// requirements. HTA measures undeclared categories itself; every other
+// scaler is told them, so a comparison isolates the autoscaler, not
+// the estimator.
+func declared(sc scaler) bool {
+	_, hta := sc.(*htaScaler)
+	return !hta
 }
 
 // captureFailures copies the run's failure/recovery counters into res.
@@ -330,17 +523,6 @@ func captureFailures(res *RunResult, master *wq.Master, inj *chaos.Injector) {
 	}
 }
 
-// scaleActions counts the HTA decisions that changed the fleet.
-func scaleActions(decs []core.DecisionRecord) int {
-	n := 0
-	for _, d := range decs {
-		if d.ScaleChange != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // countRequeues subscribes to the master and accumulates re-dispatch
 // counts into res.
 func countRequeues(master *wq.Master, res *RunResult) {
@@ -350,6 +532,25 @@ func countRequeues(master *wq.Master, res *RunResult) {
 		}
 	})
 }
+
+// bag runs one DAG through a flow.Runner and ends the run through the
+// scaler's clean-up stage.
+type bag struct {
+	wl     Workload
+	log    makeflow.LogSink // nil: no transaction journal
+	runner *flow.Runner
+}
+
+func (b *bag) start(r *run) {
+	b.runner = flow.NewRunner(b.wl.Graph, r.target, b.wl.Spec)
+	if b.log != nil {
+		b.runner.SetLog(b.log)
+	}
+	b.runner.OnAllDone(r.finishThroughCleanup)
+	b.runner.Start()
+}
+
+func (b *bag) report(*RunResult) error { return b.runner.Err() }
 
 // --- HTA scenario ---
 
@@ -383,69 +584,60 @@ type HTAOptions struct {
 	SampleEvery time.Duration
 }
 
+func (o HTAOptions) stack() stackConfig {
+	return stackConfig{
+		kube:            &o.Kube,
+		linkMBps:        o.LinkMBps,
+		contention:      o.Contention,
+		perTransfer:     o.PerTransfer,
+		referenceLink:   o.ReferenceLink,
+		referenceEngine: o.ReferenceEngine,
+		policy:          o.Policy,
+		retry:           o.Retry,
+		admission:       o.Admission,
+		chaos:           o.Chaos,
+		timeout:         o.Timeout,
+		sampleEvery:     o.SampleEvery,
+		categories:      o.Categories,
+	}
+}
+
 // RunHTA executes the workload through the full HTA stack.
 func RunHTA(name string, wl Workload, opt HTAOptions) (*RunResult, error) {
-	if opt.Timeout == 0 {
-		opt.Timeout = 24 * time.Hour
-	}
-	eng := newEngine(opt.ReferenceEngine)
-	if opt.Kube.Seed == 0 {
-		opt.Kube.Seed = 1
-	}
-	cluster := kubesim.NewCluster(eng, opt.Kube)
-	defer cluster.Stop()
-	link := newLink(eng, opt.LinkMBps, opt.Contention, opt.PerTransfer, opt.ReferenceLink)
-	master := wq.NewMaster(eng, link)
-	master.SetPolicy(opt.Policy)
-	master.SetRetryPolicy(opt.Retry)
-	master.SetAdmissionPolicy(opt.Admission)
-	a := core.New(eng, cluster, master, opt.HTA)
-	if err := a.Start(); err != nil {
+	return simulate(name, opt.stack(), &htaScaler{cfg: opt.HTA}, &bag{wl: wl})
+}
+
+// htaScaler puts the HTA autoscaler between the arrivals and the
+// master; it grows and drains the cluster's worker pods itself.
+type htaScaler struct {
+	cfg core.Config
+	a   *core.Autoscaler
+}
+
+func (s *htaScaler) attach(st *stack, sm *sampler) (flow.Scheduler, error) {
+	s.a = core.New(st.eng, st.cluster, st.master, s.cfg)
+	if err := s.a.Start(); err != nil {
 		return nil, err
 	}
-	inj := attachChaos(eng, opt.Chaos, cluster, master, link)
+	st.armChaos()
+	sm.maxIdeal = st.cfg.kube.MaxNodes
+	sm.estimator = s.a.Monitor()
+	sm.heldFn = s.a.HeldTasks
+	sm.desiredFn = s.a.WorkerPodCount
+	return s.a, nil
+}
 
-	sm := newSampler(master, cluster, a.WorkerPodCount())
-	sm.estimator = a.Monitor()
-	sm.heldFn = a.HeldTasks
-	sm.desiredFn = a.WorkerPodCount
-	sm.maxIdeal = opt.Kube.MaxNodes
-	sm.quotaCores = float64(cluster.Config().MaxNodes) * cluster.Config().NodeAllocatable.CoresValue()
-	if len(opt.Categories) > 0 {
-		sm.trackCategories(opt.Categories)
-	}
-	ticker := eng.Every(samplePeriod(opt.SampleEvery), "sampler", func() { sm.sample(eng.Now()) })
-	defer ticker.Stop()
+func (s *htaScaler) shutdown(done func()) { s.a.Shutdown(done) }
 
-	res := &RunResult{Name: name, Start: eng.Now()}
-	countRequeues(master, res)
-	runner := flow.NewRunner(wl.Graph, a, wl.Spec)
-	finished := false
-	runner.OnAllDone(func() {
-		res.End = eng.Now()
-		res.Runtime = eng.Elapsed()
-		a.Shutdown(func() { finished = true })
-	})
-	sm.sample(eng.Now())
-	runner.Start()
-	deadline := SimStart.Add(opt.Timeout)
-	eng.RunWhile(func() bool { return !finished && eng.Now().Before(deadline) })
-	if !finished {
-		return nil, &ErrTimeout{Name: name, Deadline: opt.Timeout, Stats: master.Stats()}
+func (s *htaScaler) report(res *RunResult) error {
+	res.InitSamples = s.a.Tracker().Samples()
+	res.Panics = s.a.PanicCount()
+	for _, d := range s.a.Decisions {
+		if d.ScaleChange != 0 {
+			res.ScalingActions++
+		}
 	}
-	if err := runner.Err(); err != nil {
-		return nil, err
-	}
-	res.Completed = master.CompletedCount()
-	res.InitSamples = a.Tracker().Samples()
-	res.ScalingActions = scaleActions(a.Decisions)
-	res.Panics = a.PanicCount()
-	captureFailures(res, master, inj)
-	sm.finish(res)
-	if link != nil {
-		res.AvgBandwidthMBps = link.Stats().AvgBandwidth
-	}
-	return res, nil
+	return nil
 }
 
 // --- HPA scenario ---
@@ -480,77 +672,75 @@ type HPAOptions struct {
 
 // RunHPA executes the workload on an HPA-scaled worker fleet.
 func RunHPA(name string, wl Workload, opt HPAOptions) (*RunResult, error) {
-	if opt.Timeout == 0 {
-		opt.Timeout = 24 * time.Hour
-	}
-	if opt.PodResources.IsZero() {
-		opt.PodResources = resources.New(1, 4096, 10000)
-	}
-	if opt.InitialReplicas == 0 {
-		opt.InitialReplicas = 3
-	}
-	eng := newEngine(opt.ReferenceEngine)
-	if opt.Kube.Seed == 0 {
-		opt.Kube.Seed = 1
-	}
-	cluster := kubesim.NewCluster(eng, opt.Kube)
-	defer cluster.Stop()
-	link := newLink(eng, opt.LinkMBps, opt.Contention, opt.PerTransfer, opt.ReferenceLink)
-	master := wq.NewMaster(eng, link)
-	master.SetRetryPolicy(opt.Retry)
-	master.SetAdmissionPolicy(opt.Admission)
-	binder := bind.Workers(cluster, master, map[string]string{"app": "wq-worker"})
-	inj := attachChaos(eng, opt.Chaos, cluster, master, link)
+	return simulate(name, stackConfig{
+		kube:            &opt.Kube,
+		linkMBps:        opt.LinkMBps,
+		contention:      opt.Contention,
+		perTransfer:     opt.PerTransfer,
+		referenceLink:   opt.ReferenceLink,
+		referenceEngine: opt.ReferenceEngine,
+		retry:           opt.Retry,
+		admission:       opt.Admission,
+		chaos:           opt.Chaos,
+		timeout:         opt.Timeout,
+		sampleEvery:     opt.SampleEvery,
+		categories:      opt.Categories,
+	}, hpaScaler(opt.HPA, opt.PodResources, opt.InitialReplicas), &bag{wl: wl})
+}
 
-	template := kubesim.PodSpec{
-		Image:     "wq-worker",
-		Resources: opt.PodResources,
-		Labels:    map[string]string{"app": "wq-worker"},
+// hpaScaler is the HPA over a WorkerSet of pod-sized workers; a zero
+// pod is one core, and zero replicas start three.
+func hpaScaler(cfg hpa.Config, pod resources.Vector, replicas int) *workerSet {
+	if pod.IsZero() {
+		pod = resources.New(1, 4096, 10000)
 	}
-	ws := kubesim.NewWorkerSet(cluster, "wq-workers", template, opt.InitialReplicas)
-	defer ws.Stop()
-	h := hpa.New(cluster, ws, opt.HPA)
-	defer h.Stop()
+	if replicas == 0 {
+		replicas = 3
+	}
+	return &workerSet{pod: pod, replicas: replicas, maxReplicas: cfg.MaxReplicas,
+		control: func(st *stack, set *kubesim.WorkerSet) (func() int, func() int) {
+			h := hpa.New(st.cluster, set, cfg)
+			return func() int { return h.LastDesired }, h.Actions
+		}}
+}
 
-	sm := newSampler(master, cluster, opt.HPA.MaxReplicas)
-	sm.desiredFn = func() int { return h.LastDesired }
-	sm.quotaCores = float64(cluster.Config().MaxNodes) * cluster.Config().NodeAllocatable.CoresValue()
-	if len(opt.Categories) > 0 {
-		sm.trackCategories(opt.Categories)
-	}
-	ticker := eng.Every(samplePeriod(opt.SampleEvery), "sampler", func() { sm.sample(eng.Now()) })
-	defer ticker.Stop()
+// workerSet is a WorkerSet of fixed-size worker pods bound to the
+// master and resized by a replica controller: the HPA or the
+// queue-proportional scaler. Arrivals submit to the master directly.
+type workerSet struct {
+	pod         resources.Vector // zero: node-sized
+	replicas    int              // initial
+	maxReplicas int
+	// control starts the replica controller on set. It returns the
+	// controller's latest desired replica count and, when the
+	// controller counts them, its applied resizes (else nil).
+	control func(st *stack, set *kubesim.WorkerSet) (desired, actions func() int)
+	binder  *bind.Binder
+	actions func() int
+}
 
-	res := &RunResult{Name: name, Start: eng.Now()}
-	countRequeues(master, res)
-	runner := flow.NewRunner(wl.Graph, master, wl.Spec)
-	finished := false
-	runner.OnAllDone(func() {
-		res.End = eng.Now()
-		res.Runtime = eng.Elapsed()
-		finished = true
-	})
-	sm.sample(eng.Now())
-	runner.Start()
-	deadline := SimStart.Add(opt.Timeout)
-	eng.RunWhile(func() bool { return !finished && eng.Now().Before(deadline) })
-	if !finished {
-		return nil, &ErrTimeout{Name: name, Deadline: opt.Timeout, Stats: master.Stats()}
+func (s *workerSet) attach(st *stack, sm *sampler) (flow.Scheduler, error) {
+	labels := map[string]string{"app": "wq-worker"}
+	s.binder = bind.Workers(st.cluster, st.master, labels)
+	st.armChaos()
+	pod := s.pod
+	if pod.IsZero() {
+		pod = st.cluster.Config().NodeAllocatable
 	}
-	if err := runner.Err(); err != nil {
-		return nil, err
+	set := kubesim.NewWorkerSet(st.cluster, "wq-workers",
+		kubesim.PodSpec{Image: "wq-worker", Resources: pod, Labels: labels}, s.replicas)
+	sm.maxIdeal = s.maxReplicas
+	sm.desiredFn, s.actions = s.control(st, set)
+	return st.master, nil
+}
+
+func (s *workerSet) shutdown(done func()) { done() }
+
+func (s *workerSet) report(res *RunResult) error {
+	if s.actions != nil {
+		res.ScalingActions = s.actions()
 	}
-	if err := binder.Err(); err != nil {
-		return nil, err
-	}
-	res.Completed = master.CompletedCount()
-	res.ScalingActions = h.Actions()
-	captureFailures(res, master, inj)
-	sm.finish(res)
-	if link != nil {
-		res.AvgBandwidthMBps = link.Stats().AvgBandwidth
-	}
-	return res, nil
+	return s.binder.Err()
 }
 
 // --- static scenario ---
@@ -582,47 +772,37 @@ type StaticOptions struct {
 
 // RunStatic executes the workload on a fixed fleet.
 func RunStatic(name string, wl Workload, opt StaticOptions) (*RunResult, error) {
-	if opt.Timeout == 0 {
-		opt.Timeout = 24 * time.Hour
-	}
-	eng := newEngine(opt.ReferenceEngine)
-	link := newLink(eng, opt.LinkMBps, opt.Contention, opt.PerTransfer, opt.ReferenceLink)
-	master := wq.NewMaster(eng, link)
-	master.SetRetryPolicy(opt.Retry)
-	for i := 0; i < opt.Workers; i++ {
-		if err := master.AddWorker(fmt.Sprintf("w%d", i+1), opt.WorkerResources); err != nil {
+	return simulate(name, stackConfig{
+		linkMBps:        opt.LinkMBps,
+		contention:      opt.Contention,
+		perTransfer:     opt.PerTransfer,
+		referenceLink:   opt.ReferenceLink,
+		referenceEngine: opt.ReferenceEngine,
+		retry:           opt.Retry,
+		chaos:           opt.Chaos,
+		timeout:         opt.Timeout,
+		sampleEvery:     opt.SampleEvery,
+	}, staticFleet{workers: opt.Workers, capacity: opt.WorkerResources}, &bag{wl: wl})
+}
+
+// staticFleet connects a fixed fleet of workers to the master before
+// the run starts; arrivals submit to the master directly.
+type staticFleet struct {
+	workers  int
+	capacity resources.Vector
+}
+
+func (s staticFleet) attach(st *stack, sm *sampler) (flow.Scheduler, error) {
+	for i := 0; i < s.workers; i++ {
+		if err := st.master.AddWorker(fmt.Sprintf("w%d", i+1), s.capacity); err != nil {
 			return nil, err
 		}
 	}
-	inj := attachChaos(eng, opt.Chaos, nil, master, link)
-	sm := newSampler(master, nil, opt.Workers)
-	ticker := eng.Every(samplePeriod(opt.SampleEvery), "sampler", func() { sm.sample(eng.Now()) })
-	defer ticker.Stop()
-
-	res := &RunResult{Name: name, Start: eng.Now()}
-	countRequeues(master, res)
-	runner := flow.NewRunner(wl.Graph, master, wl.Spec)
-	finished := false
-	runner.OnAllDone(func() {
-		res.End = eng.Now()
-		res.Runtime = eng.Elapsed()
-		finished = true
-	})
-	sm.sample(eng.Now())
-	runner.Start()
-	deadline := SimStart.Add(opt.Timeout)
-	eng.RunWhile(func() bool { return !finished && eng.Now().Before(deadline) })
-	if !finished {
-		return nil, &ErrTimeout{Name: name, Deadline: opt.Timeout, Stats: master.Stats()}
-	}
-	if err := runner.Err(); err != nil {
-		return nil, err
-	}
-	res.Completed = master.CompletedCount()
-	captureFailures(res, master, inj)
-	sm.finish(res)
-	if link != nil {
-		res.AvgBandwidthMBps = link.Stats().AvgBandwidth
-	}
-	return res, nil
+	st.armChaos()
+	sm.maxIdeal = s.workers
+	return st.master, nil
 }
+
+func (staticFleet) shutdown(done func()) { done() }
+
+func (staticFleet) report(*RunResult) error { return nil }

@@ -240,49 +240,40 @@ func runIOScaleCell(cfg IOScaleConfig, cell ioScaleCell) (*RunResult, error) {
 		ScaleDownDelay: 10 * time.Minute,
 		Seed:           cfg.Seed,
 	}
+	st := stackConfig{
+		kube:            &kube,
+		linkMBps:        cfg.LinkMBps,
+		perTransfer:     cfg.PerTransfer,
+		referenceLink:   cfg.Reference,
+		referenceEngine: cfg.ReferenceEngine,
+		timeout:         cfg.Timeout,
+	}
+	var sc scaler
+	var expected time.Duration
 	if cell.hta {
 		// Saturated waves of node-sized workers plus the autoscaler
 		// ramp; the ×4 margin absorbs the transfer-bound tail.
-		expected := time.Duration(cfg.TasksPerWorker/3+1)*cfg.ExecMean*4 + time.Hour
-		timeout := cfg.Timeout
-		if timeout == 0 {
-			timeout = expected
+		expected = time.Duration(cfg.TasksPerWorker/3+1)*cfg.ExecMean*4 + time.Hour
+		if st.timeout == 0 {
+			st.timeout = expected
 		}
-		return RunHTA(cell.name, wl, HTAOptions{
-			Kube:            kube,
-			HTA:             core.Config{MaxWorkers: cell.workers},
-			LinkMBps:        cfg.LinkMBps,
-			PerTransfer:     cfg.PerTransfer,
-			Timeout:         timeout,
-			ReferenceLink:   cfg.Reference,
-			ReferenceEngine: cfg.ReferenceEngine,
-			SampleEvery:     cfg.sampleEvery(expected),
-		})
-	}
-	// The HPA stays pinned at MinReplicas: task CPU (≈15 %) never
-	// crosses the target, so the fleet works the whole bag serially,
-	// three tasks at a time — expected runtime N×ExecMean/3.
-	expected := time.Duration(n/3+1) * cfg.ExecMean
-	timeout := cfg.Timeout
-	if timeout == 0 {
-		timeout = 2*expected + time.Hour
-	}
-	return RunHPA(cell.name, wl, HPAOptions{
-		Kube:            kube,
-		PodResources:    resources.Vector{MilliCPU: 1000, MemoryMB: 1024, DiskMB: 10000},
-		InitialReplicas: 3,
-		HPA: hpa.Config{
+		sc = &htaScaler{cfg: core.Config{MaxWorkers: cell.workers}}
+	} else {
+		// The HPA stays pinned at MinReplicas: task CPU (≈15 %) never
+		// crosses the target, so the fleet works the whole bag serially,
+		// three tasks at a time — expected runtime N×ExecMean/3.
+		expected = time.Duration(n/3+1) * cfg.ExecMean
+		if st.timeout == 0 {
+			st.timeout = 2*expected + time.Hour
+		}
+		sc = hpaScaler(hpa.Config{
 			TargetCPUUtilization: cfg.HPATarget,
 			MinReplicas:          3,
 			MaxReplicas:          cell.workers,
-		},
-		LinkMBps:        cfg.LinkMBps,
-		PerTransfer:     cfg.PerTransfer,
-		Timeout:         timeout,
-		ReferenceLink:   cfg.Reference,
-		ReferenceEngine: cfg.ReferenceEngine,
-		SampleEvery:     cfg.sampleEvery(expected),
-	})
+		}, resources.Vector{MilliCPU: 1000, MemoryMB: 1024, DiskMB: 10000}, 3)
+	}
+	st.sampleEvery = cfg.sampleEvery(expected)
+	return simulate(cell.name, st, sc, &bag{wl: wl})
 }
 
 // String renders the E-H summary table.

@@ -4,15 +4,11 @@ import (
 	"fmt"
 	"time"
 
-	"hta/internal/bind"
 	"hta/internal/chaos"
 	"hta/internal/core"
-	"hta/internal/flow"
 	"hta/internal/kubesim"
 	"hta/internal/qpa"
 	"hta/internal/resources"
-	"hta/internal/simclock"
-	"hta/internal/workload"
 	"hta/internal/wq"
 )
 
@@ -32,65 +28,24 @@ type QPAOptions struct {
 
 // RunQPA executes the workload under the queue-proportional scaler.
 func RunQPA(name string, wl Workload, opt QPAOptions) (*RunResult, error) {
-	if opt.Timeout == 0 {
-		opt.Timeout = 24 * time.Hour
-	}
-	eng := simclock.NewEngine(SimStart)
-	if opt.Kube.Seed == 0 {
-		opt.Kube.Seed = 1
-	}
-	cluster := kubesim.NewCluster(eng, opt.Kube)
-	defer cluster.Stop()
-	if opt.PodResources.IsZero() {
-		opt.PodResources = cluster.Config().NodeAllocatable
-	}
-	master := wq.NewMaster(eng, nil)
-	master.SetRetryPolicy(opt.Retry)
-	binder := bind.Workers(cluster, master, map[string]string{"app": "wq-worker"})
-	inj := attachChaos(eng, opt.Chaos, cluster, master, nil)
+	cfg := stackConfig{kube: &opt.Kube, retry: opt.Retry, chaos: opt.Chaos, timeout: opt.Timeout}
+	return simulate(name, cfg, qpaScaler(opt.QPA, opt.PodResources, opt.InitialReplicas), &bag{wl: wl})
+}
 
-	template := kubesim.PodSpec{
-		Image:     "wq-worker",
-		Resources: opt.PodResources,
-		Labels:    map[string]string{"app": "wq-worker"},
-	}
-	ws := kubesim.NewWorkerSet(cluster, "wq-workers", template, opt.InitialReplicas)
-	defer ws.Stop()
-	ctrl := qpa.New(cluster, ws, master, opt.QPA)
-	defer ctrl.Stop()
+// qpaScaler is the queue-proportional scaler over a WorkerSet of
+// pod-sized workers; a zero pod is node-sized.
+func qpaScaler(cfg qpa.Config, pod resources.Vector, replicas int) *workerSet {
+	return &workerSet{pod: pod, replicas: replicas, maxReplicas: cfg.MaxReplicas,
+		control: func(st *stack, set *kubesim.WorkerSet) (func() int, func() int) {
+			c := qpa.New(st.cluster, set, st.master, cfg)
+			return func() int { return c.LastDesired }, nil
+		}}
+}
 
-	sm := newSampler(master, cluster, opt.QPA.MaxReplicas)
-	sm.desiredFn = func() int { return ctrl.LastDesired }
-	sm.quotaCores = float64(cluster.Config().MaxNodes) * cluster.Config().NodeAllocatable.CoresValue()
-	ticker := eng.Every(SampleInterval, "sampler", func() { sm.sample(eng.Now()) })
-	defer ticker.Stop()
-
-	res := &RunResult{Name: name, Start: eng.Now()}
-	countRequeues(master, res)
-	runner := flow.NewRunner(wl.Graph, master, wl.Spec)
-	finished := false
-	runner.OnAllDone(func() {
-		res.End = eng.Now()
-		res.Runtime = eng.Elapsed()
-		finished = true
-	})
-	sm.sample(eng.Now())
-	runner.Start()
-	deadline := SimStart.Add(opt.Timeout)
-	eng.RunWhile(func() bool { return !finished && eng.Now().Before(deadline) })
-	if !finished {
-		return nil, &ErrTimeout{Name: name, Deadline: opt.Timeout, Stats: master.Stats()}
-	}
-	if err := runner.Err(); err != nil {
-		return nil, err
-	}
-	if err := binder.Err(); err != nil {
-		return nil, err
-	}
-	res.Completed = master.CompletedCount()
-	captureFailures(res, master, inj)
-	sm.finish(res)
-	return res, nil
+// fig10QPA is the queue-proportional baseline of the multistage
+// comparisons: node-sized workers that hold three one-core tasks each.
+func fig10QPA() *workerSet {
+	return qpaScaler(qpa.Config{TasksPerWorker: 3, MaxReplicas: 20}, resources.Vector{}, 3)
 }
 
 // AblationQueueScalerReport (A4) compares a KEDA-style
@@ -112,43 +67,15 @@ type AblationQueueScalerReport struct {
 
 // AblationQueueScaler runs A4; the two scalers run concurrently.
 func AblationQueueScaler(seed int64) (*AblationQueueScalerReport, error) {
-	results := make([]*RunResult, 2)
-	err := Parallel(len(results), func(i int) error {
-		p := workload.DefaultMultistage()
-		p.Seed = seed
-		if i == 0 {
-			p.Declared = true
-			g, spec, err := p.Build()
-			if err != nil {
-				return err
-			}
-			results[i], err = RunQPA("QPA (queue/3)", Workload{Graph: g, Spec: spec}, QPAOptions{
-				Kube:            fig10Kube(seed),
-				InitialReplicas: 3,
-				QPA: qpa.Config{
-					TasksPerWorker: 3, // node-sized workers hold 3 one-core tasks
-					MaxReplicas:    20,
-				},
-				Timeout: fig10Timeout,
-			})
-			return err
-		}
-		g, spec, err := p.Build()
-		if err != nil {
-			return err
-		}
-		results[i], err = RunHTA("HTA", Workload{Graph: g, Spec: spec}, HTAOptions{
-			Kube:    fig10Kube(seed),
-			HTA:     core.Config{MaxWorkers: 20},
-			Timeout: fig10Timeout,
-		})
-		return err
-	})
+	runs, err := compare(fig10Stack(seed), []entrant{
+		{"QPA (queue/3)", fig10QPA()},
+		{"HTA", &htaScaler{cfg: core.Config{MaxWorkers: 20}}},
+	}, multistageBags(seed, [3]int{}))
 	if err != nil {
 		return nil, err
 	}
 	rep := &AblationQueueScalerReport{Runs: make(map[string]*RunResult)}
-	qpaRes, htaRes := results[0], results[1]
+	qpaRes, htaRes := runs[0], runs[1]
 	rep.Runs[qpaRes.Name] = qpaRes
 	rep.QPA = summaryRow(qpaRes.Name, qpaRes)
 	rep.QPARequeues = qpaRes.Requeues

@@ -21,11 +21,8 @@ import (
 	"hta/internal/chaos"
 	"hta/internal/core"
 	"hta/internal/flow"
-	"hta/internal/kubesim"
 	"hta/internal/makeflow"
 	"hta/internal/metrics"
-	"hta/internal/simclock"
-	"hta/internal/workload"
 	"hta/internal/wq"
 )
 
@@ -190,61 +187,73 @@ func recoveryRowFrom(comp string, planned int, res *RunResult, baseline time.Dur
 	}
 }
 
-// controlPlaneHarness owns one E-G cell's stack and implements
+// controlPlaneHarness is one E-G cell's arrival driver: the multistage
+// workflow as a bag with a transaction journal. It implements
 // chaos.ControlPlane: each delivered kill crashes the selected
 // component and schedules its restart from durable state after the
 // configured downtime. All methods run on the simulation goroutine.
 type controlPlaneHarness struct {
-	eng          *simclock.Engine
-	master       *wq.Master
-	auto         *core.Autoscaler
-	runner       *flow.Runner
+	bag
+	r            *run
+	hta          *htaScaler
 	sink         *makeflow.MemorySink
 	build        func() (Workload, error) // deterministic graph rebuild
 	downtime     time.Duration
 	rescueWindow time.Duration
 
 	rec          metrics.RecoveryCounters
-	finished     bool
 	makeflowDown bool
-	err          error
+}
+
+func (h *controlPlaneHarness) start(r *run) {
+	h.r = r
+	h.bag.start(r)
+}
+
+func (h *controlPlaneHarness) report(res *RunResult) error {
+	if err := h.bag.report(res); err != nil {
+		return err
+	}
+	res.Recovery.Add(h.rec)
+	return nil
 }
 
 // CrashComponent delivers one kill. A kill is refused (not counted,
 // the injector re-arms) when the workload already finished or the
 // component is still down from a previous kill.
 func (h *controlPlaneHarness) CrashComponent(c chaos.Component) bool {
-	if h.finished || h.err != nil {
+	if h.r.ended || h.r.failed != nil {
 		return false
 	}
+	master, auto := h.r.master, h.hta.a
 	switch c {
 	case chaos.ComponentMaster:
-		if h.master.Down() {
+		if master.Down() {
 			return false
 		}
-		snap, reattaches := h.master.Crash()
+		snap, reattaches := master.Crash()
 		h.rec.MasterRestarts++
-		h.eng.After(h.downtime, "recover-master", func() {
-			h.master.Restore(snap, h.rescueWindow)
+		h.r.eng.After(h.downtime, "recover-master", func() {
+			master.Restore(snap, h.rescueWindow)
 			// The worker fleet survived the master: every worker
 			// reconnects, reporting its in-flight attempt for rescue.
 			for _, w := range reattaches {
-				if err := h.master.AttachWorker(w); err != nil {
+				if err := master.AttachWorker(w); err != nil {
 					h.fail(err)
 					return
 				}
 			}
-			h.rec.ReconcileCorrections += h.auto.OnMasterRestored()
+			h.rec.ReconcileCorrections += auto.OnMasterRestored()
 		})
 		return true
 	case chaos.ComponentOperator:
-		if h.auto.Down() {
+		if auto.Down() {
 			return false
 		}
-		st := h.auto.Crash()
+		st := auto.Crash()
 		h.rec.OperatorRestarts++
-		h.eng.After(h.downtime, "recover-operator", func() {
-			h.rec.ReconcileCorrections += h.auto.Restore(st)
+		h.r.eng.After(h.downtime, "recover-operator", func() {
+			h.rec.ReconcileCorrections += auto.Restore(st)
 		})
 		return true
 	case chaos.ComponentMakeflow:
@@ -254,7 +263,7 @@ func (h *controlPlaneHarness) CrashComponent(c chaos.Component) bool {
 		h.makeflowDown = true
 		h.runner.Detach()
 		h.rec.MakeflowRestarts++
-		h.eng.After(h.downtime, "recover-makeflow", func() {
+		h.r.eng.After(h.downtime, "recover-makeflow", func() {
 			h.restartMakeflow()
 		})
 		return true
@@ -278,69 +287,39 @@ func (h *controlPlaneHarness) restartMakeflow() {
 		h.fail(err)
 		return
 	}
-	rr, err := flow.Recover(wl.Graph, rep, h.master.CompletedTags(), h.master.QuarantinedTags())
+	rr, err := flow.Recover(wl.Graph, rep, h.r.master.CompletedTags(), h.r.master.QuarantinedTags())
 	if err != nil {
 		h.fail(err)
 		return
 	}
 	h.rec.ReplayedRecords += rr.ReplayedRecords
 	h.rec.SkippedRules += rr.CompletedRules
-	r := flow.NewRunner(wl.Graph, h.auto, wl.Spec)
-	r.SetLog(h.sink) // keep appending to the same journal
-	r.OnAllDone(h.allDone)
-	h.runner = r
+	h.wl = wl
 	h.makeflowDown = false
-	r.Start()
-}
-
-func (h *controlPlaneHarness) allDone() {
-	if !h.finished {
-		h.finished = true
-	}
+	h.bag.start(h.r) // keeps appending to the same journal
 }
 
 func (h *controlPlaneHarness) fail(err error) {
-	if h.err == nil {
-		h.err = fmt.Errorf("experiments: recovery harness: %w", err)
-	}
+	h.r.fail(fmt.Errorf("experiments: recovery harness: %w", err))
 }
 
 // recoveryCell runs one E-G simulation. comp < 0 is the no-crash
 // baseline.
 func recoveryCell(name string, cfg RecoveryEGConfig, comp chaos.Component, kills int, mean time.Duration) (*RunResult, error) {
-	p := workload.DefaultMultistage()
-	p.Seed = cfg.Seed
-	if cfg.Stages != ([3]int{}) {
-		p.StageCounts = cfg.Stages
-	}
-	build := func() (Workload, error) {
-		g, spec, err := p.Build()
-		if err != nil {
-			return Workload{}, err
-		}
-		return Workload{Graph: g, Spec: spec}, nil
-	}
+	build := func() (Workload, error) { return multistage(cfg.Seed, cfg.Stages, false) }
 	wl, err := build()
 	if err != nil {
 		return nil, err
 	}
 
-	eng := simclock.NewEngine(SimStart)
-	cluster := kubesim.NewCluster(eng, fig10Kube(cfg.Seed))
-	defer cluster.Stop()
-	master := wq.NewMaster(eng, nil)
-	master.SetRetryPolicy(cfg.Retry)
-	a := core.New(eng, cluster, master, core.Config{MaxWorkers: 20})
-	if err := a.Start(); err != nil {
-		return nil, err
-	}
-
+	sc := &htaScaler{cfg: core.Config{MaxWorkers: 20}}
+	sink := makeflow.NewMemorySink()
 	h := &controlPlaneHarness{
-		eng: eng, master: master, auto: a,
-		sink: makeflow.NewMemorySink(), build: build,
+		bag: bag{wl: wl, log: sink}, hta: sc, sink: sink, build: build,
 		downtime: cfg.Downtime, rescueWindow: cfg.RescueWindow,
 	}
-	var inj *chaos.Injector
+	st := fig10Stack(cfg.Seed)
+	st.retry, st.timeout = cfg.Retry, cfg.Timeout
 	if comp >= 0 && kills > 0 {
 		plan := chaos.Plan{Seed: cfg.Seed}
 		kp := chaos.ControlPlaneKillPlan{MeanInterval: mean, MaxKills: kills}
@@ -352,58 +331,9 @@ func recoveryCell(name string, cfg RecoveryEGConfig, comp chaos.Component, kills
 		case chaos.ComponentOperator:
 			plan.ControlPlane.Operator = kp
 		}
-		inj = chaos.New(eng, plan)
-		inj.AttachControlPlane(h)
-		inj.Start()
+		st.chaos, st.controlPlane = &plan, h
 	}
-
-	sm := newSampler(master, cluster, a.WorkerPodCount())
-	sm.estimator = a.Monitor()
-	sm.heldFn = a.HeldTasks
-	sm.desiredFn = a.WorkerPodCount
-	sm.quotaCores = float64(cluster.Config().MaxNodes) * cluster.Config().NodeAllocatable.CoresValue()
-	ticker := eng.Every(SampleInterval, "sampler", func() { sm.sample(eng.Now()) })
-	defer ticker.Stop()
-
-	res := &RunResult{Name: name, Start: eng.Now()}
-	countRequeues(master, res)
-	runner := flow.NewRunner(wl.Graph, a, wl.Spec)
-	runner.SetLog(h.sink)
-	runner.OnAllDone(h.allDone)
-	h.runner = runner
-
-	done := false
-	sm.sample(eng.Now())
-	runner.Start()
-	deadline := SimStart.Add(cfg.Timeout)
-	eng.RunWhile(func() bool {
-		if h.finished && !done {
-			// Shut down once, after the workflow completes; the engine
-			// keeps running until the autoscaler's drain finishes.
-			res.End = eng.Now()
-			res.Runtime = eng.Elapsed()
-			if inj != nil {
-				inj.Stop()
-			}
-			a.Shutdown(func() { done = true })
-		}
-		return !done && h.err == nil && eng.Now().Before(deadline)
-	})
-	if h.err != nil {
-		return nil, h.err
-	}
-	if !done {
-		return nil, &ErrTimeout{Name: name, Deadline: cfg.Timeout, Stats: master.Stats()}
-	}
-	if err := h.runner.Err(); err != nil {
-		return nil, err
-	}
-	res.Completed = master.CompletedCount()
-	res.InitSamples = a.Tracker().Samples()
-	captureFailures(res, master, inj)
-	res.Recovery.Add(h.rec)
-	sm.finish(res)
-	return res, nil
+	return simulate(name, st, sc, h)
 }
 
 // String renders the E-G table; with a fixed seed the output is

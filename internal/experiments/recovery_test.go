@@ -40,6 +40,11 @@ func TestRecoveryEGInvariantsAndOverhead(t *testing.T) {
 	if len(rep.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4 (baseline + 3 components)", len(rep.Rows))
 	}
+	// The omniscient fleet is capped by the node quota, not by the
+	// warm-up's initial worker count.
+	if peak := rep.Runs["recovery-baseline"].Ideal.Max(); peak <= 3 {
+		t.Errorf("baseline ideal series peaks at %.0f, want above the 3 initial workers", peak)
+	}
 	total := 40 + 8 + 32
 	for _, row := range rep.Rows {
 		// Accounting invariant: every task the master accepted either

@@ -5,15 +5,12 @@ import (
 	"strings"
 	"time"
 
-	"hta/internal/bind"
 	"hta/internal/core"
 	"hta/internal/dag"
 	"hta/internal/flow"
 	"hta/internal/hpa"
-	"hta/internal/kubesim"
 	"hta/internal/metrics"
 	"hta/internal/resources"
-	"hta/internal/simclock"
 	"hta/internal/workload"
 	"hta/internal/wq"
 )
@@ -30,203 +27,113 @@ type StreamReport struct {
 	Tasks int
 }
 
-// submitter abstracts HTA vs raw-master submission for timed arrivals.
-type submitter interface {
-	Submit(spec wq.TaskSpec) int
-}
-
-// runStreamCommon drives timed submissions and waits until every
-// arrival reaches a terminal outcome — completed, quarantined, or
-// shed at the admission cap. It records completed-task sojourn
-// quantiles and the master's overload counters; a closed run without
-// admission or retries degenerates to "wait for all completions".
-func runStreamCommon(name string, eng *simclock.Engine, master *wq.Master,
-	sub submitter, tasks []workload.TimedTask, sm *sampler, timeout time.Duration) (*RunResult, error) {
-
-	res := &RunResult{Name: name, Start: eng.Now()}
-	countRequeues(master, res)
-	terminal := 0
-	var sojourns []time.Duration
-	master.OnComplete(func(r wq.Result) {
-		terminal++
-		sojourns = append(sojourns, r.Task.FinishedAt.Sub(r.Task.SubmittedAt))
-	})
-	master.OnTaskFailed(func(wq.Task) { terminal++ })
-	master.OnRejected(func(wq.Task) { terminal++ })
-	for _, tt := range tasks {
-		spec := tt.Spec
-		eng.At(eng.Now().Add(tt.At), "stream-arrival", func() { sub.Submit(spec) })
-	}
-	sm.sample(eng.Now())
-	deadline := eng.Now().Add(timeout)
-	eng.RunWhile(func() bool { return terminal < len(tasks) && eng.Now().Before(deadline) })
-	if terminal < len(tasks) {
-		return nil, &ErrTimeout{Name: name, Deadline: timeout, Stats: master.Stats()}
-	}
-	res.End = eng.Now()
-	res.Runtime = eng.Elapsed()
-	res.Completed = master.CompletedCount()
-	sq := metrics.DurationQuantiles(sojourns, 0.50, 0.99)
-	res.SojournP50, res.SojournP99 = sq[0], sq[1]
-	captureFailures(res, master, nil)
-	sm.finish(res)
-	return res, nil
-}
-
 // RunHTAStream executes a timed arrival stream through HTA.
 func RunHTAStream(name string, tasks []workload.TimedTask, opt HTAOptions) (*RunResult, error) {
-	if opt.Timeout == 0 {
-		opt.Timeout = 24 * time.Hour
-	}
-	eng := simclock.NewEngine(SimStart)
-	if opt.Kube.Seed == 0 {
-		opt.Kube.Seed = 1
-	}
-	cluster := kubesim.NewCluster(eng, opt.Kube)
-	defer cluster.Stop()
-	master := wq.NewMaster(eng, nil)
-	master.SetAdmissionPolicy(opt.Admission)
-	a := core.New(eng, cluster, master, opt.HTA)
-	if err := a.Start(); err != nil {
-		return nil, err
-	}
-	sm := newSampler(master, cluster, opt.Kube.MaxNodes)
-	sm.estimator = a.Monitor()
-	sm.heldFn = a.HeldTasks
-	sm.desiredFn = a.WorkerPodCount
-	sm.quotaCores = float64(cluster.Config().MaxNodes) * cluster.Config().NodeAllocatable.CoresValue()
-	ticker := eng.Every(SampleInterval, "sampler", func() { sm.sample(eng.Now()) })
-	defer ticker.Stop()
-	res, err := runStreamCommon(name, eng, master, a, tasks, sm, opt.Timeout)
-	if err != nil {
-		return nil, err
-	}
-	res.ScalingActions = scaleActions(a.Decisions)
-	res.Panics = a.PanicCount()
-	return res, nil
-}
-
-// RunHPAStream executes a timed arrival stream on an HPA-scaled fleet.
-func RunHPAStream(name string, tasks []workload.TimedTask, opt HPAOptions) (*RunResult, error) {
-	if opt.Timeout == 0 {
-		opt.Timeout = 24 * time.Hour
-	}
-	if opt.PodResources.IsZero() {
-		opt.PodResources = resources.New(1, 4096, 10000)
-	}
-	if opt.InitialReplicas == 0 {
-		opt.InitialReplicas = 3
-	}
-	eng := simclock.NewEngine(SimStart)
-	if opt.Kube.Seed == 0 {
-		opt.Kube.Seed = 1
-	}
-	cluster := kubesim.NewCluster(eng, opt.Kube)
-	defer cluster.Stop()
-	master := wq.NewMaster(eng, nil)
-	master.SetAdmissionPolicy(opt.Admission)
-	binder := bind.Workers(cluster, master, map[string]string{"app": "wq-worker"})
-	ws := kubesim.NewWorkerSet(cluster, "wq-workers", kubesim.PodSpec{
-		Image:     "wq-worker",
-		Resources: opt.PodResources,
-		Labels:    map[string]string{"app": "wq-worker"},
-	}, opt.InitialReplicas)
-	defer ws.Stop()
-	h := hpa.New(cluster, ws, opt.HPA)
-	defer h.Stop()
-	sm := newSampler(master, cluster, opt.HPA.MaxReplicas)
-	sm.desiredFn = func() int { return h.LastDesired }
-	sm.quotaCores = float64(cluster.Config().MaxNodes) * cluster.Config().NodeAllocatable.CoresValue()
-	ticker := eng.Every(SampleInterval, "sampler", func() { sm.sample(eng.Now()) })
-	defer ticker.Stop()
-	res, err := runStreamCommon(name, eng, master, master, tasks, sm, opt.Timeout)
-	if err != nil {
-		return nil, err
-	}
-	if err := binder.Err(); err != nil {
-		return nil, err
-	}
-	res.ScalingActions = h.Actions()
-	return res, nil
+	return simulate(name, opt.stack(), &htaScaler{cfg: opt.HTA}, &taskStream{tasks: tasks})
 }
 
 // RunHTAWorkflowStream executes timed workflow submissions — whole
-// DAGs arriving over time at a long-lived master — through HTA. Each
+// DAGs arriving over time at a long-lived master — through HTA.
+// Admission shedding is incompatible with DAG semantics — a shed node
+// would never complete — so opt.Admission is ignored here.
+func RunHTAWorkflowStream(name string, wfs []workload.TimedWorkflow, opt HTAOptions) (*RunResult, error) {
+	opt.Admission = wq.AdmissionPolicy{}
+	return simulate(name, opt.stack(), &htaScaler{cfg: opt.HTA}, &workflowStream{wfs: wfs})
+}
+
+// taskStream submits timed tasks open-loop and ends the run once every
+// arrival reached a terminal outcome — completed, quarantined, or shed
+// at the admission cap — leaving the scaler as it stands. It records
+// completed-task sojourn quantiles, timed from the master's submission.
+type taskStream struct {
+	tasks    []workload.TimedTask
+	sojourns []time.Duration
+}
+
+func (s *taskStream) start(r *run) {
+	terminal := 0
+	outcome := func() {
+		if terminal++; terminal == len(s.tasks) {
+			r.finish()
+		}
+	}
+	r.master.OnComplete(func(res wq.Result) {
+		s.sojourns = append(s.sojourns, res.Task.FinishedAt.Sub(res.Task.SubmittedAt))
+		outcome()
+	})
+	r.master.OnTaskFailed(func(wq.Task) { outcome() })
+	r.master.OnRejected(func(wq.Task) { outcome() })
+	for _, tt := range s.tasks {
+		spec := tt.Spec
+		r.eng.At(r.eng.Now().Add(tt.At), "stream-arrival", func() { r.target.Submit(spec) })
+	}
+	if len(s.tasks) == 0 {
+		r.finish()
+	}
+}
+
+func (s *taskStream) report(res *RunResult) error {
+	q := metrics.DurationQuantiles(s.sojourns, 0.50, 0.99)
+	res.SojournP50, res.SojournP99 = q[0], q[1]
+	return nil
+}
+
+// timedTasks feeds a comparison one stream, in its declared copy to
+// every scaler but HTA.
+func timedTasks(decl, undecl []workload.TimedTask) func(scaler) (arrivals, error) {
+	return func(sc scaler) (arrivals, error) {
+		if declared(sc) {
+			return &taskStream{tasks: decl}, nil
+		}
+		return &taskStream{tasks: undecl}, nil
+	}
+}
+
+// workflowStream submits whole workflows at their arrival times. Each
 // arrival becomes its own flow.Runner sharing the scheduler; node IDs
 // are the globally unique task tags, so concurrent workflows cannot
-// claim each other's completions. The run finishes when every
-// workflow's DAG is done (admission shedding is incompatible with DAG
-// semantics — a shed node would never complete — so opt.Admission is
-// ignored here).
-func RunHTAWorkflowStream(name string, wfs []workload.TimedWorkflow, opt HTAOptions) (*RunResult, error) {
-	if opt.Timeout == 0 {
-		opt.Timeout = 24 * time.Hour
-	}
-	eng := simclock.NewEngine(SimStart)
-	if opt.Kube.Seed == 0 {
-		opt.Kube.Seed = 1
-	}
-	cluster := kubesim.NewCluster(eng, opt.Kube)
-	defer cluster.Stop()
-	master := wq.NewMaster(eng, nil)
-	a := core.New(eng, cluster, master, opt.HTA)
-	if err := a.Start(); err != nil {
-		return nil, err
-	}
-	sm := newSampler(master, cluster, opt.Kube.MaxNodes)
-	sm.estimator = a.Monitor()
-	sm.heldFn = a.HeldTasks
-	sm.desiredFn = a.WorkerPodCount
-	sm.quotaCores = float64(cluster.Config().MaxNodes) * cluster.Config().NodeAllocatable.CoresValue()
-	ticker := eng.Every(SampleInterval, "sampler", func() { sm.sample(eng.Now()) })
-	defer ticker.Stop()
+// claim each other's completions. The run ends when every workflow's
+// DAG is done.
+type workflowStream struct {
+	wfs     []workload.TimedWorkflow
+	runners []*flow.Runner
+}
 
-	res := &RunResult{Name: name, Start: eng.Now()}
-	countRequeues(master, res)
+func (s *workflowStream) start(r *run) {
 	done := 0
-	runners := make([]*flow.Runner, 0, len(wfs))
-	var buildErr error
-	for _, wf := range wfs {
+	for _, wf := range s.wfs {
 		wf := wf
-		eng.At(eng.Now().Add(wf.At), "workflow-arrival", func() {
-			if buildErr != nil {
+		r.eng.At(r.eng.Now().Add(wf.At), "workflow-arrival", func() {
+			if r.failed != nil {
 				return
 			}
 			g, spec, err := workflowGraph(wf)
 			if err != nil {
-				buildErr = err
+				r.fail(err)
 				return
 			}
-			r := flow.NewRunner(g, a, spec)
-			r.OnAllDone(func() { done++ })
-			runners = append(runners, r)
-			r.Start()
+			fr := flow.NewRunner(g, r.target, spec)
+			fr.OnAllDone(func() {
+				if done++; done == len(s.wfs) {
+					r.finish()
+				}
+			})
+			s.runners = append(s.runners, fr)
+			fr.Start()
 		})
 	}
-	sm.sample(eng.Now())
-	deadline := eng.Now().Add(opt.Timeout)
-	eng.RunWhile(func() bool {
-		return done < len(wfs) && buildErr == nil && eng.Now().Before(deadline)
-	})
-	if buildErr != nil {
-		return nil, buildErr
+	if len(s.wfs) == 0 {
+		r.finish()
 	}
-	if done < len(wfs) {
-		return nil, &ErrTimeout{Name: name, Deadline: opt.Timeout, Stats: master.Stats()}
-	}
-	for _, r := range runners {
-		if err := r.Err(); err != nil {
-			return nil, err
+}
+
+func (s *workflowStream) report(*RunResult) error {
+	for _, fr := range s.runners {
+		if err := fr.Err(); err != nil {
+			return err
 		}
 	}
-	res.End = eng.Now()
-	res.Runtime = eng.Elapsed()
-	res.Completed = master.CompletedCount()
-	res.ScalingActions = scaleActions(a.Decisions)
-	res.Panics = a.PanicCount()
-	captureFailures(res, master, nil)
-	sm.finish(res)
-	return res, nil
+	return nil
 }
 
 // workflowGraph builds a dependency-free DAG for one workflow whose
@@ -254,47 +161,26 @@ func workflowGraph(wf workload.TimedWorkflow) (*dag.Graph, flow.SpecFunc, error)
 	return g, func(n dag.Node) wq.TaskSpec { return byID[n.ID] }, nil
 }
 
-// Stream runs S2.
+// Stream runs S2; the two scalers run concurrently.
 func Stream(seed int64) (*StreamReport, error) {
-	rep := &StreamReport{Runs: make(map[string]*RunResult)}
-	kube := kubesim.Config{
-		InitialNodes:   3,
-		MinNodes:       1,
-		MaxNodes:       20,
-		ScaleDownDelay: 10 * time.Minute,
-		Seed:           seed,
-	}
-
 	ps := workload.DefaultStream()
 	ps.Seed = seed
+	undeclared := ps.Tasks()
 	ps.Declared = true
 	tasks := ps.Tasks()
-	rep.Tasks = len(tasks)
-	hpaRes, err := RunHPAStream("HPA(20% CPU)", tasks, HPAOptions{
-		Kube: kube,
-		HPA: hpa.Config{
-			TargetCPUUtilization: 0.20,
-			MinReplicas:          3,
-			MaxReplicas:          60,
-		},
-	})
+	kube := fig10Kube(seed)
+	runs, err := compare(stackConfig{kube: &kube}, []entrant{
+		{"HPA(20% CPU)", hpaScaler(hpa.Config{TargetCPUUtilization: 0.20, MinReplicas: 3, MaxReplicas: 60}, resources.Vector{}, 0)},
+		{"HTA", &htaScaler{cfg: core.Config{MaxWorkers: 20}}},
+	}, timedTasks(tasks, undeclared))
 	if err != nil {
 		return nil, err
 	}
-	rep.Runs[hpaRes.Name] = hpaRes
-	rep.Rows = append(rep.Rows, summaryRow(hpaRes.Name, hpaRes))
-
-	pu := workload.DefaultStream()
-	pu.Seed = seed // undeclared: HTA measures the category
-	htaRes, err := RunHTAStream("HTA", pu.Tasks(), HTAOptions{
-		Kube: kube,
-		HTA:  core.Config{MaxWorkers: 20},
-	})
-	if err != nil {
-		return nil, err
+	rep := &StreamReport{Runs: make(map[string]*RunResult), Tasks: len(tasks)}
+	for _, res := range runs {
+		rep.Runs[res.Name] = res
+		rep.Rows = append(rep.Rows, summaryRow(res.Name, res))
 	}
-	rep.Runs["HTA"] = htaRes
-	rep.Rows = append(rep.Rows, summaryRow("HTA", htaRes))
 	return rep, nil
 }
 

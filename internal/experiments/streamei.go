@@ -8,13 +8,14 @@ import (
 	"hta/internal/core"
 	"hta/internal/hpa"
 	"hta/internal/kubesim"
+	"hta/internal/resources"
 	"hta/internal/workload"
 	"hta/internal/wq"
 )
 
 // StreamEIConfig parameterizes experiment E-I. DefaultStreamEIConfig
 // is the full trace-driven day; SmokeStreamEIConfig is the compressed
-// variant CI's determinism job runs.
+// variant the tests and the golden pins run.
 type StreamEIConfig struct {
 	Seed int64
 	// Trace is the per-task arrival process (HTA cells submit it
@@ -137,55 +138,30 @@ func StreamEI(seed int64) (*StreamEIReport, error) {
 	return StreamEIWith(DefaultStreamEIConfig(seed))
 }
 
-// StreamEIWith runs E-I under an explicit configuration.
+// StreamEIWith runs E-I under an explicit configuration; the three
+// cells run concurrently on one stack configuration.
 func StreamEIWith(cfg StreamEIConfig) (*StreamEIReport, error) {
-	rep := &StreamEIReport{Runs: make(map[string]*RunResult), Window: cfg.Trace.Window}
-
 	decl := cfg.Trace
 	decl.Declared = true
 	declTasks := decl.Tasks()
-	rep.Tasks = len(declTasks)
 
-	hpaRes, err := RunHPAStream("HPA", declTasks, HPAOptions{
-		Kube:      cfg.Kube,
-		HPA:       cfg.HPA,
-		Admission: cfg.Admission,
-		Timeout:   cfg.Timeout,
-	})
+	hta := core.Config{MaxWorkers: cfg.MaxWorkers, DefaultCycle: cfg.Cycle}
+	panicky := hta
+	panicky.Panic = cfg.Panic
+	panicky.Panic.Enabled = true
+	runs, err := compare(stackConfig{kube: &cfg.Kube, admission: cfg.Admission, timeout: cfg.Timeout}, []entrant{
+		{"HPA", hpaScaler(cfg.HPA, resources.Vector{}, 0)},
+		{"HTA", &htaScaler{cfg: hta}},
+		{"HTA-panic", &htaScaler{cfg: panicky}},
+	}, timedTasks(declTasks, cfg.Trace.Tasks()))
 	if err != nil {
 		return nil, err
 	}
-	if err := rep.add(hpaRes); err != nil {
-		return nil, err
-	}
-
-	tasks := cfg.Trace.Tasks() // undeclared copy for the HTA cells
-	htaOpt := HTAOptions{
-		Kube: cfg.Kube,
-		HTA: core.Config{
-			MaxWorkers:   cfg.MaxWorkers,
-			DefaultCycle: cfg.Cycle,
-		},
-		Admission: cfg.Admission,
-		Timeout:   cfg.Timeout,
-	}
-	htaRes, err := RunHTAStream("HTA", tasks, htaOpt)
-	if err != nil {
-		return nil, err
-	}
-	if err := rep.add(htaRes); err != nil {
-		return nil, err
-	}
-
-	panicOpt := htaOpt
-	panicOpt.HTA.Panic = cfg.Panic
-	panicOpt.HTA.Panic.Enabled = true
-	panicRes, err := RunHTAStream("HTA-panic", tasks, panicOpt)
-	if err != nil {
-		return nil, err
-	}
-	if err := rep.add(panicRes); err != nil {
-		return nil, err
+	rep := &StreamEIReport{Runs: make(map[string]*RunResult), Tasks: len(declTasks), Window: cfg.Trace.Window}
+	for _, res := range runs {
+		if err := rep.add(res); err != nil {
+			return nil, err
+		}
 	}
 	return rep, nil
 }

@@ -7,8 +7,6 @@ import (
 
 	"hta/internal/core"
 	"hta/internal/hpa"
-	"hta/internal/resources"
-	"hta/internal/workload"
 )
 
 // SweepInitLatencyReport (S1) sweeps the cloud's node-provisioning
@@ -32,72 +30,34 @@ type SweepRow struct {
 }
 
 // SweepInitLatency runs S1 over the given provisioning means
-// (defaults: 30 s, 140 s, 400 s). Every (latency, autoscaler) cell is
-// an independent simulation; the sweep fans all of them out through
-// the parallel harness and assembles rows by index, preserving the
-// serial ordering (per mean: HPA row, then HTA row).
+// (defaults: 30 s, 140 s, 400 s). At each point HPA-20% and HTA run
+// concurrently on one cluster configuration; rows come per mean: HPA
+// row, then HTA row.
 func SweepInitLatency(seed int64, means ...time.Duration) (*SweepInitLatencyReport, error) {
 	if len(means) == 0 {
 		means = []time.Duration{30 * time.Second, 140 * time.Second, 400 * time.Second}
 	}
-	podRes := resources.Vector{MilliCPU: 1000, MemoryMB: 4096, DiskMB: 20000}
-	rows := make([]SweepRow, 2*len(means))
-	err := Parallel(len(rows), func(i int) error {
-		mean := means[i/2]
-		kube := fig10Kube(seed)
-		kube.ProvisionMean = mean
-		kube.ProvisionStdDev = time.Duration(float64(mean) * 0.03)
-		kube.ProvisionMin = mean / 4
-
-		p := workload.DefaultMultistage()
-		p.Seed = seed
-		if i%2 == 0 {
-			p.Declared = true
-			g, spec, err := p.Build()
-			if err != nil {
-				return err
-			}
-			hpaRes, err := RunHPA("HPA", Workload{Graph: g, Spec: spec}, HPAOptions{
-				Kube:            kube,
-				PodResources:    podRes,
-				InitialReplicas: 3,
-				HPA: hpa.Config{
-					TargetCPUUtilization: 0.20,
-					MaxReplicas:          60,
-				},
-				Timeout: fig10Timeout,
+	rep := &SweepInitLatencyReport{}
+	for _, mean := range means {
+		cfg := fig10Stack(seed)
+		cfg.kube.ProvisionMean = mean
+		cfg.kube.ProvisionStdDev = time.Duration(float64(mean) * 0.03)
+		cfg.kube.ProvisionMin = mean / 4
+		runs, err := compare(cfg, []entrant{
+			{"HPA-20%", fig10HPA(hpa.Config{TargetCPUUtilization: 0.20})},
+			{"HTA", &htaScaler{cfg: core.Config{MaxWorkers: 20}}},
+		}, multistageBags(seed, [3]int{}))
+		if err != nil {
+			return nil, err
+		}
+		for _, res := range runs {
+			rep.Rows = append(rep.Rows, SweepRow{
+				ProvisionMean: mean, Autoscaler: res.Name,
+				Runtime: res.Runtime, Waste: res.AccumulatedWaste(), Shortage: res.AccumulatedShortage(),
 			})
-			if err != nil {
-				return err
-			}
-			rows[i] = SweepRow{
-				ProvisionMean: mean, Autoscaler: "HPA-20%",
-				Runtime: hpaRes.Runtime, Waste: hpaRes.AccumulatedWaste(), Shortage: hpaRes.AccumulatedShortage(),
-			}
-			return nil
 		}
-		g, spec, err := p.Build()
-		if err != nil {
-			return err
-		}
-		htaRes, err := RunHTA("HTA", Workload{Graph: g, Spec: spec}, HTAOptions{
-			Kube:    kube,
-			HTA:     core.Config{MaxWorkers: 20},
-			Timeout: fig10Timeout,
-		})
-		if err != nil {
-			return err
-		}
-		rows[i] = SweepRow{
-			ProvisionMean: mean, Autoscaler: "HTA",
-			Runtime: htaRes.Runtime, Waste: htaRes.AccumulatedWaste(), Shortage: htaRes.AccumulatedShortage(),
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return &SweepInitLatencyReport{Rows: rows}, nil
+	return rep, nil
 }
 
 // String renders the sweep table.

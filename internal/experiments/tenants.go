@@ -66,7 +66,8 @@ func DefaultTenantsEJConfig(seed int64, tenants int) TenantsEJConfig {
 	}
 }
 
-// SmokeTenantsEJConfig is the T=100 variant CI's determinism job runs.
+// SmokeTenantsEJConfig is the T=100 variant the tests and the golden
+// pins run.
 func SmokeTenantsEJConfig(seed int64) TenantsEJConfig {
 	cfg := DefaultTenantsEJConfig(seed, 100)
 	cfg.BlastTasks = 9
