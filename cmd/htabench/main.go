@@ -6,7 +6,7 @@
 // Usage:
 //
 //	htabench [-seed N] [-runs fig2,fig4,fig6,fig10,fig11,ablations,sweeps,stream,chaos,recovery,io,ioscale,tenants,tenantchaos]
-//	         [-json] [-cpuprofile FILE] [-memprofile FILE]
+//	         [-csv DIR] [-html FILE] [-cpuprofile FILE] [-memprofile FILE]
 //
 // A name -runs does not know is a usage error (exit 2, the valid names
 // on stderr); -runs none selects nothing.
@@ -18,36 +18,13 @@
 // fleets unlocked by the lane-sharded engine (months of virtual
 // time; -runs ioscale).
 //
-// -json additionally runs the scale benchmarks (10k-task dispatch
-// storm, parallel-vs-serial sweep, and the paired indexed-vs-naive
-// control-plane benchmarks), writing their wall-clock results to
-// BENCH_3.json, the E-F fault-injection experiment, writing its
-// summary to BENCH_2.json, the E-G control-plane crash-recovery
-// experiment, writing its summary to BENCH_4.json, and the E-H fleet
-// sweep plus the paired indexed-vs-reference link benchmark, writing
-// their results to BENCH_5.json, and the engine-core pairs (event
-// churn, batch scheduling, dispatch storm) plus the 100k-worker
-// headline cells and the E-H 50k/100k extension, writing their
-// results to BENCH_6.json, and the E-I open-system streaming
-// experiment (HPA vs HTA vs HTA-panic on the trace-driven day),
-// writing its summary to BENCH_7.json, and the E-J multi-tenant
-// arbitration experiment (fair-share vs quota vs a single shared
-// autoscaler at 100 and 1000 tenants, plus the incremental-vs-
-// reference arbiter-cycle cost pair), writing its summary to
-// BENCH_8.json, and the E-K tenant fault-isolation experiment
-// (tenant-master kills, an arbiter crash/restore, membership churn)
-// plus the arbiter snapshot/restore round-trip probe, writing its
-// summary to BENCH_9.json, and the memory-engine scale ladder (the
-// dispatch cells up to 1M workers / 10M tasks, each with its heap
-// trajectory: peak HeapAlloc, TotalAlloc, GC cycles, pause time),
-// writing its results to BENCH_10.json; combine with -runs none to
-// run only them, or with -runs scale to run only the memory-engine
-// ladder.
-// (BENCH_1.json is the pre-control-plane-scaling historical record.)
+// htabench prints experiment tables only. Wall-clock performance is
+// measured by the gated end-to-end benchmark (benchmark/run.sh) and by
+// the packages' go test -bench benchmarks.
 //
 // -cpuprofile and -memprofile write pprof profiles covering whatever
 // the invocation ran — the standard way to find the next control-plane
-// hotspot.
+// hotspot. Failing to write either profile exits 1.
 package main
 
 import (
@@ -74,7 +51,7 @@ func main() {
 // writers fire on every path (os.Exit skips defers). A malformed flag
 // or an unknown -runs name is a usage error: nothing runs, the valid
 // names go to stderr and the exit code is 2.
-func run(args []string, stderr io.Writer) int {
+func run(args []string, stderr io.Writer) (code int) {
 	flags := flag.NewFlagSet("htabench", flag.ContinueOnError)
 	flags.SetOutput(stderr)
 	seed := flags.Int64("seed", 1, "simulation seed")
@@ -82,8 +59,6 @@ func run(args []string, stderr io.Writer) int {
 		"comma-separated experiments to run")
 	csvDir := flags.String("csv", "", "directory to export per-run CSV series into")
 	htmlOut := flags.String("html", "", "write an HTML report with SVG charts to this file")
-	jsonBench := flags.Bool("json", false,
-		"run the scale benchmarks and write wall-clock results to "+scaleBenchFile)
 	cpuProfile := flags.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flags.String("memprofile", "", "write a heap profile taken at exit to this file")
 	if err := flags.Parse(args); err != nil {
@@ -113,9 +88,8 @@ func run(args []string, stderr io.Writer) int {
 		{"tenants", func() (fmt.Stringer, error) { return experiments.TenantsEJ(*seed, 100) }},
 		{"tenantchaos", func() (fmt.Stringer, error) { return experiments.TenantChaosEK(*seed) }},
 	}
-	// "none" selects nothing and "scale" narrows -json to the
-	// memory-engine ladder; neither is an experiment.
-	valid := []string{"none", "scale"}
+	// "none" selects nothing; it is not an experiment.
+	valid := []string{"none"}
 	for _, ex := range all {
 		valid = append(valid, ex.name)
 	}
@@ -143,16 +117,23 @@ func run(args []string, stderr io.Writer) int {
 		defer pprof.StopCPUProfile()
 	}
 	if *memProfile != "" {
+		// The heap profile is written on the way out, so a failure can
+		// only reach the exit code through the named result.
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
 				fmt.Fprintln(stderr, err)
+				code = 1
 				return
 			}
-			defer f.Close()
 			runtime.GC() // settle live heap before the snapshot
-			if err := pprof.WriteHeapProfile(f); err != nil {
+			err = pprof.WriteHeapProfile(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
 				fmt.Fprintln(stderr, err)
+				code = 1
 			}
 		}()
 	}
@@ -186,54 +167,6 @@ func run(args []string, stderr io.Writer) int {
 			if a, ok := rep.(experiments.PageAdder); ok {
 				a.AddToPage(page)
 			}
-		}
-	}
-	if *jsonBench {
-		if selected["scale"] {
-			// -runs scale -json: just the memory-engine scale ladder
-			// (BENCH_10.json) — the headline cells take ~1 min; the full
-			// bench battery takes far longer.
-			if err := runMemoryBench(*seed); err != nil {
-				fmt.Fprintf(stderr, "memory bench: %v\n", err)
-				return 1
-			}
-			return 0
-		}
-		if err := runScaleBench(*seed); err != nil {
-			fmt.Fprintf(stderr, "scale bench: %v\n", err)
-			failed = true
-		}
-		if err := runChaosBench(*seed); err != nil {
-			fmt.Fprintf(stderr, "chaos bench: %v\n", err)
-			failed = true
-		}
-		if err := runRecoveryBench(*seed); err != nil {
-			fmt.Fprintf(stderr, "recovery bench: %v\n", err)
-			failed = true
-		}
-		if err := runIOBench(*seed); err != nil {
-			fmt.Fprintf(stderr, "io bench: %v\n", err)
-			failed = true
-		}
-		if err := runEngineBench(*seed); err != nil {
-			fmt.Fprintf(stderr, "engine bench: %v\n", err)
-			failed = true
-		}
-		if err := runStreamBench(*seed); err != nil {
-			fmt.Fprintf(stderr, "stream bench: %v\n", err)
-			failed = true
-		}
-		if err := runTenantBench(*seed); err != nil {
-			fmt.Fprintf(stderr, "tenant bench: %v\n", err)
-			failed = true
-		}
-		if err := runTenantChaosBench(*seed); err != nil {
-			fmt.Fprintf(stderr, "tenant chaos bench: %v\n", err)
-			failed = true
-		}
-		if err := runMemoryBench(*seed); err != nil {
-			fmt.Fprintf(stderr, "memory bench: %v\n", err)
-			failed = true
 		}
 	}
 	if page != nil && !failed {

@@ -69,10 +69,6 @@ type Config struct {
 	// WorkerImage is the worker-pod container image (default
 	// "wq-worker").
 	WorkerImage string
-	// Naive routes every cycle through the retained full-replan
-	// reference arbiter (reference.go) instead of the incremental
-	// path.
-	Naive bool
 	// Quarantine configures the crash-looping-tenant breaker
 	// (lifecycle.go). The zero value disables it.
 	Quarantine QuarantinePolicy
@@ -187,6 +183,9 @@ type Arbiter struct {
 	eng     *simclock.Engine
 	cluster *kubesim.Cluster
 	cfg     Config
+	// naive routes every cycle through the retained full-replan
+	// reference arbiter (reference.go); see SetNaiveArbitration.
+	naive bool
 
 	// template is the shared cluster-roster fact every tenant plans
 	// against: the node-sized worker capacity, snapshotted once at
@@ -302,15 +301,16 @@ func (a *Arbiter) Stats() Stats { return a.stats }
 // returned slice is the arbiter's live scratch; callers must not
 // retain or mutate it.
 func (a *Arbiter) Grants() []int64 {
-	if a.cfg.Naive {
+	if a.naive {
 		return a.refGrant
 	}
 	return a.grant
 }
 
 // SetNaiveArbitration routes subsequent cycles through the retained
-// full-replan reference arbiter (reference.go).
-func (a *Arbiter) SetNaiveArbitration(v bool) { a.cfg.Naive = v }
+// full-replan reference arbiter (reference.go) instead of the
+// incremental path.
+func (a *Arbiter) SetNaiveArbitration(v bool) { a.naive = v }
 
 // Start begins the arbitration loop.
 func (a *Arbiter) Start() error {
@@ -362,7 +362,7 @@ func (a *Arbiter) RunCycle() {
 	}
 	a.stats.Cycles++
 	grant := a.grant
-	if a.cfg.Naive {
+	if a.naive {
 		grant = a.refGrant
 		a.referencePlan(grant)
 	} else {
@@ -375,10 +375,10 @@ func (a *Arbiter) RunCycle() {
 // PlanOnly runs the planning half of a cycle — demand digests plus the
 // allocation pass — without committing virtual-service counters or
 // touching pods. It isolates the arbitration cost the perf headline is
-// about (used by BenchmarkArbiterCycle and htabench's E-J cycle-cost
-// probe). Returns the live grant scratch; callers must not retain it.
+// about (used by BenchmarkArbiterCycle). Returns the live grant
+// scratch; callers must not retain it.
 func (a *Arbiter) PlanOnly() []int64 {
-	if a.cfg.Naive {
+	if a.naive {
 		a.referencePlan(a.refGrant)
 		return a.refGrant
 	}

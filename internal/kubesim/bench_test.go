@@ -31,19 +31,17 @@ func BenchmarkSchedulerSweep(b *testing.B) {
 // first third of the fleet. The mass placement always runs with the
 // indexed predicates — a naive mass pass at this scale takes minutes
 // and is setup, not the thing measured — and the requested mode is
-// restored before the churn rounds.
+// switched on only before the churn rounds.
 func benchChurnCluster(b *testing.B, naive bool) *Cluster {
 	b.Helper()
 	eng := simclock.NewEngine(t0)
 	c := NewCluster(eng, Config{
-		InitialNodes:    2000,
-		MinNodes:        2000,
-		MaxNodes:        2000,
-		Seed:            1,
-		NaiveScheduling: naive,
+		InitialNodes: 2000,
+		MinNodes:     2000,
+		MaxNodes:     2000,
+		Seed:         1,
 	})
 	b.Cleanup(c.Stop)
-	c.cfg.NaiveScheduling = false
 	for i := 0; i < 4000; i++ {
 		if _, err := c.CreatePod(smallPod(fmt.Sprintf("resident-%d", i))); err != nil {
 			b.Fatal(err)
@@ -53,7 +51,7 @@ func benchChurnCluster(b *testing.B, naive bool) *Cluster {
 	if n := c.pendingLive; n != 0 {
 		b.Fatalf("%d residents unschedulable after setup", n)
 	}
-	c.cfg.NaiveScheduling = naive
+	c.SetNaiveScheduling(naive)
 	return c
 }
 

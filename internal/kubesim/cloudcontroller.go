@@ -52,7 +52,7 @@ func (c *Cluster) removeNode(n *Node) {
 // scaleDirty says its inputs moved, scale-down only when some
 // emptiness stamp can have expired.
 func (c *Cluster) cloudControllerOnce() {
-	if c.cfg.NaiveScheduling {
+	if c.naive {
 		c.naiveCloudControllerOnce()
 		return
 	}
@@ -203,7 +203,7 @@ func (c *Cluster) failNode(name, reason string) error {
 		return fmt.Errorf("kubesim: node %q not found", name)
 	}
 	var victims []string
-	if c.cfg.NaiveScheduling {
+	if c.naive {
 		for _, p := range c.ListPods(nil) {
 			if p.NodeName == name && !p.Terminal() {
 				victims = append(victims, p.Name)

@@ -62,12 +62,6 @@ type Config struct {
 	ScaleDownDelay time.Duration
 	// Seed drives all stochastic latencies.
 	Seed int64
-	// NaiveScheduling switches the control plane to the retained
-	// reference implementations of the scheduling predicates and
-	// sweeps (full pod-store scans, fresh node sorts per pass). The
-	// decisions are identical to the indexed fast path; the flag
-	// exists for differential tests and benchmark baselines.
-	NaiveScheduling bool
 }
 
 func (c Config) withDefaults() Config {
@@ -127,6 +121,9 @@ type Cluster struct {
 	lane simclock.Lane // engine lane for controller batches
 	cfg  Config
 	rng  *simclock.RNG
+	// naive routes the scheduling predicates and sweeps through the
+	// retained reference forms (reference.go); see SetNaiveScheduling.
+	naive bool
 
 	pods         map[string]*Pod
 	nodes        map[string]*Node
@@ -137,7 +134,7 @@ type Cluster struct {
 	// (non-terminal) pods bound to each node; podsByLabel holds every
 	// stored pod under each of its label pairs (labels are immutable
 	// after CreatePod). The naive reference path
-	// (Config.NaiveScheduling) ignores every index in this block and
+	// (SetNaiveScheduling) ignores every index in this block and
 	// rescans the stores; maintenance is unconditional.
 	podsByNode  map[string]map[string]*Pod
 	podsByLabel map[string]map[string]*Pod
@@ -253,11 +250,14 @@ func (c *Cluster) SetSchedulerSlowdown(factor float64) {
 }
 
 // SetNaiveScheduling switches the control plane between the indexed
-// read paths and the retained naive reference forms at runtime. Index
-// maintenance is unconditional, so the switch is valid at any point in
-// a cluster's life; benchmarks use it to build large fixtures with the
-// indexed paths before timing the naive ones.
-func (c *Cluster) SetNaiveScheduling(naive bool) { c.cfg.NaiveScheduling = naive }
+// read paths and the retained naive reference forms of the scheduling
+// predicates and sweeps (full pod-store scans, fresh node sorts per
+// pass). The decisions are identical either way; the switch exists for
+// differential tests and benchmark baselines. Index maintenance is
+// unconditional, so the switch is valid at any point in a cluster's
+// life; benchmarks use it to build large fixtures with the indexed
+// paths before timing the naive ones.
+func (c *Cluster) SetNaiveScheduling(naive bool) { c.naive = naive }
 
 // Clock returns the cluster's simulation clock.
 func (c *Cluster) Clock() simclock.Clock { return c.eng }
@@ -488,7 +488,7 @@ func (c *Cluster) GetPod(name string) (Pod, bool) {
 // instead of the whole store.
 func (c *Cluster) ListPods(selector map[string]string) []Pod {
 	var out []Pod
-	if len(selector) == 0 || c.cfg.NaiveScheduling {
+	if len(selector) == 0 || c.naive {
 		for _, p := range c.pods {
 			if p.MatchesSelector(selector) {
 				out = append(out, p.DeepCopy())
@@ -521,7 +521,7 @@ func (c *Cluster) Nodes() []Node {
 
 // ReadyNodes returns the number of ready nodes.
 func (c *Cluster) ReadyNodes() int {
-	if c.cfg.NaiveScheduling {
+	if c.naive {
 		return c.naiveReadyNodes()
 	}
 	return c.readyNodes
@@ -546,7 +546,7 @@ func (c *Cluster) ReadyNodeNames() []string {
 
 // PodsOnNode returns the count of non-terminal pods bound to the node.
 func (c *Cluster) PodsOnNode(name string) int {
-	if c.cfg.NaiveScheduling {
+	if c.naive {
 		n := 0
 		for _, p := range c.pods {
 			if p.NodeName == name && !p.Terminal() {
@@ -560,7 +560,7 @@ func (c *Cluster) PodsOnNode(name string) int {
 
 // TotalAllocatable returns the summed allocatable of ready nodes.
 func (c *Cluster) TotalAllocatable() resources.Vector {
-	if c.cfg.NaiveScheduling {
+	if c.naive {
 		return c.naiveTotalAllocatable()
 	}
 	return c.totalAllocatable
@@ -675,7 +675,7 @@ func (c *Cluster) AvgCPUUtilization(selector map[string]string) (float64, int) {
 			usedMilli += p.usage().MilliCPU
 		}
 	}
-	if len(selector) == 0 || c.cfg.NaiveScheduling {
+	if len(selector) == 0 || c.naive {
 		for _, p := range c.pods {
 			sample(p)
 		}

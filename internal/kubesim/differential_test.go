@@ -33,13 +33,13 @@ func runChurnScript(t *testing.T, seed int64, naive bool) churnResult {
 	t.Helper()
 	eng := simclock.NewEngine(t0)
 	c := NewCluster(eng, Config{
-		InitialNodes:    6,
-		MinNodes:        2,
-		MaxNodes:        14,
-		Seed:            seed,
-		NaiveScheduling: naive,
-		ScaleDownDelay:  90 * time.Second,
+		InitialNodes:   6,
+		MinNodes:       2,
+		MaxNodes:       14,
+		Seed:           seed,
+		ScaleDownDelay: 90 * time.Second,
 	})
+	c.SetNaiveScheduling(naive)
 	defer c.Stop()
 	// Deterministic pull fault: fails the first attempt for a slice of
 	// node/image pairs, exercising the kubelet backoff path.
@@ -189,13 +189,13 @@ func runFleetScript(t *testing.T, seed int64, naive bool) churnResult {
 	rng := rand.New(rand.NewSource(seed))
 	quota := 22 + rng.Intn(8)
 	c := NewCluster(eng, Config{
-		InitialNodes:    3,
-		MinNodes:        2,
-		MaxNodes:        quota,
-		Seed:            seed,
-		NaiveScheduling: naive,
-		ScaleDownDelay:  2 * time.Minute,
+		InitialNodes:   3,
+		MinNodes:       2,
+		MaxNodes:       quota,
+		Seed:           seed,
+		ScaleDownDelay: 2 * time.Minute,
 	})
+	c.SetNaiveScheduling(naive)
 	defer c.Stop()
 	podN := 0
 	burst := func(n int) {

@@ -9,8 +9,8 @@ import (
 )
 
 // This file retains the pre-index control-plane primitives and the
-// pre-incremental sweeps verbatim. A cluster built with
-// Config.NaiveScheduling routes every scheduling predicate and sweep
+// pre-incremental sweeps verbatim. A cluster switched by
+// SetNaiveScheduling routes every scheduling predicate and sweep
 // through them, giving differential tests and benchmarks a reference
 // whose decisions the indexed fast path must reproduce byte-for-byte:
 // the naive forms recompute node occupancy by scanning the entire pod

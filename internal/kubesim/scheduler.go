@@ -16,7 +16,7 @@ func (p *Pod) waiting() bool { return p.Phase == PodPending && p.NodeName == "" 
 
 // nodeIsEmpty reports whether no live pod is bound to the node.
 func (c *Cluster) nodeIsEmpty(n *Node) bool {
-	if c.cfg.NaiveScheduling {
+	if c.naive {
 		return c.naiveNodeIsEmpty(n)
 	}
 	return n.livePods == 0
@@ -106,7 +106,7 @@ func (c *Cluster) fits(request, free resources.Vector) bool {
 // sync (see the dirty flags on Cluster); the ticker still fires every
 // period.
 func (c *Cluster) scheduleOnce() {
-	if c.cfg.NaiveScheduling {
+	if c.naive {
 		c.naiveScheduleOnce()
 	} else {
 		if c.ssDirty {
@@ -207,7 +207,7 @@ func compareNodes(a, b *Node) int {
 // does happen under such a walk (scaleDownEmpty), is filtered out into
 // a fresh backing array instead, so the older snapshot stays intact.
 func (c *Cluster) sortedNodes() []*Node {
-	if c.cfg.NaiveScheduling {
+	if c.naive {
 		return c.naiveSortedNodes()
 	}
 	if c.nodeSorted < len(c.nodeList) {

@@ -87,10 +87,9 @@ func BenchmarkScaleDispatch(b *testing.B) {
 // BenchmarkDispatchMemoryProbe is the 100k headline cell with a heap
 // probe riding the simulation: a self-rearming 10-simulated-second
 // timer samples runtime.MemStats, and the peak HeapAlloc and GC count
-// are reported as benchmark metrics. htabench records the same
-// trajectory for the full ladder in BENCH_10.json; this is the CI
-// smoke that catches a memory-footprint regression without a full
-// bench run.
+// are reported as benchmark metrics. The larger rungs of the ladder
+// are BenchmarkScaleDispatch/1M; this is the CI smoke that catches a
+// memory-footprint regression without a full bench run.
 func BenchmarkDispatchMemoryProbe(b *testing.B) {
 	const (
 		tasks   = 1_000_000
@@ -140,7 +139,7 @@ func BenchmarkDispatchMemoryProbe(b *testing.B) {
 // reference engine with the retained linear placement scan — the
 // pre-rewrite configuration the speedup is measured against. Like the
 // Naive control-plane baselines it is excluded from the CI bench
-// smoke; htabench records the measured ratio in BENCH_6.json.
+// smoke; run it beside BenchmarkScaleDispatch/10k for the ratio.
 func BenchmarkScaleDispatchReference(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
