@@ -15,7 +15,7 @@
 // to 1k/5k/10k-worker fleets — and is not in the default set: its
 // pinned-HPA cells simulate weeks of virtual time. Invoke it with
 // -runs io. The ioscale run extends the sweep to the 50k/100k-worker
-// fleets unlocked by the lane-sharded engine (months of virtual
+// fleets unlocked by the int64 event engine (months of virtual
 // time; -runs ioscale).
 //
 // htabench prints experiment tables only. Wall-clock performance is

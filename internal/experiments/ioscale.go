@@ -108,7 +108,7 @@ func IOScaleEH(seed int64) (*IOScaleReport, error) {
 }
 
 // IOScaleEHScale runs the E-H extension cells unlocked by the
-// lane-sharded engine: W ∈ {50 000, 100 000} workers (up to 400k
+// int64 event engine: W ∈ {50 000, 100 000} workers (up to 400k
 // tasks). The HPA baselines at these fleets simulate months of
 // virtual time, so the sweep lives behind `htabench -runs ioscale`
 // rather than the default set.

@@ -81,12 +81,11 @@ func (c *Cluster) scaleUpForPending() {
 	}
 }
 
-// provision reserves needed machines as one batch.
+// provision reserves needed machines as one wave.
 func (c *Cluster) provision(needed, unsched int) {
-	// One latency sample per batch: machines reserved together in the
-	// same zone become ready at nearly the same time, so the wave is a
-	// single batch event — one ready time, one heap settle — rather
-	// than per-node timers with per-node jitter.
+	// One latency sample per wave: machines reserved together in the
+	// same zone become ready at nearly the same time, so every node of
+	// the wave gets the same ready time rather than its own jitter.
 	base := c.rng.TruncNormal(
 		c.cfg.ProvisionMean.Seconds(),
 		c.cfg.ProvisionStdDev.Seconds(),
@@ -101,10 +100,13 @@ func (c *Cluster) provision(needed, unsched int) {
 	c.recordEvent("cluster", ReasonScaleUp,
 		fmt.Sprintf("reserving %d nodes (pending unschedulable pods: %d)", needed, unsched))
 	d := time.Duration((base + jitter) * float64(time.Second))
-	c.eng.AfterBatchN(d, c.lane, "node-provision", needed, func() {
+	ready := func() {
 		c.provisioning--
 		c.addNode()
-	})
+	}
+	for range needed {
+		c.eng.After(d, "node-provision", ready)
+	}
 }
 
 // packUnschedulable first-fit packs the unschedulable pods, in UID

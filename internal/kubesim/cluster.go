@@ -117,10 +117,9 @@ func (c Config) withDefaults() Config {
 // must be called from the owning goroutine (engine callbacks or the
 // code driving the engine); the simulation is single-threaded.
 type Cluster struct {
-	eng  *simclock.Engine
-	lane simclock.Lane // engine lane for controller batches
-	cfg  Config
-	rng  *simclock.RNG
+	eng *simclock.Engine
+	cfg Config
+	rng *simclock.RNG
 	// naive routes the scheduling predicates and sweeps through the
 	// retained reference forms (reference.go); see SetNaiveScheduling.
 	naive bool
@@ -197,7 +196,6 @@ func NewCluster(eng *simclock.Engine, cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
 	c := &Cluster{
 		eng:          eng,
-		lane:         eng.NewLane("kubesim"),
 		cfg:          cfg,
 		rng:          simclock.NewRNG(cfg.Seed),
 		pods:         make(map[string]*Pod),

@@ -202,7 +202,7 @@ func compareNodes(a, b *Node) int {
 // name. addNode appends; the first read after it merges the newcomers
 // in. Older nodes never reorder — the clock is monotonic — so only the
 // tail from the newcomers' first instant on is sorted, in place: nodes
-// arrive from NewCluster and the provisioning batch event, never under
+// arrive from NewCluster and the provisioning wave's events, never under
 // a control loop that is walking a roster snapshot. A removal, which
 // does happen under such a walk (scaleDownEmpty), is filtered out into
 // a fresh backing array instead, so the older snapshot stays intact.

@@ -65,7 +65,7 @@ func runLinkScale(mk func(*simclock.Engine, float64, float64) *Link, width, tota
 // BenchmarkLinkScale is the headline data-plane benchmark: wide
 // concurrent-transfer churn on the virtual-time link. The 10k cell is
 // the CI smoke; the 100k-wide/1M-transfer cell is the headline scale
-// target unlocked by the lane-sharded engine.
+// target unlocked by the int64 event engine.
 func BenchmarkLinkScale(b *testing.B) {
 	b.Run("10k", func(b *testing.B) {
 		b.ReportAllocs()

@@ -43,8 +43,6 @@ type Link struct {
 
 	reference bool // route through the retained O(n)-per-event model
 
-	lane simclock.Lane // engine lane for this link's completion batches
-
 	transfers map[int]*Transfer // active transfers by id (reference mode)
 	nextID    int
 	timer     simclock.Timer
@@ -64,7 +62,6 @@ type Link struct {
 	order []*Transfer
 
 	finished []*Transfer // scratch for completion batches
-	doneFns  []func()    // scratch for the batch-schedule call
 
 	// statistics
 	deliveredMB float64
@@ -199,7 +196,6 @@ func newLink(eng *simclock.Engine, capacityMBps, perTransferMBps float64, refere
 	}
 	return &Link{
 		eng:         eng,
-		lane:        eng.NewLane("netsim-link"),
 		capacity:    capacityMBps,
 		perTransfer: perTransferMBps,
 		contention:  1,
@@ -439,10 +435,9 @@ func (l *Link) reschedule() {
 	})
 }
 
-// completeBatch schedules completion callbacks in deterministic
-// ascending-id order, as one batch on the link's lane — one heap
-// settle for the whole completion wave. Callbacks run on the next
-// engine event, after bookkeeping, so they can start new transfers
+// completeBatch schedules completion callbacks as zero-delay events
+// in deterministic ascending-id order. Callbacks run after the
+// current event's bookkeeping, so they can start new transfers
 // freely.
 func (l *Link) completeBatch(finished []*Transfer) {
 	if len(finished) == 0 {
@@ -453,17 +448,11 @@ func (l *Link) completeBatch(finished []*Transfer) {
 	// wave; the generic sort runs allocation-free (asserted by
 	// TestCompleteBatchAllocs).
 	slices.SortFunc(finished, func(a, b *Transfer) int { return cmp.Compare(a.id, b.id) })
-	fns := l.doneFns[:0]
 	for _, tr := range finished {
 		if tr.done != nil {
-			fns = append(fns, tr.done)
+			l.eng.After(0, "netsim-transfer-done", tr.done)
 		}
 	}
-	l.eng.AfterBatch(0, l.lane, "netsim-transfer-done", fns)
-	for i := range fns {
-		fns[i] = nil
-	}
-	l.doneFns = fns[:0]
 }
 
 // maxEta is the horizon beyond which a completion timer is not armed:

@@ -19,7 +19,7 @@ func benchThroughput(b *testing.B, e *Engine) {
 	e.Run()
 }
 
-// BenchmarkEngineEventThroughput measures the lane-sharded int64 core.
+// BenchmarkEngineEventThroughput measures the int64 timing-wheel core.
 func BenchmarkEngineEventThroughput(b *testing.B) {
 	benchThroughput(b, NewEngine(t0))
 }
@@ -29,35 +29,6 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 // speedup comparison.
 func BenchmarkEngineEventThroughputReference(b *testing.B) {
 	benchThroughput(b, NewReferenceEngine(t0))
-}
-
-// benchBatch schedules waves of 64 same-instant events through the
-// batch API: the k-events-one-settle pattern wq, netsim, and kubesim
-// lean on.
-func benchBatch(b *testing.B, e *Engine) {
-	lane := e.NewLane("bench")
-	const width = 64
-	b.ReportAllocs()
-	for i := 0; i < b.N; i += width {
-		e.AfterBatchN(time.Duration(i%1000)*time.Millisecond, lane, "bench", width, func() {})
-		if i%(16*width) == 15*width {
-			e.Run()
-		}
-	}
-	e.Run()
-}
-
-// BenchmarkEngineBatchThroughput measures per-event cost when events
-// arrive through AfterBatchN (one heap settle per 64 events).
-func BenchmarkEngineBatchThroughput(b *testing.B) {
-	benchBatch(b, NewEngine(t0))
-}
-
-// BenchmarkEngineBatchThroughputReference: the reference core expands
-// batches into individual heap pushes, so this shows the settle cost
-// the batch API removes.
-func BenchmarkEngineBatchThroughputReference(b *testing.B) {
-	benchBatch(b, NewReferenceEngine(t0))
 }
 
 // BenchmarkTimerStop measures cancellation cost.

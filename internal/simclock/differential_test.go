@@ -6,10 +6,10 @@ import (
 	"time"
 )
 
-// The differential suite pins the lane-sharded int64 engine to the
+// The differential suite pins the int64 timing-wheel engine to the
 // retained reference core (reference.go): both run an identical
 // seeded multi-component scenario — dispatch-style zero-delay
-// cascades, batch completions on per-component lanes, timer churn
+// cascades, k-event completion waves at one instant, timer churn
 // with cancellation, periodic controllers with Reset/Stop — and the
 // firing logs must match event for event: same callback, same virtual
 // time, same order, same Stop results, same Processed/Pending
@@ -42,10 +42,6 @@ func runScenario(e *Engine, seed int64, rounds int) scenarioResult {
 	var res scenarioResult
 	var nextID int64
 
-	// Component lanes: a master, a link, a control plane. DefaultLane
-	// stands in for everything unlaned.
-	lanes := []Lane{DefaultLane, e.NewLane("wq"), e.NewLane("netsim"), e.NewLane("kubesim")}
-
 	record := func() (int64, func()) {
 		nextID++
 		id := nextID
@@ -60,7 +56,7 @@ func runScenario(e *Engine, seed int64, rounds int) scenarioResult {
 
 	dur := func() time.Duration {
 		// Heavy mass at zero and small offsets: the clamped-past and
-		// same-instant cases are where the lane buckets do their work.
+		// same-instant cases are where the same-instant queue works.
 		switch rng.Intn(5) {
 		case 0:
 			return 0
@@ -92,21 +88,23 @@ func runScenario(e *Engine, seed int64, rounds int) scenarioResult {
 				}
 			})
 		case 5:
-			// Batch of distinct callbacks on a component lane.
-			lane := lanes[rng.Intn(len(lanes))]
+			// A wave of distinct callbacks at one drawn delay, like a
+			// netsim completion wave.
 			k := 1 + rng.Intn(6)
-			fns := make([]func(), k)
-			for i := range fns {
-				_, fns[i] = record()
+			d := dur()
+			for i := 0; i < k; i++ {
+				_, fn := record()
+				e.After(d, "wave", fn)
 			}
-			e.AfterBatch(dur(), lane, "batch", fns)
 		case 6:
-			// Homogeneous batch (AfterBatchN), provisioning-wave style.
-			lane := lanes[rng.Intn(len(lanes))]
+			// One callback k times at one drawn delay, like a kubesim
+			// provisioning wave; the log records each firing.
 			k := 1 + rng.Intn(6)
 			_, fn := record()
-			// The shared callback fires k times; account each firing.
-			e.AfterBatchN(dur(), lane, "batchN", k, fn)
+			d := dur()
+			for i := 0; i < k; i++ {
+				e.After(d, "waveN", fn)
+			}
 		case 7:
 			// Schedule then immediately cancel: must never fire.
 			_, fn := record()
@@ -207,8 +205,8 @@ func diffScenario(seed int64, rounds int) string {
 	return ""
 }
 
-// TestEngineDifferential pins the lane-sharded engine to the
-// reference core over seeded multi-component runs.
+// TestEngineDifferential pins the engine to the reference core over
+// seeded multi-component runs.
 func TestEngineDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
@@ -221,7 +219,7 @@ func TestEngineDifferential(t *testing.T) {
 }
 
 // TestEngineDifferentialDeep runs fewer seeds for longer, pushing
-// bucket reuse, slab recycling, and ticker churn through many epochs.
+// queue reuse, slab recycling, and ticker churn through many instants.
 func TestEngineDifferentialDeep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("deep differential skipped in -short")

@@ -7,7 +7,7 @@ import (
 
 // This file retains the seed event core — a serial container/heap of
 // pointer events keyed by time.Time — as a differential-testing oracle
-// for the int64 lane-sharded core in simclock.go, the same discipline
+// for the int64 timing-wheel core in simclock.go, the same discipline
 // kubesim (reference.go, SetNaiveScheduling) and netsim
 // (NewReferenceLink) use for their risky rewrites. NewReferenceEngine
 // returns an *Engine whose scheduling routes through this core, so
@@ -106,6 +106,9 @@ func (c *refCore) refRecycle(ev *refEvent) {
 // refAt is the reference-mode At: times in the past are clamped to the
 // current time, preserving FIFO order among same-time events.
 func (e *Engine) refAt(at time.Time, name string, fn func()) Timer {
+	if fn == nil {
+		panic("simclock: nil event callback")
+	}
 	c := e.ref
 	if at.Before(c.now) {
 		at = c.now

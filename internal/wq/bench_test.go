@@ -60,7 +60,7 @@ func runScaleDispatch(b *testing.B, reference bool, tasks, workers int) {
 }
 
 // BenchmarkScaleDispatch measures the production-scale event storm the
-// ROADMAP targets, on the lane-sharded engine with avail-index
+// ROADMAP targets, on the timing-wheel engine with avail-index
 // placement: the 10k-task/500-worker cell is the CI smoke and the
 // 1M-task/100k-worker cell is the headline scale target.
 func BenchmarkScaleDispatch(b *testing.B) {

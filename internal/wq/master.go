@@ -55,8 +55,7 @@ func (p Policy) String() string {
 // when the largest free worker cannot fit the smallest waiting task.
 type Master struct {
 	eng    *simclock.Engine
-	lane   simclock.Lane // engine lane for the master's batch events
-	link   *netsim.Link  // master egress; nil = transfers are free
+	link   *netsim.Link // master egress; nil = transfers are free
 	policy Policy
 
 	// Task ids are dense (1..nextID), so the record index is an
@@ -293,7 +292,6 @@ func (m *Master) unmarkRunning(id int) { m.runBits[id>>6] &^= 1 << (id & 63) }
 func NewMaster(eng *simclock.Engine, link *netsim.Link) *Master {
 	m := &Master{
 		eng:          eng,
-		lane:         eng.NewLane("wq"),
 		link:         link,
 		byID:         make([]*Task, 1), // id 0 unused
 		waiting:      newWaitQueue(),
@@ -1092,15 +1090,13 @@ func (m *Master) startTask(t *Task, w *simWorker, alloc resources.Vector, exclus
 	m.fetchDone(rt) // release the setup barrier
 }
 
-// flushFreeFetches schedules the accumulated free-transfer arrivals
-// as one zero-delay batch on the master's lane — one heap settle per
-// staging wave instead of one event per file.
+// flushFreeFetches schedules a task's accumulated free-transfer
+// arrivals as zero-delay events in accumulation order. They are
+// scheduled after the staging loop, not as each accumulates, so the
+// loop's own events (link timers) keep the earlier seqs.
 func (m *Master) flushFreeFetches() {
-	if len(m.freeFetch) == 0 {
-		return
-	}
-	m.eng.AfterBatch(0, m.lane, "wq-fetch-free", m.freeFetch)
-	for i := range m.freeFetch {
+	for i, fn := range m.freeFetch {
+		m.eng.After(0, "wq-fetch-free", fn)
 		m.freeFetch[i] = nil
 	}
 	m.freeFetch = m.freeFetch[:0]
@@ -1123,7 +1119,7 @@ func (m *Master) ensureFile(w *simWorker, fid int32, sizeMB float64, cb func()) 
 	w.fetching[fid] = []func(){cb}
 	if m.link == nil || sizeMB <= 0 {
 		// Free transfers arrive instantly; the arrivals for one task's
-		// staging accumulate and go out as a single batch event.
+		// staging accumulate until flushFreeFetches schedules them.
 		m.freeFetch = append(m.freeFetch, func() { m.fileArrived(w, fid) })
 		return
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // TestPlacementDifferential pins the avail-index placement to the
-// retained linear scan and the lane-sharded engine to the reference
+// retained linear scan and the timing-wheel engine to the reference
 // core: every (policy, engine, placement) combination must produce a
 // byte-identical completion trace for the same seeded scenario —
 // same worker choices, same finish times, same attempt counts.
