@@ -426,10 +426,10 @@ func (a *Arbiter) inactive(t *Tenant) bool {
 // digest evaluates the tenant's demand: how many node-sized workers
 // would hold its current running + waiting set, per Algorithm 1.
 //
-// The estimate runs with a zero Now and a zero-length window. Against
-// the zero time every running task's elapsed time is hugely negative,
-// so its predicted remaining time exceeds any window and it holds its
-// allocation; waiting tasks pack into the idle capacity and the
+// The estimate runs with a zero Now and a zero-length window. A zero
+// Now makes the planner time-free (see core.EstimateInput.Now): every
+// running task holds its allocation, whatever its category's
+// estimate; waiting tasks pack into the idle capacity and the
 // shortage lands in node-sized bins. The result — active workers +
 // ScaleChange — is therefore a pure function of the queue contents,
 // the non-draining roster and the category estimates: exactly the

@@ -34,7 +34,9 @@ type WorkerInfo struct {
 // active workers.
 type EstimateInput struct {
 	// Now is the time the estimate is made (running tasks' elapsed
-	// time is measured against it).
+	// time is measured against it). The zero Now makes the estimate
+	// time-free: no running task is predicted to finish, so every one
+	// holds its allocation past the window.
 	Now time.Time
 	// InitTime is the latest measured resource-initialization time —
 	// the length of the simulated window.
@@ -418,10 +420,11 @@ func (p *Planner) addRunning(t *wq.Task) {
 }
 
 // remainingTime predicts how much longer a running task needs, via the
-// memoized per-category execution time.
+// memoized per-category execution time; like the reference
+// remainingTime it has no prediction at a zero Now.
 func (p *Planner) remainingTime(t *wq.Task) (time.Duration, bool) {
 	ce := p.catEstimate(t.Category)
-	if !ce.execOK {
+	if !ce.execOK || p.in.Now.IsZero() {
 		return 0, false
 	}
 	elapsed := p.in.Now.Sub(t.StartedAt)
@@ -616,9 +619,10 @@ func discountCapacity(v resources.Vector, d float64) resources.Vector {
 
 // remainingTime predicts how much longer a running task needs, based
 // on the category's mean measured wall time. The second return is
-// false when the category has no measurements yet (warm-up probes).
+// false when the category has no measurements yet (warm-up probes) or
+// the estimate is time-free (zero Now).
 func remainingTime(in EstimateInput, t wq.Task) (time.Duration, bool) {
-	if in.Estimator == nil {
+	if in.Estimator == nil || in.Now.IsZero() {
 		return 0, false
 	}
 	est, ok := in.Estimator.EstimateExecTime(t.Category)

@@ -192,6 +192,26 @@ func TestUnknownRunningTaskHoldsAllocationPastWindow(t *testing.T) {
 	}
 }
 
+// A zero Now is the time-free estimate the arbiter's demand digest
+// runs: a running task of a known category holds its worker even with
+// a zero-length window. Measuring its elapsed time against the zero
+// time used to overflow, predict it finished, and release the worker.
+func TestZeroNowRunningTaskHoldsWorker(t *testing.T) {
+	in := baseInput()
+	in.Now = time.Time{}
+	in.InitTime = 0
+	in.Workers = []WorkerInfo{{ID: "w1", Capacity: nodeCap}}
+	in.Running = []wq.Task{running("w1", "c", t0, resources.New(1, 3800, 0))}
+	for name, dec := range map[string]Decision{
+		"planner":   EstimateScale(in),
+		"reference": ReferenceEstimateScale(in),
+	} {
+		if dec.ScaleChange != 0 {
+			t.Errorf("%s: ScaleChange = %d, want 0 (the busy worker holds)", name, dec.ScaleChange)
+		}
+	}
+}
+
 func TestDeclaredResourcesBypassEstimator(t *testing.T) {
 	in := baseInput()
 	in.Estimator = nil

@@ -219,6 +219,10 @@ func TenantsEJWith(cfg TenantsEJConfig) (*TenantsEJReport, error) {
 	return rep, nil
 }
 
+// tenantsCellHook, set only by tests, sees each E-J cell's engine and
+// arbiter after the tenants are added and before arbitration starts.
+var tenantsCellHook func(eng *simclock.Engine, a *arbiter.Arbiter)
+
 func runTenantsCell(cfg TenantsEJConfig, loads []tenantLoad, name string, policy arbiter.Policy, quota bool) (TenantsEJRow, error) {
 	row := TenantsEJRow{Policy: name, Tenants: cfg.Tenants, Workers: cfg.TotalWorkers}
 	start := time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
@@ -264,6 +268,9 @@ func runTenantsCell(cfg TenantsEJConfig, loads []tenantLoad, name string, policy
 				ten.Master().Submit(spec)
 			}
 		}
+	}
+	if tenantsCellHook != nil {
+		tenantsCellHook(eng, a)
 	}
 	if err := a.Start(); err != nil {
 		return row, err

@@ -2,7 +2,11 @@ package experiments
 
 import (
 	"reflect"
+	"slices"
 	"testing"
+
+	"hta/internal/arbiter"
+	"hta/internal/simclock"
 )
 
 // TestTenantsEJSmoke runs the compressed E-J twice at the same seed:
@@ -63,5 +67,43 @@ func TestTenantsEJSeedsDiffer(t *testing.T) {
 	}
 	if reflect.DeepEqual(rep1.Rows, rep2.Rows) {
 		t.Fatal("different seeds produced identical E-J rows")
+	}
+}
+
+// TestTenantsEJPlanDifferential runs E-J at T=100, all three cells,
+// and at every arbitration instant, just before the arbiter's own
+// cycle, plans twice from the same state: the full re-plan and the
+// incremental plan with its memoized digests. The grants must agree,
+// or the memo served a digest its tenant's revision no longer backs.
+func TestTenantsEJPlanDifferential(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	cfg := DefaultTenantsEJConfig(1, 100)
+	cycles, mismatches := 0, 0
+	tenantsCellHook = func(eng *simclock.Engine, a *arbiter.Arbiter) {
+		// Created before the arbiter's ticker, so it fires first at
+		// each shared instant.
+		eng.Every(cfg.Cycle, "ej-differential", func() {
+			a.SetNaiveArbitration(true)
+			ref := slices.Clone(a.PlanOnly())
+			a.SetNaiveArbitration(false)
+			if got := a.PlanOnly(); !slices.Equal(got, ref) {
+				if mismatches++; mismatches <= 3 {
+					t.Errorf("cycle at %v: incremental grants %v, reference %v", eng.Now(), got, ref)
+				}
+			}
+			cycles++
+		})
+	}
+	defer func() { tenantsCellHook = nil }()
+	if _, err := TenantsEJWith(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if mismatches > 0 {
+		t.Errorf("%d of %d cycles disagree", mismatches, cycles)
+	}
+	if cycles < 30 {
+		t.Errorf("only %d arbitration cycles checked", cycles)
 	}
 }
