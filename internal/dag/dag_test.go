@@ -320,7 +320,7 @@ func randomLayeredGraph(r *rand.Rand, layers, width int) *Graph {
 				// Depend on 1..3 nodes of the previous layer.
 				prevWidth := 0
 				for {
-					if _, ok := g.nodes[fmt.Sprintf("n%d_%d", l-1, prevWidth)]; !ok {
+					if _, ok := g.Node(fmt.Sprintf("n%d_%d", l-1, prevWidth)); !ok {
 						break
 					}
 					prevWidth++

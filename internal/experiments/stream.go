@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -138,27 +140,24 @@ func (s *workflowStream) report(*RunResult) error {
 
 // workflowGraph builds a dependency-free DAG for one workflow whose
 // node IDs are the task tags — unique across workflows, which a
-// shared master requires (flow matches completions by tag).
+// shared master requires (flow matches completions by tag). Its
+// SpecFunc reads a copy of the tasks by node index.
 func workflowGraph(wf workload.TimedWorkflow) (*dag.Graph, flow.SpecFunc, error) {
 	g := dag.NewGraph()
-	byID := make(map[string]wq.TaskSpec, len(wf.Tasks))
 	for i, spec := range wf.Tasks {
 		id := spec.Tag
 		if id == "" {
-			id = fmt.Sprintf("%s/t%d", wf.Name, i)
+			id = wf.Name + "/t" + strconv.Itoa(i)
 		}
-		if _, dup := byID[id]; dup {
-			return nil, nil, fmt.Errorf("experiments: workflow %s has duplicate task id %s", wf.Name, id)
-		}
-		byID[id] = spec
 		if err := g.Add(dag.Node{ID: id, Category: spec.Category}); err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("experiments: workflow %s: %w", wf.Name, err)
 		}
 	}
 	if err := g.Finalize(); err != nil {
 		return nil, nil, err
 	}
-	return g, func(n dag.Node) wq.TaskSpec { return byID[n.ID] }, nil
+	specs := slices.Clone(wf.Tasks)
+	return g, func(n dag.Node) wq.TaskSpec { return specs[n.Index] }, nil
 }
 
 // Stream runs S2; the two scalers run concurrently.

@@ -74,9 +74,6 @@ func (s *MemorySink) Append(state TxnState, ruleID string) error {
 // Bytes returns the accumulated log.
 func (s *MemorySink) Bytes() []byte { return s.buf.Bytes() }
 
-// Len returns the accumulated log size in bytes.
-func (s *MemorySink) Len() int { return s.buf.Len() }
-
 // FileSink appends records to a real file — the durable sink the
 // cmd/ binaries use. Appends are buffered by the OS only (no
 // per-record fsync); a torn tail is tolerated by replay.
@@ -141,12 +138,8 @@ func ReplayLog(r io.Reader) (*Replay, error) {
 		return nil, err
 	}
 	rep := &Replay{}
-	type ruleState struct {
-		state TxnState
-		order int // first-seen order
-	}
-	states := make(map[string]*ruleState)
-	var order []string // first-seen rule order
+	last := make(map[string]TxnState) // each rule's last record
+	var order []string                // first-seen rule order
 	for len(data) > 0 {
 		nl := bytes.IndexByte(data, '\n')
 		if nl < 0 {
@@ -171,16 +164,13 @@ func ReplayLog(r io.Reader) (*Replay, error) {
 			break
 		}
 		rep.Records++
-		rs := states[id]
-		if rs == nil {
-			rs = &ruleState{}
-			states[id] = rs
+		if _, seen := last[id]; !seen {
 			order = append(order, id)
 		}
-		rs.state = st
+		last[id] = st
 	}
 	for _, id := range order {
-		switch states[id].state {
+		switch last[id] {
 		case TxnDone, TxnLocal:
 			rep.Done = append(rep.Done, id)
 		case TxnFail:

@@ -115,7 +115,7 @@ func DefaultMultistage() MultistageParams {
 func (p MultistageParams) Build() (*dag.Graph, func(dag.Node) wq.TaskSpec, error) {
 	rng := simclock.NewRNG(p.Seed)
 	g := dag.NewGraph()
-	specs := make(map[string]wq.TaskSpec)
+	var specs []wq.TaskSpec // by node index
 
 	declared := resources.Zero
 	if p.Declared {
@@ -123,28 +123,21 @@ func (p MultistageParams) Build() (*dag.Graph, func(dag.Node) wq.TaskSpec, error
 	}
 
 	for stage := 0; stage < 3; stage++ {
-		n := p.StageCounts[stage]
-		prev := 0
-		if stage > 0 {
-			prev = p.StageCounts[stage-1]
-		}
-		for i := 0; i < n; i++ {
+		for i := 0; i < p.StageCounts[stage]; i++ {
 			id := fmt.Sprintf("s%d_%d", stage+1, i)
 			node := dag.Node{
 				ID:       id,
 				Category: fmt.Sprintf("stage%d", stage+1),
 				Outputs:  []string{id + ".out"},
 			}
-			if stage > 0 {
-				// Barrier: consume every previous-stage output.
-				for j := 0; j < prev; j++ {
-					node.Inputs = append(node.Inputs, fmt.Sprintf("s%d_%d.out", stage, j))
-				}
+			// Barrier: consume every previous-stage output.
+			for j := 0; stage > 0 && j < p.StageCounts[stage-1]; j++ {
+				node.Inputs = append(node.Inputs, fmt.Sprintf("s%d_%d.out", stage, j))
 			}
 			if err := g.Add(node); err != nil {
 				return nil, nil, err
 			}
-			specs[id] = wq.TaskSpec{
+			specs = append(specs, wq.TaskSpec{
 				Command:   "blast-stage " + id,
 				Category:  node.Category,
 				Resources: declared,
@@ -154,13 +147,13 @@ func (p MultistageParams) Build() (*dag.Graph, func(dag.Node) wq.TaskSpec, error
 					UsedCPUMilli: p.CPUMilli,
 					UsedMemoryMB: p.MemMB,
 				},
-			}
+			})
 		}
 	}
 	if err := g.Finalize(); err != nil {
 		return nil, nil, err
 	}
-	return g, func(n dag.Node) wq.TaskSpec { return specs[n.ID] }, nil
+	return g, func(n dag.Node) wq.TaskSpec { return specs[n.Index] }, nil
 }
 
 // IOBoundParams describes the Fig. 11 synthetic workload: parallel dd
