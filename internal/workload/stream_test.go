@@ -1,8 +1,12 @@
 package workload
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"time"
+
+	"hta/internal/simclock"
 )
 
 // TestBurstRaisesLocalRate: arrivals inside a 5x burst window are
@@ -139,6 +143,58 @@ func TestWorkflowStream(t *testing.T) {
 	for i := 1; i < len(flat); i++ {
 		if flat[i].At < flat[i-1].At {
 			t.Fatalf("flattened arrivals not sorted at %d", i)
+		}
+	}
+}
+
+// plainArrivals is Lewis thinning without the squeeze: every candidate
+// evaluates the exact rate. It is the oracle for arrivals.
+func plainArrivals(p StreamParams, rng *simclock.RNG) []time.Duration {
+	maxBurst := 1.0
+	for _, b := range p.Bursts {
+		maxBurst *= max(b.Multiplier, 1)
+	}
+	maxRate := p.BasePerMin * (1 + p.Amplitude) * maxBurst / 60
+	var out []time.Duration
+	for t := time.Duration(0); ; {
+		u := rng.Float64()
+		if u == 0 {
+			u = 1e-12
+		}
+		t += time.Duration(-math.Log(u) / maxRate * float64(time.Second))
+		if t >= p.Window {
+			return out
+		}
+		mod := 1.0
+		if p.Period > 0 {
+			mod = 1 + p.Amplitude*math.Sin(2*math.Pi*t.Seconds()/p.Period.Seconds())
+		}
+		if rng.Float64() > p.BasePerMin*mod*p.burstMult(t)/60/maxRate {
+			continue
+		}
+		out = append(out, t)
+	}
+}
+
+// TestArrivalsMatchPlainThinning pins that the squeeze only skips
+// work: the accepted arrivals, and so every draw after them, are the
+// plain thinning loop's, including with overlapping, nested, lull and
+// empty bursts.
+func TestArrivalsMatchPlainThinning(t *testing.T) {
+	odd := DefaultStream()
+	odd.Bursts = []Burst{
+		{Start: 10 * time.Minute, Duration: 30 * time.Minute, Multiplier: 3},
+		{Start: 20 * time.Minute, Duration: 5 * time.Minute, Multiplier: 0.5},
+		{Start: 25 * time.Minute, Duration: -time.Minute, Multiplier: 9},
+		{Start: 35 * time.Minute, Duration: 10 * time.Minute, Multiplier: 2},
+	}
+	for name, p := range map[string]StreamParams{
+		"default": DefaultStream(), "bursty": BurstyStream(2), "day": DayTrace(4), "odd": odd,
+	} {
+		var got []time.Duration
+		p.arrivals(simclock.NewRNG(p.Seed), func(at time.Duration) { got = append(got, at) })
+		if want := plainArrivals(p, simclock.NewRNG(p.Seed)); !slices.Equal(got, want) {
+			t.Errorf("%s: %d arrivals, plain thinning %d", name, len(got), len(want))
 		}
 	}
 }
