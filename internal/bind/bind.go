@@ -28,11 +28,6 @@ func (b *Binder) Err() error {
 	return b.errs[0]
 }
 
-// Errs returns every recorded binding failure.
-func (b *Binder) Errs() []error {
-	return append([]error(nil), b.errs...)
-}
-
 // Workers connects a cluster's pods to a master: every matching pod that reaches Running joins
 // the master as a worker with the pod's requested resources, reports
 // its live usage to the metrics server, and is disconnected — with

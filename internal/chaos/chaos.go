@@ -1,20 +1,16 @@
 // Package chaos is a deterministic, seed-driven fault injector for
 // the simulated stack. An Injector composes independent fault
-// processes — node preemption (Poisson or scheduled windows), worker
-// crash mid-task, image-pull failure/slowdown, master-egress
-// bandwidth degradation, submission storms (load chaos: bursts of
-// arrivals through a harness-provided Submitter), and gray
-// degradation (stale monitor metrics, a slowed scheduler binding
-// loop) — each wired into the simulation through the
+// processes — node preemption (Poisson or scheduled windows) and
+// worker crash mid-task — each wired into the simulation through the
 // small hooks the components expose (kubesim.PreemptNode and
-// SetPullFault, wq.KillWorker, netsim.SetDegradation), so a fault
-// plan is orthogonal to the scenario it runs against. Control-plane
-// kill processes target the coordinators themselves — makeflow
-// runner, wq master, operator, multi-tenant arbiter — through a
-// harness-provided ControlPlane that crashes the component and
-// restarts it from its durable state; tenant fault processes
-// (TenantPlan) kill per-tenant masters and churn tenant membership
-// through a harness-provided TenantControlPlane.
+// DeletePod, wq.KillWorker), so a fault plan is orthogonal to the
+// scenario it runs against. Control-plane kill processes target the
+// coordinators themselves — makeflow runner, wq master, operator,
+// multi-tenant arbiter — through a harness-provided ControlPlane that
+// crashes the component and restarts it from its durable state;
+// tenant fault processes (TenantPlan) kill per-tenant masters and
+// churn tenant membership through a harness-provided
+// TenantControlPlane.
 //
 // Determinism: the injector draws from its own seeded RNG on the
 // single-threaded event engine, so a fixed (plan, scenario, seed)
@@ -56,59 +52,6 @@ type PreemptionPlan struct {
 type WorkerCrashPlan struct {
 	// MeanInterval is the Poisson mean between crashes. 0 = off.
 	MeanInterval time.Duration
-}
-
-// ImagePullPlan degrades the image registry: each pull attempt fails
-// with FailProb, and is slowed by SlowdownFactor with SlowProb.
-type ImagePullPlan struct {
-	FailProb       float64
-	SlowProb       float64
-	SlowdownFactor float64 // duration multiplier when slowed (> 1)
-}
-
-// EgressPlan degrades the master's egress link to Factor of its
-// capacity inside each window.
-type EgressPlan struct {
-	Windows []Window
-	Factor  float64 // capacity multiplier in (0, 1] while degraded
-}
-
-// StormPlan injects submission storms: inside each window, bursts of
-// BatchSize workflow submissions arrive as a Poisson process with the
-// given mean interval, delivered through the attached Submitter. This
-// is load chaos rather than fault chaos — the facility is healthy,
-// the users are not.
-type StormPlan struct {
-	Windows []Window
-	// MeanInterval is the Poisson mean between bursts inside a window.
-	MeanInterval time.Duration
-	// BatchSize is how many submissions each burst delivers.
-	BatchSize int
-}
-
-// Enabled reports whether the storm process is armed.
-func (p StormPlan) Enabled() bool {
-	return len(p.Windows) > 0 && p.MeanInterval > 0 && p.BatchSize > 0
-}
-
-// GrayPlan models gray degradation — the cluster is not down, just
-// wrong: inside each window the metrics pipeline stops ingesting
-// (the monitor keeps serving pre-window estimates) and the
-// scheduler's binding loop is stretched by SchedulerSlowFactor.
-// Nothing reports an error; the control loops simply act on stale,
-// late information.
-type GrayPlan struct {
-	Windows []Window
-	// StaleMetrics freezes the attached Metrics inside each window.
-	StaleMetrics bool
-	// SchedulerSlowFactor multiplies the attached Scheduler's binding
-	// period inside each window (> 1 = slower; 0 or 1 = untouched).
-	SchedulerSlowFactor float64
-}
-
-// Enabled reports whether the gray process is armed.
-func (p GrayPlan) Enabled() bool {
-	return len(p.Windows) > 0 && (p.StaleMetrics || p.SchedulerSlowFactor > 1)
 }
 
 // Component identifies one control-plane process the injector can
@@ -198,11 +141,7 @@ type Plan struct {
 
 	Preemption   PreemptionPlan
 	WorkerCrash  WorkerCrashPlan
-	ImagePull    ImagePullPlan
-	Egress       EgressPlan
 	ControlPlane ControlPlanePlan
-	Storm        StormPlan
-	Gray         GrayPlan
 	Tenant       TenantPlan
 }
 
@@ -211,11 +150,7 @@ func (p Plan) Enabled() bool {
 	return p.Preemption.MeanInterval > 0 ||
 		(len(p.Preemption.Windows) > 0 && p.Preemption.WindowMeanInterval > 0) ||
 		p.WorkerCrash.MeanInterval > 0 ||
-		p.ImagePull.FailProb > 0 || p.ImagePull.SlowProb > 0 ||
-		(len(p.Egress.Windows) > 0 && p.Egress.Factor > 0 && p.Egress.Factor < 1) ||
 		p.ControlPlane.Enabled() ||
-		p.Storm.Enabled() ||
-		p.Gray.Enabled() ||
 		p.Tenant.Enabled()
 }
 
@@ -226,7 +161,6 @@ type Cluster interface {
 	PreemptNode(name string) error
 	GetPod(name string) (kubesim.Pod, bool)
 	DeletePod(name string) error
-	SetPullFault(hook func(node, image string, attempt int) kubesim.PullFault)
 }
 
 // Master is the slice of the wq master the worker-crash process
@@ -235,29 +169,6 @@ type Master interface {
 	Workers() []string
 	WorkerBusy(id string) bool
 	KillWorker(id string) error
-}
-
-// EgressLink is the slice of netsim the egress process drives.
-type EgressLink interface {
-	SetDegradation(factor float64)
-}
-
-// Submitter is the harness-side submission path the storm process
-// drives: each call delivers one burst of batch submissions into the
-// workload (the harness decides what a submission is — a task, a
-// whole workflow).
-type Submitter func(batch int)
-
-// Metrics is the slice of the monitoring pipeline the gray process
-// freezes (monitor.Monitor satisfies it).
-type Metrics interface {
-	SetStale(stale bool)
-}
-
-// Scheduler is the slice of the control plane whose binding loop the
-// gray process slows (kubesim.Cluster satisfies it).
-type Scheduler interface {
-	SetSchedulerSlowdown(factor float64)
 }
 
 // ControlPlane is the harness-side slice the control-plane kill
@@ -287,16 +198,10 @@ type TenantControlPlane interface {
 type Stats struct {
 	Preemptions   int
 	WorkerCrashes int
-	PullFailures  int
-	PullSlowdowns int
-	EgressWindows int
 	MakeflowKills int
 	MasterKills   int
 	OperatorKills int
 	ArbiterKills  int
-	StormBursts   int
-	StormTasks    int
-	GrayWindows   int
 
 	TenantMasterKills int
 	TenantJoins       int
@@ -312,12 +217,8 @@ type Injector struct {
 
 	cluster Cluster
 	master  Master
-	link    EgressLink
 	cp      ControlPlane
 	tcp     TenantControlPlane
-	submit  Submitter
-	metrics Metrics
-	sched   Scheduler
 
 	started bool
 	stopped bool
@@ -342,8 +243,8 @@ func New(eng *simclock.Engine, plan Plan) *Injector {
 	}
 }
 
-// AttachCluster wires the preemption, worker-crash and image-pull
-// processes to a cluster.
+// AttachCluster wires the preemption and worker-crash processes to a
+// cluster.
 func (in *Injector) AttachCluster(c Cluster) { in.cluster = c }
 
 // AttachMaster wires the worker-crash process to a wq master. With a
@@ -352,9 +253,6 @@ func (in *Injector) AttachCluster(c Cluster) { in.cluster = c }
 // disconnect the worker directly.
 func (in *Injector) AttachMaster(m Master) { in.master = m }
 
-// AttachLink wires the egress-degradation process to a link.
-func (in *Injector) AttachLink(l EgressLink) { in.link = l }
-
 // AttachControlPlane wires the control-plane kill processes to a
 // harness that can crash and restart coordinator components.
 func (in *Injector) AttachControlPlane(cp ControlPlane) { in.cp = cp }
@@ -362,16 +260,6 @@ func (in *Injector) AttachControlPlane(cp ControlPlane) { in.cp = cp }
 // AttachTenants wires the tenant kill and churn processes to a
 // harness that can crash tenant masters and admit/offboard tenants.
 func (in *Injector) AttachTenants(tcp TenantControlPlane) { in.tcp = tcp }
-
-// AttachSubmitter wires the storm process to the harness's
-// submission path.
-func (in *Injector) AttachSubmitter(s Submitter) { in.submit = s }
-
-// AttachMetrics wires the gray process to a monitoring pipeline.
-func (in *Injector) AttachMetrics(m Metrics) { in.metrics = m }
-
-// AttachScheduler wires the gray process to a scheduler.
-func (in *Injector) AttachScheduler(s Scheduler) { in.sched = s }
 
 // Start arms every fault process the plan enables for the attached
 // components. After a Stop, Start re-arms the whole plan with its
@@ -397,10 +285,6 @@ func (in *Injector) Start() {
 					in.poissonLoop(p.WindowMeanInterval, end, in.preemptOne)
 				})
 			}
-		}
-		ip := in.plan.ImagePull
-		if ip.FailProb > 0 || ip.SlowProb > 0 {
-			in.cluster.SetPullFault(in.pullFault)
 		}
 	}
 	if in.master != nil && in.plan.WorkerCrash.MeanInterval > 0 {
@@ -442,60 +326,10 @@ func (in *Injector) Start() {
 			})
 		}
 	}
-	if in.link != nil && in.plan.Egress.Factor > 0 && in.plan.Egress.Factor < 1 {
-		for _, w := range in.plan.Egress.Windows {
-			w := w
-			in.after(w.Start, func() {
-				in.stats.EgressWindows++
-				in.link.SetDegradation(in.plan.Egress.Factor)
-			})
-			in.after(w.Start+w.Duration, func() {
-				in.link.SetDegradation(1)
-			})
-		}
-	}
-	if in.submit != nil && in.plan.Storm.Enabled() {
-		st := in.plan.Storm
-		for _, w := range st.Windows {
-			w := w
-			in.after(w.Start, func() {
-				end := in.startAt.Add(w.Start + w.Duration)
-				in.poissonLoop(st.MeanInterval, end, func() {
-					in.stats.StormBursts++
-					in.stats.StormTasks += st.BatchSize
-					in.submit(st.BatchSize)
-				})
-			})
-		}
-	}
-	if in.plan.Gray.Enabled() && (in.metrics != nil || in.sched != nil) {
-		g := in.plan.Gray
-		for _, w := range g.Windows {
-			w := w
-			in.after(w.Start, func() {
-				in.stats.GrayWindows++
-				if g.StaleMetrics && in.metrics != nil {
-					in.metrics.SetStale(true)
-				}
-				if g.SchedulerSlowFactor > 1 && in.sched != nil {
-					in.sched.SetSchedulerSlowdown(g.SchedulerSlowFactor)
-				}
-			})
-			in.after(w.Start+w.Duration, func() {
-				if g.StaleMetrics && in.metrics != nil {
-					in.metrics.SetStale(false)
-				}
-				if g.SchedulerSlowFactor > 1 && in.sched != nil {
-					in.sched.SetSchedulerSlowdown(1)
-				}
-			})
-		}
-	}
 }
 
-// Stop cancels every armed fault process and removes installed hooks;
-// an egress or gray window in progress is healed. Stop is idempotent
-// and safe before Start; a later Start re-arms the plan.
+// Stop cancels every armed fault process. Stop is idempotent and safe
+// before Start; a later Start re-arms the plan.
 func (in *Injector) Stop() {
 	if in.stopped {
 		return
@@ -505,18 +339,6 @@ func (in *Injector) Stop() {
 		lt.tmr.Stop()
 	}
 	in.timers = nil
-	if in.cluster != nil {
-		in.cluster.SetPullFault(nil)
-	}
-	if in.link != nil {
-		in.link.SetDegradation(1)
-	}
-	if in.metrics != nil && in.plan.Gray.StaleMetrics {
-		in.metrics.SetStale(false)
-	}
-	if in.sched != nil && in.plan.Gray.SchedulerSlowFactor > 1 {
-		in.sched.SetSchedulerSlowdown(1)
-	}
 }
 
 // Stats returns the faults delivered so far.
@@ -676,19 +498,4 @@ func (in *Injector) crashOne() {
 	if in.master.KillWorker(victim) == nil {
 		in.stats.WorkerCrashes++
 	}
-}
-
-// pullFault is the per-attempt image-pull hook.
-func (in *Injector) pullFault(node, image string, attempt int) kubesim.PullFault {
-	var f kubesim.PullFault
-	ip := in.plan.ImagePull
-	if ip.FailProb > 0 && in.rng.Float64() < ip.FailProb {
-		f.Fail = true
-		in.stats.PullFailures++
-	}
-	if ip.SlowProb > 0 && ip.SlowdownFactor > 1 && in.rng.Float64() < ip.SlowProb {
-		f.Slowdown = ip.SlowdownFactor
-		in.stats.PullSlowdowns++
-	}
-	return f
 }

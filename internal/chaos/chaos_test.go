@@ -178,228 +178,6 @@ func TestChaosControlPlanePlanEnabled(t *testing.T) {
 	}
 }
 
-type fakeLink struct{ factors []float64 }
-
-func (f *fakeLink) SetDegradation(v float64) { f.factors = append(f.factors, v) }
-
-func TestChaosEgressWindows(t *testing.T) {
-	eng := simclock.NewEngine(t0)
-	link := &fakeLink{}
-	inj := New(eng, Plan{
-		Seed: 1,
-		Egress: EgressPlan{
-			Factor: 0.25,
-			Windows: []Window{
-				{Start: 10 * time.Minute, Duration: 5 * time.Minute},
-				{Start: 30 * time.Minute, Duration: time.Minute},
-			},
-		},
-	})
-	inj.AttachLink(link)
-	inj.Start()
-	eng.RunUntil(t0.Add(time.Hour))
-	want := []float64{0.25, 1, 0.25, 1}
-	if fmt.Sprint(link.factors) != fmt.Sprint(want) {
-		t.Fatalf("degradation sequence = %v, want %v", link.factors, want)
-	}
-	if inj.Stats().EgressWindows != 2 {
-		t.Fatalf("EgressWindows = %d", inj.Stats().EgressWindows)
-	}
-}
-
-func runStorm(seed int64) (Stats, []string) {
-	eng := simclock.NewEngine(t0)
-	var log []string
-	inj := New(eng, Plan{
-		Seed: seed,
-		Storm: StormPlan{
-			Windows: []Window{
-				{Start: 10 * time.Minute, Duration: 5 * time.Minute},
-				{Start: 40 * time.Minute, Duration: 10 * time.Minute},
-			},
-			MeanInterval: 30 * time.Second,
-			BatchSize:    25,
-		},
-	})
-	inj.AttachSubmitter(func(batch int) {
-		log = append(log, fmt.Sprintf("%s x%d", eng.Now().Format("15:04:05"), batch))
-	})
-	inj.Start()
-	eng.RunUntil(t0.Add(time.Hour))
-	inj.Stop()
-	return inj.Stats(), log
-}
-
-func TestChaosStormBurstsDeterministicAndWindowed(t *testing.T) {
-	s1, log1 := runStorm(42)
-	s2, log2 := runStorm(42)
-	if s1 != s2 || fmt.Sprint(log1) != fmt.Sprint(log2) {
-		t.Fatalf("same seed diverged:\n%+v %v\n%+v %v", s1, log1, s2, log2)
-	}
-	if s1.StormBursts == 0 {
-		t.Fatal("no storm bursts in 15 min of windows at 30 s mean")
-	}
-	if s1.StormTasks != 25*s1.StormBursts {
-		t.Fatalf("StormTasks = %d, want 25 per burst over %d bursts", s1.StormTasks, s1.StormBursts)
-	}
-	if len(log1) != s1.StormBursts {
-		t.Fatalf("submitter saw %d bursts, stats say %d", len(log1), s1.StormBursts)
-	}
-	// Every burst falls inside a window.
-	inWindow := func(at string) bool {
-		return (at >= "00:10:00" && at < "00:15:00") || (at >= "00:40:00" && at < "00:50:00")
-	}
-	for _, line := range log1 {
-		if !inWindow(line[:8]) {
-			t.Fatalf("burst outside its windows: %q (log %v)", line, log1)
-		}
-	}
-}
-
-// fakeMetrics and fakeScheduler record the gray-process toggles.
-type fakeMetrics struct{ stale []bool }
-
-func (f *fakeMetrics) SetStale(s bool) { f.stale = append(f.stale, s) }
-
-type fakeScheduler struct{ factors []float64 }
-
-func (f *fakeScheduler) SetSchedulerSlowdown(v float64) { f.factors = append(f.factors, v) }
-
-func TestChaosGrayWindows(t *testing.T) {
-	eng := simclock.NewEngine(t0)
-	met := &fakeMetrics{}
-	sched := &fakeScheduler{}
-	inj := New(eng, Plan{
-		Seed: 1,
-		Gray: GrayPlan{
-			Windows: []Window{
-				{Start: 5 * time.Minute, Duration: 10 * time.Minute},
-				{Start: 30 * time.Minute, Duration: 5 * time.Minute},
-			},
-			StaleMetrics:        true,
-			SchedulerSlowFactor: 8,
-		},
-	})
-	inj.AttachMetrics(met)
-	inj.AttachScheduler(sched)
-	inj.Start()
-	eng.RunUntil(t0.Add(time.Hour))
-	if fmt.Sprint(met.stale) != fmt.Sprint([]bool{true, false, true, false}) {
-		t.Fatalf("stale toggles = %v", met.stale)
-	}
-	if fmt.Sprint(sched.factors) != fmt.Sprint([]float64{8, 1, 8, 1}) {
-		t.Fatalf("slowdown sequence = %v", sched.factors)
-	}
-	if inj.Stats().GrayWindows != 2 {
-		t.Fatalf("GrayWindows = %d, want 2", inj.Stats().GrayWindows)
-	}
-	inj.Stop()
-}
-
-// TestChaosGrayStopHealsMidWindow: stopping inside a gray window
-// restores fresh metrics and the configured scheduler cadence.
-func TestChaosGrayStopHealsMidWindow(t *testing.T) {
-	eng := simclock.NewEngine(t0)
-	met := &fakeMetrics{}
-	sched := &fakeScheduler{}
-	inj := New(eng, Plan{
-		Gray: GrayPlan{
-			Windows:             []Window{{Start: time.Minute, Duration: time.Hour}},
-			StaleMetrics:        true,
-			SchedulerSlowFactor: 4,
-		},
-	})
-	inj.AttachMetrics(met)
-	inj.AttachScheduler(sched)
-	inj.Start()
-	eng.RunUntil(t0.Add(5 * time.Minute)) // inside the window
-	inj.Stop()
-	if fmt.Sprint(met.stale) != fmt.Sprint([]bool{true, false}) {
-		t.Fatalf("stale toggles = %v, want heal on Stop", met.stale)
-	}
-	if fmt.Sprint(sched.factors) != fmt.Sprint([]float64{4, 1}) {
-		t.Fatalf("slowdown sequence = %v, want heal on Stop", sched.factors)
-	}
-}
-
-// TestChaosStopIdempotentAndRearm pins the Stop/Start lifecycle: Stop
-// before Start is safe, double-Stop does not panic, and Start after
-// Stop re-arms the plan with windows re-anchored at the new start.
-func TestChaosStopIdempotentAndRearm(t *testing.T) {
-	eng := simclock.NewEngine(t0)
-	var bursts int
-	inj := New(eng, Plan{
-		Seed: 3,
-		Storm: StormPlan{
-			Windows:      []Window{{Start: time.Minute, Duration: 10 * time.Minute}},
-			MeanInterval: 30 * time.Second,
-			BatchSize:    5,
-		},
-	})
-	inj.AttachSubmitter(func(int) { bursts++ })
-
-	inj.Stop() // before Start: must be a safe no-op
-	inj.Stop() // double-Stop: no panic
-	inj.Start()
-	eng.RunUntil(t0.Add(20 * time.Minute))
-	first := bursts
-	if first == 0 {
-		t.Fatal("storm did not arm after a pre-Start Stop")
-	}
-
-	inj.Stop()
-	inj.Stop() // double-Stop after a run: no panic
-	eng.RunUntil(t0.Add(40 * time.Minute))
-	if bursts != first {
-		t.Fatalf("bursts fired while stopped: %d -> %d", first, bursts)
-	}
-
-	inj.Start() // re-arm: window re-anchored at +40 min
-	eng.RunUntil(t0.Add(time.Hour))
-	if bursts <= first {
-		t.Fatalf("re-armed injector delivered no bursts (still %d)", bursts)
-	}
-	if got := inj.Stats().StormBursts; got != bursts {
-		t.Fatalf("stats not cumulative across re-arm: %d vs %d delivered", got, bursts)
-	}
-	inj.Stop()
-}
-
-func TestChaosPullFaultCounts(t *testing.T) {
-	eng := simclock.NewEngine(t0)
-	cluster := kubesim.NewCluster(eng, kubesim.Config{InitialNodes: 2, MaxNodes: 2, Seed: 3})
-	inj := New(eng, Plan{
-		Seed:      9,
-		ImagePull: ImagePullPlan{FailProb: 0.5, SlowProb: 0.5, SlowdownFactor: 4},
-	})
-	inj.AttachCluster(cluster)
-	inj.Start()
-	// Six 1-core pods fill two 3-core nodes exactly.
-	for i := 0; i < 6; i++ {
-		if _, err := cluster.CreatePod(kubesim.PodSpec{
-			Name:      fmt.Sprintf("p%d", i),
-			Image:     fmt.Sprintf("img%d", i), // distinct images force pulls
-			Resources: resources.New(1, 1024, 100),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng.RunUntil(t0.Add(2 * time.Hour))
-	st := inj.Stats()
-	if st.PullFailures == 0 && st.PullSlowdowns == 0 {
-		t.Fatalf("no pull faults delivered: %+v", st)
-	}
-	// Every pod must still come up: failures retry with backoff.
-	for i := 0; i < 6; i++ {
-		p, ok := cluster.GetPod(fmt.Sprintf("p%d", i))
-		if !ok || p.Phase != kubesim.PodRunning {
-			t.Fatalf("pod p%d = %+v, want Running", i, p)
-		}
-	}
-	inj.Stop()
-	cluster.Stop()
-}
-
 // fakeTenants is a scripted TenantControlPlane: it tracks a roster of
 // tenant IDs, refuses kills on request, and logs every delivered
 // event for determinism checks.
@@ -453,6 +231,38 @@ func runTenantChaos(seed int64, refuse map[string]bool) (Stats, []string) {
 	eng.RunUntil(t0.Add(6 * time.Hour))
 	inj.Stop()
 	return inj.Stats(), tcp.log
+}
+
+// TestChaosStopIdempotentAndRearm pins the Stop/Start lifecycle: Stop
+// before Start is safe, double-Stop does not panic, Stop cancels the
+// offsets still pending, and Start after Stop re-arms the plan with
+// its offsets re-anchored at the new start.
+func TestChaosStopIdempotentAndRearm(t *testing.T) {
+	eng := simclock.NewEngine(t0)
+	tcp := &fakeTenants{eng: eng}
+	inj := New(eng, Plan{Tenant: TenantPlan{
+		JoinAt: []time.Duration{5 * time.Minute, 30 * time.Minute},
+	}})
+	inj.AttachTenants(tcp)
+
+	inj.Stop() // before Start: must be a safe no-op
+	inj.Stop() // double-Stop: no panic
+	inj.Start()
+	eng.RunUntil(t0.Add(20 * time.Minute))
+	inj.Stop()
+	inj.Stop()                             // double-Stop after a run: no panic
+	eng.RunUntil(t0.Add(40 * time.Minute)) // the +30 min join is cancelled
+	inj.Start()                            // re-arm: offsets re-anchored at +40 min
+	eng.RunUntil(t0.Add(2 * time.Hour))
+	inj.Stop()
+
+	want := []string{"00:05:00 join j00", "00:45:00 join j00", "01:10:00 join j01"}
+	if fmt.Sprint(tcp.log) != fmt.Sprint(want) {
+		t.Fatalf("join log = %v, want %v", tcp.log, want)
+	}
+	if got := inj.Stats().TenantJoins; got != len(want) {
+		t.Fatalf("stats not cumulative across re-arm: %d joins, %d delivered", got, len(want))
+	}
 }
 
 // TestChaosTenantPlanDeterministic pins the tenant fault processes:

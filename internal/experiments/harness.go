@@ -358,9 +358,6 @@ func (st *stack) armChaos() {
 		st.inj.AttachCluster(st.cluster)
 	}
 	st.inj.AttachMaster(st.master)
-	if st.link != nil {
-		st.inj.AttachLink(st.link)
-	}
 	if st.cfg.controlPlane != nil {
 		st.inj.AttachControlPlane(st.cfg.controlPlane)
 	}
@@ -757,8 +754,8 @@ type StaticOptions struct {
 	Timeout         time.Duration
 	// Retry is the master's recovery policy.
 	Retry wq.RetryPolicy
-	// Chaos, when set and enabled, injects worker-crash and egress
-	// faults (no cluster exists in a static run).
+	// Chaos, when set and enabled, injects worker-crash faults (no
+	// cluster exists in a static run).
 	Chaos *chaos.Plan
 	// ReferenceLink routes the egress link through the retained
 	// walk-everything netsim implementation (differential runs).

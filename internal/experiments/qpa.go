@@ -2,35 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
-	"hta/internal/chaos"
 	"hta/internal/core"
 	"hta/internal/kubesim"
 	"hta/internal/qpa"
 	"hta/internal/resources"
-	"hta/internal/wq"
 )
-
-// QPAOptions configures a queue-proportional (KEDA-style) baseline
-// run: node-sized worker pods scaled to ceil(queue / TasksPerWorker).
-type QPAOptions struct {
-	Kube            kubesim.Config
-	QPA             qpa.Config
-	PodResources    resources.Vector // default: node-sized
-	InitialReplicas int
-	Timeout         time.Duration
-	// Retry is the master's recovery policy.
-	Retry wq.RetryPolicy
-	// Chaos, when set and enabled, injects faults into the run.
-	Chaos *chaos.Plan
-}
-
-// RunQPA executes the workload under the queue-proportional scaler.
-func RunQPA(name string, wl Workload, opt QPAOptions) (*RunResult, error) {
-	cfg := stackConfig{kube: &opt.Kube, retry: opt.Retry, chaos: opt.Chaos, timeout: opt.Timeout}
-	return simulate(name, cfg, qpaScaler(opt.QPA, opt.PodResources, opt.InitialReplicas), &bag{wl: wl})
-}
 
 // qpaScaler is the queue-proportional scaler over a WorkerSet of
 // pod-sized workers; a zero pod is node-sized.

@@ -47,11 +47,6 @@ type Config struct {
 	// ContainerStartDelay is the time from image-present to Running
 	// (default 1 s).
 	ContainerStartDelay time.Duration
-	// PullBackoffBase/PullBackoffMax bound the kubelet's exponential
-	// backoff between failed image-pull attempts (defaults 10 s and
-	// 5 min, the kubelet's image backoff).
-	PullBackoffBase time.Duration
-	PullBackoffMax  time.Duration
 	// SchedulerInterval is the binding loop period (default 1 s).
 	SchedulerInterval time.Duration
 	// AutoscalerInterval is the cloud-controller loop period
@@ -94,12 +89,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ContainerStartDelay == 0 {
 		c.ContainerStartDelay = time.Second
-	}
-	if c.PullBackoffBase == 0 {
-		c.PullBackoffBase = 10 * time.Second
-	}
-	if c.PullBackoffMax == 0 {
-		c.PullBackoffMax = 5 * time.Minute
 	}
 	if c.SchedulerInterval == 0 {
 		c.SchedulerInterval = time.Second
@@ -183,10 +172,8 @@ type Cluster struct {
 	nodeHandlers []func(NodeWatchEvent)
 
 	tickers      []*simclock.Ticker
-	schedTicker  *simclock.Ticker
 	provisioning int                 // node count currently being reserved
 	pulls        map[string][]func() // node/image -> waiters
-	pullFault    func(node, image string, attempt int) PullFault
 	stopped      bool
 }
 
@@ -210,9 +197,8 @@ func NewCluster(eng *simclock.Engine, cfg Config) *Cluster {
 	for i := 0; i < cfg.InitialNodes; i++ {
 		c.addNode()
 	}
-	c.schedTicker = eng.Every(cfg.SchedulerInterval, "kube-scheduler", c.scheduleOnce)
 	c.tickers = append(c.tickers,
-		c.schedTicker,
+		eng.Every(cfg.SchedulerInterval, "kube-scheduler", c.scheduleOnce),
 		eng.Every(cfg.AutoscalerInterval, "cloud-controller", c.cloudControllerOnce),
 	)
 	return c
@@ -232,20 +218,6 @@ func (c *Cluster) Stop() {
 
 // Config returns the effective configuration (defaults applied).
 func (c *Cluster) Config() Config { return c.cfg }
-
-// SetSchedulerSlowdown stretches the binding-loop period to factor
-// times the configured interval — the gray degradation of a scheduler
-// that still works, just slowly. Factor 1 (or less) restores the
-// configured cadence; the wait restarts from now either way.
-func (c *Cluster) SetSchedulerSlowdown(factor float64) {
-	if c.stopped || c.schedTicker == nil {
-		return
-	}
-	if factor < 1 {
-		factor = 1
-	}
-	c.schedTicker.Reset(time.Duration(float64(c.cfg.SchedulerInterval) * factor))
-}
 
 // SetNaiveScheduling switches the control plane between the indexed
 // read paths and the retained naive reference forms of the scheduling
@@ -524,9 +496,6 @@ func (c *Cluster) ReadyNodes() int {
 	}
 	return c.readyNodes
 }
-
-// NodeCount returns ready plus provisioning node count.
-func (c *Cluster) NodeCount() int { return len(c.nodes) + c.provisioning }
 
 // ReadyNodeNames returns the names of ready nodes in scheduler order
 // (creation time, then name) — a deterministic roster for fault

@@ -24,8 +24,8 @@ type churnResult struct {
 
 // runChurnScript drives a cluster through a seeded, randomized
 // node/pod churn: mixed-size pod creation, deletions, graceful
-// completions, chaos-style node preemptions and failures, image-pull
-// faults, and a WorkerSet resizing under it. Every decision the script
+// completions, chaos-style node preemptions and failures, and a
+// WorkerSet resizing under it. Every decision the script
 // makes is derived from cluster state that the differential assertion
 // proves identical, so the naive and indexed clusters replay the exact
 // same operation sequence.
@@ -41,14 +41,6 @@ func runChurnScript(t *testing.T, seed int64, naive bool) churnResult {
 	})
 	c.SetNaiveScheduling(naive)
 	defer c.Stop()
-	// Deterministic pull fault: fails the first attempt for a slice of
-	// node/image pairs, exercising the kubelet backoff path.
-	c.SetPullFault(func(node, image string, attempt int) PullFault {
-		if attempt == 1 && (len(node)+len(image))%5 == 0 {
-			return PullFault{Fail: true}
-		}
-		return PullFault{}
-	})
 	ws := NewWorkerSet(c, "churn-ws", PodSpec{
 		Image:     "wq-worker:latest",
 		Resources: resources.New(1, 2048, 100),

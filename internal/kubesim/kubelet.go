@@ -2,22 +2,6 @@ package kubesim
 
 import "time"
 
-// PullFault is a fault injector's verdict on one image-pull attempt.
-type PullFault struct {
-	// Fail makes the attempt spend its full duration and then fail
-	// (ErrImagePull); the kubelet retries with exponential backoff.
-	Fail bool
-	// Slowdown multiplies the attempt's duration when > 1 (registry
-	// throttling, cold CDN edge).
-	Slowdown float64
-}
-
-// SetPullFault installs a hook consulted once per image-pull attempt.
-// Pass nil to remove it.
-func (c *Cluster) SetPullFault(hook func(node, image string, attempt int) PullFault) {
-	c.pullFault = hook
-}
-
 // kubeletStart drives a freshly bound pod through the node-local part
 // of its lifecycle: pull the container image if the node does not
 // have it ("No Container Image" in the paper's worker-pod lifecycle),
@@ -43,45 +27,9 @@ func (c *Cluster) kubeletStart(p *Pod, n *Node) {
 	c.pulls[key] = []func(){func() { c.containerStart(p, n) }}
 	c.recordEvent("pod/"+p.Name, ReasonPulling, "pulling image "+p.Image)
 	c.notifyPod(Modified, p, ReasonPulling)
-	c.startPull(p, n, key, 1)
-}
-
-// startPull runs one image-pull attempt. A failed attempt (per the
-// pull-fault hook) consumes its duration, records ErrImagePull and
-// retries with exponential backoff, like a real kubelet's image
-// backoff; waiters stay queued until an attempt succeeds.
-func (c *Cluster) startPull(p *Pod, n *Node, key string, attempt int) {
-	d := c.pullDuration(p.Image)
-	var fault PullFault
-	if c.pullFault != nil {
-		fault = c.pullFault(n.Name, p.Image, attempt)
-		if fault.Slowdown > 1 {
-			d = time.Duration(float64(d) * fault.Slowdown)
-		}
-	}
-	c.eng.After(d, "kubelet-image-pull", func() {
+	c.eng.After(c.pullDuration(p.Image), "kubelet-image-pull", func() {
 		if _, alive := c.nodes[n.Name]; !alive {
 			delete(c.pulls, key)
-			return
-		}
-		if fault.Fail {
-			c.recordEvent("node/"+n.Name, ReasonPullFailed,
-				"failed to pull image "+p.Image)
-			backoff := c.cfg.PullBackoffBase
-			for i := 1; i < attempt; i++ {
-				backoff *= 2
-				if backoff >= c.cfg.PullBackoffMax {
-					backoff = c.cfg.PullBackoffMax
-					break
-				}
-			}
-			c.eng.After(backoff, "kubelet-pull-backoff", func() {
-				if _, alive := c.nodes[n.Name]; !alive {
-					delete(c.pulls, key)
-					return
-				}
-				c.startPull(p, n, key, attempt+1)
-			})
 			return
 		}
 		waiters := c.pulls[key]

@@ -50,7 +50,6 @@ const (
 	ReasonScaleDown        = "ScaleDown"
 	ReasonNodeFailure      = "NodeFailure" // abrupt node loss (hardware)
 	ReasonPreempted        = "Preempted"   // spot/preemptible reclaim
-	ReasonPullFailed       = "ErrImagePull"
 )
 
 // Event is a timestamped control-plane event attached to an object.

@@ -42,11 +42,6 @@ type RecoveryCounters struct {
 	Downtime time.Duration
 }
 
-// Restarts returns the total restarts across all components.
-func (c RecoveryCounters) Restarts() int {
-	return c.MakeflowRestarts + c.MasterRestarts + c.OperatorRestarts
-}
-
 // Add accumulates o into c.
 func (c *RecoveryCounters) Add(o RecoveryCounters) {
 	c.MakeflowRestarts += o.MakeflowRestarts

@@ -50,10 +50,9 @@ type CategoryStats struct {
 // Monitor aggregates task measurements. It is safe for concurrent
 // use so the TCP runtime can share it with the simulation.
 type Monitor struct {
-	mu    sync.Mutex
-	cfg   Config
-	cats  map[string]*catAgg
-	stale bool
+	mu   sync.Mutex
+	cfg  Config
+	cats map[string]*catAgg
 	// rev counts mutations that could change an estimate (observation
 	// batches, state imports). Exposed via EstimateRev so the master's
 	// per-category memo can skip the lock in steady state.
@@ -72,31 +71,10 @@ func New(cfg Config) *Monitor {
 	return &Monitor{cfg: cfg.withDefaults(), cats: make(map[string]*catAgg)}
 }
 
-// SetStale freezes the monitor: while stale it drops new
-// measurements and keeps serving the data it already has — the gray
-// failure of a metrics pipeline that stopped ingesting without
-// anybody noticing. The controller keeps planning on yesterday's
-// estimates instead of failing loudly.
-func (m *Monitor) SetStale(stale bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stale = stale
-}
-
-// Stale reports whether the monitor is currently frozen.
-func (m *Monitor) Stale() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stale
-}
-
 // Observe records a completed task's measurements.
 func (m *Monitor) Observe(t wq.Task) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.stale {
-		return
-	}
 	agg, ok := m.cats[t.Category]
 	if !ok {
 		agg = &catAgg{}

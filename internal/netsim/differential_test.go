@@ -10,7 +10,7 @@ import (
 
 // This file proves the virtual-time link equivalent to the retained
 // reference implementation: random interleavings of Start, Cancel,
-// SetDegradation, SetContention and reads are replayed against both,
+// SetContention and reads are replayed against both,
 // and the completion callbacks (order and times), cancel results and
 // accumulated stats must agree. Callback order must match exactly;
 // completion times get a drift budget with two terms. The fixed term
@@ -19,8 +19,8 @@ import (
 // drift, and when the true eta sits within that drift of an exact
 // nanosecond boundary the ceil-to-ns rounding can flip by one — every
 // downstream event then shifts with it. The relative term is 1e-12 of
-// the completion instant: at adversarially low rates (1 % degradation
-// compounded with contention across many streams) an ulp of error in
+// the completion instant: at adversarially low rates (a 1 % contention
+// factor compounded across many streams) an ulp of error in
 // remaining-MB divides by the tiny rate into tens of nanoseconds of
 // eta, so absolute drift scales with elapsed virtual time — a
 // fuzz-found 18-simulated-hour run diverged by 40 ns, about 6e-13 of
@@ -31,7 +31,6 @@ import (
 const (
 	opStart = iota
 	opCancel
-	opSetDegradation
 	opSetContention
 	opRead
 )
@@ -41,7 +40,7 @@ type linkOp struct {
 	kind   int
 	size   float64 // opStart
 	target int     // opCancel: index into transfers started so far
-	factor float64 // opSetDegradation / opSetContention
+	factor float64 // opSetContention
 }
 
 type completionRec struct {
@@ -88,8 +87,6 @@ func driveLink(mk func(*simclock.Engine, float64, float64) *Link, capacity, perT
 				if len(started) > 0 {
 					tr.cancels[idx] = started[op.target%len(started)].Cancel()
 				}
-			case opSetDegradation:
-				l.SetDegradation(op.factor)
 			case opSetContention:
 				l.SetContention(op.factor)
 			case opRead:
@@ -127,7 +124,7 @@ func randomOps(seed int64, n int) []linkOp {
 			op.kind = opCancel
 			op.target = rng.Intn(1 << 20)
 		case k < 78:
-			op.kind = opSetDegradation
+			op.kind = opSetContention
 			op.factor = 0.25 + 0.75*rng.Float64()
 		case k < 86:
 			op.kind = opSetContention
@@ -202,7 +199,7 @@ func compareTraces(t *testing.T, indexed, reference linkTrace, timeTol time.Dura
 
 // checkInvariants asserts physical soundness regardless of oracle
 // agreement: delivered data never exceeds the capacity × busy-time
-// envelope (degradation and contention only shrink it), completed
+// envelope (contention only shrinks it), completed
 // transfers account for their full size, and the books balance.
 func checkInvariants(t *testing.T, tr linkTrace) {
 	t.Helper()
@@ -266,7 +263,7 @@ func decodeOps(data []byte) []linkOp {
 			op.kind = opCancel
 			op.target = int(b2)<<8 | int(b3)
 		case 5:
-			op.kind = opSetDegradation
+			op.kind = opSetContention
 			op.factor = float64(b2%100+1) / 100
 		case 6:
 			op.kind = opSetContention
@@ -305,7 +302,7 @@ func FuzzLinkDifferential(f *testing.F) {
 }
 
 // TestPropertyDeliveredWithinEnvelope re-checks the capacity envelope
-// under aggressive degradation/contention churn on both
+// under aggressive contention churn on both
 // implementations.
 func TestPropertyDeliveredWithinEnvelope(t *testing.T) {
 	for seed := int64(100); seed < 116; seed++ {

@@ -39,7 +39,6 @@ type Link struct {
 	capacity    float64 // MB/s
 	perTransfer float64 // MB/s cap per transfer; 0 = unlimited
 	contention  float64 // per-extra-stream efficiency factor; 1 = none
-	degradation float64 // capacity multiplier in (0, 1]; 1 = healthy
 
 	reference bool // route through the retained O(n)-per-event model
 
@@ -199,7 +198,6 @@ func newLink(eng *simclock.Engine, capacityMBps, perTransferMBps float64, refere
 		capacity:    capacityMBps,
 		perTransfer: perTransferMBps,
 		contention:  1,
-		degradation: 1,
 		reference:   reference,
 		transfers:   make(map[int]*Transfer),
 		last:        eng.Now(),
@@ -222,27 +220,13 @@ func (l *Link) SetContention(factor float64) {
 	l.reschedule()
 }
 
-// SetDegradation scales the link's aggregate capacity by factor in
-// (0, 1] — a fault injector's model of transient egress degradation
-// (congested uplink, throttled NAT gateway). 1 restores full health.
-// In-flight transfers re-pace immediately.
-func (l *Link) SetDegradation(factor float64) {
-	if factor <= 0 || factor > 1 {
-		panic(fmt.Sprintf("netsim: degradation factor %v outside (0, 1]", factor))
-	}
-	l.advance()
-	l.degradation = factor
-	l.reschedule()
-}
-
 // effectiveCapacity returns the aggregate capacity available to n
 // concurrent transfers.
 func (l *Link) effectiveCapacity(n int) float64 {
-	cap := l.capacity * l.degradation
 	if l.contention == 1 || n <= 1 {
-		return cap
+		return l.capacity
 	}
-	return cap * math.Pow(l.contention, float64(n-1))
+	return l.capacity * math.Pow(l.contention, float64(n-1))
 }
 
 // allocRate returns the uniform per-transfer rate with n transfers in
@@ -457,7 +441,7 @@ func (l *Link) completeBatch(finished []*Transfer) {
 
 // maxEta is the horizon beyond which a completion timer is not armed:
 // the link is effectively stalled (nano-rates from compounded
-// degradation and contention) and the next rate change will re-arm.
+// contention) and the next rate change will re-arm.
 // The cap matters for accounting, not semantics — every experiment's
 // transfers complete in seconds, but a fuzzed chain of centuries-long
 // waits would overflow the link's int64-nanosecond busy counter.

@@ -122,7 +122,6 @@ type Master struct {
 	order      []string
 	parked     map[string]*parkedWorker
 	rescued    int
-	fenced     int
 	onComplete []func(Result)
 	closed     bool
 	done       chan struct{}
@@ -420,7 +419,6 @@ func (m *Master) serve(c *conn) {
 	for _, id := range reg.InflightIDs {
 		if _, rescued := w.running[id]; !rescued {
 			drop = append(drop, id)
-			m.fenced++
 		}
 	}
 	slices.Sort(drop)
@@ -549,14 +547,6 @@ func (m *Master) RescuedCount() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.rescued
-}
-
-// FencedCount returns how many reported in-flight attempts were
-// rejected at reconnect (superseded while the worker was away).
-func (m *Master) FencedCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.fenced
 }
 
 // dispatch assigns waiting tasks to workers: known requirements
