@@ -322,20 +322,11 @@ func (a *Arbiter) Start() error {
 	return nil
 }
 
-// Stop halts the arbitration loop. Managed pods are left as they are;
-// call DrainAll to release them.
+// Stop halts the arbitration loop. Managed pods are left as they are.
 func (a *Arbiter) Stop() {
 	if a.ticker != nil {
 		a.ticker.Stop()
 		a.ticker = nil
-	}
-}
-
-// DrainAll drains every managed worker pod (idle or not — draining
-// waits for running tasks, it never kills them).
-func (a *Arbiter) DrainAll() {
-	for _, t := range a.tenants {
-		a.drainTenantPods(t)
 	}
 }
 

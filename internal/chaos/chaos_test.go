@@ -13,13 +13,28 @@ import (
 
 var t0 = time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
 
-// run executes a Poisson-preemption plan against a fresh cluster and
-// returns the ordered preemption event log.
+// preemptLog wraps a cluster and logs every node the injector
+// preempts, with the virtual time of the preemption.
+type preemptLog struct {
+	*kubesim.Cluster
+	log []string
+}
+
+func (p *preemptLog) PreemptNode(name string) error {
+	if err := p.Cluster.PreemptNode(name); err != nil {
+		return err
+	}
+	p.log = append(p.log, fmt.Sprintf("%s node/%s", p.Clock().Now().Format("15:04:05"), name))
+	return nil
+}
+
+// runPreemptions executes a Poisson-preemption plan against a fresh
+// cluster and returns the ordered preemption log.
 func runPreemptions(seed int64) (Stats, []string) {
 	eng := simclock.NewEngine(t0)
-	cluster := kubesim.NewCluster(eng, kubesim.Config{
+	cluster := &preemptLog{Cluster: kubesim.NewCluster(eng, kubesim.Config{
 		InitialNodes: 8, MinNodes: 1, MaxNodes: 10, Seed: 7,
-	})
+	})}
 	inj := New(eng, Plan{
 		Seed:       seed,
 		Preemption: PreemptionPlan{MeanInterval: 5 * time.Minute, MinNodesSpared: 2},
@@ -29,13 +44,7 @@ func runPreemptions(seed int64) (Stats, []string) {
 	eng.RunUntil(t0.Add(time.Hour))
 	inj.Stop()
 	cluster.Stop()
-	var log []string
-	for _, ev := range cluster.Events() {
-		if ev.Reason == kubesim.ReasonPreempted {
-			log = append(log, fmt.Sprintf("%s %s", ev.Time.Format("15:04:05"), ev.Object))
-		}
-	}
-	return inj.Stats(), log
+	return inj.Stats(), cluster.log
 }
 
 func TestChaosPreemptionDeterministic(t *testing.T) {
@@ -47,8 +56,11 @@ func TestChaosPreemptionDeterministic(t *testing.T) {
 	if s1.Preemptions == 0 {
 		t.Fatalf("no preemptions injected in an hour at 5 min mean")
 	}
+	if len(log1) != s1.Preemptions {
+		t.Fatalf("%d preemptions counted, %d logged", s1.Preemptions, len(log1))
+	}
 	if fmt.Sprint(log1) != fmt.Sprint(log2) {
-		t.Fatalf("same seed, different event logs:\n%v\n%v", log1, log2)
+		t.Fatalf("same seed, different preemption logs:\n%v\n%v", log1, log2)
 	}
 	s3, _ := runPreemptions(43)
 	if s3.Preemptions == s1.Preemptions {

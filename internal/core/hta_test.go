@@ -289,7 +289,7 @@ func TestNodeFailureRecovery(t *testing.T) {
 	if victim == "" {
 		t.Fatal("no running worker to orphan")
 	}
-	if err := s.cluster.FailNode(victim); err != nil {
+	if err := s.cluster.PreemptNode(victim); err != nil {
 		t.Fatal(err)
 	}
 	deadline := t0.Add(10 * time.Hour)

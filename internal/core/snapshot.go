@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 	"time"
@@ -136,8 +135,6 @@ func (a *Autoscaler) Restore(st AutoscalerState) int {
 					_ = a.cluster.SetPodUsage(name, func() resources.Vector {
 						return a.master.WorkerUsage(name)
 					})
-					a.cluster.RecordEvent("pod/"+name, "Adopted",
-						"restarted controller registered running pod as worker")
 					corrections++
 				}
 			}
@@ -152,8 +149,6 @@ func (a *Autoscaler) Restore(st AutoscalerState) int {
 		if _, mine := a.pods[id]; !mine {
 			a.noteWorkerLoss()
 			_ = a.master.KillWorker(id)
-			a.cluster.RecordEvent("pod/"+id, "Reconciled",
-				"removed worker whose pod was deleted during controller downtime")
 			corrections++
 		}
 	}
@@ -172,8 +167,6 @@ func (a *Autoscaler) Restore(st AutoscalerState) int {
 		for _, spec := range hs {
 			a.master.Submit(spec)
 		}
-		a.cluster.RecordEvent("cluster", "ReleasedHeld",
-			fmt.Sprintf("released %d held task(s) of measured category %s", len(hs), cat))
 		corrections++
 	}
 	if a.started && !a.cleaned {
@@ -201,8 +194,6 @@ func (a *Autoscaler) OnMasterRestored() int {
 		}
 		if _, alive := a.master.WorkerCapacity(name); alive {
 			a.pods[name] = podActive
-			a.cluster.RecordEvent("pod/"+name, "DrainReset",
-				"drain request lost in master restart; pod active again")
 			corrections++
 		}
 	}

@@ -724,8 +724,11 @@ func (s *workerSet) attach(st *stack, sm *sampler) (flow.Scheduler, error) {
 	if pod.IsZero() {
 		pod = st.cluster.Config().NodeAllocatable
 	}
-	set := kubesim.NewWorkerSet(st.cluster, "wq-workers",
+	set, err := kubesim.NewWorkerSet(st.cluster, "wq-workers",
 		kubesim.PodSpec{Image: "wq-worker", Resources: pod, Labels: labels}, s.replicas)
+	if err != nil {
+		return nil, err
+	}
 	sm.maxIdeal = s.maxReplicas
 	sm.desiredFn, s.actions = s.control(st, set)
 	return st.master, nil

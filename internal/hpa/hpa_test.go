@@ -36,7 +36,10 @@ func newHarness(t *testing.T, cfg Config, initialReplicas int) *harness {
 			return resources.Vector{MilliCPU: int64(*util * 1000)}
 		},
 	}
-	ws := kubesim.NewWorkerSet(c, "workers", template, initialReplicas)
+	ws, err := kubesim.NewWorkerSet(c, "workers", template, initialReplicas)
+	if err != nil {
+		t.Fatal(err)
+	}
 	h := New(c, ws, cfg)
 	t.Cleanup(func() { h.Stop(); ws.Stop(); c.Stop() })
 	return &harness{eng: eng, c: c, ws: ws, h: h, util: util}
@@ -116,7 +119,10 @@ func TestPendingPodsDampScaleUp(t *testing.T) {
 			return resources.Vector{MilliCPU: int64(util * 1000)}
 		},
 	}
-	ws := kubesim.NewWorkerSet(c, "workers", template, 1)
+	ws, err := kubesim.NewWorkerSet(c, "workers", template, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	h := New(c, ws, Config{TargetCPUUtilization: 0.1, MaxReplicas: 50})
 	defer func() { h.Stop(); ws.Stop(); c.Stop() }()
 	eng.RunFor(10 * time.Minute)
@@ -165,7 +171,10 @@ func TestInvalidTargetPanics(t *testing.T) {
 	eng := simclock.NewEngine(t0)
 	c := kubesim.NewCluster(eng, kubesim.Config{Seed: 1})
 	defer c.Stop()
-	ws := kubesim.NewWorkerSet(c, "w", kubesim.PodSpec{Image: "i", Resources: resources.Cores(1)}, 0)
+	ws, err := kubesim.NewWorkerSet(c, "w", kubesim.PodSpec{Image: "i", Resources: resources.Cores(1)}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer ws.Stop()
 	for _, target := range []float64{0, -0.5, 1.5} {
 		func() {

@@ -26,7 +26,6 @@ func (c *Cluster) addNode() *Node {
 	c.totalAllocatable = c.totalAllocatable.Add(n.Allocatable)
 	c.stampEmpty(n, now)
 	c.schedDirty, c.scaleDirty = true, true
-	c.recordEvent("node/"+n.Name, ReasonNodeReady, "node is ready")
 	c.notifyNode(Added, n)
 	return n
 }
@@ -39,7 +38,6 @@ func (c *Cluster) removeNode(n *Node) {
 	c.totalAllocatable = c.totalAllocatable.Sub(n.Allocatable)
 	c.stampEmpty(n, time.Time{})
 	c.scaleDirty = true
-	c.recordEvent("node/"+n.Name, ReasonNodeRemoved, "empty node removed")
 	c.notifyNode(Deleted, n)
 }
 
@@ -75,14 +73,13 @@ func (c *Cluster) scaleUpForPending() {
 	}
 	// Nodes already being reserved will absorb part of the pending
 	// demand; only provision the remainder.
-	bins, unsched := c.packUnschedulable()
-	if needed := min(bins-c.provisioning, room); needed > 0 {
-		c.provision(needed, unsched)
+	if needed := min(c.packUnschedulable()-c.provisioning, room); needed > 0 {
+		c.provision(needed)
 	}
 }
 
 // provision reserves needed machines as one wave.
-func (c *Cluster) provision(needed, unsched int) {
+func (c *Cluster) provision(needed int) {
 	// One latency sample per wave: machines reserved together in the
 	// same zone become ready at nearly the same time, so every node of
 	// the wave gets the same ready time rather than its own jitter.
@@ -97,8 +94,6 @@ func (c *Cluster) provision(needed, unsched int) {
 		jitter = -jitter
 	}
 	c.provisioning += needed
-	c.recordEvent("cluster", ReasonScaleUp,
-		fmt.Sprintf("reserving %d nodes (pending unschedulable pods: %d)", needed, unsched))
 	d := time.Duration((base + jitter) * float64(time.Second))
 	ready := func() {
 		c.provisioning--
@@ -114,9 +109,9 @@ func (c *Cluster) provision(needed, unsched int) {
 // free space of existing nodes (capacity the scheduler has not yet
 // used, e.g. a node that just came up) and then onto hypothetical
 // empty nodes of the configured shape. It returns the count of new
-// nodes required and of pods packed. A pod no standard node could host
-// is left out: provisioning would never help it.
-func (c *Cluster) packUnschedulable() (newNodes, unsched int) {
+// nodes required. A pod no standard node could host is left out:
+// provisioning would never help it.
+func (c *Cluster) packUnschedulable() int {
 	free := c.freeSpace[:0]
 	for _, n := range c.sortedNodes() {
 		free = append(free, n.Allocatable.Sub(n.Allocated))
@@ -128,7 +123,6 @@ func (c *Cluster) packUnschedulable() (newNodes, unsched int) {
 		if !p.waiting() || !p.UnschedulableSeen || !p.Resources.Fits(c.cfg.NodeAllocatable) {
 			continue
 		}
-		unsched++
 		if cur == nil || cur.shape != p.Resources {
 			cur = c.cursorFor(p.Resources)
 		}
@@ -153,7 +147,7 @@ func (c *Cluster) packUnschedulable() (newNodes, unsched int) {
 		}
 	}
 	c.freeSpace, c.bins = free, bins
-	return len(bins), unsched
+	return len(bins)
 }
 
 // scaleDownEmpty removes, in roster order and down to MinNodes, the
@@ -173,7 +167,6 @@ func (c *Cluster) scaleDownEmpty() {
 		switch {
 		case n.EmptySince.IsZero():
 		case now.Sub(n.EmptySince) >= c.cfg.ScaleDownDelay:
-			c.recordEvent("cluster", ReasonScaleDown, "removing empty node "+n.Name)
 			c.removeNode(n)
 		case oldest.IsZero() || n.EmptySince.Before(oldest):
 			oldest = n.EmptySince
@@ -182,24 +175,13 @@ func (c *Cluster) scaleDownEmpty() {
 	c.emptyOldest = oldest
 }
 
-// FailNode simulates an abrupt node loss (hardware failure): the node
-// disappears from the fleet and every pod bound to it is killed, which
-// informers observe as Deleted events with reason Killing. The cloud
-// controller will re-provision on the next cycle if the dead pods'
-// owners recreate them.
-func (c *Cluster) FailNode(name string) error {
-	return c.failNode(name, ReasonNodeFailure)
-}
-
-// PreemptNode simulates a cloud provider reclaiming a preemptible
-// (spot) machine — mechanically identical to FailNode but recorded
-// with reason Preempted so observers can distinguish reclaim storms
-// from hardware faults.
+// PreemptNode simulates the abrupt loss of a node, as when a cloud
+// provider reclaims a preemptible (spot) machine: the node disappears
+// from the fleet and every pod bound to it is killed, which informers
+// observe as pod Deleted events with reason Killing followed by the
+// node's Deleted event. The cloud controller re-provisions on a later
+// cycle if the dead pods' owners recreate them.
 func (c *Cluster) PreemptNode(name string) error {
-	return c.failNode(name, ReasonPreempted)
-}
-
-func (c *Cluster) failNode(name, reason string) error {
 	n, ok := c.nodes[name]
 	if !ok {
 		return fmt.Errorf("kubesim: node %q not found", name)
@@ -226,7 +208,6 @@ func (c *Cluster) failNode(name, reason string) error {
 			return err
 		}
 	}
-	c.recordEvent("node/"+name, reason, fmt.Sprintf("node lost with %d pods", len(victims)))
 	c.removeNode(n)
 	return nil
 }

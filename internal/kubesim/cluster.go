@@ -167,7 +167,6 @@ type Cluster struct {
 	uid     int64
 	nodeSeq int
 
-	events       []Event
 	podHandlers  []func(PodWatchEvent)
 	nodeHandlers []func(NodeWatchEvent)
 
@@ -235,40 +234,7 @@ func (c *Cluster) Clock() simclock.Clock { return c.eng }
 // Engine returns the underlying discrete-event engine.
 func (c *Cluster) Engine() *simclock.Engine { return c.eng }
 
-// --- event plumbing ---
-
-func (c *Cluster) recordEvent(object, reason, message string) {
-	c.events = append(c.events, Event{
-		Time:    c.eng.Now(),
-		Object:  object,
-		Reason:  reason,
-		Message: message,
-	})
-}
-
-// RecordEvent appends a controller-authored event to the cluster's
-// event log, the way an operator posts Events against the objects it
-// manages (kubectl describe visibility). HTA uses it to surface
-// crash-recovery activity: reattached workers, adopted pods,
-// reconcile corrections.
-func (c *Cluster) RecordEvent(object, reason, message string) {
-	c.recordEvent(object, reason, message)
-}
-
-// Events returns the full control-plane event log.
-func (c *Cluster) Events() []Event { return append([]Event(nil), c.events...) }
-
-// EventsFor returns the events whose object matches exactly (e.g.
-// "pod/wq-worker-3") — the per-object view kubectl describe shows.
-func (c *Cluster) EventsFor(object string) []Event {
-	var out []Event
-	for _, ev := range c.events {
-		if ev.Object == object {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
+// --- watches ---
 
 // OnPod registers an informer-style handler for pod watch events.
 func (c *Cluster) OnPod(h func(PodWatchEvent)) { c.podHandlers = append(c.podHandlers, h) }
@@ -301,8 +267,8 @@ func (c *Cluster) CreatePod(spec PodSpec) (Pod, error) {
 	if _, dup := c.pods[spec.Name]; dup {
 		return Pod{}, fmt.Errorf("kubesim: pod %q already exists", spec.Name)
 	}
-	if !spec.Resources.IsNonNegative() {
-		return Pod{}, fmt.Errorf("kubesim: pod %q has negative resource requests %v", spec.Name, spec.Resources)
+	if err := spec.validate(); err != nil {
+		return Pod{}, fmt.Errorf("kubesim: pod %q %w", spec.Name, err)
 	}
 	c.uid++
 	labels := make(map[string]string, len(spec.Labels))
@@ -326,6 +292,17 @@ func (c *Cluster) CreatePod(spec PodSpec) (Pod, error) {
 	c.schedDirty = true
 	c.notifyPod(Added, p, "")
 	return p.DeepCopy(), nil
+}
+
+// validate runs the checks a spec must pass whatever its name and the
+// store's contents: CreatePod applies them to every pod, and the
+// StatefulSet and WorkerSet controllers to their templates up front,
+// so the pods they create later cannot be refused.
+func (spec PodSpec) validate() error {
+	if !spec.Resources.IsNonNegative() {
+		return fmt.Errorf("has negative resource requests %v", spec.Resources)
+	}
+	return nil
 }
 
 // labelKey composes the podsByLabel index key for one label pair.
@@ -406,7 +383,6 @@ func (c *Cluster) DeletePod(name string) error {
 	reason := ""
 	if p.Phase == PodRunning || (p.Phase == PodPending && p.NodeName != "") {
 		reason = ReasonKilling
-		c.recordEvent("pod/"+name, ReasonKilling, "stopping container")
 	}
 	if p.waiting() {
 		c.pendingLive--
@@ -438,7 +414,6 @@ func (c *Cluster) MarkPodSucceeded(name string) error {
 	p.FinishedAt = c.eng.Now()
 	c.release(p)
 	c.freeNodeOf(p)
-	c.recordEvent("pod/"+name, ReasonCompleted, "container exited 0")
 	c.notifyPod(Modified, p, ReasonCompleted)
 	return nil
 }
@@ -559,13 +534,17 @@ func (c *Cluster) GetService(name string) (Service, bool) {
 
 // CreateStatefulSet stores the set and creates its pods with sticky
 // identities name-0 .. name-(replicas-1). If a member pod is later
-// deleted, the controller recreates it with the same identity.
+// deleted, the controller recreates it with the same identity. A
+// template no pod could be created from is refused here.
 func (c *Cluster) CreateStatefulSet(ss StatefulSet) error {
 	if ss.Name == "" {
 		return fmt.Errorf("kubesim: statefulset with empty name")
 	}
 	if _, dup := c.statefulsets[ss.Name]; dup {
 		return fmt.Errorf("kubesim: statefulset %q already exists", ss.Name)
+	}
+	if err := ss.Template.validate(); err != nil {
+		return fmt.Errorf("kubesim: statefulset %q template %w", ss.Name, err)
 	}
 	cp := ss
 	c.statefulsets[ss.Name] = &cp
@@ -608,7 +587,7 @@ func (c *Cluster) reconcileStatefulSet(ss *StatefulSet) {
 		// Creation cannot fail: name is free and template was
 		// accepted at CreateStatefulSet time.
 		if _, err := c.CreatePod(spec); err != nil {
-			c.recordEvent("statefulset/"+ss.Name, "FailedCreate", err.Error())
+			panic(fmt.Sprintf("kubesim: statefulset template accepted but member refused: %v", err))
 		}
 	}
 }
@@ -623,48 +602,4 @@ func (c *Cluster) PodUsage(name string) resources.Vector {
 		return resources.Zero
 	}
 	return p.usage()
-}
-
-// AvgCPUUtilization returns the mean CPU utilization (used/requested)
-// across running pods matching the selector, and the number of pods
-// considered. Pods without usage reporters count as zero usage, as a
-// metrics server would report an idle container.
-func (c *Cluster) AvgCPUUtilization(selector map[string]string) (float64, int) {
-	var usedMilli, reqMilli int64
-	n := 0
-	sample := func(p *Pod) {
-		if !p.MatchesSelector(selector) || p.Phase != PodRunning {
-			return
-		}
-		n++
-		reqMilli += p.Resources.MilliCPU
-		if p.usage != nil {
-			usedMilli += p.usage().MilliCPU
-		}
-	}
-	if len(selector) == 0 || c.naive {
-		for _, p := range c.pods {
-			sample(p)
-		}
-	} else {
-		for _, p := range c.selectorBucket(selector) {
-			sample(p)
-		}
-	}
-	if reqMilli == 0 {
-		return 0, n
-	}
-	return float64(usedMilli) / float64(reqMilli), n
-}
-
-// UsedCPUCores returns the instantaneous CPU consumption summed over
-// all running pods, in cores.
-func (c *Cluster) UsedCPUCores() float64 {
-	var used int64
-	for _, p := range c.pods {
-		if p.Phase == PodRunning && p.usage != nil {
-			used += p.usage().MilliCPU
-		}
-	}
-	return float64(used) / 1000
 }

@@ -13,19 +13,19 @@ import (
 )
 
 // churnResult captures everything observable about a cluster run: the
-// full control-plane event log (which embeds every bind, every
-// FailedScheduling record, every scale-up/down and node loss in
+// full watch trace (every pod creation, FailedScheduling, bind, pull,
+// start, exit and deletion, and every node arrival and removal, in
 // order), plus the final pod and node states.
 type churnResult struct {
-	events []Event
-	pods   []Pod
-	nodes  []Node
+	watches []watchRecord
+	pods    []Pod
+	nodes   []Node
 }
 
 // runChurnScript drives a cluster through a seeded, randomized
 // node/pod churn: mixed-size pod creation, deletions, graceful
-// completions, chaos-style node preemptions and failures, and a
-// WorkerSet resizing under it. Every decision the script
+// completions, chaos-style node preemptions, and a WorkerSet resizing
+// under it. Every decision the script
 // makes is derived from cluster state that the differential assertion
 // proves identical, so the naive and indexed clusters replay the exact
 // same operation sequence.
@@ -41,11 +41,15 @@ func runChurnScript(t *testing.T, seed int64, naive bool) churnResult {
 	})
 	c.SetNaiveScheduling(naive)
 	defer c.Stop()
-	ws := NewWorkerSet(c, "churn-ws", PodSpec{
+	w := recordWatches(c)
+	ws, err := NewWorkerSet(c, "churn-ws", PodSpec{
 		Image:     "wq-worker:latest",
 		Resources: resources.New(1, 2048, 100),
 		Labels:    map[string]string{"app": "worker"},
 	}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer ws.Stop()
 
 	rng := rand.New(rand.NewSource(seed))
@@ -83,16 +87,13 @@ func runChurnScript(t *testing.T, seed int64, naive bool) churnResult {
 					t.Fatalf("succeed: %v", err)
 				}
 			}
-		case 4: // chaos: preempt or hard-fail a node
+		case 4: // chaos: preempt a node
 			if names := c.ReadyNodeNames(); len(names) > 2 {
 				name := names[rng.Intn(len(names))]
-				var err error
-				if rng.Intn(2) == 0 {
-					err = c.PreemptNode(name)
-				} else {
-					err = c.FailNode(name)
-				}
-				if err != nil {
+				// An unused draw: it keeps each seed's operation
+				// sequence the one the seeds were chosen on.
+				_ = rng.Intn(2)
+				if err := c.PreemptNode(name); err != nil {
 					t.Fatalf("node loss: %v", err)
 				}
 			}
@@ -102,10 +103,10 @@ func runChurnScript(t *testing.T, seed int64, naive bool) churnResult {
 		eng.RunFor(time.Duration(rng.Intn(25)+1) * time.Second)
 	}
 	eng.RunFor(5 * time.Minute)
-	return churnResult{events: c.Events(), pods: c.ListPods(nil), nodes: c.Nodes()}
+	return churnResult{watches: w.records, pods: c.ListPods(nil), nodes: c.Nodes()}
 }
 
-func diffEvents(t *testing.T, naive, indexed []Event) {
+func diffWatches(t *testing.T, naive, indexed []watchRecord) {
 	t.Helper()
 	n := len(naive)
 	if len(indexed) < n {
@@ -113,21 +114,21 @@ func diffEvents(t *testing.T, naive, indexed []Event) {
 	}
 	for i := 0; i < n; i++ {
 		if naive[i] != indexed[i] {
-			t.Fatalf("event %d diverges:\n  naive:   %v\n  indexed: %v", i, naive[i], indexed[i])
+			t.Fatalf("watch event %d diverges:\n  naive:   %+v\n  indexed: %+v", i, naive[i], indexed[i])
 		}
 	}
 	if len(naive) != len(indexed) {
-		t.Fatalf("event count diverges: naive %d, indexed %d", len(naive), len(indexed))
+		t.Fatalf("watch event count diverges: naive %d, indexed %d", len(naive), len(indexed))
 	}
 }
 
 // assertSameRun requires the indexed run to reproduce the naive one:
-// event stream byte-for-byte, then the final pod and node states.
+// watch trace record for record, then the final pod and node states.
 func assertSameRun(t *testing.T, naive, indexed churnResult) {
 	t.Helper()
-	diffEvents(t, naive.events, indexed.events)
-	if len(naive.events) < 100 {
-		t.Errorf("script too quiet: only %d events", len(naive.events))
+	diffWatches(t, naive.watches, indexed.watches)
+	if len(naive.watches) < 100 {
+		t.Errorf("script too quiet: only %d watch events", len(naive.watches))
 	}
 	if len(naive.pods) != len(indexed.pods) {
 		t.Fatalf("pod count diverges: %d vs %d", len(naive.pods), len(indexed.pods))
@@ -155,9 +156,9 @@ func assertSameRun(t *testing.T, naive, indexed churnResult) {
 
 // TestDifferentialSchedulingIdentical pins the tentpole's contract:
 // for fixed seeds, the indexed control plane reproduces the naive
-// reference's bind sequence, event stream (FailedScheduling records
-// included) and final state byte-for-byte across randomized churn with
-// chaos-driven preemptions.
+// reference's bind sequence, watch trace (FailedScheduling
+// notifications included) and final state exactly across randomized
+// churn with chaos-driven preemptions.
 func TestDifferentialSchedulingIdentical(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
@@ -171,7 +172,7 @@ func TestDifferentialSchedulingIdentical(t *testing.T) {
 // way churn does: homogeneous whole-node pods created in bursts that
 // overshoot the quota, provisioning waves of a dozen and more nodes
 // arriving at one instant (so the roster's string-ordered tail is
-// exercised), a node failure while a wave is in flight, the fleet
+// exercised), a node preemption while a wave is in flight, the fleet
 // drained through MarkPodSucceeded with the backlog refilling freed
 // nodes, and finally scale-down after ScaleDownDelay. Long quiet
 // stretches at quota are where the dirty-skip paths run.
@@ -189,6 +190,7 @@ func runFleetScript(t *testing.T, seed int64, naive bool) churnResult {
 	})
 	c.SetNaiveScheduling(naive)
 	defer c.Stop()
+	w := recordWatches(c)
 	podN := 0
 	burst := func(n int) {
 		for i := 0; i < n; i++ {
@@ -215,8 +217,8 @@ func runFleetScript(t *testing.T, seed int64, naive bool) churnResult {
 	burst(quota)                                             // past the quota
 	eng.RunFor(time.Duration(20+rng.Intn(40)) * time.Second)
 	names := c.ReadyNodeNames()
-	if err := c.FailNode(names[rng.Intn(len(names))]); err != nil {
-		t.Fatalf("fail node: %v", err)
+	if err := c.PreemptNode(names[rng.Intn(len(names))]); err != nil {
+		t.Fatalf("preempt node: %v", err)
 	}
 	eng.RunFor(time.Duration(5+rng.Intn(5)) * time.Minute) // waves land, quota reached
 	if got := c.ReadyNodes(); got != quota {
@@ -256,7 +258,7 @@ func runFleetScript(t *testing.T, seed int64, naive bool) churnResult {
 	if got := c.ReadyNodes(); got != 2 {
 		t.Fatalf("fleet did not scale down to MinNodes: %d nodes", got)
 	}
-	return churnResult{events: c.Events(), pods: c.ListPods(nil), nodes: c.Nodes()}
+	return churnResult{watches: w.records, pods: c.ListPods(nil), nodes: c.Nodes()}
 }
 
 // TestDifferentialFleetIdentical is the second differential script:
@@ -277,6 +279,7 @@ func TestIndexInvariants(t *testing.T) {
 	eng := simclock.NewEngine(t0)
 	c := NewCluster(eng, Config{InitialNodes: 4, MaxNodes: 10, Seed: 7, ScaleDownDelay: time.Minute})
 	defer c.Stop()
+	w := recordWatches(c)
 	// A StatefulSet under the churn: random deletes hit its members, and
 	// the reconcile that restores them runs only when one did.
 	if err := c.CreateStatefulSet(StatefulSet{Name: "inv-ss", Replicas: 2, Template: smallPod("")}); err != nil {
@@ -309,7 +312,7 @@ func TestIndexInvariants(t *testing.T) {
 		}
 		checkPendingQueue(t, c, step)
 		checkFleetAggregates(t, c, step)
-		clean.check(t, c, step)
+		clean.check(t, c, w, step)
 		for _, sel := range []map[string]string{
 			{"tier": "t0"}, {"tier": "t1"}, {"tier": "t0", "app": "x"},
 		} {
@@ -435,17 +438,18 @@ type cleanChecks struct{ sched, statefulSets, scaleUp, scaleDown int }
 
 // check asserts that a clear dirty flag means no outstanding work: the
 // sweep the flag lets the control loop skip is run in its retained
-// reference form, and must change nothing — no event, no pod, no node,
-// no reservation. (A sweep that finds nothing to do mutates nothing, so
-// running it here does not perturb the churn.)
-func (cc *cleanChecks) check(t *testing.T, c *Cluster, step int) {
+// reference form, and must change nothing — no watch notification (w
+// is subscribed to c), no pod, no node, no reservation. (A sweep that
+// finds nothing to do mutates nothing, so running it here does not
+// perturb the churn.)
+func (cc *cleanChecks) check(t *testing.T, c *Cluster, w *watchTrace, step int) {
 	t.Helper()
-	events, pods, nodes, provisioning := len(c.events), len(c.pods), len(c.nodes), c.provisioning
+	watches, pods, nodes, provisioning := len(w.records), len(c.pods), len(c.nodes), c.provisioning
 	unchanged := func(what string) {
 		t.Helper()
-		if len(c.events) != events || len(c.pods) != pods || len(c.nodes) != nodes || c.provisioning != provisioning {
-			t.Fatalf("step %d: %s was clean but the reference sweep found work: events %d→%d pods %d→%d nodes %d→%d provisioning %d→%d",
-				step, what, events, len(c.events), pods, len(c.pods), nodes, len(c.nodes), provisioning, c.provisioning)
+		if len(w.records) != watches || len(c.pods) != pods || len(c.nodes) != nodes || c.provisioning != provisioning {
+			t.Fatalf("step %d: %s was clean but the reference sweep found work: watch events %d→%d pods %d→%d nodes %d→%d provisioning %d→%d",
+				step, what, watches, len(w.records), pods, len(c.pods), nodes, len(c.nodes), provisioning, c.provisioning)
 		}
 	}
 	if !c.ssDirty {

@@ -25,7 +25,6 @@ func (c *Cluster) kubeletStart(p *Pod, n *Node) {
 		return
 	}
 	c.pulls[key] = []func(){func() { c.containerStart(p, n) }}
-	c.recordEvent("pod/"+p.Name, ReasonPulling, "pulling image "+p.Image)
 	c.notifyPod(Modified, p, ReasonPulling)
 	c.eng.After(c.pullDuration(p.Image), "kubelet-image-pull", func() {
 		if _, alive := c.nodes[n.Name]; !alive {
@@ -35,7 +34,6 @@ func (c *Cluster) kubeletStart(p *Pod, n *Node) {
 		waiters := c.pulls[key]
 		delete(c.pulls, key)
 		n.Images[p.Image] = true
-		c.recordEvent("node/"+n.Name, ReasonPulled, "pulled image "+p.Image)
 		if cur, ok := c.pods[p.Name]; ok && cur == p && !p.Terminal() {
 			c.notifyPod(Modified, p, ReasonPulled)
 		}
@@ -67,7 +65,6 @@ func (c *Cluster) containerStart(p *Pod, n *Node) {
 		}
 		p.Phase = PodRunning
 		p.RunningAt = c.eng.Now()
-		c.recordEvent("pod/"+p.Name, ReasonStarted, "container started on "+n.Name)
 		c.notifyPod(Modified, p, ReasonStarted)
 	})
 }

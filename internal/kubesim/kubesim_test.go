@@ -33,6 +33,48 @@ func smallPod(name string) PodSpec {
 	}
 }
 
+// watchRecord is one watch notification as a client sees it. Node
+// notifications leave NodeName and Phase empty.
+type watchRecord struct {
+	At       time.Time
+	Type     WatchEventType
+	Reason   string
+	Object   string // "pod/NAME" or "node/NAME"
+	NodeName string
+	Phase    PodPhase
+}
+
+// watchTrace is the ordered log of every pod and node watch
+// notification a cluster delivers.
+type watchTrace struct{ records []watchRecord }
+
+// recordWatches subscribes a trace to c's pod and node watches.
+func recordWatches(c *Cluster) *watchTrace {
+	w := &watchTrace{}
+	c.OnPod(func(ev PodWatchEvent) {
+		w.records = append(w.records, watchRecord{
+			At: c.eng.Now(), Type: ev.Type, Reason: ev.Reason,
+			Object: "pod/" + ev.Pod.Name, NodeName: ev.Pod.NodeName, Phase: ev.Pod.Phase,
+		})
+	})
+	c.OnNode(func(ev NodeWatchEvent) {
+		w.records = append(w.records, watchRecord{At: c.eng.Now(), Type: ev.Type, Object: "node/" + ev.Node.Name})
+	})
+	return w
+}
+
+// count returns how many records carry the type and reason and
+// concern the object; an empty object matches every object.
+func (w *watchTrace) count(typ WatchEventType, reason, object string) int {
+	n := 0
+	for _, r := range w.records {
+		if r.Type == typ && r.Reason == reason && (object == "" || r.Object == object) {
+			n++
+		}
+	}
+	return n
+}
+
 func TestInitialNodes(t *testing.T) {
 	_, c := newTestCluster(t, Config{InitialNodes: 3})
 	if got := c.ReadyNodes(); got != 3 {
@@ -93,16 +135,11 @@ func TestImageCachedSecondPod(t *testing.T) {
 
 func TestConcurrentPullsDeduplicated(t *testing.T) {
 	eng, c := newTestCluster(t, Config{InitialNodes: 1})
+	w := recordWatches(c)
 	c.CreatePod(smallPod("w1"))
 	c.CreatePod(smallPod("w2"))
 	eng.RunFor(30 * time.Second)
-	pulls := 0
-	for _, ev := range c.Events() {
-		if ev.Reason == ReasonPulling {
-			pulls++
-		}
-	}
-	if pulls != 1 {
+	if pulls := w.count(Modified, ReasonPulling, ""); pulls != 1 {
 		t.Errorf("Pulling events = %d, want 1 (deduplicated)", pulls)
 	}
 	for _, name := range []string{"w1", "w2"} {
@@ -114,6 +151,7 @@ func TestConcurrentPullsDeduplicated(t *testing.T) {
 
 func TestUnschedulableTriggersScaleUp(t *testing.T) {
 	eng, c := newTestCluster(t, Config{InitialNodes: 1, MaxNodes: 5})
+	w := recordWatches(c)
 	// Node-sized pods; the single node takes one, the second must wait
 	// for provisioning.
 	spec := smallPod("big1")
@@ -139,17 +177,10 @@ func TestUnschedulableTriggersScaleUp(t *testing.T) {
 	if init < 120*time.Second || init > 200*time.Second {
 		t.Errorf("init time = %v, want ≈160s", init)
 	}
-	var sawFailed, sawScaleUp bool
-	for _, ev := range c.Events() {
-		if ev.Reason == ReasonFailedScheduling && ev.Object == "pod/big2" {
-			sawFailed = true
-		}
-		if ev.Reason == ReasonScaleUp {
-			sawScaleUp = true
-		}
-	}
-	if !sawFailed || !sawScaleUp {
-		t.Errorf("events missing: FailedScheduling=%v ScaleUp=%v", sawFailed, sawScaleUp)
+	failed := w.count(Modified, ReasonFailedScheduling, "pod/big2")
+	added := w.count(Added, "", "node/node-2")
+	if failed != 1 || added != 1 {
+		t.Errorf("watch events: FailedScheduling for big2 = %d, node-2 Added = %d; want 1 each", failed, added)
 	}
 }
 
@@ -348,20 +379,22 @@ func TestUsageMetrics(t *testing.T) {
 	spec := smallPod("w1")
 	spec.Resources = resources.New(2, 1024, 100)
 	spec.Usage = func() resources.Vector { return resources.New(1, 512, 0) }
+	if got := c.PodUsage("w1"); got != resources.Zero {
+		t.Errorf("PodUsage of an unknown pod = %v, want zero", got)
+	}
 	c.CreatePod(spec)
+	if got := c.PodUsage("w1"); got != resources.Zero {
+		t.Errorf("PodUsage while Pending = %v, want zero", got)
+	}
 	eng.RunFor(30 * time.Second)
-	util, n := c.AvgCPUUtilization(map[string]string{"app": "worker"})
-	if n != 1 {
-		t.Fatalf("pods considered = %d", n)
-	}
-	if util < 0.49 || util > 0.51 {
-		t.Errorf("utilization = %v, want 0.5", util)
-	}
-	if got := c.UsedCPUCores(); got != 1 {
-		t.Errorf("UsedCPUCores = %v", got)
-	}
 	if got := c.PodUsage("w1"); got != resources.New(1, 512, 0) {
 		t.Errorf("PodUsage = %v", got)
+	}
+	if err := c.MarkPodSucceeded("w1"); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.PodUsage("w1"); got != resources.Zero {
+		t.Errorf("PodUsage after exit = %v, want zero", got)
 	}
 }
 
@@ -372,9 +405,8 @@ func TestSetPodUsage(t *testing.T) {
 	if err := c.SetPodUsage("w1", func() resources.Vector { return resources.Cores(0.9) }); err != nil {
 		t.Fatal(err)
 	}
-	util, _ := c.AvgCPUUtilization(map[string]string{"app": "worker"})
-	if util < 0.89 || util > 0.91 {
-		t.Errorf("utilization = %v, want 0.9", util)
+	if got := c.PodUsage("w1"); got != resources.Cores(0.9) {
+		t.Errorf("PodUsage = %v, want 0.9 cores", got)
 	}
 	if err := c.SetPodUsage("nope", nil); err == nil {
 		t.Error("unknown pod should fail")
@@ -383,7 +415,10 @@ func TestSetPodUsage(t *testing.T) {
 
 func TestWorkerSetScalesUpAndDown(t *testing.T) {
 	eng, c := newTestCluster(t, Config{InitialNodes: 5})
-	ws := NewWorkerSet(c, "workers", smallPod(""), 3)
+	ws, err := NewWorkerSet(c, "workers", smallPod(""), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer ws.Stop()
 	eng.RunFor(30 * time.Second)
 	if got := len(ws.LivePods()); got != 3 {
@@ -408,7 +443,10 @@ func TestWorkerSetDeletionPrefersPending(t *testing.T) {
 	eng, c := newTestCluster(t, Config{InitialNodes: 1, MaxNodes: 1})
 	spec := smallPod("")
 	spec.Resources = c.Config().NodeAllocatable // one per node; only 1 can run
-	ws := NewWorkerSet(c, "workers", spec, 2)
+	ws, err := NewWorkerSet(c, "workers", spec, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer ws.Stop()
 	eng.RunFor(30 * time.Second)
 	pods := ws.LivePods()
@@ -434,7 +472,10 @@ func TestWorkerSetDeletionPrefersPending(t *testing.T) {
 
 func TestWorkerSetGarbageCollectsSucceeded(t *testing.T) {
 	eng, c := newTestCluster(t, Config{InitialNodes: 3})
-	ws := NewWorkerSet(c, "workers", smallPod(""), 2)
+	ws, err := NewWorkerSet(c, "workers", smallPod(""), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer ws.Stop()
 	eng.RunFor(30 * time.Second)
 	pods := ws.LivePods()
@@ -451,7 +492,10 @@ func TestWorkerSetGarbageCollectsSucceeded(t *testing.T) {
 
 func TestNegativeReplicasClamped(t *testing.T) {
 	eng, c := newTestCluster(t, Config{InitialNodes: 1})
-	ws := NewWorkerSet(c, "workers", smallPod(""), 1)
+	ws, err := NewWorkerSet(c, "workers", smallPod(""), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer ws.Stop()
 	eng.RunFor(20 * time.Second)
 	ws.SetReplicas(-5)
@@ -512,7 +556,7 @@ func TestStopQuiescesEngine(t *testing.T) {
 	}
 }
 
-func TestFailNodeKillsPodsAndRemovesNode(t *testing.T) {
+func TestPreemptNodeKillsPodsAndRemovesNode(t *testing.T) {
 	eng, c := newTestCluster(t, Config{InitialNodes: 2, MaxNodes: 4})
 	c.CreatePod(smallPod("w1"))
 	c.CreatePod(smallPod("w2"))
@@ -521,13 +565,8 @@ func TestFailNodeKillsPodsAndRemovesNode(t *testing.T) {
 	if p1.Phase != PodRunning {
 		t.Fatalf("w1 = %s", p1.Phase)
 	}
-	var deleted []string
-	c.OnPod(func(ev PodWatchEvent) {
-		if ev.Type == Deleted {
-			deleted = append(deleted, ev.Pod.Name)
-		}
-	})
-	if err := c.FailNode(p1.NodeName); err != nil {
+	w := recordWatches(c)
+	if err := c.PreemptNode(p1.NodeName); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.GetPod("w1"); ok {
@@ -542,15 +581,21 @@ func TestFailNodeKillsPodsAndRemovesNode(t *testing.T) {
 	if found {
 		t.Error("failed node still in fleet")
 	}
-	if len(deleted) == 0 {
-		t.Error("no Deleted events observed")
+	// The node's pods die first, then the node: w1 and w2 share it.
+	want := []watchRecord{
+		{At: eng.Now(), Type: Deleted, Reason: ReasonKilling, Object: "pod/w1", NodeName: p1.NodeName, Phase: PodFailed},
+		{At: eng.Now(), Type: Deleted, Reason: ReasonKilling, Object: "pod/w2", NodeName: p1.NodeName, Phase: PodFailed},
+		{At: eng.Now(), Type: Deleted, Object: "node/" + p1.NodeName},
 	}
-	if err := c.FailNode("ghost"); err == nil {
-		t.Error("failing unknown node should error")
+	if !slices.Equal(w.records, want) {
+		t.Errorf("watch trace of the preemption:\n got  %v\n want %v", w.records, want)
+	}
+	if err := c.PreemptNode("ghost"); err == nil {
+		t.Error("preempting unknown node should error")
 	}
 }
 
-func TestFailNodeTriggersReprovision(t *testing.T) {
+func TestPreemptNodeTriggersReprovision(t *testing.T) {
 	eng, c := newTestCluster(t, Config{InitialNodes: 1, MaxNodes: 3})
 	spec := smallPod("big")
 	spec.Resources = c.Config().NodeAllocatable
@@ -558,7 +603,7 @@ func TestFailNodeTriggersReprovision(t *testing.T) {
 	eng.RunFor(30 * time.Second)
 	p, _ := c.GetPod("big")
 	node := p.NodeName
-	c.FailNode(node)
+	c.PreemptNode(node)
 	// The owner recreates the pod (here: the test); the cloud
 	// controller provisions a fresh node for it.
 	spec.Name = "big2"
@@ -569,26 +614,7 @@ func TestFailNodeTriggersReprovision(t *testing.T) {
 		t.Fatalf("replacement pod = %s", p2.Phase)
 	}
 	if p2.NodeName == node {
-		t.Error("replacement landed on the failed node")
-	}
-}
-
-func TestEventsFor(t *testing.T) {
-	eng, c := newTestCluster(t, Config{InitialNodes: 1})
-	c.CreatePod(smallPod("w1"))
-	c.CreatePod(smallPod("w2"))
-	eng.RunFor(30 * time.Second)
-	evs := c.EventsFor("pod/w1")
-	if len(evs) == 0 {
-		t.Fatal("no events for pod/w1")
-	}
-	for _, ev := range evs {
-		if ev.Object != "pod/w1" {
-			t.Errorf("foreign event %v", ev)
-		}
-	}
-	if got := c.EventsFor("pod/ghost"); got != nil {
-		t.Errorf("ghost events = %v", got)
+		t.Error("replacement landed on the preempted node")
 	}
 }
 
@@ -662,7 +688,8 @@ func TestSchedulerCleanPassZeroAlloc(t *testing.T) {
 			t.Fatalf("fixture: pending pod %s was never marked unschedulable", p.Name)
 		}
 	}
-	probes, events := c.fitProbes, len(c.events)
+	w := recordWatches(c)
+	probes := c.fitProbes
 	allocs := testing.AllocsPerRun(100, func() {
 		c.scheduleOnce()
 		c.cloudControllerOnce()
@@ -673,7 +700,60 @@ func TestSchedulerCleanPassZeroAlloc(t *testing.T) {
 	if c.fitProbes != probes {
 		t.Errorf("clean syncs made %d Fits probes, want 0", c.fitProbes-probes)
 	}
-	if len(c.events) != events {
-		t.Errorf("clean syncs recorded %d events", len(c.events)-events)
+	if len(w.records) != 0 {
+		t.Errorf("clean syncs delivered %d watch events", len(w.records))
+	}
+}
+
+// TestTemplateValidation pins that both controllers refuse, up front, a
+// template no pod could be created from, and create nothing for it.
+func TestTemplateValidation(t *testing.T) {
+	_, c := newTestCluster(t, Config{})
+	bad := smallPod("")
+	bad.Resources = resources.Vector{MilliCPU: 1000, MemoryMB: -1}
+	if err := c.CreateStatefulSet(StatefulSet{Name: "ss", Replicas: 1, Template: bad}); err == nil {
+		t.Error("CreateStatefulSet accepted a negative-resource template")
+	}
+	if ws, err := NewWorkerSet(c, "ws", bad, 1); err == nil {
+		ws.Stop()
+		t.Error("NewWorkerSet accepted a negative-resource template")
+	}
+	if pods := c.ListPods(nil); len(pods) != 0 {
+		t.Errorf("refused templates created %d pods", len(pods))
+	}
+	if err := c.CreateStatefulSet(StatefulSet{Name: "ss", Replicas: 1, Template: smallPod("")}); err != nil {
+		t.Errorf("a refused template reserved the set's name: %v", err)
+	}
+}
+
+// TestPodLifecycleAllocs pins the allocation cost of one pod's whole
+// life on a warm node with the image cached: create, bind, start,
+// graceful exit and delete, with the watch copies each transition
+// makes.
+func TestPodLifecycleAllocs(t *testing.T) {
+	eng, c := newTestCluster(t, Config{InitialNodes: 1})
+	spec := smallPod("w")
+	lifecycle := func() {
+		if _, err := c.CreatePod(spec); err != nil {
+			t.Fatal(err)
+		}
+		c.scheduleOnce()
+		eng.RunFor(c.cfg.ContainerStartDelay)
+		if err := c.MarkPodSucceeded("w"); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.DeletePod("w"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.CreatePod(smallPod("warm")); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunFor(30 * time.Second) // pulls the image
+	lifecycle()
+	allocs := testing.AllocsPerRun(100, lifecycle)
+	t.Logf("%.0f allocations per pod lifecycle", allocs)
+	if allocs > 17 {
+		t.Errorf("one pod lifecycle allocates %.0f times, want at most 17", allocs)
 	}
 }

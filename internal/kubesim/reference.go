@@ -112,7 +112,7 @@ func (c *Cluster) naiveScheduleOnce() {
 			}
 		}
 		if !placed && !p.UnschedulableSeen {
-			c.markUnschedulable(p, len(nodes))
+			c.markUnschedulable(p)
 		}
 	}
 }
@@ -151,7 +151,7 @@ func (c *Cluster) naiveScaleUpForPending(nodes []*Node) {
 	if needed <= 0 {
 		return
 	}
-	c.provision(needed, len(unsched))
+	c.provision(needed)
 }
 
 // naiveNodesNeededFor first-fit packs the pending pods onto the free
@@ -213,7 +213,6 @@ func (c *Cluster) naiveScaleDownEmpty(nodes []*Node) {
 			c.stampEmpty(n, time.Time{})
 			continue
 		}
-		c.recordEvent("cluster", ReasonScaleDown, "removing empty node "+n.Name)
 		c.removeNode(n)
 	}
 }

@@ -1,7 +1,6 @@
 package kubesim
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 	"time"
@@ -149,7 +148,7 @@ func (c *Cluster) bindPending() {
 		if k < len(nodes) {
 			c.bind(p, nodes[k])
 		} else if !p.UnschedulableSeen {
-			c.markUnschedulable(p, len(nodes))
+			c.markUnschedulable(p)
 		}
 		if c.schedDirty {
 			// A handler released capacity under the pass: rejected
@@ -181,11 +180,9 @@ func (c *Cluster) compactPending() {
 
 // markUnschedulable records the pod's first failed placement — the
 // paper's "No Available Node" state, which the cloud controller acts on.
-func (c *Cluster) markUnschedulable(p *Pod, nodes int) {
+func (c *Cluster) markUnschedulable(p *Pod) {
 	p.UnschedulableSeen = true
 	c.scaleDirty = true
-	c.recordEvent("pod/"+p.Name, ReasonFailedScheduling,
-		fmt.Sprintf("0/%d nodes are available: Insufficient resources (request %v)", nodes, p.Resources))
 	c.notifyPod(Modified, p, ReasonFailedScheduling)
 }
 
@@ -245,7 +242,6 @@ func (c *Cluster) bind(p *Pod, n *Node) {
 	m[p.Name] = p
 	c.pendingLive--
 	c.scaleDirty = true
-	c.recordEvent("pod/"+p.Name, ReasonScheduled, "bound to "+n.Name)
 	c.notifyPod(Modified, p, ReasonScheduled)
 	c.kubeletStart(p, n)
 }

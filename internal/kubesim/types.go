@@ -14,11 +14,11 @@
 // Running only after the full cycle — so a client watching pod events
 // observes the same four-state lifecycle (No Available Node → No
 // Container Image → Running → Stopped) the paper's informer cache
-// tracks.
+// tracks. Those watches (Cluster.OnPod, Cluster.OnNode) and the state
+// getters are the only way to observe the cluster.
 package kubesim
 
 import (
-	"fmt"
 	"time"
 
 	"hta/internal/resources"
@@ -35,7 +35,7 @@ const (
 	PodFailed    PodPhase = "Failed"
 )
 
-// Event reasons emitted by the control plane.
+// Reasons carried by pod watch events.
 const (
 	ReasonFailedScheduling = "FailedScheduling" // no node with enough resources
 	ReasonScheduled        = "Scheduled"
@@ -44,25 +44,7 @@ const (
 	ReasonStarted          = "Started"
 	ReasonKilling          = "Killing"
 	ReasonCompleted        = "Completed"
-	ReasonNodeReady        = "NodeReady"
-	ReasonNodeRemoved      = "NodeRemoved"
-	ReasonScaleUp          = "TriggeredScaleUp"
-	ReasonScaleDown        = "ScaleDown"
-	ReasonNodeFailure      = "NodeFailure" // abrupt node loss (hardware)
-	ReasonPreempted        = "Preempted"   // spot/preemptible reclaim
 )
-
-// Event is a timestamped control-plane event attached to an object.
-type Event struct {
-	Time    time.Time
-	Object  string // "pod/NAME", "node/NAME", ...
-	Reason  string
-	Message string
-}
-
-func (e Event) String() string {
-	return fmt.Sprintf("%s %s %s: %s", e.Time.Format("15:04:05"), e.Object, e.Reason, e.Message)
-}
 
 // PodSpec describes a pod to create.
 type PodSpec struct {

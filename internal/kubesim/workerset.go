@@ -30,12 +30,16 @@ type WorkerSet struct {
 const workerSetReconcileInterval = 5 * time.Second
 
 // NewWorkerSet creates the controller and immediately reconciles to
-// the requested replica count.
-func NewWorkerSet(c *Cluster, name string, template PodSpec, replicas int) *WorkerSet {
+// the requested replica count. A template no pod could be created from
+// is refused before anything is created.
+func NewWorkerSet(c *Cluster, name string, template PodSpec, replicas int) (*WorkerSet, error) {
+	if err := template.validate(); err != nil {
+		return nil, fmt.Errorf("kubesim: workerset %q template %w", name, err)
+	}
 	ws := &WorkerSet{c: c, name: name, template: template, replicas: replicas}
 	ws.ticker = c.eng.Every(workerSetReconcileInterval, "workerset-"+name, ws.Reconcile)
 	ws.Reconcile()
-	return ws
+	return ws, nil
 }
 
 // Stop halts reconciliation. Existing pods are left as they are.
@@ -111,8 +115,10 @@ func (ws *WorkerSet) createPod() {
 		}
 		labels["workerset"] = ws.name
 		spec.Labels = labels
+		// Creation cannot fail: the loop found a free name and the
+		// template was accepted at NewWorkerSet time.
 		if _, err := ws.c.CreatePod(spec); err != nil {
-			ws.c.recordEvent("workerset/"+ws.name, "FailedCreate", err.Error())
+			panic(fmt.Sprintf("kubesim: workerset template accepted but pod refused: %v", err))
 		}
 		return
 	}

@@ -37,7 +37,10 @@ func newRig(t *testing.T, cfg Config) *rig {
 		Resources: resources.New(3, 12288, 10000),
 		Labels:    map[string]string{"app": "wq-worker"},
 	}
-	ws := kubesim.NewWorkerSet(c, "workers", template, 1)
+	ws, err := kubesim.NewWorkerSet(c, "workers", template, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctrl := New(c, ws, m, cfg)
 	t.Cleanup(func() { ctrl.Stop(); ws.Stop(); c.Stop() })
 	return &rig{eng: eng, c: c, m: m, ws: ws, ctrl: ctrl}
@@ -128,7 +131,10 @@ func TestInvalidConfigPanics(t *testing.T) {
 	c := kubesim.NewCluster(eng, kubesim.Config{Seed: 1})
 	defer c.Stop()
 	m := wq.NewMaster(eng, nil)
-	ws := kubesim.NewWorkerSet(c, "w", kubesim.PodSpec{Image: "i", Resources: resources.Cores(1)}, 0)
+	ws, err := kubesim.NewWorkerSet(c, "w", kubesim.PodSpec{Image: "i", Resources: resources.Cores(1)}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer ws.Stop()
 	defer func() {
 		if recover() == nil {
