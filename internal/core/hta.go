@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"time"
 
 	"hta/internal/kubesim"
@@ -101,8 +102,12 @@ type Autoscaler struct {
 	tracker *LifecycleTracker
 	cfg     Config
 
-	pods   map[string]workerPodState
-	podSeq int
+	// pods is every worker pod HTA manages and its state; change it
+	// only through setPod and dropPod, which keep the per-state counts
+	// (creating, active, draining) in step.
+	pods                       map[string]workerPodState
+	creating, active, draining int
+	podSeq                     int
 
 	held        map[string][]wq.TaskSpec // category -> held task specs
 	probeActive map[string]bool
@@ -150,10 +155,9 @@ type DecisionRecord struct {
 	Panic bool
 }
 
-// workerLabels mark the pods HTA manages.
-func workerLabels() map[string]string {
-	return map[string]string{"app": "wq-worker", "managed-by": "hta"}
-}
+// workerLabels mark the pods HTA manages. The map is shared by every
+// create, list and watch filter, none of which mutates it.
+var workerLabels = map[string]string{"app": "wq-worker", "managed-by": "hta"}
 
 // New wires an HTA instance to a cluster and a master. Call Start to
 // deploy and begin autoscaling.
@@ -169,7 +173,7 @@ func New(eng *simclock.Engine, cluster *kubesim.Cluster, master *wq.Master, cfg 
 		held:        make(map[string][]wq.TaskSpec),
 		probeActive: make(map[string]bool),
 	}
-	a.tracker = NewLifecycleTracker(cluster, workerLabels(), cfg.InitTimeFallback)
+	a.tracker = NewLifecycleTracker(cluster, workerLabels, cfg.InitTimeFallback)
 	if !cfg.DisableEstimator {
 		master.SetEstimator(a.mon)
 	}
@@ -324,20 +328,55 @@ func (a *Autoscaler) maybeCleanup() {
 
 func (a *Autoscaler) createWorkerPod() {
 	a.podSeq++
-	name := fmt.Sprintf("wq-worker-%d", a.podSeq)
+	var buf [32]byte
+	name := string(strconv.AppendInt(append(buf[:0], "wq-worker-"...), int64(a.podSeq), 10))
 	// One worker-pod per node: the pod requests the node's entire
 	// allocatable vector (paper §IV-A).
 	spec := kubesim.PodSpec{
 		Name:      name,
 		Image:     a.cfg.WorkerImage,
 		Resources: a.cluster.Config().NodeAllocatable,
-		Labels:    workerLabels(),
+		Labels:    workerLabels,
 	}
 	if _, err := a.cluster.CreatePod(spec); err != nil {
 		a.podSeq--
 		return
 	}
-	a.pods[name] = podCreating
+	a.setPod(name, podCreating)
+}
+
+// setPod records a managed pod's state, adding the pod if it is new.
+func (a *Autoscaler) setPod(name string, st workerPodState) {
+	if old, ok := a.pods[name]; ok {
+		*a.stateCount(old)--
+	}
+	a.pods[name] = st
+	*a.stateCount(st)++
+}
+
+// dropPod forgets a managed pod, if it is one.
+func (a *Autoscaler) dropPod(name string) {
+	if old, ok := a.pods[name]; ok {
+		*a.stateCount(old)--
+		delete(a.pods, name)
+	}
+}
+
+// resetPods forgets every managed pod.
+func (a *Autoscaler) resetPods() {
+	a.pods = make(map[string]workerPodState)
+	a.creating, a.active, a.draining = 0, 0, 0
+}
+
+func (a *Autoscaler) stateCount(st workerPodState) *int {
+	switch st {
+	case podCreating:
+		return &a.creating
+	case podActive:
+		return &a.active
+	default:
+		return &a.draining
+	}
 }
 
 func (a *Autoscaler) onPodEvent(ev kubesim.PodWatchEvent) {
@@ -354,14 +393,14 @@ func (a *Autoscaler) onPodEvent(ev kubesim.PodWatchEvent) {
 		if st != podCreating {
 			return
 		}
-		a.pods[name] = podActive
+		a.setPod(name, podActive)
 		if err := a.master.AddWorker(name, ev.Pod.Resources); err == nil {
 			_ = a.cluster.SetPodUsage(name, func() resources.Vector {
 				return a.master.WorkerUsage(name)
 			})
 		}
 	case ev.Type == kubesim.Deleted:
-		delete(a.pods, name)
+		a.dropPod(name)
 		if st == podActive && ev.Reason == kubesim.ReasonKilling {
 			// Pod killed underneath us (preemption, node failure):
 			// requeue its tasks and remember the loss for planning.
@@ -454,49 +493,32 @@ func (a *Autoscaler) drainPod(name string) {
 	switch st {
 	case podCreating:
 		// Never connected: delete outright.
-		delete(a.pods, name)
+		a.dropPod(name)
 		_ = a.cluster.DeletePod(name)
 		return
 	case podDraining:
 		return
 	}
-	a.pods[name] = podDraining
+	a.setPod(name, podDraining)
 	err := a.master.DrainWorker(name, func() {
 		// Worker exited cleanly; the pod completes and is removed.
 		if _, ok := a.pods[name]; !ok {
 			return
 		}
-		delete(a.pods, name)
+		a.dropPod(name)
 		_ = a.cluster.MarkPodSucceeded(name)
 		_ = a.cluster.DeletePod(name)
 	})
 	if err != nil {
 		// Worker never connected or already gone.
-		delete(a.pods, name)
+		a.dropPod(name)
 		_ = a.cluster.DeletePod(name)
 	}
 }
 
-func (a *Autoscaler) podCounts() (creating, active, draining int) {
-	for _, st := range a.pods {
-		switch st {
-		case podCreating:
-			creating++
-		case podActive:
-			active++
-		case podDraining:
-			draining++
-		}
-	}
-	return
-}
-
 // WorkerPodCount returns the number of live (non-draining) worker
 // pods HTA manages.
-func (a *Autoscaler) WorkerPodCount() int {
-	creating, active, _ := a.podCounts()
-	return creating + active
-}
+func (a *Autoscaler) WorkerPodCount() int { return a.creating + a.active }
 
 // --- resize loop ---
 
@@ -568,12 +590,11 @@ func (a *Autoscaler) estimateInput() EstimateInput {
 }
 
 func (a *Autoscaler) apply(dec Decision) {
-	creating, active, _ := a.podCounts()
 	switch {
 	case dec.ScaleChange > 0:
 		// Pods already being created absorb part of the need.
-		n := dec.ScaleChange - creating
-		if room := a.cfg.MaxWorkers - creating - active; n > room {
+		n := dec.ScaleChange - a.creating
+		if room := a.cfg.MaxWorkers - a.creating - a.active; n > room {
 			n = room
 		}
 		for i := 0; i < n; i++ {
@@ -641,11 +662,10 @@ type Status struct {
 // Status reports the autoscaler's current state.
 func (a *Autoscaler) Status() Status {
 	s := a.master.Stats()
-	creating, active, draining := a.podCounts()
 	st := Status{
-		WorkersActive:    active,
-		WorkersCreating:  creating,
-		WorkersDraining:  draining,
+		WorkersActive:    a.active,
+		WorkersCreating:  a.creating,
+		WorkersDraining:  a.draining,
 		QueueWaiting:     s.Waiting,
 		QueueRunning:     s.Running,
 		TasksHeld:        a.HeldTasks(),

@@ -182,7 +182,7 @@ func TestWorkerPodKilledTasksRequeue(t *testing.T) {
 	// Kill one active worker pod out from under HTA (simulates node
 	// failure / eviction).
 	var victim string
-	for _, p := range s.cluster.ListPods(workerLabels()) {
+	for _, p := range s.cluster.ListPods(workerLabels) {
 		if p.Phase == kubesim.PodRunning {
 			victim = p.Name
 			break
@@ -280,7 +280,7 @@ func TestNodeFailureRecovery(t *testing.T) {
 	s.eng.RunFor(5 * time.Minute)
 	// Kill the node hosting a running worker pod.
 	var victim string
-	for _, p := range s.cluster.ListPods(workerLabels()) {
+	for _, p := range s.cluster.ListPods(workerLabels) {
 		if p.Phase == kubesim.PodRunning {
 			victim = p.NodeName
 			break

@@ -71,7 +71,7 @@ func (a *Autoscaler) Crash() AutoscalerState {
 	a.cycleTimer.Stop()
 	a.stopPanicChecker()
 	a.panicSt = panicState{}
-	a.pods = make(map[string]workerPodState)
+	a.resetPods()
 	a.held = make(map[string][]wq.TaskSpec)
 	a.probeActive = make(map[string]bool)
 	a.recentKills = nil
@@ -119,15 +119,15 @@ func (a *Autoscaler) Restore(st AutoscalerState) int {
 
 	corrections := 0
 	// Re-derive pod membership from the API server.
-	a.pods = make(map[string]workerPodState)
-	live := a.cluster.ListPods(workerLabels())
+	a.resetPods()
+	live := a.cluster.ListPods(workerLabels)
 	slices.SortFunc(live, func(a, b kubesim.Pod) int { return strings.Compare(a.Name, b.Name) })
 	for _, p := range live {
 		switch p.Phase {
 		case kubesim.PodPending:
-			a.pods[p.Name] = podCreating
+			a.setPod(p.Name, podCreating)
 		case kubesim.PodRunning:
-			a.pods[p.Name] = podActive
+			a.setPod(p.Name, podActive)
 			if _, known := a.master.WorkerCapacity(p.Name); !known {
 				// The pod came up while the controller was down; adopt it.
 				name := p.Name
@@ -193,7 +193,7 @@ func (a *Autoscaler) OnMasterRestored() int {
 			continue
 		}
 		if _, alive := a.master.WorkerCapacity(name); alive {
-			a.pods[name] = podActive
+			a.setPod(name, podActive)
 			corrections++
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 	"time"
 )
 
@@ -12,13 +13,13 @@ import (
 func (c *Cluster) addNode() *Node {
 	c.nodeSeq++
 	now := c.eng.Now()
+	var name [24]byte
 	n := &Node{
-		Name:        fmt.Sprintf("node-%d", c.nodeSeq),
+		Name:        string(strconv.AppendInt(append(name[:0], "node-"...), int64(c.nodeSeq), 10)),
 		Allocatable: c.cfg.NodeAllocatable,
 		Ready:       true,
 		CreatedAt:   now,
 		ReadyAt:     now,
-		Images:      make(map[string]bool),
 	}
 	c.nodes[n.Name] = n
 	c.nodeList = append(c.nodeList, n) // merged into place by the next sortedNodes

@@ -2,7 +2,9 @@ package kubesim
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
@@ -119,13 +121,21 @@ type Cluster struct {
 	statefulsets map[string]*StatefulSet
 
 	// Incremental scheduling indexes. podsByNode holds the live
-	// (non-terminal) pods bound to each node; podsByLabel holds every
-	// stored pod under each of its label pairs (labels are immutable
-	// after CreatePod). The naive reference path
+	// (non-terminal) pods bound to each node; a node's bucket lives as
+	// long as the node, so its successive pods reuse one map.
+	// podsByLabel holds every stored pod under each of its label pairs
+	// (labels are immutable after CreatePod). The naive reference path
 	// (SetNaiveScheduling) ignores every index in this block and
 	// rescans the stores; maintenance is unconditional.
 	podsByNode  map[string]map[string]*Pod
-	podsByLabel map[string]map[string]*Pod
+	podsByLabel map[labelPair]map[string]*Pod
+	// labelSets holds the frozen label maps of the stored pods, one per
+	// distinct set, under its canonical encoding (see internLabels);
+	// labelKeys and labelBuf are that encoding's scratch.
+	labelSets map[string]*labelSet
+	labelKeys []string
+	labelBuf  []byte
+	listBuf   []*Pod // ListPods' scratch
 	// pendingQ holds the Pending, not-yet-bound pods in UID order:
 	// CreatePod assigns UIDs monotonically and appends; a bind or a
 	// delete leaves the entry behind as a tombstone (Pod.waiting turns
@@ -171,8 +181,8 @@ type Cluster struct {
 	nodeHandlers []func(NodeWatchEvent)
 
 	tickers      []*simclock.Ticker
-	provisioning int                 // node count currently being reserved
-	pulls        map[string][]func() // node/image -> waiters
+	provisioning int                // node count currently being reserved
+	pulls        map[pullKey][]*Pod // node/image -> pods waiting to start
 	stopped      bool
 }
 
@@ -189,9 +199,10 @@ func NewCluster(eng *simclock.Engine, cfg Config) *Cluster {
 		services:     make(map[string]*Service),
 		statefulsets: make(map[string]*StatefulSet),
 		podsByNode:   make(map[string]map[string]*Pod),
-		podsByLabel:  make(map[string]map[string]*Pod),
+		podsByLabel:  make(map[labelPair]map[string]*Pod),
+		labelSets:    make(map[string]*labelSet),
 		cursorIdx:    make(map[resources.Vector]int),
-		pulls:        make(map[string][]func()),
+		pulls:        make(map[pullKey][]*Pod),
 	}
 	for i := 0; i < cfg.InitialNodes; i++ {
 		c.addNode()
@@ -237,20 +248,24 @@ func (c *Cluster) Engine() *simclock.Engine { return c.eng }
 // --- watches ---
 
 // OnPod registers an informer-style handler for pod watch events.
+// Every handler receives the same shallow copy of the pod: its Labels
+// map is the cluster's and must not be mutated.
 func (c *Cluster) OnPod(h func(PodWatchEvent)) { c.podHandlers = append(c.podHandlers, h) }
 
 // OnNode registers an informer-style handler for node watch events.
+// Every handler receives the same shallow copy of the node: its Images
+// map is the cluster's and must not be mutated.
 func (c *Cluster) OnNode(h func(NodeWatchEvent)) { c.nodeHandlers = append(c.nodeHandlers, h) }
 
 func (c *Cluster) notifyPod(t WatchEventType, p *Pod, reason string) {
-	ev := PodWatchEvent{Type: t, Pod: p.DeepCopy(), Reason: reason}
+	ev := PodWatchEvent{Type: t, Pod: *p, Reason: reason}
 	for _, h := range c.podHandlers {
 		h(ev)
 	}
 }
 
 func (c *Cluster) notifyNode(t WatchEventType, n *Node) {
-	ev := NodeWatchEvent{Type: t, Node: n.DeepCopy()}
+	ev := NodeWatchEvent{Type: t, Node: *n}
 	for _, h := range c.nodeHandlers {
 		h(ev)
 	}
@@ -259,7 +274,10 @@ func (c *Cluster) notifyNode(t WatchEventType, n *Node) {
 // --- pod API ---
 
 // CreatePod submits a pod to the API server. The pod starts Pending
-// and is bound by the scheduler loop.
+// and is bound by the scheduler loop. The cluster keeps its own copy of
+// spec.Labels (shared with earlier pods of an equal label set), so the
+// caller may reuse or change its map afterwards. The returned pod is a
+// shallow copy whose Labels must not be mutated.
 func (c *Cluster) CreatePod(spec PodSpec) (Pod, error) {
 	if spec.Name == "" {
 		return Pod{}, fmt.Errorf("kubesim: pod with empty name")
@@ -271,19 +289,17 @@ func (c *Cluster) CreatePod(spec PodSpec) (Pod, error) {
 		return Pod{}, fmt.Errorf("kubesim: pod %q %w", spec.Name, err)
 	}
 	c.uid++
-	labels := make(map[string]string, len(spec.Labels))
-	for k, v := range spec.Labels {
-		labels[k] = v
-	}
+	ls := c.internLabels(spec.Labels)
 	p := &Pod{
 		Name:      spec.Name,
 		UID:       c.uid,
 		Image:     spec.Image,
 		Resources: spec.Resources,
-		Labels:    labels,
+		Labels:    ls.labels,
 		Phase:     PodPending,
 		CreatedAt: c.eng.Now(),
 		usage:     spec.Usage,
+		labels:    ls,
 	}
 	c.pods[spec.Name] = p
 	c.indexPod(p)
@@ -291,7 +307,7 @@ func (c *Cluster) CreatePod(spec PodSpec) (Pod, error) {
 	c.pendingLive++
 	c.schedDirty = true
 	c.notifyPod(Added, p, "")
-	return p.DeepCopy(), nil
+	return *p, nil
 }
 
 // validate runs the checks a spec must pass whatever its name and the
@@ -305,15 +321,65 @@ func (spec PodSpec) validate() error {
 	return nil
 }
 
-// labelKey composes the podsByLabel index key for one label pair.
-func labelKey(k, v string) string { return k + "\x00" + v }
+// labelPair is one label, the key of the podsByLabel index.
+type labelPair struct{ key, value string }
+
+// labelSet is one frozen label map, shared by every stored pod created
+// with an equal set of labels. refs counts those pods; the set leaves
+// Cluster.labelSets with the last of them.
+type labelSet struct {
+	key    string // canonical encoding, the labelSets key
+	labels map[string]string
+	refs   int
+}
+
+// internLabels returns the shared set equal to m, copying m into a new
+// set on first sight. The lookup key is m's pairs in key order, each
+// string length-prefixed, so distinct sets never collide; building it
+// reuses scratch, and the map lookup on the converted bytes does not
+// allocate, so a create with a known label set allocates nothing here.
+func (c *Cluster) internLabels(m map[string]string) *labelSet {
+	keys := c.labelKeys[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	buf := c.labelBuf[:0]
+	for _, k := range keys {
+		v := m[k]
+		buf = binary.AppendUvarint(buf, uint64(len(k)))
+		buf = append(buf, k...)
+		buf = binary.AppendUvarint(buf, uint64(len(v)))
+		buf = append(buf, v...)
+	}
+	clear(keys)
+	c.labelKeys, c.labelBuf = keys, buf
+	if ls := c.labelSets[string(buf)]; ls != nil {
+		ls.refs++
+		return ls
+	}
+	ls := &labelSet{key: string(buf), labels: maps.Clone(m), refs: 1}
+	if ls.labels == nil {
+		ls.labels = map[string]string{}
+	}
+	c.labelSets[ls.key] = ls
+	return ls
+}
+
+// releaseLabels drops a deleted pod's reference to its label set.
+func (c *Cluster) releaseLabels(ls *labelSet) {
+	ls.refs--
+	if ls.refs == 0 {
+		delete(c.labelSets, ls.key)
+	}
+}
 
 // indexPod registers a freshly stored pod in the label index. Pod
 // labels are immutable after creation, so membership only changes at
 // create/delete time.
 func (c *Cluster) indexPod(p *Pod) {
 	for k, v := range p.Labels {
-		key := labelKey(k, v)
+		key := labelPair{k, v}
 		m := c.podsByLabel[key]
 		if m == nil {
 			m = make(map[string]*Pod)
@@ -326,7 +392,7 @@ func (c *Cluster) indexPod(p *Pod) {
 // unindexPod removes a pod from the label index at deletion time.
 func (c *Cluster) unindexPod(p *Pod) {
 	for k, v := range p.Labels {
-		key := labelKey(k, v)
+		key := labelPair{k, v}
 		if m := c.podsByLabel[key]; m != nil {
 			delete(m, p.Name)
 			if len(m) == 0 {
@@ -348,12 +414,7 @@ func (c *Cluster) release(p *Pod) {
 		n.livePods--
 		c.schedDirty, c.scaleDirty = true, true
 	}
-	if m := c.podsByNode[p.NodeName]; m != nil {
-		delete(m, p.Name)
-		if len(m) == 0 {
-			delete(c.podsByNode, p.NodeName)
-		}
-	}
+	delete(c.podsByNode[p.NodeName], p.Name)
 }
 
 // selectorBucket returns the smallest label-index bucket covering a
@@ -362,7 +423,7 @@ func (c *Cluster) release(p *Pod) {
 func (c *Cluster) selectorBucket(selector map[string]string) map[string]*Pod {
 	var smallest map[string]*Pod
 	for k, v := range selector {
-		m := c.podsByLabel[labelKey(k, v)]
+		m := c.podsByLabel[labelPair{k, v}]
 		if len(m) == 0 {
 			return nil
 		}
@@ -395,6 +456,7 @@ func (c *Cluster) DeletePod(name string) error {
 	}
 	c.unbind(p)
 	c.unindexPod(p)
+	c.releaseLabels(p.labels)
 	delete(c.pods, name)
 	c.notifyPod(Deleted, p, reason)
 	return nil
@@ -418,48 +480,59 @@ func (c *Cluster) MarkPodSucceeded(name string) error {
 	return nil
 }
 
-// GetPod returns a copy of the named pod.
+// GetPod returns a shallow copy of the named pod; its Labels map is
+// shared and must not be mutated.
 func (c *Cluster) GetPod(name string) (Pod, bool) {
 	p, ok := c.pods[name]
 	if !ok {
 		return Pod{}, false
 	}
-	return p.DeepCopy(), true
+	return *p, true
 }
 
-// ListPods returns copies of all pods matching the selector (nil
-// selects everything), sorted by creation then name. With a non-empty
-// selector the lookup walks only the smallest matching label bucket
-// instead of the whole store.
+// ListPods returns shallow copies of all pods matching the selector
+// (nil selects everything), sorted by creation then name; their Labels
+// maps are shared and must not be mutated. With a non-empty selector
+// the lookup walks only the smallest matching label bucket instead of
+// the whole store.
 func (c *Cluster) ListPods(selector map[string]string) []Pod {
-	var out []Pod
-	if len(selector) == 0 || c.naive {
-		for _, p := range c.pods {
-			if p.MatchesSelector(selector) {
-				out = append(out, p.DeepCopy())
-			}
-		}
-	} else {
-		for _, p := range c.selectorBucket(selector) {
-			if p.MatchesSelector(selector) {
-				out = append(out, p.DeepCopy())
-			}
+	pods := c.pods
+	if len(selector) != 0 && !c.naive {
+		pods = c.selectorBucket(selector)
+	}
+	// Sort pointers and copy each pod once: moving whole Pod values
+	// through append's regrowth and the sort cost ~4x as much at
+	// fleet size.
+	match := c.listBuf[:0]
+	for _, p := range pods {
+		if p.MatchesSelector(selector) {
+			match = append(match, p)
 		}
 	}
-	slices.SortFunc(out, func(a, b Pod) int { return cmp.Compare(a.UID, b.UID) })
+	slices.SortFunc(match, func(a, b *Pod) int { return cmp.Compare(a.UID, b.UID) })
+	var out []Pod
+	if len(match) > 0 {
+		out = make([]Pod, len(match))
+		for i, p := range match {
+			out[i] = *p
+		}
+	}
+	clear(match)
+	c.listBuf = match
 	return out
 }
 
 // --- node accessors ---
 
-// Nodes returns copies of all nodes in scheduler order: creation time,
-// then name compared as a string — within one provisioning wave
-// "node-10" comes before "node-9".
+// Nodes returns shallow copies of all nodes in scheduler order:
+// creation time, then name compared as a string — within one
+// provisioning wave "node-10" comes before "node-9". Their Images maps
+// are shared and must not be mutated.
 func (c *Cluster) Nodes() []Node {
 	nodes := c.sortedNodes()
 	out := make([]Node, 0, len(nodes))
 	for _, n := range nodes {
-		out = append(out, n.DeepCopy())
+		out = append(out, *n)
 	}
 	return out
 }

@@ -1,6 +1,12 @@
 package kubesim
 
-import "time"
+import (
+	"maps"
+	"time"
+)
+
+// pullKey names one in-flight image pull: a node and an image.
+type pullKey struct{ node, image string }
 
 // kubeletStart drives a freshly bound pod through the node-local part
 // of its lifecycle: pull the container image if the node does not
@@ -19,12 +25,12 @@ func (c *Cluster) kubeletStart(p *Pod, n *Node) {
 		return
 	}
 	p.PulledImage = true
-	key := n.Name + "\x00" + p.Image
-	if _, inflight := c.pulls[key]; inflight {
-		c.pulls[key] = append(c.pulls[key], func() { c.containerStart(p, n) })
+	key := pullKey{n.Name, p.Image}
+	if waiters, inflight := c.pulls[key]; inflight {
+		c.pulls[key] = append(waiters, p)
 		return
 	}
-	c.pulls[key] = []func(){func() { c.containerStart(p, n) }}
+	c.pulls[key] = []*Pod{p}
 	c.notifyPod(Modified, p, ReasonPulling)
 	c.eng.After(c.pullDuration(p.Image), "kubelet-image-pull", func() {
 		if _, alive := c.nodes[n.Name]; !alive {
@@ -33,12 +39,17 @@ func (c *Cluster) kubeletStart(p *Pod, n *Node) {
 		}
 		waiters := c.pulls[key]
 		delete(c.pulls, key)
-		n.Images[p.Image] = true
+		// Copy-on-write: node copies handed out earlier keep the
+		// image set they were given.
+		images := make(map[string]bool, len(n.Images)+1)
+		maps.Copy(images, n.Images)
+		images[p.Image] = true
+		n.Images = images
 		if cur, ok := c.pods[p.Name]; ok && cur == p && !p.Terminal() {
 			c.notifyPod(Modified, p, ReasonPulled)
 		}
 		for _, w := range waiters {
-			w()
+			c.containerStart(w, n)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package kubesim
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -726,10 +727,94 @@ func TestTemplateValidation(t *testing.T) {
 	}
 }
 
+// TestCreatePodCopiesLabels pins CreatePod's label isolation: the
+// caller's map is copied, so changing it afterwards moves neither the
+// stored pod, nor the label index, nor any later watch event. Pods
+// created from equal label sets share one frozen copy, which leaves
+// the cluster with the last of them.
+func TestCreatePodCopiesLabels(t *testing.T) {
+	eng, c := newTestCluster(t, Config{InitialNodes: 1})
+	want := map[string]string{"app": "worker", "tier": "t0"}
+	var seen []map[string]string
+	c.OnPod(func(ev PodWatchEvent) {
+		if ev.Pod.Name == "p" {
+			seen = append(seen, maps.Clone(ev.Pod.Labels))
+		}
+	})
+	spec := smallPod("p")
+	spec.Labels = maps.Clone(want)
+	if _, err := c.CreatePod(spec); err != nil {
+		t.Fatal(err)
+	}
+	spec.Labels["tier"] = "t1"
+	spec.Labels["extra"] = "x"
+	delete(spec.Labels, "app")
+
+	if got := c.pods["p"].Labels; !maps.Equal(got, want) {
+		t.Errorf("stored labels = %v, want %v", got, want)
+	}
+	if p, _ := c.GetPod("p"); !maps.Equal(p.Labels, want) {
+		t.Errorf("GetPod labels = %v, want %v", p.Labels, want)
+	}
+	for _, sel := range []map[string]string{{"tier": "t0"}, {"app": "worker"}, want} {
+		if pods := c.ListPods(sel); len(pods) != 1 || pods[0].Name != "p" {
+			t.Errorf("ListPods(%v) = %d pods, want p", sel, len(pods))
+		}
+	}
+	for _, sel := range []map[string]string{{"tier": "t1"}, {"extra": "x"}} {
+		if pods := c.ListPods(sel); len(pods) != 0 {
+			t.Errorf("ListPods(%v) found %d pods after the caller changed its map", sel, len(pods))
+		}
+	}
+	eng.RunFor(30 * time.Second) // schedule, pull, start
+	if err := c.DeletePod("p"); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 6 {
+		t.Fatalf("%d watch events for p, want 6 (Added, Scheduled, Pulling, Pulled, Started, Deleted)", len(seen))
+	}
+	for i, l := range seen {
+		if !maps.Equal(l, want) {
+			t.Errorf("watch event %d labels = %v, want %v", i, l, want)
+		}
+	}
+
+	// Equal sets share one copy; a different set gets its own.
+	for _, name := range []string{"q1", "q2", "r"} {
+		spec := smallPod(name)
+		spec.Labels = maps.Clone(want)
+		if name == "r" {
+			spec.Labels["tier"] = "t1"
+		}
+		if _, err := c.CreatePod(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q1, q2, r := c.pods["q1"], c.pods["q2"], c.pods["r"]
+	if q1.labels != q2.labels {
+		t.Error("pods created from equal label sets hold separate copies")
+	}
+	if r.labels == q1.labels || r.Labels["tier"] != "t1" {
+		t.Errorf("pod r with labels %v shares q1's set %v", r.Labels, q1.Labels)
+	}
+	if len(c.labelSets) != 2 {
+		t.Errorf("%d label sets stored, want 2", len(c.labelSets))
+	}
+	for _, name := range []string{"q1", "q2", "r"} {
+		if err := c.DeletePod(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(c.labelSets) != 0 {
+		t.Errorf("%d label sets outlive every pod", len(c.labelSets))
+	}
+}
+
 // TestPodLifecycleAllocs pins the allocation cost of one pod's whole
 // life on a warm node with the image cached: create, bind, start,
-// graceful exit and delete, with the watch copies each transition
-// makes.
+// graceful exit and delete. Watch events and the returned pod share
+// the stored labels, so what is left is the pod record and its
+// container-start event.
 func TestPodLifecycleAllocs(t *testing.T) {
 	eng, c := newTestCluster(t, Config{InitialNodes: 1})
 	spec := smallPod("w")
@@ -753,7 +838,7 @@ func TestPodLifecycleAllocs(t *testing.T) {
 	lifecycle()
 	allocs := testing.AllocsPerRun(100, lifecycle)
 	t.Logf("%.0f allocations per pod lifecycle", allocs)
-	if allocs > 17 {
-		t.Errorf("one pod lifecycle allocates %.0f times, want at most 17", allocs)
+	if allocs > 2 {
+		t.Errorf("one pod lifecycle allocates %.0f times, want at most 2", allocs)
 	}
 }

@@ -57,7 +57,12 @@ type PodSpec struct {
 	Usage func() resources.Vector
 }
 
-// Pod is the stored pod object. Clients receive copies.
+// Pod is the stored pod object. Clients (watch events, GetPod,
+// ListPods, CreatePod's return) receive shallow copies: the scalar
+// fields are theirs, but Labels is the cluster's own map, frozen at
+// CreatePod and shared by every copy of the pod and by other pods with
+// an equal label set. Clients must not mutate it — client-go's
+// informer-cache contract.
 type Pod struct {
 	Name      string
 	UID       int64
@@ -81,16 +86,9 @@ type Pod struct {
 	PulledImage bool
 
 	usage func() resources.Vector
-}
-
-// DeepCopy returns a copy safe to hand to clients.
-func (p *Pod) DeepCopy() Pod {
-	cp := *p
-	cp.Labels = make(map[string]string, len(p.Labels))
-	for k, v := range p.Labels {
-		cp.Labels[k] = v
-	}
-	return cp
+	// labels is the shared label set Labels points into; CreatePod
+	// takes a reference and DeletePod drops it.
+	labels *labelSet
 }
 
 // MatchesSelector reports whether the pod's labels contain every
@@ -107,7 +105,10 @@ func (p *Pod) MatchesSelector(sel map[string]string) bool {
 // Terminal reports whether the pod reached a terminal phase.
 func (p *Pod) Terminal() bool { return p.Phase == PodSucceeded || p.Phase == PodFailed }
 
-// Node is a cluster machine.
+// Node is a cluster machine. Clients (watch events, Nodes) receive
+// shallow copies whose Images map is shared with the cluster and must
+// not be mutated; the cluster never mutates a map it has handed out
+// either, so a copy's Images stays the snapshot it was.
 type Node struct {
 	Name        string
 	Allocatable resources.Vector
@@ -118,7 +119,9 @@ type Node struct {
 	Ready     bool
 	CreatedAt time.Time
 	ReadyAt   time.Time
-	// Images lists container images already present on the node.
+	// Images lists container images already present on the node. It
+	// is copy-on-write: a completed pull replaces the map (nil until
+	// the first pull) rather than adding to it.
 	Images map[string]bool
 	// EmptySince is the time the node last became free of pods; zero
 	// while occupied.
@@ -127,16 +130,6 @@ type Node struct {
 	// livePods counts the non-terminal pods bound to the node; kept in
 	// lockstep with Allocated.
 	livePods int
-}
-
-// DeepCopy returns a copy safe to hand to clients.
-func (n *Node) DeepCopy() Node {
-	cp := *n
-	cp.Images = make(map[string]bool, len(n.Images))
-	for k, v := range n.Images {
-		cp.Images[k] = v
-	}
-	return cp
 }
 
 // Service is a named network endpoint selecting a set of pods. The
@@ -170,7 +163,7 @@ const (
 // PodWatchEvent is delivered to pod informers.
 type PodWatchEvent struct {
 	Type WatchEventType
-	Pod  Pod
+	Pod  Pod // the pod after the change; Labels is shared, read-only
 	// Reason carries the control-plane event reason that caused the
 	// modification, when there is one.
 	Reason string
@@ -179,5 +172,5 @@ type PodWatchEvent struct {
 // NodeWatchEvent is delivered to node informers.
 type NodeWatchEvent struct {
 	Type WatchEventType
-	Node Node
+	Node Node // Images is shared, read-only
 }

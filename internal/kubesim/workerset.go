@@ -19,7 +19,7 @@ import (
 type WorkerSet struct {
 	c        *Cluster
 	name     string
-	template PodSpec
+	template PodSpec // Labels: the template's plus the set's own
 	replicas int
 	seq      int
 	ticker   *simclock.Ticker
@@ -36,6 +36,12 @@ func NewWorkerSet(c *Cluster, name string, template PodSpec, replicas int) (*Wor
 	if err := template.validate(); err != nil {
 		return nil, fmt.Errorf("kubesim: workerset %q template %w", name, err)
 	}
+	labels := make(map[string]string, len(template.Labels)+1)
+	for k, v := range template.Labels {
+		labels[k] = v
+	}
+	labels["workerset"] = name
+	template.Labels = labels
 	ws := &WorkerSet{c: c, name: name, template: template, replicas: replicas}
 	ws.ticker = c.eng.Every(workerSetReconcileInterval, "workerset-"+name, ws.Reconcile)
 	ws.Reconcile()
@@ -109,12 +115,6 @@ func (ws *WorkerSet) createPod() {
 		}
 		spec := ws.template
 		spec.Name = name
-		labels := make(map[string]string, len(ws.template.Labels)+1)
-		for k, v := range ws.template.Labels {
-			labels[k] = v
-		}
-		labels["workerset"] = ws.name
-		spec.Labels = labels
 		// Creation cannot fail: the loop found a free name and the
 		// template was accepted at NewWorkerSet time.
 		if _, err := ws.c.CreatePod(spec); err != nil {

@@ -45,6 +45,7 @@ type Link struct {
 	transfers map[int]*Transfer // active transfers by id (reference mode)
 	nextID    int
 	timer     simclock.Timer
+	onTimer   func() // the completion timer's callback, bound once
 	last      time.Time
 
 	// Virtual-time state (indexed mode). vt is the cumulative
@@ -193,7 +194,7 @@ func newLink(eng *simclock.Engine, capacityMBps, perTransferMBps float64, refere
 	if perTransferMBps < 0 {
 		panic(fmt.Sprintf("netsim: negative per-transfer cap %v", perTransferMBps))
 	}
-	return &Link{
+	l := &Link{
 		eng:         eng,
 		capacity:    capacityMBps,
 		perTransfer: perTransferMBps,
@@ -202,6 +203,11 @@ func newLink(eng *simclock.Engine, capacityMBps, perTransferMBps float64, refere
 		transfers:   make(map[int]*Transfer),
 		last:        eng.Now(),
 	}
+	l.onTimer = func() {
+		l.advance()
+		l.reschedule()
+	}
+	return l
 }
 
 // SetContention sets the per-extra-stream efficiency factor in
@@ -413,10 +419,7 @@ func (l *Link) reschedule() {
 	if !ok {
 		return
 	}
-	l.timer = l.eng.After(d, "netsim-completion", func() {
-		l.advance()
-		l.reschedule()
-	})
+	l.timer = l.eng.After(d, "netsim-completion", l.onTimer)
 }
 
 // completeBatch schedules completion callbacks as zero-delay events

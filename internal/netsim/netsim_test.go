@@ -493,3 +493,27 @@ func TestCompleteBatchAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestTransferLifecycleAllocs pins the cost of one transfer's whole
+// life on an idle link — Start, the completion timer, the done
+// callback — at the one allocation nothing can share: the *Transfer the
+// caller keeps. The completion timer's callback is bound once per
+// Link, and the engine's event records and the heap are recycled.
+func TestTransferLifecycleAllocs(t *testing.T) {
+	eng := simclock.NewEngine(t0)
+	l := NewLink(eng, 1000, 0)
+	done := 0
+	onDone := func() { done++ }
+	lifecycle := func() {
+		l.Start(10, onDone)
+		eng.Run()
+	}
+	lifecycle()
+	allocs := testing.AllocsPerRun(100, lifecycle)
+	if done != 102 {
+		t.Fatalf("%d transfers completed, want 102", done)
+	}
+	if allocs > 1 {
+		t.Errorf("one transfer lifecycle allocates %.0f times, want 1 (the *Transfer)", allocs)
+	}
+}

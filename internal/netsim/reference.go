@@ -132,10 +132,7 @@ func (l *Link) refReschedule() {
 	if !ok {
 		return
 	}
-	l.timer = l.eng.After(d, "netsim-completion", func() {
-		l.advance()
-		l.reschedule()
-	})
+	l.timer = l.eng.After(d, "netsim-completion", l.onTimer)
 }
 
 // refRemove drops a canceled transfer from the ordered active set.

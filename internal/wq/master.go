@@ -677,7 +677,7 @@ func (m *Master) finishDrain(w *simWorker) {
 	if w.onDrain != nil {
 		cb := w.onDrain
 		w.onDrain = nil
-		m.eng.After(0, "wq-drained-"+w.id, cb)
+		m.eng.After(0, "wq-drained", cb)
 	}
 	m.scheduleDispatch()
 }
