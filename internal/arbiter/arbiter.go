@@ -267,7 +267,7 @@ func (a *Arbiter) AddTenant(cfg TenantConfig) (*Tenant, error) {
 	master := wq.NewMaster(a.eng, nil)
 	mon := monitor.New(cfg.Monitor)
 	master.SetEstimator(mon)
-	master.OnComplete(func(r wq.Result) { mon.Observe(r.Task) })
+	master.OnComplete(func(r wq.Result) { mon.Observe(r.Task.Category, r.Task.Measured, r.Task.ExecWall) })
 	t := &Tenant{
 		cfg:     cfg,
 		idx:     len(a.tenants),
@@ -496,12 +496,7 @@ func (a *Arbiter) shrink(t *Tenant, n int) {
 			n--
 		}
 	}
-	a.drainBuf = a.drainBuf[:0]
-	t.master.ForEachWorker(func(id string, _ resources.Vector, draining bool) {
-		if !draining && !t.master.WorkerBusy(id) {
-			a.drainBuf = append(a.drainBuf, id)
-		}
-	})
+	a.drainBuf = t.master.AppendIdleWorkers(a.drainBuf[:0])
 	for _, id := range a.drainBuf {
 		if n == 0 {
 			return

@@ -123,6 +123,7 @@ type Autoscaler struct {
 	// so the per-cycle estimate allocates nothing in steady state.
 	planner   Planner
 	workerBuf []WorkerInfo
+	drainBuf  []string // drainIdle's scratch
 
 	// panicSt is the spike fast path's bookkeeping (see panic.go);
 	// inert while cfg.Panic is disabled.
@@ -285,7 +286,7 @@ func (a *Autoscaler) onTaskComplete(r wq.Result) {
 	if a.down {
 		return
 	}
-	a.mon.Observe(r.Task)
+	a.mon.Observe(r.Task.Category, r.Task.Measured, r.Task.ExecWall)
 	a.warmupOver = true
 	// Release any held tasks of the now-measured category.
 	if hs := a.held[r.Task.Category]; len(hs) > 0 {
@@ -615,28 +616,32 @@ func (a *Autoscaler) sortedPodNames() []string {
 	return names
 }
 
-// drainIdle drains up to n idle workers (and surplus still-creating
-// pods first, which are free to cancel).
+// drainIdle drains up to n idle workers, and surplus still-creating
+// pods first, which are free to cancel: creating pods in name order,
+// then idle active workers in join order. Both lists are collected
+// before the first drain, which may compact the master's roster.
 func (a *Autoscaler) drainIdle(n int) {
-	for _, name := range a.sortedPodNames() {
-		if n == 0 {
-			return
+	buf := a.drainBuf[:0]
+	if a.creating > 0 {
+		for name, st := range a.pods {
+			if st == podCreating {
+				buf = append(buf, name)
+			}
 		}
-		if a.pods[name] == podCreating {
+		slices.Sort(buf)
+	}
+	creating := len(buf)
+	buf = a.master.AppendIdleWorkers(buf)
+	for i, name := range buf {
+		if n == 0 {
+			break
+		}
+		if i < creating || a.pods[name] == podActive {
 			a.drainPod(name)
 			n--
 		}
 	}
-	for _, id := range a.master.Workers() {
-		if n == 0 {
-			return
-		}
-		if a.pods[id] != podActive || a.master.WorkerBusy(id) {
-			continue
-		}
-		a.drainPod(id)
-		n--
-	}
+	a.drainBuf = buf[:0]
 }
 
 // Status is a point-in-time snapshot of the autoscaler, for

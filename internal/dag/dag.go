@@ -260,6 +260,9 @@ func (g *Graph) Node(id string) (Node, bool) {
 // NodeIdx returns a copy of node i.
 func (g *Graph) NodeIdx(i int32) Node { return g.nodes[i] }
 
+// IDIdx returns node i's ID without copying the node.
+func (g *Graph) IDIdx(i int32) string { return g.nodes[i].ID }
+
 // IDs returns all node IDs in insertion order.
 func (g *Graph) IDs() []string {
 	out := make([]string, len(g.nodes))

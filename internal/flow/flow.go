@@ -35,8 +35,8 @@ type FailureNotifier interface {
 }
 
 // SpecFunc converts a DAG node into a task spec. The runner sets the
-// spec's Tag to the node ID regardless of what the function returns
-// there.
+// spec's Tag to the node ID and its Ref to the node index plus one,
+// regardless of what the function returns there.
 type SpecFunc func(n dag.Node) wq.TaskSpec
 
 // Runner executes one graph on one scheduler. It serializes its own
@@ -171,7 +171,7 @@ func (r *Runner) submitReady() []func() {
 			continue
 		}
 		spec := r.spec(n)
-		spec.Tag = n.ID
+		spec.Tag, spec.Ref = n.ID, i+1
 		r.sched.Submit(spec)
 		r.journal(makeflow.TxnSubmit, n.ID)
 	}
@@ -206,7 +206,7 @@ func (r *Runner) onComplete(res wq.Result) {
 		r.mu.Unlock()
 		return
 	}
-	i, ok := r.g.Index(res.Task.Tag)
+	i, ok := r.node(&res.Task)
 	if !ok || r.g.StateIdx(i) != dag.Running {
 		r.mu.Unlock()
 		return // not ours (shared master) or already handled
@@ -223,6 +223,16 @@ func (r *Runner) onComplete(res wq.Result) {
 	for _, fn := range fire {
 		fn()
 	}
+}
+
+// node resolves a task to its node by Ref, confirmed by tag, else by
+// tag alone: a result with no Ref (wire path, restored master) or with
+// another runner's colliding Ref (shared master).
+func (r *Runner) node(t *wq.Task) (int32, bool) {
+	if i := t.Ref - 1; i >= 0 && int(i) < r.g.Len() && r.g.IDIdx(i) == t.Tag {
+		return i, true
+	}
+	return r.g.Index(t.Tag)
 }
 
 // onTaskFailed marks a permanently failed (quarantined) task's node

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -237,5 +238,127 @@ func TestChaosQuarantineFailsNode(t *testing.T) {
 	}
 	if g.State("c") == dag.Running || g.State("c") == dag.Complete {
 		t.Errorf("c = %v, want never started", g.State("c"))
+	}
+}
+
+// chain builds a graph of n nodes, each consuming its predecessor's
+// output, with IDs prefix0, prefix1, ...
+func chain(t testing.TB, prefix string, n int) *dag.Graph {
+	g := dag.NewGraph()
+	for i := 0; i < n; i++ {
+		node := dag.Node{ID: fmt.Sprintf("%s%d", prefix, i), Outputs: []string{fmt.Sprintf("%s%d.out", prefix, i)}}
+		if i > 0 {
+			node.Inputs = []string{fmt.Sprintf("%s%d.out", prefix, i-1)}
+		}
+		if err := g.Add(node); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestRunnersSharingMasterCollidingRefs runs two workflows on one
+// master. Their nodes share indices, so their tasks carry the same
+// Refs; each runner must claim only its own completions.
+func TestRunnersSharingMasterCollidingRefs(t *testing.T) {
+	eng := simclock.NewEngine(t0)
+	m := wq.NewMaster(eng, nil)
+	m.AddWorker("w1", resources.New(3, 12288, 1000))
+	mk := func(d time.Duration) SpecFunc { return func(dag.Node) wq.TaskSpec { return spec(d) } }
+	ga, gb := chain(t, "a", 5), chain(t, "b", 5)
+	ra, rb := NewRunner(ga, m, mk(10*time.Second)), NewRunner(gb, m, mk(3*time.Second))
+	claimed := map[string]int32{}
+	m.OnComplete(func(r wq.Result) { claimed[r.Task.Tag] = r.Task.Ref })
+	var doneA, doneB time.Duration
+	ra.OnAllDone(func() { doneA = eng.Elapsed() })
+	rb.OnAllDone(func() { doneB = eng.Elapsed() })
+	ra.Start()
+	rb.Start()
+	eng.Run()
+	// Each chain advances on its own completions only: five 10 s and
+	// five 3 s steps side by side on the worker.
+	if doneA != 50*time.Second || doneB != 15*time.Second {
+		t.Fatalf("workflows done at %v and %v, want 50s and 15s", doneA, doneB)
+	}
+	for _, r := range []*Runner{ra, rb} {
+		if !r.Done() || r.Err() != nil {
+			t.Fatalf("done=%v err=%v", r.Done(), r.Err())
+		}
+	}
+	if ga.Completed() != 5 || gb.Completed() != 5 || m.CompletedCount() != 10 {
+		t.Fatalf("completed a=%d b=%d master=%d, want 5/5/10", ga.Completed(), gb.Completed(), m.CompletedCount())
+	}
+	for i := 0; i < 5; i++ {
+		if claimed[fmt.Sprintf("a%d", i)] != int32(i+1) || claimed[fmt.Sprintf("b%d", i)] != int32(i+1) {
+			t.Fatalf("refs %v, want node index + 1 in both workflows", claimed)
+		}
+	}
+}
+
+// stubSched records the last submitted spec and delivers completions
+// by hand, as the wire adapter does.
+type stubSched struct {
+	last     wq.TaskSpec
+	complete func(wq.Result)
+}
+
+func (s *stubSched) Submit(spec wq.TaskSpec) int   { s.last = spec; return 0 }
+func (s *stubSched) OnComplete(fn func(wq.Result)) { s.complete = fn }
+
+func (s *stubSched) finish(spec wq.TaskSpec) {
+	s.complete(wq.Result{Task: wq.Task{TaskSpec: spec, State: wq.TaskComplete}})
+}
+
+// TestRunnerResolvesByTagWithoutRef delivers completions with no Ref
+// (the wire path, a restored master) and with a Ref that names another
+// node: both must resolve by tag. A foreign tag whose Ref matches one
+// of the runner's nodes must not be claimed.
+func TestRunnerResolvesByTagWithoutRef(t *testing.T) {
+	g := chain(t, "n", 3)
+	s := &stubSched{}
+	r := NewRunner(g, s, func(dag.Node) wq.TaskSpec { return spec(time.Second) })
+	r.Start()
+
+	foreign := s.last
+	foreign.Tag = "elsewhere"
+	s.finish(foreign) // Ref 1 is n0's, the tag is not
+	if g.State("n0") != dag.Running {
+		t.Fatalf("n0 = %v after a foreign completion, want running", g.State("n0"))
+	}
+
+	noRef := s.last
+	noRef.Ref = 0
+	s.finish(noRef)
+	if g.State("n0") != dag.Complete || s.last.Tag != "n1" {
+		t.Fatalf("n0 = %v, next submitted %q after a Ref-less completion", g.State("n0"), s.last.Tag)
+	}
+	wrongRef := s.last
+	wrongRef.Ref = 3 // n2's index + 1
+	s.finish(wrongRef)
+	if g.State("n1") != dag.Complete || g.State("n2") != dag.Running {
+		t.Fatalf("n1 = %v, n2 = %v after a mismatched Ref, want complete/running", g.State("n1"), g.State("n2"))
+	}
+	s.finish(s.last)
+	if !r.Done() || r.Err() != nil {
+		t.Fatalf("done=%v err=%v", r.Done(), r.Err())
+	}
+}
+
+// TestRunnerCompleteAllocs pins one completion — resolve the node,
+// complete it, release and submit its dependent — at zero allocations.
+func TestRunnerCompleteAllocs(t *testing.T) {
+	g := chain(t, "n", 200)
+	s := &stubSched{}
+	task := spec(time.Second)
+	NewRunner(g, s, func(dag.Node) wq.TaskSpec { return task }).Start()
+	avg := testing.AllocsPerRun(100, func() { s.finish(s.last) })
+	if avg != 0 {
+		t.Fatalf("a runner completion allocates %v objects, want 0", avg)
+	}
+	if g.Completed() != 101 {
+		t.Fatalf("completed %d, want 101", g.Completed())
 	}
 }

@@ -9,7 +9,6 @@ package monitor
 
 import (
 	"slices"
-	"sync"
 	"time"
 
 	"hta/internal/resources"
@@ -47,15 +46,16 @@ type CategoryStats struct {
 	MaxExec  time.Duration
 }
 
-// Monitor aggregates task measurements. It is safe for concurrent
-// use so the TCP runtime can share it with the simulation.
+// Monitor aggregates task measurements. Like wq.Master it belongs to
+// one goroutine and takes no lock: on the simulated path every call
+// comes from the event loop. A caller with concurrent completions (the
+// operator's wire connections) serializes its calls itself.
 type Monitor struct {
-	mu   sync.Mutex
 	cfg  Config
 	cats map[string]*catAgg
 	// rev counts mutations that could change an estimate (observation
 	// batches, state imports). Exposed via EstimateRev so the master's
-	// per-category memo can skip the lock in steady state.
+	// per-category memo can skip re-aggregation in steady state.
 	rev uint64
 }
 
@@ -71,35 +71,30 @@ func New(cfg Config) *Monitor {
 	return &Monitor{cfg: cfg.withDefaults(), cats: make(map[string]*catAgg)}
 }
 
-// Observe records a completed task's measurements.
-func (m *Monitor) Observe(t wq.Task) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	agg, ok := m.cats[t.Category]
+// Observe records one completed task of the category: its measured
+// consumption and its wall time.
+func (m *Monitor) Observe(category string, measured resources.Vector, wall time.Duration) {
+	agg, ok := m.cats[category]
 	if !ok {
 		agg = &catAgg{}
-		m.cats[t.Category] = agg
+		m.cats[category] = agg
 	}
 	agg.count++
-	agg.maxUsage = agg.maxUsage.Max(t.Measured)
-	agg.totalExec += t.ExecWall
-	if t.ExecWall > agg.maxExec {
-		agg.maxExec = t.ExecWall
+	agg.maxUsage = agg.maxUsage.Max(measured)
+	agg.totalExec += wall
+	if wall > agg.maxExec {
+		agg.maxExec = wall
 	}
 	m.rev++
 }
 
 // Known reports whether the category has at least one measurement.
 func (m *Monitor) Known(category string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.cats[category] != nil
 }
 
 // Stats returns the category summary.
 func (m *Monitor) Stats(category string) (CategoryStats, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	agg, ok := m.cats[category]
 	if !ok {
 		return CategoryStats{}, false
@@ -115,8 +110,6 @@ func (m *Monitor) Stats(category string) (CategoryStats, bool) {
 
 // Categories returns the measured categories, sorted.
 func (m *Monitor) Categories() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := make([]string, 0, len(m.cats))
 	for c := range m.cats {
 		out = append(out, c)
@@ -129,8 +122,6 @@ func (m *Monitor) Categories() []string {
 // maximum consumption seen for the category, CPU rounded up to whole
 // processor slots, inflated by the configured margin.
 func (m *Monitor) EstimateResources(category string) (resources.Vector, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	agg, ok := m.cats[category]
 	if !ok {
 		return resources.Zero, false
@@ -156,8 +147,6 @@ func (m *Monitor) EstimateResources(category string) (resources.Vector, bool) {
 // EstimateExecTime implements wq.Estimator: the mean measured wall
 // time for the category.
 func (m *Monitor) EstimateExecTime(category string) (time.Duration, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	agg, ok := m.cats[category]
 	if !ok {
 		return 0, false
@@ -167,11 +156,9 @@ func (m *Monitor) EstimateExecTime(category string) (time.Duration, bool) {
 
 // EstimateRev implements wq.RevEstimator: the revision changes on
 // every mutation that could alter an estimate, so the master can
-// memoize per-category predictions and skip the monitor's lock (and
-// aggregation) on the dispatch hot path between observation batches.
+// memoize per-category predictions and skip the monitor's map lookup
+// and aggregation on the dispatch hot path between observation batches.
 func (m *Monitor) EstimateRev() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.rev
 }
 

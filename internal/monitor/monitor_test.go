@@ -1,23 +1,12 @@
 package monitor
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"hta/internal/resources"
-	"hta/internal/wq"
 )
-
-func completed(cat string, usage resources.Vector, wall time.Duration) wq.Task {
-	return wq.Task{
-		TaskSpec: wq.TaskSpec{Category: cat},
-		Measured: usage,
-		ExecWall: wall,
-	}
-}
 
 func TestUnknownCategory(t *testing.T) {
 	m := New(Config{})
@@ -37,7 +26,7 @@ func TestUnknownCategory(t *testing.T) {
 
 func TestSingleObservation(t *testing.T) {
 	m := New(Config{})
-	m.Observe(completed("align", resources.Vector{MilliCPU: 870, MemoryMB: 3800, DiskMB: 1500}, 80*time.Second))
+	m.Observe("align", resources.Vector{MilliCPU: 870, MemoryMB: 3800, DiskMB: 1500}, 80*time.Second)
 	if !m.Known("align") {
 		t.Fatal("category not known after observation")
 	}
@@ -60,8 +49,8 @@ func TestSingleObservation(t *testing.T) {
 
 func TestMaxAcrossObservations(t *testing.T) {
 	m := New(Config{})
-	m.Observe(completed("c", resources.Vector{MilliCPU: 500, MemoryMB: 1000}, 10*time.Second))
-	m.Observe(completed("c", resources.Vector{MilliCPU: 2400, MemoryMB: 800}, 30*time.Second))
+	m.Observe("c", resources.Vector{MilliCPU: 500, MemoryMB: 1000}, 10*time.Second)
+	m.Observe("c", resources.Vector{MilliCPU: 2400, MemoryMB: 800}, 30*time.Second)
 	v, _ := m.EstimateResources("c")
 	// max(500, 2400) = 2400 → rounds to 3000; memory max 1000.
 	if v.MilliCPU != 3000 || v.MemoryMB != 1000 {
@@ -79,7 +68,7 @@ func TestMaxAcrossObservations(t *testing.T) {
 
 func TestWholeCoreNotRounded(t *testing.T) {
 	m := New(Config{})
-	m.Observe(completed("c", resources.Vector{MilliCPU: 2000, MemoryMB: 1}, time.Second))
+	m.Observe("c", resources.Vector{MilliCPU: 2000, MemoryMB: 1}, time.Second)
 	v, _ := m.EstimateResources("c")
 	if v.MilliCPU != 2000 {
 		t.Errorf("exact 2 cores became %d", v.MilliCPU)
@@ -90,7 +79,7 @@ func TestIOBoundTaskOccupiesFullSlot(t *testing.T) {
 	// A dd-style task uses ~150 millicores of CPU but still occupies
 	// a processor; the estimator must not let 6 of them share a core.
 	m := New(Config{})
-	m.Observe(completed("io", resources.Vector{MilliCPU: 150, MemoryMB: 256, DiskMB: 4000}, 60*time.Second))
+	m.Observe("io", resources.Vector{MilliCPU: 150, MemoryMB: 256, DiskMB: 4000}, 60*time.Second)
 	v, _ := m.EstimateResources("io")
 	if v.MilliCPU != 1000 {
 		t.Errorf("cpu estimate = %d, want full slot 1000", v.MilliCPU)
@@ -99,7 +88,7 @@ func TestIOBoundTaskOccupiesFullSlot(t *testing.T) {
 
 func TestMargin(t *testing.T) {
 	m := New(Config{Margin: 0.1})
-	m.Observe(completed("c", resources.Vector{MilliCPU: 2000, MemoryMB: 1000, DiskMB: 100}, time.Second))
+	m.Observe("c", resources.Vector{MilliCPU: 2000, MemoryMB: 1000, DiskMB: 100}, time.Second)
 	v, _ := m.EstimateResources("c")
 	// 2000×1.1 = 2200 → rounds to 3000; memory 1100; disk 110.
 	if v.MilliCPU != 3000 || v.MemoryMB != 1100 || v.DiskMB != 110 {
@@ -110,7 +99,7 @@ func TestMargin(t *testing.T) {
 func TestCategoriesSorted(t *testing.T) {
 	m := New(Config{})
 	for _, c := range []string{"zeta", "alpha", "mid"} {
-		m.Observe(completed(c, resources.Cores(1), time.Second))
+		m.Observe(c, resources.Cores(1), time.Second)
 	}
 	got := m.Categories()
 	want := []string{"alpha", "mid", "zeta"}
@@ -118,26 +107,6 @@ func TestCategoriesSorted(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Categories = %v", got)
 		}
-	}
-}
-
-func TestConcurrentObserve(t *testing.T) {
-	m := New(Config{})
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				m.Observe(completed(fmt.Sprintf("cat%d", i%2), resources.Cores(1), time.Second))
-			}
-		}(i)
-	}
-	wg.Wait()
-	st0, _ := m.Stats("cat0")
-	st1, _ := m.Stats("cat1")
-	if st0.Count+st1.Count != 800 {
-		t.Errorf("counts = %d + %d, want 800", st0.Count, st1.Count)
 	}
 }
 
@@ -162,7 +131,7 @@ func TestPropertyEstimateCovers(t *testing.T) {
 			if d > maxD {
 				maxD = d
 			}
-			m.Observe(completed("p", resources.Vector{MilliCPU: int64(c), MemoryMB: mem}, d))
+			m.Observe("p", resources.Vector{MilliCPU: int64(c), MemoryMB: mem}, d)
 		}
 		est, ok := m.EstimateResources("p")
 		if !ok {

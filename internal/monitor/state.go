@@ -28,8 +28,6 @@ type State struct {
 
 // ExportState returns a deep copy of the learned aggregates.
 func (m *Monitor) ExportState() State {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	st := State{Categories: make([]CategoryState, 0, len(m.cats))}
 	for cat, agg := range m.cats {
 		st.Categories = append(st.Categories, CategoryState{
@@ -49,8 +47,6 @@ func (m *Monitor) ExportState() State {
 // ImportState replaces the monitor's aggregates with the exported
 // state. Categories with no completed tasks (Count ≤ 0) are skipped.
 func (m *Monitor) ImportState(st State) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.cats = make(map[string]*catAgg, len(st.Categories))
 	for _, cs := range st.Categories {
 		if cs.Count <= 0 {

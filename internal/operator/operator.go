@@ -111,7 +111,13 @@ type podState struct {
 // Operator runs the feedback loop.
 type Operator struct {
 	cfg Config
-	mon *monitor.Monitor
+
+	// monMu serializes every use of mon: wire completions call Observe
+	// from the master's connection goroutines, while the Run loop
+	// checkpoints the monitor and plans from it. The monitor itself is
+	// single-goroutine.
+	monMu sync.Mutex
+	mon   *monitor.Monitor
 
 	// planner carries Algorithm 1's reusable scratch state; it is
 	// touched only by resize, which runs on the Run loop goroutine.
@@ -142,8 +148,20 @@ func New(cfg Config) (*Operator, error) {
 	return o, nil
 }
 
-// Monitor exposes the per-category estimator.
-func (o *Operator) Monitor() *monitor.Monitor { return o.mon }
+// Monitor returns a snapshot of the per-category estimator: a private
+// copy the caller may read while completions keep arriving.
+func (o *Operator) Monitor() *monitor.Monitor {
+	snap := monitor.New(monitor.Config{})
+	snap.ImportState(o.monitorState())
+	return snap
+}
+
+// monitorState exports the monitor's learned state under its lock.
+func (o *Operator) monitorState() monitor.State {
+	o.monMu.Lock()
+	defer o.monMu.Unlock()
+	return o.mon.ExportState()
+}
 
 // InitTime returns the current initialization-time estimate and
 // whether it was measured from a live cold start.
@@ -175,11 +193,9 @@ func (o *Operator) onTaskComplete(r wire.Result) {
 		// Prefer the worker's rusage measurement for CPU.
 		measured.MilliCPU = r.Task.MeasuredCPUMilli
 	}
-	o.mon.Observe(wq.Task{
-		TaskSpec: wq.TaskSpec{Category: r.Task.Category},
-		Measured: measured,
-		ExecWall: r.Task.Wall,
-	})
+	o.monMu.Lock()
+	o.mon.Observe(r.Task.Category, measured, r.Task.Wall)
+	o.monMu.Unlock()
 }
 
 // Run executes the control loop until ctx is canceled. It returns
@@ -401,7 +417,7 @@ func (o *Operator) resize(ctx context.Context) time.Duration {
 		DefaultCycle:   o.cfg.Cycle,
 		Running:        convertTasks(o.cfg.Master.RunningTasks()),
 		Waiting:        convertTasks(o.cfg.Master.WaitingTasks()),
-		Estimator:      o.mon,
+		Estimator:      o.Monitor(),
 		Workers:        workers,
 		WorkerTemplate: o.cfg.WorkerResources,
 	})

@@ -523,3 +523,63 @@ total.txt: nums.txt
 		t.Errorf("total.txt = %q, want 1275 (sum 1..50)", got)
 	}
 }
+
+// TestOperatorConcurrentObserve holds the operator to the monitor's
+// concurrency contract: the wire master delivers completions on its
+// connection goroutines while the control loop checkpoints and plans
+// from the monitor, and the single-goroutine monitor is only safe
+// because the operator serializes those calls. Run it under -race.
+func TestOperatorConcurrentObserve(t *testing.T) {
+	master, err := wire.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { master.Close() })
+	op, err := New(Config{
+		Client:      &kubeclient.Client{},
+		Master:      master,
+		WorkerImage: "wq-worker:latest",
+		StatePath:   filepath.Join(t.TempDir(), "state.json"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const conns, perConn = 8, 100
+	var wg sync.WaitGroup
+	for i := 0; i < conns; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < perConn; j++ {
+				op.onTaskComplete(wire.Result{Task: wire.Task{
+					Category:  fmt.Sprintf("cat%d", i%2),
+					Resources: resources.New(1, 256, 1),
+					Wall:      time.Duration(j+1) * time.Millisecond,
+				}})
+			}
+		}(i)
+	}
+	readsDone := make(chan struct{})
+	go func() {
+		defer close(readsDone)
+		for k := 0; k < 50; k++ {
+			snap := op.Monitor()
+			snap.EstimateResources("cat0")
+			snap.EstimateExecTime("cat1")
+			op.saveState()
+		}
+	}()
+	wg.Wait()
+	<-readsDone
+	mon := op.Monitor()
+	st0, _ := mon.Stats("cat0")
+	st1, _ := mon.Stats("cat1")
+	if st0.Count+st1.Count != conns*perConn {
+		t.Fatalf("counts = %d + %d, want %d", st0.Count, st1.Count, conns*perConn)
+	}
+	// The snapshot is a copy: later completions do not reach it.
+	op.onTaskComplete(wire.Result{Task: wire.Task{Category: "cat0", Resources: resources.New(1, 256, 1)}})
+	if st, _ := mon.Stats("cat0"); st.Count != st0.Count {
+		t.Fatalf("snapshot count moved from %d to %d", st0.Count, st.Count)
+	}
+}

@@ -44,7 +44,9 @@ func (o *Operator) loadState() error {
 		o.cfg.Logf("operator: ignoring corrupt state %s: %v", o.cfg.StatePath, err)
 		return nil
 	}
+	o.monMu.Lock()
 	o.mon.ImportState(st.Monitor)
+	o.monMu.Unlock()
 	o.mu.Lock()
 	o.initTime = time.Duration(st.InitTimeNS)
 	o.measured = st.Measured && st.InitTimeNS > 0
@@ -64,9 +66,10 @@ func (o *Operator) saveState() {
 	if o.cfg.StatePath == "" {
 		return
 	}
+	mon := o.monitorState()
 	o.mu.Lock()
 	st := persistedState{
-		Monitor:    o.mon.ExportState(),
+		Monitor:    mon,
 		InitTimeNS: int64(o.initTime),
 		Measured:   o.measured,
 		Seq:        o.seq,

@@ -164,19 +164,6 @@ func (p StreamParams) Tasks() []TimedTask {
 	return out
 }
 
-// BurstyStream is DefaultStream with two sharp spikes riding the
-// sinusoid — the workload the admission guardrails and the panic
-// fast path exist for.
-func BurstyStream(seed int64) StreamParams {
-	p := DefaultStream()
-	p.Seed = seed
-	p.Bursts = []Burst{
-		{Start: 20 * time.Minute, Duration: 5 * time.Minute, Multiplier: 5},
-		{Start: 70 * time.Minute, Duration: 10 * time.Minute, Multiplier: 4},
-	}
-	return p
-}
-
 // DayTrace is a trace-driven day: a 24-hour diurnal swing (quiet
 // overnight, busy through the working day) with two morning spikes —
 // the 9:00 login storm and a 9:40 aftershock — plus a smaller

@@ -9,6 +9,19 @@ import (
 	"hta/internal/simclock"
 )
 
+// burstyStream is DefaultStream with two sharp spikes riding the
+// sinusoid — the workload the admission guardrails and the panic
+// fast path exist for.
+func burstyStream(seed int64) StreamParams {
+	p := DefaultStream()
+	p.Seed = seed
+	p.Bursts = []Burst{
+		{Start: 20 * time.Minute, Duration: 5 * time.Minute, Multiplier: 5},
+		{Start: 70 * time.Minute, Duration: 10 * time.Minute, Multiplier: 4},
+	}
+	return p
+}
+
 // TestBurstRaisesLocalRate: arrivals inside a 5x burst window are
 // much denser than the same window without the burst.
 func TestBurstRaisesLocalRate(t *testing.T) {
@@ -189,7 +202,7 @@ func TestArrivalsMatchPlainThinning(t *testing.T) {
 		{Start: 35 * time.Minute, Duration: 10 * time.Minute, Multiplier: 2},
 	}
 	for name, p := range map[string]StreamParams{
-		"default": DefaultStream(), "bursty": BurstyStream(2), "day": DayTrace(4), "odd": odd,
+		"default": DefaultStream(), "bursty": burstyStream(2), "day": DayTrace(4), "odd": odd,
 	} {
 		var got []time.Duration
 		p.arrivals(simclock.NewRNG(p.Seed), func(at time.Duration) { got = append(got, at) })

@@ -78,15 +78,19 @@ type Master struct {
 	runBits []uint64
 	runLo   int
 
-	// Worker ids, shared-file names and task categories are interned
-	// into dense int32 ids at the API boundary (AddWorker, Submit,
-	// staging), so the per-event books — the worker index, each
-	// worker's file cache, the queue's category counts — are
-	// slice-indexed instead of string-keyed.
-	wids        *intern.Table // worker id -> dense wid
-	fids        *intern.Table // shared-file name -> dense fid
-	cats        *intern.Table // task category -> dense catID
-	workersBy   []*simWorker  // by wid; nil while not connected
+	// Shared-file names and task categories are interned into dense
+	// int32 ids at the API boundary (Submit, staging), so the per-event
+	// books — each worker's file cache, the queue's category counts —
+	// are slice-indexed instead of string-keyed. A worker id maps to a
+	// slot of workersBy only while the worker is connected:
+	// removeWorker releases the id and puts the slot on freeWids for
+	// the next join, so the table stays sized to the peak live fleet
+	// under pod churn.
+	wids        map[string]int32 // connected worker id -> wid
+	freeWids    []int32          // released wids, reused first
+	fids        *intern.Table    // shared-file name -> dense fid
+	cats        *intern.Table    // task category -> dense catID
+	workersBy   []*simWorker     // by wid; nil while free
 	workerCount int
 	nextJoinSeq uint64
 	idle        idleHeap
@@ -168,7 +172,7 @@ type Master struct {
 // the in-flight books hash an int32 instead of the file name.
 type simWorker struct {
 	id       string
-	wid      int32 // interned id; index into Master.workersBy
+	wid      int32 // index into Master.workersBy while connected
 	joinSeq  uint64
 	slot     int                // roster index; -1 once removed
 	pool     resources.Pool     // embedded: one fewer allocation and cache line per worker
@@ -295,7 +299,7 @@ func NewMaster(eng *simclock.Engine, link *netsim.Link) *Master {
 		link:         link,
 		byID:         make([]*Task, 1), // id 0 unused
 		waiting:      newWaitQueue(),
-		wids:         intern.NewTable(),
+		wids:         make(map[string]int32),
 		fids:         intern.NewTable(),
 		cats:         intern.NewTable(),
 		retryPending: make(map[int]simclock.Timer),
@@ -369,7 +373,7 @@ func (m *Master) setTask(t *Task) {
 
 // worker returns the connected worker with the given id, or nil.
 func (m *Master) worker(id string) *simWorker {
-	wid, ok := m.wids.Lookup(id)
+	wid, ok := m.wids[id]
 	if !ok {
 		return nil
 	}
@@ -491,16 +495,21 @@ func (m *Master) AddWorker(id string, capacity resources.Vector) error {
 	if id == "" {
 		return fmt.Errorf("wq: worker with empty id")
 	}
-	wid := m.wids.Intern(id)
-	for int(wid) >= len(m.workersBy) {
-		m.workersBy = append(m.workersBy, nil)
-	}
-	if m.workersBy[wid] != nil {
+	if _, dup := m.wids[id]; dup {
 		return fmt.Errorf("wq: worker %q already connected", id)
 	}
 	if !capacity.AnyPositive() {
 		return fmt.Errorf("wq: worker %q with no capacity", id)
 	}
+	var wid int32
+	if n := len(m.freeWids); n > 0 {
+		wid = m.freeWids[n-1]
+		m.freeWids = m.freeWids[:n-1]
+	} else {
+		wid = int32(len(m.workersBy))
+		m.workersBy = append(m.workersBy, nil)
+	}
+	m.wids[id] = wid
 	// Workers come out of a slab: a 100k-worker roster costs dozens of
 	// allocations instead of hundreds of thousands (the fetch maps are
 	// built lazily at first shared-file use). Handed-out pointers stay
@@ -644,6 +653,8 @@ func (m *Master) removeWorker(w *simWorker) {
 		delete(w.fetches, fid)
 	}
 	m.workersBy[w.wid] = nil
+	delete(m.wids, w.id)
+	m.freeWids = append(m.freeWids, w.wid)
 	m.workerCount--
 	m.totalCap = m.totalCap.Sub(w.pool.Capacity())
 	m.totalUsed = m.totalUsed.Sub(w.pool.Used())
@@ -660,7 +671,9 @@ func (m *Master) removeWorker(w *simWorker) {
 }
 
 // connected reports whether w is still the live worker under its id
-// (false once removed, or after a Crash reset the worker index).
+// (false once removed, or after a Crash reset the worker index). The
+// pointer compare keeps a removed worker from aliasing a newer one
+// that reuses its slot.
 func (m *Master) connected(w *simWorker) bool {
 	return int(w.wid) < len(m.workersBy) && m.workersBy[w.wid] == w
 }
@@ -731,6 +744,18 @@ func (m *Master) WorkerBusy(id string) bool {
 	return w != nil && w.running.len() > 0
 }
 
+// AppendIdleWorkers appends the ids of connected, non-draining workers
+// with no running task to buf, in join order, and returns it — a scale-
+// down's candidates in one roster walk, with no id lookup per worker.
+func (m *Master) AppendIdleWorkers(buf []string) []string {
+	for _, w := range m.roster {
+		if w != nil && !w.draining && w.running.len() == 0 {
+			buf = append(buf, w.id)
+		}
+	}
+	return buf
+}
+
 // --- dispatch ---
 
 // scheduleDispatch coalesces dispatch passes into a single
@@ -746,7 +771,7 @@ func (m *Master) scheduleDispatch() {
 // RevEstimator is an Estimator whose predictions only change when its
 // revision does. The master memoizes per-category estimates against
 // the revision, so steady-state dispatch passes skip the estimator's
-// locking and aggregation entirely (the monitor bumps its revision on
+// lookup and aggregation entirely (the monitor bumps its revision on
 // every observation batch).
 type RevEstimator interface {
 	Estimator

@@ -176,7 +176,8 @@ func (m *Master) Crash() (Snapshot, []WorkerReattach) {
 	m.runBits, m.runLo = nil, 0
 	m.waiting = newWaitQueue()
 	m.rtFree = nil
-	m.wids = intern.NewTable()
+	m.wids = make(map[string]int32)
+	m.freeWids = nil
 	m.fids = intern.NewTable()
 	m.workersBy = nil
 	m.workerCount = 0

@@ -20,8 +20,9 @@ import (
 	"hta/internal/resources"
 )
 
-// TaskState is the lifecycle state of a task at the master.
-type TaskState int
+// TaskState is the lifecycle state of a task at the master. It is a
+// byte so that it packs beside Task.Exclusive.
+type TaskState uint8
 
 // Task states.
 const (
@@ -85,6 +86,10 @@ func (p Profile) Usage() resources.Vector {
 type TaskSpec struct {
 	// Tag is an opaque client identifier (e.g. the DAG node ID).
 	Tag string
+	// Ref is an opaque client reference returned with the task's
+	// result; a workflow runner sets it to resolve a completion to its
+	// node without hashing Tag. Zero means unset.
+	Ref int32
 	// Command is the shell command (executed verbatim by real
 	// workers; informational in simulation).
 	Command string
@@ -113,7 +118,6 @@ type Task struct {
 	ID int
 	TaskSpec
 
-	State    TaskState
 	WorkerID string // worker currently (or last) hosting the task
 	Attempts int    // dispatch count, >1 after requeues
 	// Gen is the attempt generation, bumped on every dispatch. After a
@@ -133,6 +137,7 @@ type Task struct {
 	// Exclusive records that the task ran alone holding the whole
 	// worker (conservative mode).
 	Exclusive bool
+	State     TaskState
 	// Measured is the observed consumption reported at completion.
 	Measured resources.Vector
 	// ExecWall is the measured wall time from dispatch to completion
