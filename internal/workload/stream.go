@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"time"
 
@@ -87,51 +89,105 @@ func DefaultStream() StreamParams {
 	}
 }
 
-// arrivals runs Lewis thinning and calls emit, which may draw from
-// rng, at each accepted arrival time in order. A candidate first meets
-// a squeeze, rate(t)/maxRate with the sinusoid at its peak: computed
-// in the same operation order, and with math.Sin never above 1, it is
-// never below the exact ratio, so it rejects only what rate(t) would.
-func (p StreamParams) arrivals(rng *simclock.RNG, emit func(t time.Duration)) {
+// segment is a stretch of the window that no burst edge cuts, so the
+// burst multiplier is constant across [start, end).
+type segment struct {
+	start, end time.Duration
+	mult       float64
+}
+
+// segments cuts [0, Window) at every burst edge inside it: every
+// instant where burstMult can change. It returns nil for an empty
+// stream and panics on an amplitude outside [0, 1).
+func (p StreamParams) segments() []segment {
 	if p.Window <= 0 || p.BasePerMin <= 0 {
-		return
+		return nil
 	}
 	if p.Amplitude < 0 || p.Amplitude >= 1 {
 		panic(fmt.Sprintf("workload: stream amplitude %v outside [0, 1)", p.Amplitude))
 	}
-	// Overlapping bursts multiply, so the envelope takes them all.
-	maxBurst := 1.0
+	segs := make([]segment, 1, 1+2*len(p.Bursts))
 	for _, b := range p.Bursts {
-		if b.Multiplier > 1 {
-			maxBurst *= b.Multiplier
+		if b.Multiplier <= 0 || b.Duration == 0 {
+			continue
+		}
+		for _, e := range [2]time.Duration{b.Start, b.Start + b.Duration} {
+			if e > 0 && e < p.Window {
+				segs = append(segs, segment{start: e})
+			}
 		}
 	}
-	maxRate := p.BasePerMin * (1 + p.Amplitude) * maxBurst / 60 // per second
-	t := time.Duration(0)
-	for {
-		// Exponential inter-arrival at the envelope rate.
-		u := rng.Float64()
-		if u == 0 {
-			u = 1e-12
+	slices.SortFunc(segs, func(a, b segment) int { return cmp.Compare(a.start, b.start) })
+	segs = slices.Compact(segs) // only start is set yet
+	for i := range segs {
+		segs[i].end = p.Window
+		if i+1 < len(segs) {
+			segs[i].end = segs[i+1].start
 		}
-		t += time.Duration(-math.Log(u) / maxRate * float64(time.Second))
-		if t >= p.Window {
-			return
-		}
-		// Thinning: accept with probability rate(t)/maxRate.
-		v := rng.Float64()
-		mult := p.burstMult(t)
-		if v > p.BasePerMin*(1+p.Amplitude)*mult/60/maxRate { // the squeeze
-			continue
-		}
-		mod := 1.0
+		segs[i].mult = p.burstMult(segs[i].start)
+	}
+	return segs
+}
+
+// mean is the expected arrival count, ∫rate over the window: per
+// segment, mult × base × ((b−a) + A/ω·(cos ωa − cos ωb)) in seconds,
+// with ω = 2π/Period.
+func (p StreamParams) mean(segs []segment) float64 {
+	n := 0.0
+	for _, s := range segs {
+		a, b := s.start.Seconds(), s.end.Seconds()
+		area := b - a
 		if p.Period > 0 {
-			mod = 1 + p.Amplitude*math.Sin(2*math.Pi*t.Seconds()/p.Period.Seconds())
+			w := 2 * math.Pi / p.Period.Seconds()
+			area += p.Amplitude / w * (math.Cos(w*a) - math.Cos(w*b))
 		}
-		if v > p.BasePerMin*mod*mult/60/maxRate {
-			continue
+		n += p.BasePerMin / 60 * s.mult * area
+	}
+	return n
+}
+
+// capacity sizes a slice for the stream's arrivals: the mean plus
+// four standard deviations of the Poisson count.
+func (p StreamParams) capacity(segs []segment) int {
+	n := p.mean(segs)
+	return int(n+4*math.Sqrt(n)) + 1
+}
+
+// arrivals runs Lewis thinning one segment at a time and calls emit,
+// which may draw from rng, at each accepted arrival time in order.
+// Each segment draws candidates at its own peak rate, the sinusoid's
+// crest times its burst multiplier; a candidate past the segment's end
+// restarts the draw at that edge, which exponential gaps allow
+// (they are memoryless), so the output is exactly the inhomogeneous
+// Poisson process rate(t). A burst-free stream is one segment whose
+// peak and acceptance ratio are the global-envelope loop's, draw for
+// draw.
+func (p StreamParams) arrivals(segs []segment, rng *simclock.RNG, emit func(t time.Duration)) {
+	for _, s := range segs {
+		peak := p.BasePerMin * (1 + p.Amplitude) * s.mult / 60 // per second
+		for t := s.start; ; {
+			u := rng.Float64()
+			if u == 0 {
+				u = 1e-12
+			}
+			// Exponential inter-arrival at the segment's peak, compared
+			// as a float before the conversion: a step past the edge
+			// may not fit a Duration (a tiny base rate makes it +Inf).
+			step := -math.Log(u) / peak * float64(time.Second)
+			if step >= float64(s.end-t) {
+				break
+			}
+			t += time.Duration(step)
+			// Thinning: accept with probability rate(t)/peak.
+			mod := 1.0
+			if p.Period > 0 {
+				mod = 1 + p.Amplitude*math.Sin(2*math.Pi*t.Seconds()/p.Period.Seconds())
+			}
+			if rng.Float64() > p.BasePerMin*mod*s.mult/60/peak {
+				continue
+			}
+			emit(t)
 		}
-		emit(t)
 	}
 }
 
@@ -154,12 +210,18 @@ func (p StreamParams) task(rng *simclock.RNG, tag, command string) wq.TaskSpec {
 }
 
 // Tasks generates the arrival stream (sorted by arrival time) via
-// Poisson thinning.
+// Poisson thinning, into a slice presized to the expected count.
 func (p StreamParams) Tasks() []TimedTask {
+	segs := p.segments()
+	if segs == nil {
+		return nil
+	}
 	rng := simclock.NewRNG(p.Seed)
-	var out []TimedTask
-	p.arrivals(rng, func(t time.Duration) {
-		out = append(out, TimedTask{At: t, Spec: p.task(rng, "", "stream-task "+strconv.Itoa(len(out)))})
+	out := make([]TimedTask, 0, p.capacity(segs))
+	p.arrivals(segs, rng, func(t time.Duration) {
+		var buf [32]byte // one allocation per command: the string itself
+		command := string(strconv.AppendInt(append(buf[:0], "stream-task "...), int64(len(out)), 10))
+		out = append(out, TimedTask{At: t, Spec: p.task(rng, "", command)})
 	})
 	return out
 }
@@ -218,7 +280,7 @@ func (p WorkflowStreamParams) Workflows() []TimedWorkflow {
 	}
 	rng := simclock.NewRNG(sp.Seed)
 	var out []TimedWorkflow
-	sp.arrivals(rng, func(t time.Duration) {
+	sp.arrivals(sp.segments(), rng, func(t time.Duration) {
 		n := p.TasksPerWorkflow
 		if p.SizeJitter > 0 {
 			span := float64(n) * p.SizeJitter
