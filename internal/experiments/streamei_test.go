@@ -62,6 +62,35 @@ func TestStreamEISmoke(t *testing.T) {
 	}
 }
 
+// TestStreamEIPanicP99AcrossSeeds states E-I's latency claim over
+// seeds 1-5 instead of at the smoke seed alone: the panic policy's p99
+// sojourn is never above plain HTA's, and strictly below on at least
+// four of the five. A seed where the spike leaves one panic no room to
+// help ties — at seed 4 both cells read the same p99 and shed count.
+func TestStreamEIPanicP99AcrossSeeds(t *testing.T) {
+	below := 0
+	for seed := int64(1); seed <= 5; seed++ {
+		rep, err := StreamEIWith(SmokeStreamEIConfig(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make(map[string]StreamEIRow, len(rep.Rows))
+		for _, row := range rep.Rows {
+			rows[row.Autoscaler] = row
+		}
+		hta, panicRow := rows["HTA"], rows["HTA-panic"]
+		if panicRow.P99 > hta.P99 {
+			t.Errorf("seed %d: HTA-panic p99 %v above plain HTA %v", seed, panicRow.P99, hta.P99)
+		}
+		if panicRow.P99 < hta.P99 {
+			below++
+		}
+	}
+	if below < 4 {
+		t.Errorf("HTA-panic p99 strictly below plain HTA on %d of 5 seeds, want at least 4", below)
+	}
+}
+
 // TestHTAStreamHonoursStackOptions: a timed stream runs on the same
 // stack as a bag, so the options the bag path takes reach it too — a
 // worker-crash plan delivers crashes without breaking the open-system

@@ -2,6 +2,7 @@ package flow
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -157,7 +158,12 @@ func TestRunnerJournalAndRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Recover(g2, rep, completedTags(m), nil)
+	// The master's completion record, Recover's extraDone input.
+	done := m.CompletedTags()
+	if !slices.Equal(done, []string{"a"}) {
+		t.Fatalf("CompletedTags = %q, want [a]", done)
+	}
+	res, err := Recover(g2, rep, done, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,16 +190,4 @@ func TestRunnerJournalAndRestart(t *testing.T) {
 	if len(final.Done) != 4 || len(final.InFlight) != 0 {
 		t.Fatalf("final journal: %+v", final)
 	}
-}
-
-// completedTags collects the Tag of every completed task at the
-// master — the extraDone input of Recover.
-func completedTags(m *wq.Master) []string {
-	var tags []string
-	for id := 1; id <= m.SubmittedCount(); id++ {
-		if task, ok := m.Task(id); ok && task.State == wq.TaskComplete {
-			tags = append(tags, task.Tag)
-		}
-	}
-	return tags
 }

@@ -1,6 +1,8 @@
 package wq
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -16,6 +18,16 @@ func newMaster(t *testing.T) (*simclock.Engine, *Master) {
 	t.Helper()
 	eng := simclock.NewEngine(t0)
 	return eng, NewMaster(eng, nil)
+}
+
+// results collects the Task of every Result the master delivers, by
+// ID. A completed task's record leaves the master once its
+// subscribers have run, so tests read finished tasks from what
+// OnComplete delivered.
+func results(m *Master) map[int]Task {
+	got := make(map[int]Task)
+	m.OnComplete(func(r Result) { got[r.Task.ID] = r.Task })
+	return got
 }
 
 func knownTask(cat string, cores float64, d time.Duration) TaskSpec {
@@ -53,8 +65,11 @@ func TestSubmitAndComplete(t *testing.T) {
 	if r.Measured.MilliCPU != 900 {
 		t.Errorf("Measured = %v", r.Measured)
 	}
-	if got, _ := m.Task(id); got.State != TaskComplete {
-		t.Errorf("Task state = %v", got.State)
+	if r.FinishedAt.IsZero() || r.SubmittedAt.IsZero() {
+		t.Errorf("timestamps: submitted %v finished %v", r.SubmittedAt, r.FinishedAt)
+	}
+	if _, held := m.Task(id); held {
+		t.Error("completed task still held after its subscribers ran")
 	}
 }
 
@@ -221,6 +236,7 @@ func TestDrainIdleWorkerImmediate(t *testing.T) {
 
 func TestKillWorkerRequeuesTasks(t *testing.T) {
 	eng, m := newMaster(t)
+	done := results(m)
 	m.AddWorker("w1", resources.New(3, 12288, 1000))
 	id1 := m.Submit(knownTask("a", 1, 100*time.Second))
 	id2 := m.Submit(knownTask("a", 1, 100*time.Second))
@@ -243,12 +259,12 @@ func TestKillWorkerRequeuesTasks(t *testing.T) {
 	if m.CompletedCount() != 2 {
 		t.Fatalf("completed = %d", m.CompletedCount())
 	}
-	done, _ := m.Task(id1)
-	if done.Attempts != 2 {
-		t.Errorf("attempts = %d, want 2", done.Attempts)
+	first := done[id1]
+	if first.State != TaskComplete || first.Attempts != 2 {
+		t.Errorf("state = %v attempts = %d, want complete after 2", first.State, first.Attempts)
 	}
-	if done.WorkerID != "w2" {
-		t.Errorf("worker = %s", done.WorkerID)
+	if first.WorkerID != "w2" {
+		t.Errorf("worker = %s", first.WorkerID)
 	}
 }
 
@@ -370,6 +386,7 @@ func TestKillWorkerDuringTransfer(t *testing.T) {
 	eng := simclock.NewEngine(t0)
 	link := netsim.NewLink(eng, 100, 0)
 	m := NewMaster(eng, link)
+	done := results(m)
 	m.AddWorker("w1", resources.New(3, 12288, 100000))
 	spec := knownTask("a", 1, 10*time.Second)
 	spec.SharedInputs = []File{{Name: "db", SizeMB: 1000}}
@@ -381,7 +398,7 @@ func TestKillWorkerDuringTransfer(t *testing.T) {
 	}
 	m.AddWorker("w2", resources.New(3, 12288, 100000))
 	eng.Run()
-	task, _ := m.Task(id)
+	task := done[id]
 	if task.State != TaskComplete || task.WorkerID != "w2" || task.Attempts != 2 {
 		t.Errorf("task = %+v", task)
 	}
@@ -539,6 +556,7 @@ func TestPriorityTieKeepsFIFO(t *testing.T) {
 
 func TestCancelWaitingTask(t *testing.T) {
 	eng, m := newMaster(t)
+	done := results(m)
 	m.AddWorker("w1", resources.New(1, 12288, 1000))
 	running := m.Submit(knownTask("a", 1, 10*time.Second))
 	queued := m.Submit(knownTask("a", 1, 10*time.Second))
@@ -554,13 +572,17 @@ func TestCancelWaitingTask(t *testing.T) {
 	if m.CompletedCount() != 1 {
 		t.Errorf("completed = %d, want only the running task", m.CompletedCount())
 	}
-	if done, _ := m.Task(running); done.State != TaskComplete {
-		t.Errorf("running task = %v", done.State)
+	if r, ok := done[running]; !ok || r.State != TaskComplete {
+		t.Errorf("running task delivered=%v state=%v", ok, r.State)
+	}
+	if _, ok := done[queued]; ok {
+		t.Error("canceled task delivered a Result")
 	}
 }
 
 func TestCancelRunningTaskFreesCapacity(t *testing.T) {
 	eng, m := newMaster(t)
+	done := results(m)
 	m.AddWorker("w1", resources.New(1, 12288, 1000))
 	longID := m.Submit(knownTask("a", 1, time.Hour))
 	nextID := m.Submit(knownTask("a", 1, 10*time.Second))
@@ -569,7 +591,7 @@ func TestCancelRunningTaskFreesCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Run()
-	next, _ := m.Task(nextID)
+	next := done[nextID]
 	if next.State != TaskComplete {
 		t.Fatalf("next task = %v, want complete after cancel freed the slot", next.State)
 	}
@@ -715,51 +737,110 @@ func TestWorkerDetails(t *testing.T) {
 	}
 }
 
-// Property: under random interleavings of priority submissions and
-// cancellations, accounting stays consistent — every task ends
-// Complete or Canceled exactly once, and capacity balances to zero.
+// Property: under random interleavings of priority submissions,
+// cancellations, worker kills and clock steps, accounting stays
+// consistent — every task ends Complete or Canceled exactly once, and
+// capacity balances to zero — and Task agrees with a plain model after
+// every operation. Waiting, running and canceled IDs are held with
+// their own ID and Tag; a completed ID is absent exactly when its
+// Result was delivered, and present inside its own OnComplete call.
+// Retired records are reused by later submissions, so this is the
+// check that a reused slot never answers for its former ID.
 func TestPropertyPriorityCancelConsistency(t *testing.T) {
 	f := func(ops []uint8) bool {
 		eng := simclock.NewEngine(t0)
 		m := NewMaster(eng, nil)
-		m.AddWorker("w1", resources.New(3, 12288, 1000))
+		worker := 0
+		m.AddWorker("w0", resources.New(3, 12288, 1000))
 		var ids []int
+		tags := make(map[int]string)
 		completions := make(map[int]int)
-		m.OnComplete(func(r Result) { completions[r.Task.ID]++ })
+		heldInCallback := true
+		m.OnComplete(func(r Result) {
+			completions[r.Task.ID]++
+			if tk, ok := m.Task(r.Task.ID); !ok || tk.State != TaskComplete {
+				heldInCallback = false
+			}
+		})
 		canceled := make(map[int]bool)
-		for _, op := range ops {
-			switch op % 4 {
-			case 0, 1: // submit with varying priority
+		agrees := func() bool {
+			for _, id := range ids {
+				tk, held := m.Task(id)
+				switch {
+				case completions[id] > 0:
+					if held || completions[id] != 1 || canceled[id] {
+						return false
+					}
+				case !held || tk.ID != id || tk.Tag != tags[id]:
+					return false
+				case canceled[id]:
+					if tk.State != TaskCanceled {
+						return false
+					}
+				case tk.State != TaskWaiting && tk.State != TaskRunning:
+					return false
+				}
+			}
+			return heldInCallback
+		}
+		for i, op := range ops {
+			switch op % 5 {
+			case 0, 1: // submit with varying priority, some untagged
 				spec := knownTask("p", 1, time.Duration(op%30+1)*time.Second)
 				spec.Priority = int(op % 3)
-				ids = append(ids, m.Submit(spec))
+				if op%7 != 0 {
+					spec.Tag = fmt.Sprintf("t%d", i)
+				}
+				id := m.Submit(spec)
+				ids = append(ids, id)
+				tags[id] = spec.Tag
 			case 2: // advance time
 				eng.RunFor(time.Duration(op%20) * time.Second)
-			case 3: // cancel a random not-yet-finished task
+			case 3: // cancel a not-yet-finished task; a finished one refuses
 				for _, id := range ids {
-					task, _ := m.Task(id)
-					if task.State == TaskWaiting || task.State == TaskRunning {
+					if completions[id] > 0 {
 						if m.Cancel(id) == nil {
-							canceled[id] = true
+							return false
 						}
+						continue
+					}
+					if !canceled[id] {
+						if m.Cancel(id) != nil {
+							return false
+						}
+						canceled[id] = true
 						break
 					}
 				}
+			case 4: // kill the worker; a fresh one takes over
+				if m.KillWorker(fmt.Sprintf("w%d", worker)) != nil {
+					return false
+				}
+				worker++
+				m.AddWorker(fmt.Sprintf("w%d", worker), resources.New(3, 12288, 1000))
+			}
+			if !agrees() {
+				return false
 			}
 		}
 		eng.Run()
-		for _, id := range ids {
-			task, _ := m.Task(id)
-			switch {
-			case canceled[id]:
-				if task.State != TaskCanceled || completions[id] != 0 {
+		if !agrees() {
+			return false
+		}
+		var wantTags []string
+		for _, id := range ids { // ascending: IDs are issued in order
+			if canceled[id] {
+				if completions[id] != 0 {
 					return false
 				}
-			default:
-				if task.State != TaskComplete || completions[id] != 1 {
-					return false
-				}
+			} else if completions[id] != 1 {
+				return false
+			} else if tags[id] != "" {
+				wantTags = append(wantTags, tags[id])
 			}
+		}
+		if got := m.CompletedTags(); !slices.Equal(got, wantTags) {
+			return false
 		}
 		s := m.Stats()
 		return s.Running == 0 && s.Waiting == 0 && s.InUse.IsZero()
@@ -809,6 +890,7 @@ func TestKillWorkerMidFetchWaitersResolve(t *testing.T) {
 	eng := simclock.NewEngine(t0)
 	link := netsim.NewLink(eng, 100, 0)
 	m := NewMaster(eng, link)
+	done := results(m)
 	m.AddWorker("w1", resources.New(3, 12288, 100000))
 	spec := knownTask("a", 1, 10*time.Second)
 	spec.SharedInputs = []File{{Name: "db", SizeMB: 500}}
@@ -824,7 +906,7 @@ func TestKillWorkerMidFetchWaitersResolve(t *testing.T) {
 	m.AddWorker("w2", resources.New(3, 12288, 100000))
 	eng.Run()
 	for _, id := range []int{a, b} {
-		task, _ := m.Task(id)
+		task := done[id]
 		if task.State != TaskComplete || task.WorkerID != "w2" || task.Attempts != 2 {
 			t.Errorf("task %d = %+v, want complete on w2 attempt 2", id, task)
 		}

@@ -96,6 +96,7 @@ func TestRetryBudgetQuarantine(t *testing.T) {
 
 func TestFastAbortKillsStraggler(t *testing.T) {
 	eng, m := newMaster(t)
+	done := results(m)
 	m.SetEstimator(meanEstimator{mean: 10 * time.Second})
 	m.SetRetryPolicy(RetryPolicy{FastAbortMultiplier: 3})
 	m.AddWorker("w1", resources.New(4, 16384, 1000))
@@ -118,8 +119,8 @@ func TestFastAbortKillsStraggler(t *testing.T) {
 	if fs.FastAborts != 1 {
 		t.Fatalf("FastAborts = %d, want 1", fs.FastAborts)
 	}
-	if tk, _ := m.Task(fast); tk.State != TaskComplete {
-		t.Fatalf("fast task state = %v", tk.State)
+	if tk := done[fast]; tk.State != TaskComplete || tk.Attempts != 1 {
+		t.Fatalf("fast task state = %v attempts = %d", tk.State, tk.Attempts)
 	}
 	if fs.UsefulCoreSeconds <= 0 || fs.LostCoreSeconds <= 0 {
 		t.Fatalf("core-second accounting: %+v", fs)

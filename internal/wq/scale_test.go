@@ -16,6 +16,7 @@ import (
 // check that exactly the survivors run, in queue order.
 func TestCancelWhileWaitingLargeQueue(t *testing.T) {
 	eng, m := newMaster(t)
+	done := results(m)
 	const n = 5000
 	ids := make([]int, 0, n)
 	for i := 0; i < n; i++ {
@@ -57,8 +58,16 @@ func TestCancelWhileWaitingLargeQueue(t *testing.T) {
 		t.Fatalf("completed %d, want %d", got, want)
 	}
 	for _, id := range ids {
-		task, ok := m.Task(id)
-		if !ok {
+		// A canceled task stays at the master; a completed one is
+		// delivered exactly once and then released.
+		task, held := m.Task(id)
+		if !canceled[id] {
+			var delivered bool
+			task, delivered = done[id]
+			if held || !delivered {
+				t.Fatalf("task %d held=%v delivered=%v, want a released completion", id, held, delivered)
+			}
+		} else if !held {
 			t.Fatalf("task %d lost", id)
 		}
 		want := TaskComplete

@@ -113,7 +113,11 @@ type TaskSpec struct {
 	Profile Profile
 }
 
-// Task is the master's record of a submitted task.
+// Task is the master's record of a submitted task. The master holds
+// the record while the task is waiting or running and after it is
+// canceled, quarantined or rejected. A completed task's record goes
+// out whole in its Result, and the master then releases it and reuses
+// its storage for a later submission (see Master.Task).
 type Task struct {
 	ID int
 	TaskSpec
@@ -147,7 +151,10 @@ type Task struct {
 
 // Result is delivered to completion subscribers.
 type Result struct {
-	Task Task // copy of the completed task
+	// Task is a copy of the completed task: the master's last word on
+	// it, since the master releases the record once every subscriber
+	// has seen this Result.
+	Task Task
 }
 
 // Estimator predicts resource requirements and execution time for a
