@@ -25,9 +25,9 @@ func checkRunBits(t *testing.T, m *Master) {
 		}
 	}
 	n := 0
-	for i, word := range m.runBits {
-		if i < m.runLo && word != 0 {
-			t.Fatalf("runBits word %d is set below the low-water mark %d", i, m.runLo)
+	for i, word := range m.runIDs.words {
+		if i < m.runIDs.lo && word != 0 {
+			t.Fatalf("runIDs word %d is set below the low-water mark %d", i, m.runIDs.lo)
 		}
 		for b := word; b != 0; b &= b - 1 {
 			if id := i<<6 | bits.TrailingZeros64(b); !want[id] {
@@ -37,7 +37,7 @@ func checkRunBits(t *testing.T, m *Master) {
 		}
 	}
 	if n != len(want) {
-		t.Fatalf("runBits holds %d tasks, workers run %d", n, len(want))
+		t.Fatalf("runIDs holds %d tasks, workers run %d", n, len(want))
 	}
 	prev, visited := 0, 0
 	m.ForEachRunning(func(tk *Task) {
