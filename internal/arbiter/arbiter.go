@@ -91,8 +91,6 @@ type TenantConfig struct {
 	// QuotaMax is the ceiling: the tenant is never granted more
 	// workers than this (0 = unlimited).
 	QuotaMax int
-	// Monitor configures the tenant's per-category estimator.
-	Monitor monitor.Config
 }
 
 // workerPodState tracks each worker pod the arbiter manages, same
@@ -148,9 +146,6 @@ type Tenant struct {
 
 // Master returns the tenant's work-queue master (submit tasks here).
 func (t *Tenant) Master() *wq.Master { return t.master }
-
-// Monitor returns the tenant's per-category estimator.
-func (t *Tenant) Monitor() *monitor.Monitor { return t.mon }
 
 // ID returns the tenant's identifier.
 func (t *Tenant) ID() string { return t.cfg.ID }
@@ -265,7 +260,7 @@ func (a *Arbiter) AddTenant(cfg TenantConfig) (*Tenant, error) {
 		cfg.Weight = 1
 	}
 	master := wq.NewMaster(a.eng, nil)
-	mon := monitor.New(cfg.Monitor)
+	mon := monitor.New()
 	master.SetEstimator(mon)
 	master.OnComplete(func(r wq.Result) { mon.Observe(r.Task.Category, r.Task.Measured, r.Task.ExecWall) })
 	t := &Tenant{

@@ -1,10 +1,10 @@
 // Package chaos is a deterministic, seed-driven fault injector for
 // the simulated stack. An Injector composes independent fault
-// processes — node preemption (Poisson or scheduled windows) and
-// worker crash mid-task — each wired into the simulation through the
-// small hooks the components expose (kubesim.PreemptNode and
-// DeletePod, wq.KillWorker), so a fault plan is orthogonal to the
-// scenario it runs against. Control-plane kill processes target the
+// processes — Poisson node preemption and worker crash mid-task —
+// each wired into the simulation through the small hooks the
+// components expose (kubesim.PreemptNode and DeletePod,
+// wq.KillWorker), so a fault plan is orthogonal to the scenario it
+// runs against. Control-plane kill processes target the
 // coordinators themselves — makeflow runner, wq master, operator,
 // multi-tenant arbiter — through a harness-provided ControlPlane that
 // crashes the component and restarts it from its durable state;
@@ -24,23 +24,12 @@ import (
 	"hta/internal/simclock"
 )
 
-// Window is a time interval relative to Injector.Start.
-type Window struct {
-	Start    time.Duration
-	Duration time.Duration
-}
-
 // PreemptionPlan describes node-preemption faults: a Poisson process
-// (MeanInterval), scheduled reclaim windows with their own rate, or
-// both.
+// of node reclaims.
 type PreemptionPlan struct {
 	// MeanInterval is the mean of the exponential inter-arrival time
 	// of the always-on Poisson preemption process. 0 = off.
 	MeanInterval time.Duration
-	// Windows are reclaim storms: inside each window preemptions
-	// arrive with mean interval WindowMeanInterval.
-	Windows            []Window
-	WindowMeanInterval time.Duration
 	// MinNodesSpared stops preemption when at most this many ready
 	// nodes remain, modelling the on-demand floor of a mixed
 	// spot/on-demand pool.
@@ -148,7 +137,6 @@ type Plan struct {
 // Enabled reports whether the plan injects any fault at all.
 func (p Plan) Enabled() bool {
 	return p.Preemption.MeanInterval > 0 ||
-		(len(p.Preemption.Windows) > 0 && p.Preemption.WindowMeanInterval > 0) ||
 		p.WorkerCrash.MeanInterval > 0 ||
 		p.ControlPlane.Enabled() ||
 		p.Tenant.Enabled()
@@ -222,7 +210,6 @@ type Injector struct {
 
 	started bool
 	stopped bool
-	startAt time.Time
 	timers  []*loopTimer
 	stats   Stats
 }
@@ -263,32 +250,19 @@ func (in *Injector) AttachTenants(tcp TenantControlPlane) { in.tcp = tcp }
 
 // Start arms every fault process the plan enables for the attached
 // components. After a Stop, Start re-arms the whole plan with its
-// windows re-anchored at the current time; fault counts accumulate
-// across re-arms.
+// scheduled offsets re-anchored at the current time; fault counts
+// accumulate across re-arms.
 func (in *Injector) Start() {
 	if in.started && !in.stopped {
 		return
 	}
 	in.started, in.stopped = true, false
-	in.startAt = in.eng.Now()
 
-	if in.cluster != nil {
-		p := in.plan.Preemption
-		if p.MeanInterval > 0 {
-			in.poissonLoop(p.MeanInterval, time.Time{}, in.preemptOne)
-		}
-		if p.WindowMeanInterval > 0 {
-			for _, w := range p.Windows {
-				w := w
-				in.after(w.Start, func() {
-					end := in.startAt.Add(w.Start + w.Duration)
-					in.poissonLoop(p.WindowMeanInterval, end, in.preemptOne)
-				})
-			}
-		}
+	if in.cluster != nil && in.plan.Preemption.MeanInterval > 0 {
+		in.poissonLoop(in.plan.Preemption.MeanInterval, in.preemptOne)
 	}
 	if in.master != nil && in.plan.WorkerCrash.MeanInterval > 0 {
-		in.poissonLoop(in.plan.WorkerCrash.MeanInterval, time.Time{}, in.crashOne)
+		in.poissonLoop(in.plan.WorkerCrash.MeanInterval, in.crashOne)
 	}
 	if in.cp != nil {
 		cp := in.plan.ControlPlane
@@ -357,16 +331,13 @@ func (in *Injector) after(d time.Duration, fn func()) {
 }
 
 // poissonLoop fires fn at exponentially distributed intervals until
-// the injector stops or the deadline passes (zero deadline = never).
-func (in *Injector) poissonLoop(mean time.Duration, until time.Time, fn func()) {
+// the injector stops.
+func (in *Injector) poissonLoop(mean time.Duration, fn func()) {
 	lt := &loopTimer{}
 	in.timers = append(in.timers, lt)
 	var arm func()
 	arm = func() {
 		d := time.Duration(in.rng.Exp(float64(mean)))
-		if !until.IsZero() && in.eng.Now().Add(d).After(until) {
-			return
-		}
 		lt.tmr = in.eng.After(d, "chaos-poisson", func() {
 			if in.stopped {
 				return

@@ -15,12 +15,6 @@ import (
 
 // Config tunes the HTA middleware.
 type Config struct {
-	// WorkerImage is the worker-pod container image (default
-	// "wq-worker").
-	WorkerImage string
-	// MasterImage is the master container image (default
-	// "wq-master").
-	MasterImage string
 	// InitialWorkers is the warm-up worker-pod count (default 3,
 	// matching the paper's initial 3-node cluster).
 	InitialWorkers int
@@ -34,11 +28,6 @@ type Config struct {
 	// the first live measurement (default 160 s, the paper's
 	// observed GKE latency).
 	InitTimeFallback time.Duration
-	// Monitor configures the per-category resource estimator.
-	Monitor monitor.Config
-	// DeployMaster controls whether HTA creates the master
-	// StatefulSet and its Services on the cluster (default true).
-	DeployMaster *bool
 	// DisableInitFeedback (ablation A1) makes HTA ignore measured
 	// initialization times and always plan with InitTimeFallback.
 	DisableInitFeedback bool
@@ -54,13 +43,13 @@ type Config struct {
 	Panic PanicConfig
 }
 
+// The container images of the worker pods and the master.
+const (
+	workerImage = "wq-worker"
+	masterImage = "wq-master"
+)
+
 func (c Config) withDefaults(cluster *kubesim.Cluster) Config {
-	if c.WorkerImage == "" {
-		c.WorkerImage = "wq-worker"
-	}
-	if c.MasterImage == "" {
-		c.MasterImage = "wq-master"
-	}
 	if c.InitialWorkers == 0 {
 		c.InitialWorkers = 3
 	}
@@ -72,11 +61,6 @@ func (c Config) withDefaults(cluster *kubesim.Cluster) Config {
 	}
 	if c.InitTimeFallback == 0 {
 		c.InitTimeFallback = 160 * time.Second
-	}
-	c.Panic = c.Panic.withDefaults()
-	if c.DeployMaster == nil {
-		yes := true
-		c.DeployMaster = &yes
 	}
 	return c
 }
@@ -168,7 +152,7 @@ func New(eng *simclock.Engine, cluster *kubesim.Cluster, master *wq.Master, cfg 
 		eng:         eng,
 		cluster:     cluster,
 		master:      master,
-		mon:         monitor.New(cfg.Monitor),
+		mon:         monitor.New(),
 		cfg:         cfg,
 		pods:        make(map[string]workerPodState),
 		held:        make(map[string][]wq.TaskSpec),
@@ -198,25 +182,23 @@ func (a *Autoscaler) Start() error {
 		return fmt.Errorf("hta: Start called twice")
 	}
 	a.started = true
-	if *a.cfg.DeployMaster {
-		err := a.cluster.CreateStatefulSet(kubesim.StatefulSet{
-			Name:     "wq-master",
-			Replicas: 1,
-			Template: kubesim.PodSpec{
-				Image:  a.cfg.MasterImage,
-				Labels: map[string]string{"app": "wq-master"},
-			},
-		})
-		if err != nil {
+	err := a.cluster.CreateStatefulSet(kubesim.StatefulSet{
+		Name:     "wq-master",
+		Replicas: 1,
+		Template: kubesim.PodSpec{
+			Image:  masterImage,
+			Labels: map[string]string{"app": "wq-master"},
+		},
+	})
+	if err != nil {
+		return err
+	}
+	for _, svc := range []kubesim.Service{
+		{Name: "wq-master", Selector: map[string]string{"app": "wq-master"}, Port: 9123},
+		{Name: "wq-master-external", Selector: map[string]string{"app": "wq-master"}, Port: 9123},
+	} {
+		if err := a.cluster.CreateService(svc); err != nil {
 			return err
-		}
-		for _, svc := range []kubesim.Service{
-			{Name: "wq-master", Selector: map[string]string{"app": "wq-master"}, Port: 9123},
-			{Name: "wq-master-external", Selector: map[string]string{"app": "wq-master"}, Port: 9123},
-		} {
-			if err := a.cluster.CreateService(svc); err != nil {
-				return err
-			}
 		}
 	}
 	for i := 0; i < a.cfg.InitialWorkers; i++ {
@@ -314,10 +296,8 @@ func (a *Autoscaler) maybeCleanup() {
 			a.drainPod(name)
 		}
 	}
-	if *a.cfg.DeployMaster {
-		// Best-effort removal of the deployment units.
-		_ = a.cluster.DeleteStatefulSet("wq-master")
-	}
+	// Best-effort removal of the deployment units.
+	_ = a.cluster.DeleteStatefulSet("wq-master")
 	if a.onDone != nil {
 		done := a.onDone
 		a.onDone = nil
@@ -335,7 +315,7 @@ func (a *Autoscaler) createWorkerPod() {
 	// allocatable vector (paper §IV-A).
 	spec := kubesim.PodSpec{
 		Name:      name,
-		Image:     a.cfg.WorkerImage,
+		Image:     workerImage,
 		Resources: a.cluster.Config().NodeAllocatable,
 		Labels:    workerLabels,
 	}

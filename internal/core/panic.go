@@ -17,72 +17,43 @@ import (
 type PanicConfig struct {
 	// Enabled turns the panic checker and the decision governor on.
 	Enabled bool
-	// ThresholdPercent is the queue-growth trigger: panic when the
-	// waiting depth exceeds the depth Window ago by more than this
-	// percentage (default 150, i.e. 2.5x). A baseline of zero
-	// triggers on MinGrowth alone (a spike out of an empty queue).
-	ThresholdPercent float64
-	// Window is the growth-measurement horizon (default 30 s) — much
-	// shorter than a resize cycle, so a burst is seen while the
-	// per-cycle loop is still asleep.
-	Window time.Duration
-	// CheckInterval is the sampling period of the panic checker
-	// (default 5 s).
-	CheckInterval time.Duration
-	// MinGrowth is the minimum absolute depth growth over Window that
-	// can trigger a panic (default 8 tasks) — percentage growth on a
-	// near-empty queue is noise.
-	MinGrowth int
-	// StabilizationWindow damps scale-downs two ways: after a panic,
-	// scale-downs are suppressed for this long (the burst that caused
-	// the panic is likely not over); and a per-cycle scale-down only
-	// applies once downward proposals have persisted for this long
-	// (default 2 min).
-	StabilizationWindow time.Duration
-	// TolerancePercent is the dead band around zero shortage: a
-	// proposed change of at most this percentage of the current fleet
-	// is held at zero instead of churning pods (default 10).
-	TolerancePercent float64
-	// ScaleUpCooldown is the minimum spacing between successive panic
-	// scale-ups (default Window), so a sustained storm produces one
-	// panic per window, not one per check. The per-cycle path is not
-	// gated: capacity the planner asks for is never delayed.
-	ScaleUpCooldown time.Duration
-	// ScaleDownCooldown is the minimum spacing between applied
-	// scale-downs (default 1 min).
-	ScaleDownCooldown time.Duration
 }
 
-func (p PanicConfig) withDefaults() PanicConfig {
-	if !p.Enabled {
-		return p
-	}
-	if p.ThresholdPercent == 0 {
-		p.ThresholdPercent = 150
-	}
-	if p.Window == 0 {
-		p.Window = 30 * time.Second
-	}
-	if p.CheckInterval == 0 {
-		p.CheckInterval = 5 * time.Second
-	}
-	if p.MinGrowth == 0 {
-		p.MinGrowth = 8
-	}
-	if p.StabilizationWindow == 0 {
-		p.StabilizationWindow = 2 * time.Minute
-	}
-	if p.TolerancePercent == 0 {
-		p.TolerancePercent = 10
-	}
-	if p.ScaleUpCooldown == 0 {
-		p.ScaleUpCooldown = p.Window
-	}
-	if p.ScaleDownCooldown == 0 {
-		p.ScaleDownCooldown = time.Minute
-	}
-	return p
-}
+// The fixed settings of the panic policy.
+const (
+	// panicThresholdPercent is the queue-growth trigger: panic when
+	// the waiting depth exceeds the depth panicWindow ago by more than
+	// this percentage (2.5x). A baseline of zero triggers on
+	// panicMinGrowth alone (a spike out of an empty queue).
+	panicThresholdPercent = 150.0
+	// panicWindow is the growth-measurement horizon — much shorter
+	// than a resize cycle, so a burst is seen while the per-cycle loop
+	// is still asleep.
+	panicWindow = 30 * time.Second
+	// panicCheckInterval is the sampling period of the panic checker.
+	panicCheckInterval = 5 * time.Second
+	// panicMinGrowth is the minimum absolute depth growth over
+	// panicWindow that can trigger a panic — percentage growth on a
+	// near-empty queue is noise.
+	panicMinGrowth = 8
+	// stabilizationWindow damps scale-downs two ways: after a panic,
+	// scale-downs are suppressed for this long (the burst that caused
+	// the panic is likely not over); and a per-cycle scale-down only
+	// applies once downward proposals have persisted for this long.
+	stabilizationWindow = 2 * time.Minute
+	// tolerancePercent is the dead band around zero shortage: a
+	// proposed change of at most this percentage of the current fleet
+	// is held at zero instead of churning pods.
+	tolerancePercent = 10.0
+	// scaleUpCooldown is the minimum spacing between successive panic
+	// scale-ups, so a sustained storm produces one panic per window,
+	// not one per check. The per-cycle path is not gated: capacity the
+	// planner asks for is never delayed.
+	scaleUpCooldown = panicWindow
+	// scaleDownCooldown is the minimum spacing between applied
+	// scale-downs.
+	scaleDownCooldown = time.Minute
+)
 
 // depthSample is one panic-checker observation of the queue.
 type depthSample struct {
@@ -113,7 +84,7 @@ func (a *Autoscaler) startPanicChecker() {
 	if !a.cfg.Panic.Enabled || a.panicSt.ticker != nil {
 		return
 	}
-	a.panicSt.ticker = a.eng.Every(a.cfg.Panic.CheckInterval, "hta-panic-check", a.panicCheck)
+	a.panicSt.ticker = a.eng.Every(panicCheckInterval, "hta-panic-check", a.panicCheck)
 }
 
 // stopPanicChecker stops the sampling loop (clean-up, crash).
@@ -134,14 +105,13 @@ func (a *Autoscaler) panicCheck() {
 	if a.down || a.shutdown || a.cleaned {
 		return
 	}
-	cfg := a.cfg.Panic
 	now := a.eng.Now()
 	depth := a.master.Stats().Waiting
 	st := &a.panicSt
 
 	// Maintain the window of samples; the baseline is the oldest
 	// observation still inside it.
-	cutoff := now.Add(-cfg.Window)
+	cutoff := now.Add(-panicWindow)
 	keep := 0
 	for keep < len(st.samples) && st.samples[keep].at.Before(cutoff) {
 		keep++
@@ -160,13 +130,13 @@ func (a *Autoscaler) panicCheck() {
 	}
 	baseline := st.samples[0].depth
 	growth := depth - baseline
-	if growth < cfg.MinGrowth {
+	if growth < panicMinGrowth {
 		return
 	}
-	if float64(depth) <= float64(baseline)*(1+cfg.ThresholdPercent/100) {
+	if float64(depth) <= float64(baseline)*(1+panicThresholdPercent/100) {
 		return
 	}
-	if !st.lastPanic.IsZero() && now.Sub(st.lastPanic) < cfg.ScaleUpCooldown {
+	if !st.lastPanic.IsZero() && now.Sub(st.lastPanic) < scaleUpCooldown {
 		return
 	}
 
@@ -175,7 +145,7 @@ func (a *Autoscaler) panicCheck() {
 		return
 	}
 	st.lastPanic = now
-	st.panicUntil = now.Add(cfg.StabilizationWindow)
+	st.panicUntil = now.Add(stabilizationWindow)
 	st.downSince = time.Time{}
 	// New capacity arrives one init time from now; pull the regular
 	// cycle to that horizon instead of letting it fire mid-flight with
@@ -210,14 +180,13 @@ func (a *Autoscaler) planningInitTime() time.Duration {
 // per-cycle path must stay byte-identical to the plain autoscaler
 // (pinned by TestGovernorDisabledIsIdentity).
 func (a *Autoscaler) governDecision(dec Decision) Decision {
-	cfg := a.cfg.Panic
-	if !cfg.Enabled {
+	if !a.cfg.Panic.Enabled {
 		return dec
 	}
 	now := a.eng.Now()
 	st := &a.panicSt
 
-	if tol := int(float64(a.WorkerPodCount()) * cfg.TolerancePercent / 100); dec.ScaleChange != 0 &&
+	if tol := int(float64(a.WorkerPodCount()) * tolerancePercent / 100); dec.ScaleChange != 0 &&
 		abs(dec.ScaleChange) <= tol {
 		dec.ScaleChange = 0
 		dec.NextCycle = a.cfg.DefaultCycle
@@ -242,10 +211,10 @@ func (a *Autoscaler) governDecision(dec Decision) Decision {
 		st.downSince = now
 		return hold()
 	}
-	if now.Sub(st.downSince) < cfg.StabilizationWindow {
+	if now.Sub(st.downSince) < stabilizationWindow {
 		return hold()
 	}
-	if !st.lastDown.IsZero() && now.Sub(st.lastDown) < cfg.ScaleDownCooldown {
+	if !st.lastDown.IsZero() && now.Sub(st.lastDown) < scaleDownCooldown {
 		return hold()
 	}
 	st.lastDown = now

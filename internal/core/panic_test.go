@@ -44,12 +44,7 @@ func TestPanicFiresOnBurst(t *testing.T) {
 		Config{
 			InitialWorkers: 2,
 			DefaultCycle:   5 * time.Minute, // cadence asleep: only panic can react quickly
-			Panic: PanicConfig{
-				Enabled:       true,
-				Window:        30 * time.Second,
-				CheckInterval: 5 * time.Second,
-				MinGrowth:     8,
-			},
+			Panic:          PanicConfig{Enabled: true},
 		})
 	s.eng.RunFor(2 * time.Minute) // initial workers up
 	for i := 0; i < 60; i++ {
@@ -99,12 +94,7 @@ func nodeSized(s *stack, quarters int64) resources.Vector {
 // post-panic hold, and the scale-down cooldown.
 func TestGovernorDamping(t *testing.T) {
 	s := newStack(t, kubesim.Config{InitialNodes: 10, MaxNodes: 40},
-		Config{InitialWorkers: 10, Panic: PanicConfig{
-			Enabled:             true,
-			TolerancePercent:    10,
-			StabilizationWindow: 2 * time.Minute,
-			ScaleDownCooldown:   time.Minute,
-		}})
+		Config{InitialWorkers: 10, Panic: PanicConfig{Enabled: true}})
 	s.eng.RunFor(3 * time.Minute) // 10 workers active
 	fleet := s.a.WorkerPodCount()
 	if fleet != 10 {

@@ -129,8 +129,7 @@ func TestWorkerPodLifecycleAllocs(t *testing.T) {
 	cluster := kubesim.NewCluster(eng, kubesim.Config{InitialNodes: 2, Seed: 1})
 	t.Cleanup(cluster.Stop)
 	master := wq.NewMaster(eng, nil)
-	deploy := false
-	a := New(eng, cluster, master, Config{DeployMaster: &deploy})
+	a := New(eng, cluster, master, Config{})
 	// The resident and the first cycling pod pull the image.
 	a.createWorkerPod()
 	a.createWorkerPod()

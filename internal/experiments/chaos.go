@@ -31,8 +31,6 @@ type ChaosEFConfig struct {
 	Stages [3]int
 	// Retry is the masters' recovery policy.
 	Retry wq.RetryPolicy
-	// Timeout bounds each simulated run.
-	Timeout time.Duration
 }
 
 // DefaultChaosEFConfig is the full-size experiment: paper-sized
@@ -91,9 +89,6 @@ func ChaosEFWith(cfg ChaosEFConfig) (*ChaosEFReport, error) {
 	for _, mean := range cfg.PreemptMeans {
 		st := fig10Stack(cfg.Seed)
 		st.retry = cfg.Retry
-		if cfg.Timeout > 0 {
-			st.timeout = cfg.Timeout
-		}
 		if mean > 0 {
 			st.chaos = &chaos.Plan{
 				Seed: cfg.Seed,

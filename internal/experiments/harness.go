@@ -273,7 +273,7 @@ func (e *ErrTimeout) Error() string {
 // Every runner is one stack × scaler × arrivals combination executed by
 // simulate. The stack is the simulated system: the event engine, an
 // optional cluster and egress link, and the wq master with its
-// dispatch, retry and admission policies. The scaler plug-in sizes the
+// retry and admission policies. The scaler plug-in sizes the
 // worker fleet: HTA, a WorkerSet under the HPA or the
 // queue-proportional scaler, or a static fleet. The arrival driver
 // feeds the workload: a DAG bag through flow.Runner, timed tasks, or
@@ -291,7 +291,6 @@ type stackConfig struct {
 	// referenceLink and referenceEngine select the retained netsim and
 	// simclock implementations, for differential runs.
 	referenceLink, referenceEngine bool
-	policy                         wq.Policy
 	retry                          wq.RetryPolicy
 	admission                      wq.AdmissionPolicy
 	// chaos, when enabled, is armed by the scaler; controlPlane
@@ -338,7 +337,6 @@ func newStack(cfg stackConfig) *stack {
 		}
 	}
 	st.master = wq.NewMaster(st.eng, st.link)
-	st.master.SetPolicy(cfg.policy)
 	st.master.SetRetryPolicy(cfg.retry)
 	st.master.SetAdmissionPolicy(cfg.admission)
 	return st
@@ -556,13 +554,8 @@ type HTAOptions struct {
 	Kube        kubesim.Config
 	HTA         core.Config
 	LinkMBps    float64
-	Contention  float64
 	PerTransfer float64
 	Timeout     time.Duration // simulated; default 24 h
-	// Categories, when set, enables per-category outstanding series.
-	Categories []string
-	// Policy selects the master's dispatch policy (default FirstFit).
-	Policy wq.Policy
 	// Retry is the master's recovery policy (zero = infinite retries,
 	// no backoff, no fast-abort — the pre-fault-tolerance behavior).
 	Retry wq.RetryPolicy
@@ -571,31 +564,20 @@ type HTAOptions struct {
 	Admission wq.AdmissionPolicy
 	// Chaos, when set and enabled, injects faults into the run.
 	Chaos *chaos.Plan
-	// ReferenceLink routes the egress link through the retained
-	// walk-everything netsim implementation (differential runs).
-	ReferenceLink bool
-	// ReferenceEngine runs the whole scenario on the retained
-	// container/heap event core (differential runs).
-	ReferenceEngine bool
 	// SampleEvery overrides the sampler period (0 = SampleInterval).
 	SampleEvery time.Duration
 }
 
 func (o HTAOptions) stack() stackConfig {
 	return stackConfig{
-		kube:            &o.Kube,
-		linkMBps:        o.LinkMBps,
-		contention:      o.Contention,
-		perTransfer:     o.PerTransfer,
-		referenceLink:   o.ReferenceLink,
-		referenceEngine: o.ReferenceEngine,
-		policy:          o.Policy,
-		retry:           o.Retry,
-		admission:       o.Admission,
-		chaos:           o.Chaos,
-		timeout:         o.Timeout,
-		sampleEvery:     o.SampleEvery,
-		categories:      o.Categories,
+		kube:        &o.Kube,
+		linkMBps:    o.LinkMBps,
+		perTransfer: o.PerTransfer,
+		retry:       o.Retry,
+		admission:   o.Admission,
+		chaos:       o.Chaos,
+		timeout:     o.Timeout,
+		sampleEvery: o.SampleEvery,
 	}
 }
 
@@ -648,40 +630,14 @@ type HPAOptions struct {
 	InitialReplicas int
 	LinkMBps        float64
 	Contention      float64
-	PerTransfer     float64
-	Timeout         time.Duration
-	Categories      []string
-	// Retry is the master's recovery policy.
-	Retry wq.RetryPolicy
-	// Admission bounds the master's waiting queue (zero = unbounded).
-	Admission wq.AdmissionPolicy
-	// Chaos, when set and enabled, injects faults into the run.
-	Chaos *chaos.Plan
-	// ReferenceLink routes the egress link through the retained
-	// walk-everything netsim implementation (differential runs).
-	ReferenceLink bool
-	// ReferenceEngine runs the whole scenario on the retained
-	// container/heap event core (differential runs).
-	ReferenceEngine bool
-	// SampleEvery overrides the sampler period (0 = SampleInterval).
-	SampleEvery time.Duration
 }
 
 // RunHPA executes the workload on an HPA-scaled worker fleet.
 func RunHPA(name string, wl Workload, opt HPAOptions) (*RunResult, error) {
 	return simulate(name, stackConfig{
-		kube:            &opt.Kube,
-		linkMBps:        opt.LinkMBps,
-		contention:      opt.Contention,
-		perTransfer:     opt.PerTransfer,
-		referenceLink:   opt.ReferenceLink,
-		referenceEngine: opt.ReferenceEngine,
-		retry:           opt.Retry,
-		admission:       opt.Admission,
-		chaos:           opt.Chaos,
-		timeout:         opt.Timeout,
-		sampleEvery:     opt.SampleEvery,
-		categories:      opt.Categories,
+		kube:       &opt.Kube,
+		linkMBps:   opt.LinkMBps,
+		contention: opt.Contention,
 	}, hpaScaler(opt.HPA, opt.PodResources, opt.InitialReplicas), &bag{wl: wl})
 }
 
@@ -753,35 +709,13 @@ type StaticOptions struct {
 	WorkerResources resources.Vector
 	LinkMBps        float64
 	Contention      float64
-	PerTransfer     float64
-	Timeout         time.Duration
-	// Retry is the master's recovery policy.
-	Retry wq.RetryPolicy
-	// Chaos, when set and enabled, injects worker-crash faults (no
-	// cluster exists in a static run).
-	Chaos *chaos.Plan
-	// ReferenceLink routes the egress link through the retained
-	// walk-everything netsim implementation (differential runs).
-	ReferenceLink bool
-	// ReferenceEngine runs the whole scenario on the retained
-	// container/heap event core (differential runs).
-	ReferenceEngine bool
-	// SampleEvery overrides the sampler period (0 = SampleInterval).
-	SampleEvery time.Duration
 }
 
 // RunStatic executes the workload on a fixed fleet.
 func RunStatic(name string, wl Workload, opt StaticOptions) (*RunResult, error) {
 	return simulate(name, stackConfig{
-		linkMBps:        opt.LinkMBps,
-		contention:      opt.Contention,
-		perTransfer:     opt.PerTransfer,
-		referenceLink:   opt.ReferenceLink,
-		referenceEngine: opt.ReferenceEngine,
-		retry:           opt.Retry,
-		chaos:           opt.Chaos,
-		timeout:         opt.Timeout,
-		sampleEvery:     opt.SampleEvery,
+		linkMBps:   opt.LinkMBps,
+		contention: opt.Contention,
 	}, staticFleet{workers: opt.Workers, capacity: opt.WorkerResources}, &bag{wl: wl})
 }
 

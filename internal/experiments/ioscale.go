@@ -53,12 +53,6 @@ type IOScaleConfig struct {
 	// ReferenceEngine runs every cell on the retained container/heap
 	// event core, for differential runs.
 	ReferenceEngine bool
-	// Timeout bounds each cell (0 = auto: generous for HTA, sized to
-	// the pinned-fleet serial runtime for HPA). SampleEvery overrides
-	// the sampler period (0 = auto-scaled to the cell's expected
-	// runtime).
-	Timeout     time.Duration
-	SampleEvery time.Duration
 }
 
 // DefaultIOScale returns the E-H configuration: fleets of 1k/5k/10k
@@ -158,13 +152,10 @@ func (c IOScaleConfig) withDefaults() IOScaleConfig {
 	return c
 }
 
-// sampleEvery scales the sampler period to the expected cell runtime:
-// every tick walks the waiting queue, so a month-long pinned-HPA cell
-// must not tick every 5 s.
-func (c IOScaleConfig) sampleEvery(expected time.Duration) time.Duration {
-	if c.SampleEvery > 0 {
-		return c.SampleEvery
-	}
+// ioScaleSampleEvery scales the sampler period to the expected cell
+// runtime: every tick walks the waiting queue, so a month-long
+// pinned-HPA cell must not tick every 5 s.
+func ioScaleSampleEvery(expected time.Duration) time.Duration {
 	every := expected / 1500
 	if every < SampleInterval {
 		every = SampleInterval
@@ -246,7 +237,6 @@ func runIOScaleCell(cfg IOScaleConfig, cell ioScaleCell) (*RunResult, error) {
 		perTransfer:     cfg.PerTransfer,
 		referenceLink:   cfg.Reference,
 		referenceEngine: cfg.ReferenceEngine,
-		timeout:         cfg.Timeout,
 	}
 	var sc scaler
 	var expected time.Duration
@@ -254,25 +244,21 @@ func runIOScaleCell(cfg IOScaleConfig, cell ioScaleCell) (*RunResult, error) {
 		// Saturated waves of node-sized workers plus the autoscaler
 		// ramp; the ×4 margin absorbs the transfer-bound tail.
 		expected = time.Duration(cfg.TasksPerWorker/3+1)*cfg.ExecMean*4 + time.Hour
-		if st.timeout == 0 {
-			st.timeout = expected
-		}
+		st.timeout = expected
 		sc = &htaScaler{cfg: core.Config{MaxWorkers: cell.workers}}
 	} else {
 		// The HPA stays pinned at MinReplicas: task CPU (≈15 %) never
 		// crosses the target, so the fleet works the whole bag serially,
 		// three tasks at a time — expected runtime N×ExecMean/3.
 		expected = time.Duration(n/3+1) * cfg.ExecMean
-		if st.timeout == 0 {
-			st.timeout = 2*expected + time.Hour
-		}
+		st.timeout = 2*expected + time.Hour
 		sc = hpaScaler(hpa.Config{
 			TargetCPUUtilization: cfg.HPATarget,
 			MinReplicas:          3,
 			MaxReplicas:          cell.workers,
 		}, resources.Vector{MilliCPU: 1000, MemoryMB: 1024, DiskMB: 10000}, 3)
 	}
-	st.sampleEvery = cfg.sampleEvery(expected)
+	st.sampleEvery = ioScaleSampleEvery(expected)
 	return simulate(cell.name, st, sc, &bag{wl: wl})
 }
 

@@ -32,15 +32,18 @@ type Config struct {
 	MinReplicas int
 	// MaxReplicas is the ceiling (default 20).
 	MaxReplicas int
-	// SyncInterval is the control-loop period (default 15 s).
-	SyncInterval time.Duration
-	// Tolerance suppresses resizes when |ratio−1| ≤ Tolerance
-	// (default 0.1).
-	Tolerance float64
 	// ScaleDownStabilization is the window over which the highest
 	// recommendation is kept before shrinking (default 5 min).
 	ScaleDownStabilization time.Duration
 }
+
+// The Kubernetes defaults the controller keeps fixed: the control-loop
+// period, and the tolerance that suppresses resizes when
+// |ratio−1| ≤ tolerance.
+const (
+	syncInterval = 15 * time.Second
+	tolerance    = 0.1
+)
 
 func (c Config) withDefaults() Config {
 	if c.MinReplicas == 0 {
@@ -48,12 +51,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxReplicas == 0 {
 		c.MaxReplicas = 20
-	}
-	if c.SyncInterval == 0 {
-		c.SyncInterval = 15 * time.Second
-	}
-	if c.Tolerance == 0 {
-		c.Tolerance = 0.1
 	}
 	if c.ScaleDownStabilization == 0 {
 		c.ScaleDownStabilization = 5 * time.Minute
@@ -90,7 +87,7 @@ func New(cluster *kubesim.Cluster, set *kubesim.WorkerSet, cfg Config) *Controll
 		panic("hpa: TargetCPUUtilization must be in (0, 1]")
 	}
 	h := &Controller{cluster: cluster, set: set, cfg: cfg, LastDesired: set.Replicas()}
-	h.ticker = cluster.Engine().Every(cfg.SyncInterval, "hpa-sync", h.sync)
+	h.ticker = cluster.Engine().Every(syncInterval, "hpa-sync", h.sync)
 	return h
 }
 
@@ -133,7 +130,7 @@ func (h *Controller) sync() {
 
 	ratio := util / h.cfg.TargetCPUUtilization
 	desired := current
-	if math.Abs(ratio-1) > h.cfg.Tolerance {
+	if math.Abs(ratio-1) > tolerance {
 		desired = int(math.Ceil(float64(current) * ratio))
 	}
 	desired = h.clamp(desired)

@@ -16,6 +16,10 @@ import (
 // defaults documented on each field, which are calibrated to the
 // paper's GKE testbed (n1-standard-4 nodes with ~3 allocatable cores,
 // provisioning latency ≈ N(157.4 s, 4.2 s) including image pull).
+// The rest of the timing is fixed: every image is 700 MB pulled at
+// 100 MB/s (7 s, ±5 % jitter), a container starts 1 s after its image
+// is present, the scheduler binds every 1 s, and the cloud controller
+// batches node scale-ups every 10 s.
 type Config struct {
 	// InitialNodes is the number of nodes present at start
 	// (default 3, the paper's minimum GKE cluster).
@@ -39,27 +43,21 @@ type Config struct {
 	// ProvisionMin bounds the truncated-normal sample from below
 	// (default 30 s).
 	ProvisionMin time.Duration
-	// ImageSizesMB maps image names to sizes; unknown images use
-	// DefaultImageSizeMB.
-	ImageSizesMB map[string]float64
-	// DefaultImageSizeMB is used for unlisted images (default 700).
-	DefaultImageSizeMB float64
-	// ImagePullMBps is the node's registry bandwidth (default 100).
-	ImagePullMBps float64
-	// ContainerStartDelay is the time from image-present to Running
-	// (default 1 s).
-	ContainerStartDelay time.Duration
-	// SchedulerInterval is the binding loop period (default 1 s).
-	SchedulerInterval time.Duration
-	// AutoscalerInterval is the cloud-controller loop period
-	// (default 10 s); scale-ups are batched at this granularity.
-	AutoscalerInterval time.Duration
 	// ScaleDownDelay is how long a node must stay empty before the
 	// cloud controller removes it (default 10 min, GKE's default).
 	ScaleDownDelay time.Duration
 	// Seed drives all stochastic latencies.
 	Seed int64
 }
+
+// The fixed node and control-plane timing (see Config).
+const (
+	imageSizeMB         = 700.0
+	imagePullMBps       = 100.0
+	containerStartDelay = time.Second
+	schedulerInterval   = time.Second
+	autoscalerInterval  = 10 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.InitialNodes == 0 {
@@ -82,21 +80,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProvisionMin == 0 {
 		c.ProvisionMin = 30 * time.Second
-	}
-	if c.DefaultImageSizeMB == 0 {
-		c.DefaultImageSizeMB = 700
-	}
-	if c.ImagePullMBps == 0 {
-		c.ImagePullMBps = 100
-	}
-	if c.ContainerStartDelay == 0 {
-		c.ContainerStartDelay = time.Second
-	}
-	if c.SchedulerInterval == 0 {
-		c.SchedulerInterval = time.Second
-	}
-	if c.AutoscalerInterval == 0 {
-		c.AutoscalerInterval = 10 * time.Second
 	}
 	if c.ScaleDownDelay == 0 {
 		c.ScaleDownDelay = 10 * time.Minute
@@ -208,8 +191,8 @@ func NewCluster(eng *simclock.Engine, cfg Config) *Cluster {
 		c.addNode()
 	}
 	c.tickers = append(c.tickers,
-		eng.Every(cfg.SchedulerInterval, "kube-scheduler", c.scheduleOnce),
-		eng.Every(cfg.AutoscalerInterval, "cloud-controller", c.cloudControllerOnce),
+		eng.Every(schedulerInterval, "kube-scheduler", c.scheduleOnce),
+		eng.Every(autoscalerInterval, "cloud-controller", c.cloudControllerOnce),
 	)
 	return c
 }

@@ -32,7 +32,7 @@ func (c *Cluster) kubeletStart(p *Pod, n *Node) {
 	}
 	c.pulls[key] = []*Pod{p}
 	c.notifyPod(Modified, p, ReasonPulling)
-	c.eng.After(c.pullDuration(p.Image), "kubelet-image-pull", func() {
+	c.eng.After(c.pullDuration(), "kubelet-image-pull", func() {
 		if _, alive := c.nodes[n.Name]; !alive {
 			delete(c.pulls, key)
 			return
@@ -54,19 +54,15 @@ func (c *Cluster) kubeletStart(p *Pod, n *Node) {
 	})
 }
 
-func (c *Cluster) pullDuration(image string) time.Duration {
-	size := c.cfg.DefaultImageSizeMB
-	if s, ok := c.cfg.ImageSizesMB[image]; ok {
-		size = s
-	}
-	secs := c.rng.Jitter(size/c.cfg.ImagePullMBps, 0.05)
+func (c *Cluster) pullDuration() time.Duration {
+	secs := c.rng.Jitter(imageSizeMB/imagePullMBps, 0.05)
 	return time.Duration(secs * float64(time.Second))
 }
 
 // containerStart transitions the pod to Running after the container
 // start delay, provided it is still bound and alive.
 func (c *Cluster) containerStart(p *Pod, n *Node) {
-	c.eng.After(c.cfg.ContainerStartDelay, "kubelet-container-start", func() {
+	c.eng.After(containerStartDelay, "kubelet-container-start", func() {
 		cur, ok := c.pods[p.Name]
 		if !ok || cur != p || p.Terminal() || p.NodeName != n.Name {
 			return

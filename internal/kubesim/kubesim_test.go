@@ -823,7 +823,7 @@ func TestPodLifecycleAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.scheduleOnce()
-		eng.RunFor(c.cfg.ContainerStartDelay)
+		eng.RunFor(containerStartDelay)
 		if err := c.MarkPodSucceeded("w"); err != nil {
 			t.Fatal(err)
 		}

@@ -15,25 +15,10 @@ import (
 	"hta/internal/wq"
 )
 
-// Config tunes estimation.
-type Config struct {
-	// Margin inflates resource estimates by the given fraction
-	// (0.1 = 10 % headroom). Default 0, the paper's behaviour of
-	// applying measured consumption directly.
-	Margin float64
-	// MinCPUMilli floors the CPU estimate; a task always occupies at
-	// least this many millicores of a worker (default 1000 — one
-	// processor slot, what Work Queue's monitor reports for a
-	// single-process task regardless of how busy it keeps the core).
-	MinCPUMilli int64
-}
-
-func (c Config) withDefaults() Config {
-	if c.MinCPUMilli == 0 {
-		c.MinCPUMilli = 1000
-	}
-	return c
-}
+// minCPUMilli floors the CPU estimate: a task always occupies at
+// least one processor slot, what Work Queue's monitor reports for a
+// single-process task regardless of how busy it keeps the core.
+const minCPUMilli = 1000
 
 // CategoryStats summarizes completed tasks of one category.
 type CategoryStats struct {
@@ -51,7 +36,6 @@ type CategoryStats struct {
 // comes from the event loop. A caller with concurrent completions (the
 // operator's wire connections) serializes its calls itself.
 type Monitor struct {
-	cfg  Config
 	cats map[string]*catAgg
 	// rev counts mutations that could change an estimate (observation
 	// batches, state imports). Exposed via EstimateRev so the master's
@@ -67,8 +51,8 @@ type catAgg struct {
 }
 
 // New returns an empty monitor.
-func New(cfg Config) *Monitor {
-	return &Monitor{cfg: cfg.withDefaults(), cats: make(map[string]*catAgg)}
+func New() *Monitor {
+	return &Monitor{cats: make(map[string]*catAgg)}
 }
 
 // Observe records one completed task of the category: its measured
@@ -120,24 +104,17 @@ func (m *Monitor) Categories() []string {
 
 // EstimateResources implements wq.Estimator: the component-wise
 // maximum consumption seen for the category, CPU rounded up to whole
-// processor slots, inflated by the configured margin.
+// processor slots.
 func (m *Monitor) EstimateResources(category string) (resources.Vector, bool) {
 	agg, ok := m.cats[category]
 	if !ok {
 		return resources.Zero, false
 	}
 	v := agg.maxUsage
-	if m.cfg.Margin > 0 {
-		v = resources.Vector{
-			MilliCPU: v.MilliCPU + int64(float64(v.MilliCPU)*m.cfg.Margin),
-			MemoryMB: v.MemoryMB + int64(float64(v.MemoryMB)*m.cfg.Margin),
-			DiskMB:   v.DiskMB + int64(float64(v.DiskMB)*m.cfg.Margin),
-		}
-	}
 	// Round CPU up to whole processor slots: a running process
 	// occupies a core even when it does not saturate it.
-	if v.MilliCPU < m.cfg.MinCPUMilli {
-		v.MilliCPU = m.cfg.MinCPUMilli
+	if v.MilliCPU < minCPUMilli {
+		v.MilliCPU = minCPUMilli
 	} else if rem := v.MilliCPU % 1000; rem != 0 {
 		v.MilliCPU += 1000 - rem
 	}

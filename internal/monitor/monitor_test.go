@@ -9,7 +9,7 @@ import (
 )
 
 func TestUnknownCategory(t *testing.T) {
-	m := New(Config{})
+	m := New()
 	if m.Known("x") {
 		t.Error("Known on empty monitor")
 	}
@@ -25,7 +25,7 @@ func TestUnknownCategory(t *testing.T) {
 }
 
 func TestSingleObservation(t *testing.T) {
-	m := New(Config{})
+	m := New()
 	m.Observe("align", resources.Vector{MilliCPU: 870, MemoryMB: 3800, DiskMB: 1500}, 80*time.Second)
 	if !m.Known("align") {
 		t.Fatal("category not known after observation")
@@ -48,7 +48,7 @@ func TestSingleObservation(t *testing.T) {
 }
 
 func TestMaxAcrossObservations(t *testing.T) {
-	m := New(Config{})
+	m := New()
 	m.Observe("c", resources.Vector{MilliCPU: 500, MemoryMB: 1000}, 10*time.Second)
 	m.Observe("c", resources.Vector{MilliCPU: 2400, MemoryMB: 800}, 30*time.Second)
 	v, _ := m.EstimateResources("c")
@@ -67,7 +67,7 @@ func TestMaxAcrossObservations(t *testing.T) {
 }
 
 func TestWholeCoreNotRounded(t *testing.T) {
-	m := New(Config{})
+	m := New()
 	m.Observe("c", resources.Vector{MilliCPU: 2000, MemoryMB: 1}, time.Second)
 	v, _ := m.EstimateResources("c")
 	if v.MilliCPU != 2000 {
@@ -78,7 +78,7 @@ func TestWholeCoreNotRounded(t *testing.T) {
 func TestIOBoundTaskOccupiesFullSlot(t *testing.T) {
 	// A dd-style task uses ~150 millicores of CPU but still occupies
 	// a processor; the estimator must not let 6 of them share a core.
-	m := New(Config{})
+	m := New()
 	m.Observe("io", resources.Vector{MilliCPU: 150, MemoryMB: 256, DiskMB: 4000}, 60*time.Second)
 	v, _ := m.EstimateResources("io")
 	if v.MilliCPU != 1000 {
@@ -86,18 +86,8 @@ func TestIOBoundTaskOccupiesFullSlot(t *testing.T) {
 	}
 }
 
-func TestMargin(t *testing.T) {
-	m := New(Config{Margin: 0.1})
-	m.Observe("c", resources.Vector{MilliCPU: 2000, MemoryMB: 1000, DiskMB: 100}, time.Second)
-	v, _ := m.EstimateResources("c")
-	// 2000×1.1 = 2200 → rounds to 3000; memory 1100; disk 110.
-	if v.MilliCPU != 3000 || v.MemoryMB != 1100 || v.DiskMB != 110 {
-		t.Errorf("estimate = %v", v)
-	}
-}
-
 func TestCategoriesSorted(t *testing.T) {
-	m := New(Config{})
+	m := New()
 	for _, c := range []string{"zeta", "alpha", "mid"} {
 		m.Observe(c, resources.Cores(1), time.Second)
 	}
@@ -117,7 +107,7 @@ func TestPropertyEstimateCovers(t *testing.T) {
 		if len(cpus) == 0 {
 			return true
 		}
-		m := New(Config{})
+		m := New()
 		var minD, maxD time.Duration
 		for i, c := range cpus {
 			mem := int64(0)

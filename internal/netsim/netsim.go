@@ -75,7 +75,6 @@ type Transfer struct {
 	link      *Link
 	id        int
 	remaining float64 // MB; live in reference mode, materialized on exit in indexed mode
-	size      float64
 	rate      float64 // MB/s; live in reference mode, stamped on exit in indexed mode
 	begun     time.Time
 	done      func()
@@ -248,9 +247,6 @@ func (l *Link) allocRate(n int) float64 {
 	return share
 }
 
-// Capacity returns the link capacity in MB/s.
-func (l *Link) Capacity() float64 { return l.capacity }
-
 // Active returns the number of in-flight transfers.
 func (l *Link) Active() int {
 	if l.reference {
@@ -271,7 +267,6 @@ func (l *Link) Start(sizeMB float64, done func()) *Transfer {
 		link:      l,
 		id:        l.nextID,
 		remaining: sizeMB,
-		size:      sizeMB,
 		begun:     l.eng.Now(),
 		done:      done,
 		pos:       -1,
@@ -350,9 +345,6 @@ func (tr *Transfer) Rate() float64 {
 	}
 	return tr.rate
 }
-
-// Size returns the total transfer size in MB.
-func (tr *Transfer) Size() float64 { return tr.size }
 
 // advance applies progress for the time since the last update: O(1).
 // Every active transfer moves vtRate×dt megabytes of credit, so the

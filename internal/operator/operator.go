@@ -138,7 +138,7 @@ func New(cfg Config) (*Operator, error) {
 	}
 	o := &Operator{
 		cfg:  cfg,
-		mon:  monitor.New(monitor.Config{}),
+		mon:  monitor.New(),
 		pods: make(map[string]*podState),
 	}
 	if err := o.loadState(); err != nil {
@@ -151,7 +151,7 @@ func New(cfg Config) (*Operator, error) {
 // Monitor returns a snapshot of the per-category estimator: a private
 // copy the caller may read while completions keep arriving.
 func (o *Operator) Monitor() *monitor.Monitor {
-	snap := monitor.New(monitor.Config{})
+	snap := monitor.New()
 	snap.ImportState(o.monitorState())
 	return snap
 }

@@ -24,26 +24,24 @@ type Config struct {
 	// TasksPerWorker is the assumed worker slot count the operator
 	// configures (KEDA's queueLength target). Required.
 	TasksPerWorker int
-	// MinReplicas / MaxReplicas bound the set (defaults 1 / 20).
-	MinReplicas int
+	// MaxReplicas bounds the set (default 20; the floor is one
+	// replica).
 	MaxReplicas int
-	// SyncInterval is the control-loop period (default 15 s).
-	SyncInterval time.Duration
 	// Stabilization is the scale-down stabilization window: the set
 	// only shrinks to the highest recommendation of the window, the
 	// behaviour KEDA inherits from the HPA it drives (default 5 min).
 	Stabilization time.Duration
 }
 
+// The fixed replica floor and control-loop period.
+const (
+	minReplicas  = 1
+	syncInterval = 15 * time.Second
+)
+
 func (c Config) withDefaults() Config {
-	if c.MinReplicas == 0 {
-		c.MinReplicas = 1
-	}
 	if c.MaxReplicas == 0 {
 		c.MaxReplicas = 20
-	}
-	if c.SyncInterval == 0 {
-		c.SyncInterval = 15 * time.Second
 	}
 	if c.Stabilization == 0 {
 		c.Stabilization = 5 * time.Minute
@@ -83,7 +81,7 @@ func New(cluster *kubesim.Cluster, set *kubesim.WorkerSet, master *wq.Master, cf
 		master:  master,
 		cfg:     cfg,
 	}
-	c.ticker = cluster.Engine().Every(cfg.SyncInterval, "qpa-sync", c.sync)
+	c.ticker = cluster.Engine().Every(syncInterval, "qpa-sync", c.sync)
 	return c
 }
 
@@ -95,8 +93,8 @@ func (c *Controller) sync() {
 	outstanding := s.Waiting + s.Running
 	now := c.cluster.Engine().Now()
 	desired := int(math.Ceil(float64(outstanding) / float64(c.cfg.TasksPerWorker)))
-	if desired < c.cfg.MinReplicas {
-		desired = c.cfg.MinReplicas
+	if desired < minReplicas {
+		desired = minReplicas
 	}
 	if desired > c.cfg.MaxReplicas {
 		desired = c.cfg.MaxReplicas

@@ -20,9 +20,6 @@ func (g *RNG) Float64() float64 { return g.r.Float64() }
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
-// Int63 returns a non-negative uniform 63-bit integer.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
-
 // Normal returns a normally distributed value with the given mean and
 // standard deviation.
 func (g *RNG) Normal(mean, stddev float64) float64 {
@@ -64,6 +61,3 @@ func (g *RNG) Exp(mean float64) float64 {
 	}
 	return g.r.ExpFloat64() * mean
 }
-
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }

@@ -44,17 +44,11 @@ import (
 	"time"
 )
 
-// Clock exposes the current time. Both the simulation Engine and
-// RealClock implement it, so components can run in either mode.
+// Clock exposes the current time. The simulation Engine implements
+// it; kubesim's Cluster.Clock returns the engine through it.
 type Clock interface {
 	Now() time.Time
 }
-
-// RealClock is a Clock backed by the wall clock.
-type RealClock struct{}
-
-// Now returns the current wall-clock time.
-func (RealClock) Now() time.Time { return time.Now() }
 
 // rec is a packed event record: one callback at one (at, seq), in the
 // same-instant queue or a timing-wheel slot until it fires. It fits

@@ -391,16 +391,6 @@ func TestJitterBounds(t *testing.T) {
 	}
 }
 
-func TestRealClock(t *testing.T) {
-	var c Clock = RealClock{}
-	before := time.Now()
-	now := c.Now()
-	after := time.Now()
-	if now.Before(before) || now.After(after) {
-		t.Errorf("RealClock.Now out of range")
-	}
-}
-
 // --- same-instant singles ---
 
 // k singles scheduled back to back at one instant fire in schedule

@@ -24,9 +24,6 @@ type AdmissionPolicy struct {
 	BufferDepth int
 }
 
-// Enabled reports whether the policy bounds the queue.
-func (p AdmissionPolicy) Enabled() bool { return p.MaxWaiting > 0 }
-
 // SetAdmissionPolicy installs the admission policy. Lowering the cap
 // does not evict already-queued tasks; raising it admits buffered
 // submissions immediately.
@@ -34,9 +31,6 @@ func (m *Master) SetAdmissionPolicy(p AdmissionPolicy) {
 	m.admission = p
 	m.drainAdmission()
 }
-
-// AdmissionPolicy returns the current admission policy.
-func (m *Master) AdmissionPolicy() AdmissionPolicy { return m.admission }
 
 // OnRejected subscribes to shed submissions. The callback receives a
 // copy of the task and fires from a zero-delay event, never

@@ -360,9 +360,6 @@ func (m *Master) SetPolicy(p Policy) {
 	m.scheduleDispatch()
 }
 
-// Policy returns the current dispatch policy.
-func (m *Master) Policy() Policy { return m.policy }
-
 // SetEstimator installs the resource estimator consulted for tasks
 // with unknown requirements. An estimator that also implements
 // RevEstimator has its per-category predictions memoized between
