@@ -24,7 +24,7 @@ func (p *preemptLog) PreemptNode(name string) error {
 	if err := p.Cluster.PreemptNode(name); err != nil {
 		return err
 	}
-	p.log = append(p.log, fmt.Sprintf("%s node/%s", p.Clock().Now().Format("15:04:05"), name))
+	p.log = append(p.log, fmt.Sprintf("%s node/%s", p.Engine().Now().Format("15:04:05"), name))
 	return nil
 }
 

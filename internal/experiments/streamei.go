@@ -29,7 +29,9 @@ type StreamEIConfig struct {
 	Admission wq.AdmissionPolicy
 	// Cycle is the HTA cells' DefaultCycle — deliberately long, so
 	// the per-cycle cadence alone is too slow for the morning spike
-	// and only the panic path can close the gap.
+	// and the panic path has a gap to close. A short cycle closes it
+	// too: plain HTA at 30 s reads a p99 sojourn within −0.2…+4.8 %
+	// of HTA-panic's at about half the waste (ROADMAP item 17).
 	Cycle      time.Duration
 	MaxWorkers int
 	// Panic is the HTA-panic cell's policy (Enabled is forced on).

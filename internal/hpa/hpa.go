@@ -152,7 +152,7 @@ func (h *Controller) clamp(n int) int {
 // count: scale-ups take effect immediately, scale-downs only to the
 // highest recommendation within the stabilization window.
 func (h *Controller) apply(desired int) {
-	now := h.cluster.Clock().Now()
+	now := h.cluster.Engine().Now()
 	h.recs = append(h.recs, recommendation{at: now, desired: desired})
 	// Trim history outside the window.
 	cutoff := now.Add(-h.cfg.ScaleDownStabilization)

@@ -222,9 +222,6 @@ func (c *Cluster) Config() Config { return c.cfg }
 // paths before timing the naive ones.
 func (c *Cluster) SetNaiveScheduling(naive bool) { c.naive = naive }
 
-// Clock returns the cluster's simulation clock.
-func (c *Cluster) Clock() simclock.Clock { return c.eng }
-
 // Engine returns the underlying discrete-event engine.
 func (c *Cluster) Engine() *simclock.Engine { return c.eng }
 

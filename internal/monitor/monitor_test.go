@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -144,5 +145,37 @@ func TestPropertyEstimateCovers(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestValidateState pins which imported aggregates are impossible:
+// Observe never produces a negative usage component or execution
+// time, and a CPU maximum past MaxInt64-999 cannot be rounded up to a
+// whole core.
+func TestValidateState(t *testing.T) {
+	ok := CategoryState{Category: "c", Count: 2, MaxUsage: resources.Vector{MilliCPU: 900, MemoryMB: 512, DiskMB: 10},
+		TotalExec: 2 * time.Second, MaxExec: time.Second}
+	cases := []struct {
+		name  string
+		edit  func(*CategoryState)
+		valid bool
+	}{
+		{"observed", func(*CategoryState) {}, true},
+		{"zero usage", func(c *CategoryState) { c.MaxUsage = resources.Zero }, true},
+		{"negative cpu", func(c *CategoryState) { c.MaxUsage.MilliCPU = -1 }, false},
+		{"negative memory", func(c *CategoryState) { c.MaxUsage.MemoryMB = -512 }, false},
+		{"negative disk", func(c *CategoryState) { c.MaxUsage.DiskMB = -1 }, false},
+		{"cpu past rounding", func(c *CategoryState) { c.MaxUsage.MilliCPU = math.MaxInt64 }, false},
+		{"negative total exec", func(c *CategoryState) { c.TotalExec = -time.Second }, false},
+		{"negative max exec", func(c *CategoryState) { c.MaxExec = -1 }, false},
+		{"skipped empty category", func(c *CategoryState) { c.Count = 0; c.MaxUsage.MilliCPU = -1 }, true},
+	}
+	for _, tc := range cases {
+		cs := ok
+		tc.edit(&cs)
+		err := State{Categories: []CategoryState{ok, cs}}.Validate()
+		if (err == nil) != tc.valid {
+			t.Errorf("%s: Validate = %v, want valid %v", tc.name, err, tc.valid)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package monitor
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"time"
@@ -44,8 +46,31 @@ func (m *Monitor) ExportState() State {
 	return st
 }
 
+// Validate reports the first category aggregate that Observe could
+// not have produced: a negative usage component, a negative execution
+// time, or a CPU maximum too large to round up to whole cores.
+// Categories with no completed tasks (Count ≤ 0) are not checked;
+// ImportState skips them.
+func (s State) Validate() error {
+	for _, cs := range s.Categories {
+		switch {
+		case cs.Count <= 0:
+		case !cs.MaxUsage.IsNonNegative():
+			return fmt.Errorf("monitor: category %q: negative usage %+v", cs.Category, cs.MaxUsage)
+		case cs.MaxUsage.MilliCPU > math.MaxInt64-999:
+			return fmt.Errorf("monitor: category %q: CPU usage %d out of range", cs.Category, cs.MaxUsage.MilliCPU)
+		case cs.TotalExec < 0 || cs.MaxExec < 0:
+			return fmt.Errorf("monitor: category %q: negative execution time (total %v, max %v)",
+				cs.Category, cs.TotalExec, cs.MaxExec)
+		}
+	}
+	return nil
+}
+
 // ImportState replaces the monitor's aggregates with the exported
 // state. Categories with no completed tasks (Count ≤ 0) are skipped.
+// The state is trusted: validate one read from outside the process
+// first (see Validate).
 func (m *Monitor) ImportState(st State) {
 	m.cats = make(map[string]*catAgg, len(st.Categories))
 	for _, cs := range st.Categories {

@@ -26,7 +26,8 @@ type persistedState struct {
 // loadState restores a checkpoint written by a previous incarnation.
 // A missing file is a fresh start; an unreadable file is an error (the
 // operator should not silently discard learned state it was told to
-// keep); an unparseable file is tolerated with a warning, because a
+// keep); an unparseable file, or one whose learned state no run could
+// have produced, is tolerated with a warning and ignored, because a
 // checkpoint must never be able to brick the control loop.
 func (o *Operator) loadState() error {
 	if o.cfg.StatePath == "" {
@@ -39,8 +40,8 @@ func (o *Operator) loadState() error {
 	if err != nil {
 		return fmt.Errorf("operator: read state: %w", err)
 	}
-	var st persistedState
-	if err := json.Unmarshal(data, &st); err != nil {
+	st, err := decodeState(data)
+	if err != nil {
 		o.cfg.Logf("operator: ignoring corrupt state %s: %v", o.cfg.StatePath, err)
 		return nil
 	}
@@ -57,6 +58,20 @@ func (o *Operator) loadState() error {
 	o.cfg.Logf("operator: resumed state from %s (%d categories, init %v, seq %d)",
 		o.cfg.StatePath, len(st.Monitor.Categories), o.initTime, st.Seq)
 	return nil
+}
+
+// decodeState parses a checkpoint and rejects learned state no run
+// could have produced, so that a damaged file cannot seed the
+// estimator with impossible values.
+func decodeState(data []byte) (persistedState, error) {
+	var st persistedState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return persistedState{}, err
+	}
+	if err := st.Monitor.Validate(); err != nil {
+		return persistedState{}, err
+	}
+	return st, nil
 }
 
 // saveState checkpoints the learned state atomically: write to a temp

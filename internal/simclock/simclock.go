@@ -44,12 +44,6 @@ import (
 	"time"
 )
 
-// Clock exposes the current time. The simulation Engine implements
-// it; kubesim's Cluster.Clock returns the engine through it.
-type Clock interface {
-	Now() time.Time
-}
-
 // rec is a packed event record: one callback at one (at, seq), in the
 // same-instant queue or a timing-wheel slot until it fires. It fits
 // in one 64-byte cache line (TestRecordSize pins the size).

@@ -67,12 +67,12 @@ func (m *Master) ShedCount() int { return m.ostats.Shed }
 // buffer. Requeues of already-dispatched work bypass admission (see
 // enqueueFront) — they were admitted once and are still owed
 // execution.
-func (m *Master) admit(t *Task) {
+func (m *Master) admit(t *taskRec) {
 	if m.admission.MaxWaiting > 0 && m.waiting.Len() >= m.admission.MaxWaiting {
 		m.enterOverload()
 		if len(m.admQueue) < m.admission.BufferDepth {
-			m.admQueue = append(m.admQueue, t.ID)
-			m.admSet[t.ID] = struct{}{}
+			m.admQueue = append(m.admQueue, int(t.id))
+			m.admSet[int(t.id)] = struct{}{}
 			m.ostats.Buffered++
 			if n := len(m.admQueue); n > m.ostats.PeakBuffered {
 				m.ostats.PeakBuffered = n
@@ -86,8 +86,8 @@ func (m *Master) admit(t *Task) {
 }
 
 // enqueue pushes an admitted task at the back of the waiting queue.
-func (m *Master) enqueue(t *Task) {
-	m.waiting.Push(t.ID, t.Priority, t.Resources, m.catIDFor(t))
+func (m *Master) enqueue(t *taskRec) {
+	m.waiting.Push(int(t.id), int(t.priority), t.res, m.catIDFor(t))
 	m.notePeakWaiting()
 	m.rev++
 	m.scheduleDispatch()
@@ -105,12 +105,12 @@ func (m *Master) notePeakWaiting() {
 // (SubmittedCount stays the total ever submitted) and is recorded
 // with the terminal Rejected state; subscribers are notified from a
 // zero-delay event, matching quarantine.
-func (m *Master) shed(t *Task) {
-	t.State = TaskRejected
-	t.FinishedAt = m.eng.Now()
+func (m *Master) shed(t *taskRec) {
+	t.state = TaskRejected
+	t.finished = m.now()
 	m.ostats.Shed++
 	if len(m.onRejected) > 0 {
-		cp := *t
+		cp := m.view(t)
 		m.eng.After(0, "wq-task-rejected", func() {
 			for _, fn := range m.onRejected {
 				fn(cp)
@@ -187,9 +187,10 @@ func (m *Master) CategoryQueueAges() map[string]time.Duration {
 	out := make(map[string]time.Duration)
 	m.waiting.ForEach(func(id int) {
 		t := m.byID[id]
-		age := now.Sub(t.SubmittedAt)
-		if cur, ok := out[t.Category]; !ok || age > cur {
-			out[t.Category] = age
+		age := now.Sub(m.base.time(t.submitted))
+		cat := m.category(t)
+		if cur, ok := out[cat]; !ok || age > cur {
+			out[cat] = age
 		}
 	})
 	return out
@@ -201,7 +202,7 @@ func (m *Master) OldestQueuedAge() time.Duration {
 	var oldest time.Duration
 	now := m.eng.Now()
 	m.waiting.ForEach(func(id int) {
-		if age := now.Sub(m.byID[id].SubmittedAt); age > oldest {
+		if age := now.Sub(m.base.time(m.byID[id].submitted)); age > oldest {
 			oldest = age
 		}
 	})

@@ -14,7 +14,8 @@ import (
 // TestTaskRecordsBoundedUnderChurn pins the record lifecycle's memory
 // bound: an open system that keeps a few hundred tasks live while
 // 100k flow through takes no more records from fresh slab capacity
-// than its peak live count plus one free list's worth. Before
+// than its peak live count plus one free list's worth, and no more
+// cold entries than records. Before
 // completed records were retired and reused, every submission took a
 // fresh record for the master's lifetime.
 func TestTaskRecordsBoundedUnderChurn(t *testing.T) {
@@ -48,6 +49,12 @@ func TestTaskRecordsBoundedUnderChurn(t *testing.T) {
 	if m.freeN > retiredCap {
 		t.Fatalf("free list holds %d records, cap %d", m.freeN, retiredCap)
 	}
+	// Cold entries belong to records, so they are bounded with them and
+	// emptied when their tasks complete.
+	if got := len(m.cold.chunks); got > (m.slabTaken+coldChunk-1)/coldChunk {
+		t.Fatalf("%d cold chunks for %d records", got, m.slabTaken)
+	}
+	checkColdEmpty(t, m)
 	tags := m.CompletedTags()
 	if len(tags) != n {
 		t.Fatalf("CompletedTags has %d entries, want %d", len(tags), n)

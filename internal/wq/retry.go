@@ -94,7 +94,7 @@ func (m *Master) QuarantinedCount() int { return m.fstats.Quarantined }
 // task: it either quarantines the task (budget spent), schedules a
 // delayed resubmission, or reports that the caller should requeue it
 // immediately (returned true).
-func (m *Master) failAttempt(t *Task) (requeueNow bool) {
+func (m *Master) failAttempt(t *taskRec) (requeueNow bool) {
 	return m.failAttemptCharged(t, true)
 }
 
@@ -103,15 +103,15 @@ func (m *Master) failAttempt(t *Task) (requeueNow bool) {
 // fault, so the rescue-window expiry retries it with backoff without
 // consuming a retry-budget slot (charge=false skips the quarantine
 // check, never the backoff).
-func (m *Master) failAttemptCharged(t *Task, charge bool) (requeueNow bool) {
-	t.Allocated = resources.Zero
-	t.Exclusive = false
-	if charge && m.retry.MaxAttempts > 0 && t.Attempts >= m.retry.MaxAttempts {
+func (m *Master) failAttemptCharged(t *taskRec, charge bool) (requeueNow bool) {
+	t.alloc = resources.Zero
+	t.exclusive = false
+	if charge && m.retry.MaxAttempts > 0 && int(t.attempts) >= m.retry.MaxAttempts {
 		m.quarantine(t)
 		return false
 	}
-	t.State = TaskWaiting
-	failures := t.Attempts
+	t.state = TaskWaiting
+	failures := int(t.attempts)
 	if failures < 1 {
 		failures = 1
 	}
@@ -124,12 +124,12 @@ func (m *Master) failAttemptCharged(t *Task, charge bool) (requeueNow bool) {
 
 // quarantine permanently fails a task and notifies subscribers from a
 // zero-delay event (so callbacks never run inside KillWorker's loop).
-func (m *Master) quarantine(t *Task) {
-	t.State = TaskQuarantined
-	t.FinishedAt = m.eng.Now()
+func (m *Master) quarantine(t *taskRec) {
+	t.state = TaskQuarantined
+	t.finished = m.now()
 	m.fstats.Quarantined++
 	if len(m.onFailed) > 0 {
-		cp := *t
+		cp := m.view(t)
 		m.eng.After(0, "wq-task-failed", func() {
 			for _, fn := range m.onFailed {
 				fn(cp)
@@ -150,7 +150,7 @@ func (m *Master) quarantine(t *Task) {
 func (m *Master) FailAllPending() int {
 	ids := make([]int, 0, m.waiting.Len()+len(m.retryPending)+len(m.admQueue))
 	for id := 1; id < len(m.byID); id++ {
-		if t := m.task(id); t != nil && t.State == TaskWaiting {
+		if t := m.task(id); t != nil && t.state == TaskWaiting {
 			ids = append(ids, id)
 		}
 	}
@@ -163,7 +163,7 @@ func (m *Master) FailAllPending() int {
 			delete(m.retryPending, id)
 			delete(m.retryResume, id)
 		} else {
-			m.waiting.Remove(id, t.Resources, m.catIDFor(t))
+			m.waiting.Remove(id, t.res, m.catIDFor(t))
 		}
 		m.quarantine(t)
 	}
@@ -180,8 +180,8 @@ func (m *Master) FailAllPending() int {
 // scheduleRetry re-enqueues the task at the front of the queue after
 // the backoff delay. While delayed, the task is waiting but not in
 // the queue; Stats counts it and Cancel stops the timer.
-func (m *Master) scheduleRetry(t *Task, d time.Duration) {
-	id := t.ID
+func (m *Master) scheduleRetry(t *taskRec, d time.Duration) {
+	id := int(t.id)
 	m.retryResume[id] = m.eng.Now().Add(d)
 	m.retryPending[id] = m.eng.After(d, "wq-retry", func() {
 		delete(m.retryPending, id)
@@ -199,7 +199,7 @@ func (m *Master) enqueueFront(ids []int) {
 	}
 	m.waiting.PushFront(ids, func(id int) (int, resources.Vector, int32) {
 		t := m.byID[id]
-		return t.Priority, t.Resources, m.catIDFor(t)
+		return int(t.priority), t.res, m.catIDFor(t)
 	})
 	m.notePeakWaiting()
 	m.rev++
@@ -213,7 +213,7 @@ func (m *Master) armFastAbort(rt *runningTask) {
 	if m.retry.FastAbortMultiplier <= 0 || m.estimator == nil {
 		return
 	}
-	mean, ok := m.estimator.EstimateExecTime(rt.task.Category)
+	mean, ok := m.estimator.EstimateExecTime(m.category(rt.task))
 	if !ok || mean <= 0 {
 		return
 	}
@@ -230,13 +230,13 @@ func (m *Master) armFastAbort(rt *runningTask) {
 // (or quarantines) the task. The worker itself stays connected.
 func (m *Master) fastAbort(rt *runningTask) {
 	t, w := rt.task, rt.worker
-	if t == nil || w.running.get(t.ID) != rt {
+	if t == nil || w.running.get(int(t.id)) != rt {
 		return // attempt already finished or was stopped
 	}
 	m.fstats.FastAborts++
 	m.detachRunning(rt)
 	if m.failAttempt(t) {
-		m.enqueueFront([]int{t.ID})
+		m.enqueueFront([]int{int(t.id)})
 	}
 	if w.draining && w.running.len() == 0 {
 		m.finishDrain(w)
@@ -250,12 +250,13 @@ func (m *Master) fastAbort(rt *runningTask) {
 func (m *Master) detachRunning(rt *runningTask) {
 	t, w := rt.task, rt.worker
 	m.stopTask(rt)
-	w.running.remove(t.ID)
-	m.runIDs.clear(t.ID)
-	w.pool.Release(t.Allocated)
+	m.leaveWorker(t)
+	w.running.remove(int(t.id))
+	m.runIDs.clear(int(t.id))
+	w.pool.Release(t.alloc)
 	m.syncAvail(w)
 	m.runningCount--
-	m.totalUsed = m.totalUsed.Sub(t.Allocated)
+	m.totalUsed = m.totalUsed.Sub(t.alloc)
 	if w.running.len() == 0 && !w.draining {
 		m.idleCount++
 		m.markIdle(w)

@@ -364,7 +364,7 @@ func (m *Master) serve(c *conn) {
 	}
 	c.setReadTimeout(m.cfg.ReadTimeout)
 	capacity := resources.Vector{MilliCPU: reg.Cores, MemoryMB: reg.MemoryMB, DiskMB: reg.DiskMB}
-	if !capacity.AnyPositive() {
+	if !capacity.AnyPositive() || !capacity.IsNonNegative() {
 		_ = c.close()
 		return
 	}

@@ -12,8 +12,13 @@ import (
 )
 
 // TestTaskSize pins the task record's size: the dispatch storm holds a
-// million of them, so a new field has to be paid for by packing.
+// million of them, so a new field has to be paid for by packing. The
+// public Task, which every read of a task builds, stays at its size
+// too.
 func TestTaskSize(t *testing.T) {
+	if sz := unsafe.Sizeof(taskRec{}); sz > 160 {
+		t.Fatalf("taskRec is %d bytes, want at most 160", sz)
+	}
 	if sz := unsafe.Sizeof(Task{}); sz > 336 {
 		t.Fatalf("wq.Task is %d bytes, want at most 336", sz)
 	}
