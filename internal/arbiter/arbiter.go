@@ -150,10 +150,6 @@ func (t *Tenant) Master() *wq.Master { return t.master }
 // ID returns the tenant's identifier.
 func (t *Tenant) ID() string { return t.cfg.ID }
 
-// WorkerPodCount returns the tenant's live (creating + active) worker
-// pods.
-func (t *Tenant) WorkerPodCount() int { return t.creating + t.active }
-
 // Stats counts the arbiter's work, exposing the incremental path's
 // effectiveness: Replans is how many demand digests were recomputed,
 // Skipped how many were served from the memo.
@@ -291,16 +287,6 @@ func (a *Arbiter) Tenants() []*Tenant { return a.tenants }
 
 // Stats returns the arbiter's work counters.
 func (a *Arbiter) Stats() Stats { return a.stats }
-
-// Grants returns the last cycle's per-tenant grants in add order. The
-// returned slice is the arbiter's live scratch; callers must not
-// retain or mutate it.
-func (a *Arbiter) Grants() []int64 {
-	if a.naive {
-		return a.refGrant
-	}
-	return a.grant
-}
 
 // SetNaiveArbitration routes subsequent cycles through the retained
 // full-replan reference arbiter (reference.go) instead of the

@@ -310,8 +310,8 @@ func TestArbiterEndToEnd(t *testing.T) {
 	}
 	// Quota ceiling held: gamma never exceeded 2 pods at once.
 	gamma, _ := a.Tenant("gamma")
-	if gamma.WorkerPodCount() > 2 {
-		t.Fatalf("gamma holds %d pods past its ceiling", gamma.WorkerPodCount())
+	if livePods(gamma) > 2 {
+		t.Fatalf("gamma holds %d pods past its ceiling", livePods(gamma))
 	}
 }
 

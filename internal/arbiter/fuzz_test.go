@@ -1,7 +1,6 @@
 package arbiter
 
 import (
-	"reflect"
 	"slices"
 	"testing"
 )
@@ -68,34 +67,6 @@ func FuzzArbiterAllocate(f *testing.F) {
 				t.Fatalf("cycle %d: Σgrant %d > total %d", cycle, sum, al.total)
 			}
 			al.commit(grant)
-		}
-	})
-}
-
-// FuzzSnapshotCodec throws arbitrary bytes at the snapshot decoder:
-// it must never panic or over-allocate, and anything it accepts must
-// re-encode and re-decode to the identical value (round-trip
-// identity — the property Restore's correctness rests on).
-func FuzzSnapshotCodec(f *testing.F) {
-	f.Add([]byte(snapMagic))
-	f.Add(Snapshot{}.Encode())
-	f.Add(Snapshot{Gen: 3, Tenants: []TenantSnapshot{{
-		ID: "t1", Weight: 2, Floor: 1, Ceil: 4, Prio: 1, Vsvc: 1 << 21, PodSeq: 3,
-		Pods: []PodRecord{{Name: "t1-w1", State: 1}, {Name: "t1-w3", State: 2}},
-	}}}.Encode())
-	f.Add([]byte("ARBS1\x00\x00\x00\x00\x00\x00\x00\x00\x00\xff\xff\xff\x7f"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		snap, err := DecodeSnapshot(data)
-		if err != nil {
-			return
-		}
-		enc := snap.Encode()
-		back, err := DecodeSnapshot(enc)
-		if err != nil {
-			t.Fatalf("re-decode of accepted snapshot failed: %v", err)
-		}
-		if !reflect.DeepEqual(snap, back) {
-			t.Fatalf("round trip diverged:\n%+v\n%+v", snap, back)
 		}
 	})
 }

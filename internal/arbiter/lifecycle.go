@@ -43,15 +43,6 @@ func (t *Tenant) quarantinedAt(now time.Time) bool { return t.quarUntil.After(no
 // pods draining, pending work settled).
 func (t *Tenant) Leaving() bool { return t.leaving }
 
-// Removed reports whether the tenant has been detached from the
-// arbiter (terminal: its master survives for final accounting, but it
-// holds no pods and receives no grants).
-func (t *Tenant) Removed() bool { return t.removed }
-
-// QuarantinedUntil returns when the crash-loop breaker closes (zero
-// time if it never tripped or has expired).
-func (t *Tenant) QuarantinedUntil() time.Time { return t.quarUntil }
-
 // OffboardTenant begins a graceful departure: the tenant's pending
 // (never-started) work is settled as quarantined in its master — so
 // the per-tenant conservation invariant submitted = completed +
@@ -77,28 +68,6 @@ func (a *Arbiter) OffboardTenant(id string) error {
 	t.master.FailAllPending()
 	a.drainTenantPods(t)
 	a.maybeSettle(t)
-	return nil
-}
-
-// RemoveTenant detaches an already-quiescent tenant immediately: no
-// pods, no waiting or running work, master up. Use OffboardTenant for
-// the graceful path that drains its way to quiescence.
-func (a *Arbiter) RemoveTenant(id string) error {
-	t, ok := a.byID[id]
-	if !ok {
-		return fmt.Errorf("arbiter: remove of unknown tenant %q", id)
-	}
-	if t.master.Down() {
-		return fmt.Errorf("arbiter: tenant %q master is down", id)
-	}
-	if len(t.pods) > 0 {
-		return fmt.Errorf("arbiter: tenant %q still holds %d pods (use OffboardTenant)", id, len(t.pods))
-	}
-	if st := t.master.Stats(); st.Waiting > 0 || st.Running > 0 {
-		return fmt.Errorf("arbiter: tenant %q still has %d waiting / %d running tasks (use OffboardTenant)",
-			id, st.Waiting, st.Running)
-	}
-	a.removeTenantNow(t)
 	return nil
 }
 

@@ -1,8 +1,6 @@
 package arbiter
 
 import (
-	"encoding/binary"
-	"fmt"
 	"slices"
 	"strconv"
 	"strings"
@@ -70,7 +68,6 @@ func (a *Arbiter) Snapshot() Snapshot {
 			Vsvc:   a.al.vsvc[t.idx],
 			PodSeq: t.podSeq,
 		}
-		// nil when podless, matching the decoder (round-trip identity).
 		for name, st := range t.pods {
 			ts.Pods = append(ts.Pods, PodRecord{Name: name, State: int32(st)})
 		}
@@ -110,14 +107,6 @@ func (a *Arbiter) Crash() (Snapshot, bool) {
 	a.gen++
 	return snap, true
 }
-
-// Down reports whether the arbiter is crashed (between Crash and
-// Restore).
-func (a *Arbiter) Down() bool { return a.down }
-
-// Generation returns the arbiter's incarnation counter (bumped by
-// every Crash).
-func (a *Arbiter) Generation() int { return a.gen }
 
 // Restore restarts a crashed arbiter from a snapshot: per-tenant
 // fair-share state and pod books are loaded (matched by tenant ID;
@@ -222,171 +211,4 @@ func podSeqSuffix(tenantID, name string) (int, bool) {
 		return 0, false
 	}
 	return seq, true
-}
-
-// --- binary codec ---
-//
-// The snapshot is what a real arbiter would persist to etcd on every
-// mutation, so it gets the house treatment: a versioned, length-
-// prefixed binary codec whose decoder is bounds-checked against the
-// remaining input (a corrupt length cannot allocate unbounded memory)
-// and fuzzed for decode-no-panic plus round-trip identity.
-
-// snapMagic versions the codec.
-const snapMagic = "ARBS1\x00"
-
-// minTenantEnc is the smallest possible encoded tenant (empty ID, no
-// pods); minPodEnc the smallest encoded pod record. Decoders cap
-// counts at remaining/min so a hostile count cannot pre-allocate more
-// than the input could possibly hold.
-const (
-	minTenantEnc = 4 + 8 + 8 + 8 + 4 + 8 + 4 + 4
-	minPodEnc    = 4 + 4
-)
-
-// Encode serializes the snapshot.
-func (s Snapshot) Encode() []byte {
-	size := len(snapMagic) + 8 + 4
-	for _, ts := range s.Tenants {
-		size += minTenantEnc + len(ts.ID)
-		for _, pr := range ts.Pods {
-			size += minPodEnc + len(pr.Name)
-		}
-	}
-	b := make([]byte, 0, size)
-	b = append(b, snapMagic...)
-	b = binary.LittleEndian.AppendUint64(b, uint64(s.Gen))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Tenants)))
-	for _, ts := range s.Tenants {
-		b = appendString(b, ts.ID)
-		b = binary.LittleEndian.AppendUint64(b, uint64(ts.Weight))
-		b = binary.LittleEndian.AppendUint64(b, uint64(ts.Floor))
-		b = binary.LittleEndian.AppendUint64(b, uint64(ts.Ceil))
-		b = binary.LittleEndian.AppendUint32(b, uint32(ts.Prio))
-		b = binary.LittleEndian.AppendUint64(b, uint64(ts.Vsvc))
-		b = binary.LittleEndian.AppendUint32(b, uint32(ts.PodSeq))
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(ts.Pods)))
-		for _, pr := range ts.Pods {
-			b = appendString(b, pr.Name)
-			b = binary.LittleEndian.AppendUint32(b, uint32(pr.State))
-		}
-	}
-	return b
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-// snapDecoder is a bounds-checked cursor over an encoded snapshot.
-type snapDecoder struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *snapDecoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("arbiter: decode snapshot: "+format, args...)
-	}
-}
-
-func (d *snapDecoder) remaining() int { return len(d.b) - d.off }
-
-func (d *snapDecoder) u32() uint32 {
-	if d.err != nil {
-		return 0
-	}
-	if d.remaining() < 4 {
-		d.fail("truncated at offset %d", d.off)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *snapDecoder) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.remaining() < 8 {
-		d.fail("truncated at offset %d", d.off)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *snapDecoder) str() string {
-	n := int(d.u32())
-	if d.err != nil {
-		return ""
-	}
-	if n < 0 || n > d.remaining() {
-		d.fail("string length %d exceeds %d remaining bytes", n, d.remaining())
-		return ""
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s
-}
-
-// count reads an element count and validates it against the remaining
-// input given the per-element minimum encoding size.
-func (d *snapDecoder) count(minSize int) int {
-	n := int(d.u32())
-	if d.err != nil {
-		return 0
-	}
-	if n < 0 || n*minSize > d.remaining() {
-		d.fail("count %d exceeds %d remaining bytes", n, d.remaining())
-		return 0
-	}
-	return n
-}
-
-// DecodeSnapshot parses an encoded snapshot, rejecting malformed
-// input instead of panicking or over-allocating.
-func DecodeSnapshot(b []byte) (Snapshot, error) {
-	if len(b) < len(snapMagic) || string(b[:len(snapMagic)]) != snapMagic {
-		return Snapshot{}, fmt.Errorf("arbiter: decode snapshot: bad magic")
-	}
-	d := &snapDecoder{b: b, off: len(snapMagic)}
-	var s Snapshot
-	s.Gen = int(int64(d.u64()))
-	nt := d.count(minTenantEnc)
-	if nt > 0 {
-		s.Tenants = make([]TenantSnapshot, 0, nt)
-	}
-	for i := 0; i < nt && d.err == nil; i++ {
-		var ts TenantSnapshot
-		ts.ID = d.str()
-		ts.Weight = int64(d.u64())
-		ts.Floor = int64(d.u64())
-		ts.Ceil = int64(d.u64())
-		ts.Prio = int32(d.u32())
-		ts.Vsvc = int64(d.u64())
-		ts.PodSeq = int(int32(d.u32()))
-		np := d.count(minPodEnc)
-		if np > 0 {
-			ts.Pods = make([]PodRecord, 0, np)
-		}
-		for j := 0; j < np && d.err == nil; j++ {
-			var pr PodRecord
-			pr.Name = d.str()
-			pr.State = int32(d.u32())
-			ts.Pods = append(ts.Pods, pr)
-		}
-		s.Tenants = append(s.Tenants, ts)
-	}
-	if d.err != nil {
-		return Snapshot{}, d.err
-	}
-	if d.remaining() != 0 {
-		return Snapshot{}, fmt.Errorf("arbiter: decode snapshot: %d trailing bytes", d.remaining())
-	}
-	return s, nil
 }

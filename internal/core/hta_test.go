@@ -231,7 +231,7 @@ func TestTrackerIgnoresWarmStarts(t *testing.T) {
 	cluster := kubesim.NewCluster(eng, kubesim.Config{InitialNodes: 2, Seed: 1})
 	defer cluster.Stop()
 	lt := NewLifecycleTracker(cluster, nil, 99*time.Second)
-	cluster.CreatePod(kubesim.PodSpec{Name: "warm", Image: "img", Resources: resources.Cores(1)})
+	cluster.CreatePod(kubesim.PodSpec{Name: "warm", Image: "img", Resources: resources.Vector{MilliCPU: 1000}})
 	eng.RunFor(time.Minute)
 	if lt.Measured() {
 		t.Error("warm start should not produce a measurement")

@@ -60,15 +60,3 @@ func BenchmarkExecuteGraph(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkTopoOrder measures topological sorting.
-func BenchmarkTopoOrder(b *testing.B) {
-	g := buildWide(10000)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if got := g.TopoOrder(); len(got) != g.Len() {
-			b.Fatal("bad order")
-		}
-	}
-}

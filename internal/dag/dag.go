@@ -12,7 +12,6 @@ package dag
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"hta/internal/resources"
 )
@@ -28,9 +27,6 @@ type Node struct {
 	// "unknown", which makes schedulers fall back to conservative
 	// one-task-per-worker placement (paper §III-A).
 	Resources resources.Vector
-	// EstimatedDuration, when non-zero, is used for critical-path
-	// analysis and by simulated executors.
-	EstimatedDuration time.Duration
 	// Local marks a rule to run at the workflow manager itself
 	// rather than on a remote worker (Makeflow's LOCAL prefix).
 	Local bool
@@ -447,14 +443,6 @@ func (g *Graph) mustFinal(op string) {
 	}
 }
 
-// TopoOrder returns node IDs in a dependency-respecting order
-// (dependencies before dependents), stable with respect to insertion
-// order among independent nodes.
-func (g *Graph) TopoOrder() []string {
-	g.mustFinal("TopoOrder")
-	return g.ids(g.topo())
-}
-
 // topo is Kahn's algorithm, its FIFO frontier seeded in index order.
 func (g *Graph) topo() []int32 {
 	indeg := make([]int32, len(g.nodes))
@@ -493,38 +481,6 @@ func (g *Graph) Levels() [][]string {
 		levels[depth[i]] = append(levels[depth[i]], g.nodes[i].ID)
 	}
 	return levels
-}
-
-// CriticalPath returns the longest dependency chain measured by
-// EstimatedDuration (nodes with zero estimates count as zero) and its
-// total duration.
-func (g *Graph) CriticalPath() ([]string, time.Duration) {
-	g.mustFinal("CriticalPath")
-	dist := make([]time.Duration, len(g.nodes))
-	prev := make([]int32, len(g.nodes))
-	best, bestDist := int32(-1), time.Duration(-1)
-	for _, i := range g.topo() {
-		var through time.Duration
-		from := int32(-1)
-		for _, dep := range g.depsOf(i) {
-			if dist[dep] > through || (dist[dep] == through && from < 0) {
-				through, from = dist[dep], dep
-			}
-		}
-		dist[i], prev[i] = through+g.nodes[i].EstimatedDuration, from
-		if dist[i] > bestDist {
-			best, bestDist = i, dist[i]
-		}
-	}
-	if best < 0 {
-		return nil, 0
-	}
-	var path []string
-	for i := best; i >= 0; i = prev[i] {
-		path = append(path, g.nodes[i].ID)
-	}
-	slices.Reverse(path) // into dependency order
-	return path, bestDist
 }
 
 // CategoryCounts returns the number of nodes per category.

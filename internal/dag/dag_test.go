@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"hta/internal/resources"
 )
@@ -21,10 +20,10 @@ func diamond(t *testing.T) *Graph {
 			t.Fatalf("Add(%s): %v", n.ID, err)
 		}
 	}
-	add(Node{ID: "a", Outputs: []string{"a.out"}, EstimatedDuration: time.Second})
-	add(Node{ID: "b", Inputs: []string{"a.out"}, Outputs: []string{"b.out"}, EstimatedDuration: 2 * time.Second})
-	add(Node{ID: "c", Inputs: []string{"a.out"}, Outputs: []string{"c.out"}, EstimatedDuration: 5 * time.Second})
-	add(Node{ID: "d", Inputs: []string{"b.out", "c.out"}, Outputs: []string{"d.out"}, EstimatedDuration: time.Second})
+	add(Node{ID: "a", Outputs: []string{"a.out"}})
+	add(Node{ID: "b", Inputs: []string{"a.out"}, Outputs: []string{"b.out"}})
+	add(Node{ID: "c", Inputs: []string{"a.out"}, Outputs: []string{"c.out"}})
+	add(Node{ID: "d", Inputs: []string{"b.out", "c.out"}, Outputs: []string{"d.out"}})
 	if err := g.Finalize(); err != nil {
 		t.Fatalf("Finalize: %v", err)
 	}
@@ -186,22 +185,6 @@ func TestSourceFiles(t *testing.T) {
 	}
 }
 
-func TestTopoOrderRespectsDeps(t *testing.T) {
-	g := diamond(t)
-	order := g.TopoOrder()
-	pos := make(map[string]int)
-	for i, id := range order {
-		pos[id] = i
-	}
-	for _, id := range g.IDs() {
-		for _, dep := range g.Dependencies(id) {
-			if pos[dep] >= pos[id] {
-				t.Errorf("dep %q after %q in topo order %v", dep, id, order)
-			}
-		}
-	}
-}
-
 func TestLevels(t *testing.T) {
 	g := diamond(t)
 	levels := g.Levels()
@@ -212,25 +195,6 @@ func TestLevels(t *testing.T) {
 		!reflect.DeepEqual(levels[1], []string{"b", "c"}) ||
 		!reflect.DeepEqual(levels[2], []string{"d"}) {
 		t.Errorf("levels = %v", levels)
-	}
-}
-
-func TestCriticalPath(t *testing.T) {
-	g := diamond(t)
-	path, d := g.CriticalPath()
-	if !reflect.DeepEqual(path, []string{"a", "c", "d"}) {
-		t.Errorf("critical path = %v", path)
-	}
-	if d != 7*time.Second {
-		t.Errorf("critical duration = %v, want 7s", d)
-	}
-}
-
-func TestCriticalPathEmpty(t *testing.T) {
-	g := NewGraph()
-	g.Finalize()
-	if path, d := g.CriticalPath(); path != nil || d != 0 {
-		t.Errorf("empty graph critical path = %v, %v", path, d)
 	}
 }
 
@@ -374,36 +338,6 @@ func TestPropertyExecutionTerminates(t *testing.T) {
 			}
 		}
 		return g.Completed() == g.Len()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: TopoOrder is a permutation of IDs respecting dependencies.
-func TestPropertyTopoOrder(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g := randomLayeredGraph(r, 2+r.Intn(4), 5)
-		order := g.TopoOrder()
-		if len(order) != g.Len() {
-			return false
-		}
-		pos := make(map[string]int, len(order))
-		for i, id := range order {
-			if _, dup := pos[id]; dup {
-				return false
-			}
-			pos[id] = i
-		}
-		for _, id := range g.IDs() {
-			for _, dep := range g.Dependencies(id) {
-				if pos[dep] >= pos[id] {
-					return false
-				}
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

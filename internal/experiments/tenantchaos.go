@@ -151,17 +151,6 @@ type TenantChaosEKReport struct {
 	Rows     []TenantChaosEKRow
 }
 
-// Isolated reports whether every chaos cell held the blast-radius
-// bound: untouched tenants within IsolationSlack of chaos-free.
-func (r *TenantChaosEKReport) Isolated() bool {
-	for _, row := range r.Rows[1:] {
-		if row.MaxUntouchedDelta > row.IsolationSlack {
-			return false
-		}
-	}
-	return true
-}
-
 // TenantChaosEK runs the full-size experiment.
 func TenantChaosEK(seed int64) (*TenantChaosEKReport, error) {
 	return TenantChaosEKWith(DefaultTenantChaosEKConfig(seed))

@@ -111,13 +111,6 @@ func (r *Runner) OnAllDone(fn func()) {
 	r.onDone = append(r.onDone, fn)
 }
 
-// Done reports whether every node completed.
-func (r *Runner) Done() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.done
-}
-
 // Err returns the first internal consistency error, if any.
 func (r *Runner) Err() error {
 	r.mu.Lock()

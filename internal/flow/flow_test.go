@@ -39,7 +39,7 @@ func TestRunnerExecutesDiamond(t *testing.T) {
 	r.OnAllDone(func() { doneAt = eng.Elapsed() })
 	r.Start()
 	eng.Run()
-	if !r.Done() {
+	if !r.done {
 		t.Fatal("runner not done")
 	}
 	if r.Err() != nil {
@@ -89,8 +89,8 @@ func TestRunnerIgnoresForeignCompletions(t *testing.T) {
 	foreign.Tag = "foreign"
 	m.Submit(foreign)
 	eng.Run()
-	if !r.Done() || r.Err() != nil {
-		t.Fatalf("done=%v err=%v", r.Done(), r.Err())
+	if !r.done || r.Err() != nil {
+		t.Fatalf("done=%v err=%v", r.done, r.Err())
 	}
 }
 
@@ -124,7 +124,7 @@ func TestFromSpecsRunsFlat(t *testing.T) {
 	r := NewRunner(g, m, fn)
 	r.Start()
 	eng.Run()
-	if !r.Done() {
+	if !r.done {
 		t.Fatal("not done")
 	}
 	if eng.Elapsed() != 10*time.Second {
@@ -224,7 +224,7 @@ func TestChaosQuarantineFailsNode(t *testing.T) {
 	}
 	eng.Run()
 
-	if !done || !r.Done() {
+	if !done || !r.done {
 		t.Fatalf("runner did not finish after failure + drain (done=%v)", done)
 	}
 	if r.Err() == nil {
@@ -284,8 +284,8 @@ func TestRunnersSharingMasterCollidingRefs(t *testing.T) {
 		t.Fatalf("workflows done at %v and %v, want 50s and 15s", doneA, doneB)
 	}
 	for _, r := range []*Runner{ra, rb} {
-		if !r.Done() || r.Err() != nil {
-			t.Fatalf("done=%v err=%v", r.Done(), r.Err())
+		if !r.done || r.Err() != nil {
+			t.Fatalf("done=%v err=%v", r.done, r.Err())
 		}
 	}
 	if ga.Completed() != 5 || gb.Completed() != 5 || m.CompletedCount() != 10 {
@@ -342,8 +342,8 @@ func TestRunnerResolvesByTagWithoutRef(t *testing.T) {
 		t.Fatalf("n1 = %v, n2 = %v after a mismatched Ref, want complete/running", g.State("n1"), g.State("n2"))
 	}
 	s.finish(s.last)
-	if !r.Done() || r.Err() != nil {
-		t.Fatalf("done=%v err=%v", r.Done(), r.Err())
+	if !r.done || r.Err() != nil {
+		t.Fatalf("done=%v err=%v", r.done, r.Err())
 	}
 }
 

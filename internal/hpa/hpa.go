@@ -58,24 +58,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-type recommendation struct {
-	at      time.Time
-	desired int
-}
-
 // Controller is a running HPA attached to a WorkerSet.
 type Controller struct {
 	cluster *kubesim.Cluster
 	set     *kubesim.WorkerSet
 	cfg     Config
 	ticker  *simclock.Ticker
-	recs    []recommendation
+	win     Window
 	// LastDesired is the most recent pre-stabilization
 	// recommendation, for observability (Fig. 2 plots it).
 	LastDesired int
 	// LastUtilization is the most recent measured utilization.
 	LastUtilization float64
-	syncs           int
 	actions         int
 }
 
@@ -86,7 +80,7 @@ func New(cluster *kubesim.Cluster, set *kubesim.WorkerSet, cfg Config) *Controll
 	if cfg.TargetCPUUtilization <= 0 || cfg.TargetCPUUtilization > 1 {
 		panic("hpa: TargetCPUUtilization must be in (0, 1]")
 	}
-	h := &Controller{cluster: cluster, set: set, cfg: cfg, LastDesired: set.Replicas()}
+	h := &Controller{cluster: cluster, set: set, cfg: cfg, win: NewWindow(cfg.ScaleDownStabilization), LastDesired: set.Replicas()}
 	h.ticker = cluster.Engine().Every(syncInterval, "hpa-sync", h.sync)
 	return h
 }
@@ -94,15 +88,11 @@ func New(cluster *kubesim.Cluster, set *kubesim.WorkerSet, cfg Config) *Controll
 // Stop halts the control loop.
 func (h *Controller) Stop() { h.ticker.Stop() }
 
-// Syncs returns how many control iterations have run.
-func (h *Controller) Syncs() int { return h.syncs }
-
 // Actions returns how many replica changes the controller applied —
 // the thrash count an experiment compares across autoscalers.
 func (h *Controller) Actions() int { return h.actions }
 
 func (h *Controller) sync() {
-	h.syncs++
 	live := h.set.LivePods()
 	current := len(live)
 	if current == 0 {
@@ -149,27 +139,9 @@ func (h *Controller) clamp(n int) int {
 }
 
 // apply records the recommendation and sets the stabilized replica
-// count: scale-ups take effect immediately, scale-downs only to the
-// highest recommendation within the stabilization window.
+// count.
 func (h *Controller) apply(desired int) {
-	now := h.cluster.Engine().Now()
-	h.recs = append(h.recs, recommendation{at: now, desired: desired})
-	// Trim history outside the window.
-	cutoff := now.Add(-h.cfg.ScaleDownStabilization)
-	keep := h.recs[:0]
-	for _, r := range h.recs {
-		if !r.at.Before(cutoff) {
-			keep = append(keep, r)
-		}
-	}
-	h.recs = keep
-
-	effective := desired
-	for _, r := range h.recs {
-		if r.desired > effective {
-			effective = r.desired
-		}
-	}
+	effective := h.win.Observe(h.cluster.Engine().Now(), desired)
 	if effective != h.set.Replicas() {
 		h.actions++
 		h.set.SetReplicas(effective)

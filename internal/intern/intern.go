@@ -4,7 +4,7 @@
 // map bucket per entry; interning pays the hash once at the API
 // boundary and turns every subsequent lookup into a slice index. Ids
 // are handed out contiguously from zero, so a Table's ids directly
-// index parallel arrays sized by Len.
+// index parallel arrays.
 package intern
 
 // None is the conventional "no id" sentinel. The Table itself never
@@ -37,26 +37,7 @@ func (t *Table) Intern(s string) int32 {
 	return id
 }
 
-// Lookup returns the id for s without assigning one, and whether s
-// has been interned.
-func (t *Table) Lookup(s string) (int32, bool) {
-	id, ok := t.ids[s]
-	return id, ok
-}
-
 // Str returns the string for a previously assigned id. It panics on
 // an id the table never handed out — looking up a foreign id is a
 // bookkeeping bug, not a recoverable condition.
 func (t *Table) Str(id int32) string { return t.strs[id] }
-
-// Len returns the number of interned strings — also the exclusive
-// upper bound of the assigned ids, so parallel arrays indexed by id
-// are sized with it.
-func (t *Table) Len() int { return len(t.strs) }
-
-// Reset forgets every interned string, returning the table to its
-// zero state. Previously returned ids become invalid.
-func (t *Table) Reset() {
-	t.ids = nil
-	t.strs = nil
-}

@@ -15,8 +15,8 @@ func TestInternRoundTrip(t *testing.T) {
 			t.Fatalf("Intern(%q) = %d, want dense id %d", w, ids[i], i)
 		}
 	}
-	if tb.Len() != len(words) {
-		t.Fatalf("Len = %d, want %d", tb.Len(), len(words))
+	if len(tb.strs) != len(words) {
+		t.Fatalf("Len = %d, want %d", len(tb.strs), len(words))
 	}
 	for i, w := range words {
 		if got := tb.Str(ids[i]); got != w {
@@ -25,12 +25,12 @@ func TestInternRoundTrip(t *testing.T) {
 		if again := tb.Intern(w); again != ids[i] {
 			t.Fatalf("re-Intern(%q) = %d, want stable id %d", w, again, ids[i])
 		}
-		if id, ok := tb.Lookup(w); !ok || id != ids[i] {
-			t.Fatalf("Lookup(%q) = %d,%v, want %d,true", w, id, ok, ids[i])
+		if id, ok := tb.ids[w]; !ok || id != ids[i] {
+			t.Fatalf("ids[%q) = %d,%v, want %d,true", w, id, ok, ids[i])
 		}
 	}
-	if _, ok := tb.Lookup("never-interned"); ok {
-		t.Fatal("Lookup of un-interned string reported ok")
+	if _, ok := tb.ids["never-interned"]; ok {
+		t.Fatal("un-interned string reported ok")
 	}
 }
 
@@ -45,21 +45,8 @@ func TestInternUniqueness(t *testing.T) {
 		}
 		seen[id] = s
 	}
-	if tb.Len() != 1000 {
-		t.Fatalf("Len = %d, want 1000", tb.Len())
-	}
-}
-
-func TestInternReset(t *testing.T) {
-	tb := NewTable()
-	tb.Intern("x")
-	tb.Intern("y")
-	tb.Reset()
-	if tb.Len() != 0 {
-		t.Fatalf("Len after Reset = %d, want 0", tb.Len())
-	}
-	if id := tb.Intern("y"); id != 0 {
-		t.Fatalf("first Intern after Reset = %d, want 0", id)
+	if len(tb.strs) != 1000 {
+		t.Fatalf("Len = %d, want 1000", len(tb.strs))
 	}
 }
 
@@ -93,7 +80,7 @@ func TestInternSteadyStateZeroAlloc(t *testing.T) {
 
 // FuzzInterner drives a Table from a byte script and checks the dense
 // invariants hold: ids are 0..Len-1 in first-sight order, Str is the
-// exact inverse of Intern, and a shadow map agrees with Lookup.
+// exact inverse of Intern, and a shadow map agrees with the id map.
 func FuzzInterner(f *testing.F) {
 	f.Add([]byte("a\nb\na\nc"))
 	f.Add([]byte(""))
@@ -122,12 +109,12 @@ func FuzzInterner(f *testing.F) {
 				shadow[s] = id
 				order = append(order, s)
 			}
-			if got, ok := tb.Lookup(s); !ok || got != id {
-				t.Fatalf("Lookup(%q) = %d,%v, want %d,true", s, got, ok, id)
+			if got, ok := tb.ids[s]; !ok || got != id {
+				t.Fatalf("ids[%q) = %d,%v, want %d,true", s, got, ok, id)
 			}
 		}
-		if tb.Len() != len(order) {
-			t.Fatalf("Len = %d, want %d distinct", tb.Len(), len(order))
+		if len(tb.strs) != len(order) {
+			t.Fatalf("Len = %d, want %d distinct", len(tb.strs), len(order))
 		}
 		for id, s := range order {
 			if got := tb.Str(int32(id)); got != s {

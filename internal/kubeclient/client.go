@@ -157,18 +157,6 @@ func (c *Client) ListPods(ctx context.Context, selector map[string]string) ([]Po
 	return list.Items, nil
 }
 
-// ListNodes lists cluster nodes sorted by name.
-func (c *Client) ListNodes(ctx context.Context) ([]Node, error) {
-	var list NodeList
-	if err := c.do(ctx, http.MethodGet, "/api/v1/nodes", nil, nil, &list); err != nil {
-		return nil, err
-	}
-	slices.SortFunc(list.Items, func(a, b Node) int {
-		return strings.Compare(a.Metadata.Name, b.Metadata.Name)
-	})
-	return list.Items, nil
-}
-
 // WatchPods opens a streaming watch for pods matching the selector.
 // Events arrive on the returned channel until ctx is canceled or the
 // server closes the stream, after which the channel closes.

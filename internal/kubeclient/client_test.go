@@ -127,27 +127,6 @@ func TestListPodsWithSelector(t *testing.T) {
 	}
 }
 
-func TestListNodes(t *testing.T) {
-	srv, c := newClient(t)
-	srv.AddNode("node-b", 3000, 12288)
-	srv.AddNode("node-a", 4000, 16384)
-	nodes, err := c.ListNodes(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nodes) != 2 || nodes[0].Metadata.Name != "node-a" {
-		t.Fatalf("nodes = %+v", nodes)
-	}
-	cpu, err := kubeclient.ParseCPUQuantity(nodes[0].Status.Allocatable["cpu"])
-	if err != nil || cpu != 4000 {
-		t.Errorf("cpu = %d err=%v", cpu, err)
-	}
-	mem, err := kubeclient.ParseMemoryQuantity(nodes[0].Status.Allocatable["memory"])
-	if err != nil || mem != 16384 {
-		t.Errorf("mem = %d err=%v", mem, err)
-	}
-}
-
 func TestWatchStreamsLifecycle(t *testing.T) {
 	srv, c := newClient(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -292,7 +271,7 @@ func TestClientConfigValidation(t *testing.T) {
 		t.Errorf("namespace = %q", c.Namespace())
 	}
 	// Unreachable server surfaces a transport error.
-	if _, err := c.ListNodes(context.Background()); err == nil {
+	if _, err := c.ListPods(context.Background(), nil); err == nil {
 		t.Error("unreachable server should fail")
 	}
 }

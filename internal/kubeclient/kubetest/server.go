@@ -21,7 +21,6 @@ type Server struct {
 
 	mu       sync.Mutex
 	pods     map[string]kubeclient.Pod // ns/name
-	nodes    map[string]kubeclient.Node
 	watchers map[int]*watcher
 	nextUID  int
 	nextW    int
@@ -39,11 +38,9 @@ type watcher struct {
 func NewServer() *Server {
 	s := &Server{
 		pods:     make(map[string]kubeclient.Pod),
-		nodes:    make(map[string]kubeclient.Node),
 		watchers: make(map[int]*watcher),
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /api/v1/nodes", s.listNodes)
 	mux.HandleFunc("GET /api/v1/namespaces/{ns}/pods", s.listOrWatchPods)
 	mux.HandleFunc("POST /api/v1/namespaces/{ns}/pods", s.createPod)
 	mux.HandleFunc("GET /api/v1/namespaces/{ns}/pods/{name}", s.getPod)
@@ -79,23 +76,6 @@ func (s *Server) AutoRun(delay time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.autoRun = delay
-}
-
-// AddNode registers a ready node with the given allocatable
-// resources.
-func (s *Server) AddNode(name string, cpuMilli, memMB int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nodes[name] = kubeclient.Node{
-		APIVersion: "v1", Kind: "Node",
-		Metadata: kubeclient.ObjectMeta{Name: name},
-		Status: kubeclient.NodeStatus{
-			Allocatable: kubeclient.ResourceList{
-				"cpu":    kubeclient.FormatCPUMilli(cpuMilli),
-				"memory": kubeclient.FormatMemoryMB(memMB),
-			},
-		},
-	}
 }
 
 // SetPodPhase transitions a pod's phase and broadcasts MODIFIED.
@@ -151,16 +131,6 @@ func matches(pod kubeclient.Pod, sel map[string]string) bool {
 		}
 	}
 	return true
-}
-
-func (s *Server) listNodes(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	list := kubeclient.NodeList{}
-	for _, n := range s.nodes {
-		list.Items = append(list.Items, n)
-	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, list)
 }
 
 func (s *Server) listOrWatchPods(w http.ResponseWriter, r *http.Request) {

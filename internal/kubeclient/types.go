@@ -96,25 +96,6 @@ type PodList struct {
 	Items []Pod `json:"items"`
 }
 
-// NodeStatus is the node status subset we use.
-type NodeStatus struct {
-	Allocatable ResourceList `json:"allocatable,omitempty"`
-	Capacity    ResourceList `json:"capacity,omitempty"`
-}
-
-// Node is a cluster node.
-type Node struct {
-	APIVersion string     `json:"apiVersion,omitempty"`
-	Kind       string     `json:"kind,omitempty"`
-	Metadata   ObjectMeta `json:"metadata"`
-	Status     NodeStatus `json:"status,omitempty"`
-}
-
-// NodeList is the list envelope.
-type NodeList struct {
-	Items []Node `json:"items"`
-}
-
 // Watch event types, matching the API server's frames.
 const (
 	WatchAdded    = "ADDED"

@@ -24,7 +24,6 @@ func (c *Cluster) addNode() *Node {
 	c.nodes[n.Name] = n
 	c.nodeList = append(c.nodeList, n) // merged into place by the next sortedNodes
 	c.readyNodes++
-	c.totalAllocatable = c.totalAllocatable.Add(n.Allocatable)
 	c.stampEmpty(n, now)
 	c.schedDirty, c.scaleDirty = true, true
 	c.notifyNode(Added, n)
@@ -36,7 +35,6 @@ func (c *Cluster) removeNode(n *Node) {
 	delete(c.podsByNode, n.Name)
 	c.nodeStale = true
 	c.readyNodes--
-	c.totalAllocatable = c.totalAllocatable.Sub(n.Allocatable)
 	c.stampEmpty(n, time.Time{})
 	c.scaleDirty = true
 	c.notifyNode(Deleted, n)

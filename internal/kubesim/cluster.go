@@ -136,10 +136,9 @@ type Cluster struct {
 	// Fleet aggregates maintained at addNode/removeNode. emptyNodes
 	// counts the nodes with a non-zero EmptySince and emptyOldest is a
 	// lower bound on the oldest such stamp.
-	readyNodes       int
-	totalAllocatable resources.Vector
-	emptyNodes       int
-	emptyOldest      time.Time
+	readyNodes  int
+	emptyNodes  int
+	emptyOldest time.Time
 
 	// Dirty flags: what a control loop would have to look at again.
 	// schedDirty — a pod was created, capacity was released or a node
@@ -504,19 +503,6 @@ func (c *Cluster) ListPods(selector map[string]string) []Pod {
 
 // --- node accessors ---
 
-// Nodes returns shallow copies of all nodes in scheduler order:
-// creation time, then name compared as a string — within one
-// provisioning wave "node-10" comes before "node-9". Their Images maps
-// are shared and must not be mutated.
-func (c *Cluster) Nodes() []Node {
-	nodes := c.sortedNodes()
-	out := make([]Node, 0, len(nodes))
-	for _, n := range nodes {
-		out = append(out, *n)
-	}
-	return out
-}
-
 // ReadyNodes returns the number of ready nodes.
 func (c *Cluster) ReadyNodes() int {
 	if c.naive {
@@ -551,14 +537,6 @@ func (c *Cluster) PodsOnNode(name string) int {
 		return n
 	}
 	return len(c.podsByNode[name])
-}
-
-// TotalAllocatable returns the summed allocatable of ready nodes.
-func (c *Cluster) TotalAllocatable() resources.Vector {
-	if c.naive {
-		return c.naiveTotalAllocatable()
-	}
-	return c.totalAllocatable
 }
 
 // --- services & statefulsets ---

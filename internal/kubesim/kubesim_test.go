@@ -81,8 +81,12 @@ func TestInitialNodes(t *testing.T) {
 	if got := c.ReadyNodes(); got != 3 {
 		t.Fatalf("ReadyNodes = %d, want 3", got)
 	}
-	if got := c.TotalAllocatable(); got != resources.New(9, 36864, 300000) {
-		t.Errorf("TotalAllocatable = %v", got)
+	var total resources.Vector
+	for _, n := range c.nodes {
+		total = total.Add(n.Allocatable)
+	}
+	if total != resources.New(9, 36864, 300000) {
+		t.Errorf("summed allocatable = %v", total)
 	}
 }
 
@@ -403,10 +407,10 @@ func TestSetPodUsage(t *testing.T) {
 	eng, c := newTestCluster(t, Config{InitialNodes: 1})
 	c.CreatePod(smallPod("w1"))
 	eng.RunFor(30 * time.Second)
-	if err := c.SetPodUsage("w1", func() resources.Vector { return resources.Cores(0.9) }); err != nil {
+	if err := c.SetPodUsage("w1", func() resources.Vector { return resources.Vector{MilliCPU: 900} }); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.PodUsage("w1"); got != resources.Cores(0.9) {
+	if got := c.PodUsage("w1"); got != (resources.Vector{MilliCPU: 900}) {
 		t.Errorf("PodUsage = %v, want 0.9 cores", got)
 	}
 	if err := c.SetPodUsage("nope", nil); err == nil {
@@ -574,7 +578,7 @@ func TestPreemptNodeKillsPodsAndRemovesNode(t *testing.T) {
 		t.Error("pod on failed node still exists")
 	}
 	found := false
-	for _, n := range c.Nodes() {
+	for _, n := range nodeCopies(c) {
 		if n.Name == p1.NodeName {
 			found = true
 		}
@@ -642,7 +646,7 @@ func TestRosterOrderWithinWave(t *testing.T) {
 	if got := c.ReadyNodeNames(); !slices.Equal(got, want) {
 		t.Fatalf("ReadyNodeNames =\n  %v, want\n  %v", got, want)
 	}
-	wave := c.Nodes()[3:]
+	wave := nodeCopies(c)[3:]
 	for _, n := range wave[1:] {
 		if !n.CreatedAt.Equal(wave[0].CreatedAt) {
 			t.Fatalf("wave did not arrive at one instant: %s at %v, %s at %v",

@@ -77,18 +77,6 @@ func (c *Cluster) naiveReadyNodes() int {
 	return n
 }
 
-// naiveTotalAllocatable walks the node map summing ready nodes'
-// allocatable.
-func (c *Cluster) naiveTotalAllocatable() resources.Vector {
-	var v resources.Vector
-	for _, n := range c.nodes {
-		if n.Ready {
-			v = v.Add(n.Allocatable)
-		}
-	}
-	return v
-}
-
 // naiveScheduleOnce is the full scheduler sweep: reconcile every
 // StatefulSet, then first-fit every pending pod over the whole roster.
 func (c *Cluster) naiveScheduleOnce() {

@@ -21,6 +21,16 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		g := res.Graph
+		for cat, v := range res.CategoryResources {
+			if !v.IsNonNegative() {
+				t.Fatalf("category %q parsed to negative %v: %q", cat, v, src)
+			}
+		}
+		for _, id := range g.IDs() {
+			if n, _ := g.Node(id); !n.Resources.IsNonNegative() {
+				t.Fatalf("node %q parsed to negative %v: %q", id, n.Resources, src)
+			}
+		}
 		// Accepted graphs must be executable to completion.
 		steps := 0
 		for !g.Done() {

@@ -22,6 +22,7 @@ package makeflow
 import (
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -271,7 +272,9 @@ func (p *parser) assign(name, val string, line int) error {
 		}
 	case "CORES":
 		f, err := strconv.ParseFloat(val, 64)
-		if err != nil || f < 0 {
+		// Written so that NaN fails too; an out-of-range int64
+		// conversion would yield a negative vector.
+		if err != nil || !(f >= 0 && f*1000 < math.MaxInt64) {
 			return errf(line, "bad CORES value %q", val)
 		}
 		v := p.catRes[p.category]

@@ -183,6 +183,10 @@ func TestErrors(t *testing.T) {
 		{"undefined variable", "out: in\n\tcmd $(NOPE)\n", 2, "undefined variable"},
 		{"unterminated reference", "out: in\n\tcmd $(NOPE\n", 2, "unterminated"},
 		{"bad cores", "CORES=lots\n", 1, "bad CORES"},
+		{"NaN cores", "CORES=NaN\n", 1, "bad CORES"},
+		{"infinite cores", "CORES=Inf\n", 1, "bad CORES"},
+		{"huge cores", "CORES=1e300\n", 1, "bad CORES"},
+		{"cores past int64 millicores", "CORES=9.3e15\n", 1, "bad CORES"},
 		{"negative memory", "MEMORY=-4\n", 1, "bad MEMORY"},
 		{"bad disk", "DISK=x\n", 1, "bad DISK"},
 		{"empty category", "CATEGORY=\n", 1, "empty CATEGORY"},

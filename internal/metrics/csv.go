@@ -8,26 +8,6 @@ import (
 	"time"
 )
 
-// WriteCSV writes the series as two columns — elapsed seconds since
-// start and value — one row per sample.
-func (s *Series) WriteCSV(w io.Writer, start time.Time) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"elapsed_s", s.Name}); err != nil {
-		return err
-	}
-	for i := range s.times {
-		row := []string{
-			fmt.Sprintf("%.1f", s.times[i].Sub(start).Seconds()),
-			fmt.Sprintf("%g", s.values[i]),
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // WriteCSVColumns writes multiple series as aligned columns sampled
 // at the union of all their timestamps: elapsed seconds first, then
 // one column per series holding its step-function value at that time.

@@ -60,22 +60,3 @@ func TestClusterOverloadEmpty(t *testing.T) {
 		t.Fatalf("ClusterOverload(nil) = %+v, want zero", got)
 	}
 }
-
-// TestClusterOverloadVsAdd pins the semantic difference that motivated
-// the helper: Add sums TimeInOverload (double-counting overlapped wall
-// time across concurrent masters) and maxes peaks (understating the
-// cluster-wide backlog bound).
-func TestClusterOverloadVsAdd(t *testing.T) {
-	a := OverloadCounters{PeakWaiting: 10, TimeInOverload: time.Minute}
-	b := OverloadCounters{PeakWaiting: 10, TimeInOverload: time.Minute}
-	var added OverloadCounters
-	added.Add(a)
-	added.Add(b)
-	merged := ClusterOverload([]OverloadCounters{a, b})
-	if added.TimeInOverload != 2*time.Minute || merged.TimeInOverload != time.Minute {
-		t.Fatalf("TimeInOverload: Add=%v ClusterOverload=%v", added.TimeInOverload, merged.TimeInOverload)
-	}
-	if added.PeakWaiting != 10 || merged.PeakWaiting != 20 {
-		t.Fatalf("PeakWaiting: Add=%d ClusterOverload=%d", added.PeakWaiting, merged.PeakWaiting)
-	}
-}

@@ -47,14 +47,6 @@ func (s *Series) Len() int { return len(s.times) }
 // At returns the i-th sample.
 func (s *Series) At(i int) (time.Time, float64) { return s.times[i], s.values[i] }
 
-// Last returns the final value, or 0 if empty.
-func (s *Series) Last() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	return s.values[len(s.values)-1]
-}
-
 // Max returns the maximum value, or 0 if empty.
 func (s *Series) Max() float64 {
 	m := 0.0
@@ -64,28 +56,6 @@ func (s *Series) Max() float64 {
 		}
 	}
 	return m
-}
-
-// Mean returns the time-weighted mean over [first, end]. end extends
-// the final value; pass the workload end time.
-func (s *Series) Mean(end time.Time) float64 {
-	if len(s.times) == 0 {
-		return 0
-	}
-	total := end.Sub(s.times[0]).Seconds()
-	if total <= 0 {
-		return s.values[0]
-	}
-	return s.IntegralUntil(end) / total
-}
-
-// Integral returns the step integral in value·seconds up to the last
-// sample (the final value contributes nothing without an end time).
-func (s *Series) Integral() float64 {
-	if len(s.times) == 0 {
-		return 0
-	}
-	return s.IntegralUntil(s.times[len(s.times)-1])
 }
 
 // IntegralUntil integrates the step function from the first sample to

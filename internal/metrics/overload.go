@@ -29,19 +29,6 @@ type OverloadCounters struct {
 	TimeInOverload time.Duration
 }
 
-// Add accumulates o into c (peaks take the max, counters sum).
-func (c *OverloadCounters) Add(o OverloadCounters) {
-	if o.PeakWaiting > c.PeakWaiting {
-		c.PeakWaiting = o.PeakWaiting
-	}
-	if o.PeakBuffered > c.PeakBuffered {
-		c.PeakBuffered = o.PeakBuffered
-	}
-	c.Buffered += o.Buffered
-	c.Shed += o.Shed
-	c.TimeInOverload += o.TimeInOverload
-}
-
 // DurationQuantile returns the q-quantile (0 ≤ q ≤ 1) of the samples
 // by linear interpolation between order statistics, or 0 for an empty
 // set. The input slice is not modified. Callers extracting several

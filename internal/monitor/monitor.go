@@ -20,17 +20,6 @@ import (
 // single-process task regardless of how busy it keeps the core.
 const minCPUMilli = 1000
 
-// CategoryStats summarizes completed tasks of one category.
-type CategoryStats struct {
-	Category string
-	Count    int
-	// MaxUsage is the component-wise maximum measured consumption.
-	MaxUsage resources.Vector
-	// MeanExec and MaxExec summarize measured wall times.
-	MeanExec time.Duration
-	MaxExec  time.Duration
-}
-
 // Monitor aggregates task measurements. Like wq.Master it belongs to
 // one goroutine and takes no lock: on the simulated path every call
 // comes from the event loop. A caller with concurrent completions (the
@@ -75,21 +64,6 @@ func (m *Monitor) Observe(category string, measured resources.Vector, wall time.
 // Known reports whether the category has at least one measurement.
 func (m *Monitor) Known(category string) bool {
 	return m.cats[category] != nil
-}
-
-// Stats returns the category summary.
-func (m *Monitor) Stats(category string) (CategoryStats, bool) {
-	agg, ok := m.cats[category]
-	if !ok {
-		return CategoryStats{}, false
-	}
-	return CategoryStats{
-		Category: category,
-		Count:    agg.count,
-		MaxUsage: agg.maxUsage,
-		MeanExec: agg.totalExec / time.Duration(agg.count),
-		MaxExec:  agg.maxExec,
-	}, true
 }
 
 // Categories returns the measured categories, sorted.

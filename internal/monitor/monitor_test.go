@@ -20,7 +20,7 @@ func TestUnknownCategory(t *testing.T) {
 	if _, ok := m.EstimateExecTime("x"); ok {
 		t.Error("exec estimate without observation")
 	}
-	if _, ok := m.Stats("x"); ok {
+	if m.cats["x"] != nil {
 		t.Error("stats without observation")
 	}
 }
@@ -61,9 +61,8 @@ func TestMaxAcrossObservations(t *testing.T) {
 	if d != 20*time.Second {
 		t.Errorf("mean exec = %v, want 20s", d)
 	}
-	st, _ := m.Stats("c")
-	if st.Count != 2 || st.MaxExec != 30*time.Second {
-		t.Errorf("stats = %+v", st)
+	if st := m.cats["c"]; st.count != 2 || st.maxExec != 30*time.Second {
+		t.Errorf("stats = %+v", *st)
 	}
 }
 
@@ -90,7 +89,7 @@ func TestIOBoundTaskOccupiesFullSlot(t *testing.T) {
 func TestCategoriesSorted(t *testing.T) {
 	m := New()
 	for _, c := range []string{"zeta", "alpha", "mid"} {
-		m.Observe(c, resources.Cores(1), time.Second)
+		m.Observe(c, resources.Vector{MilliCPU: 1000}, time.Second)
 	}
 	got := m.Categories()
 	want := []string{"alpha", "mid", "zeta"}

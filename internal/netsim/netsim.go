@@ -337,15 +337,6 @@ func (tr *Transfer) Remaining() float64 {
 	return 0
 }
 
-// Rate returns the transfer's current bandwidth allocation in MB/s.
-func (tr *Transfer) Rate() float64 {
-	l := tr.link
-	if !l.reference && tr.pos >= 0 {
-		return l.vtRate
-	}
-	return tr.rate
-}
-
 // advance applies progress for the time since the last update: O(1).
 // Every active transfer moves vtRate×dt megabytes of credit, so the
 // aggregate delivery is n times that.

@@ -150,8 +150,8 @@ func TestRemainingAndRate(t *testing.T) {
 		if got := tr.Remaining(); !almost(got, 50, 1e-6) {
 			t.Errorf("Remaining = %v, want 50", got)
 		}
-		if got := tr.Rate(); !almost(got, 100, 1e-6) {
-			t.Errorf("Rate = %v, want 100", got)
+		if got := tr.link.vtRate; !almost(got, 100, 1e-6) {
+			t.Errorf("rate = %v, want 100", got)
 		}
 	})
 	e.Run()
@@ -359,7 +359,6 @@ func TestReadsDoNotChurnTimers(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			for _, tr := range trs {
 				tr.Remaining()
-				tr.Rate()
 			}
 			l.Stats()
 		}

@@ -174,13 +174,6 @@ func (o *Operator) InitTime() (time.Duration, bool) {
 	return o.initTime, true
 }
 
-// WorkerPods returns the operator's live pod count.
-func (o *Operator) WorkerPods() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.pods)
-}
-
 // onTaskComplete feeds the resource monitor: wall time plus the
 // worker's rusage-measured CPU when reported, falling back to the
 // declared requirement or allocation for the other dimensions.

@@ -119,6 +119,13 @@ func (k *fakeKubelet) stopPod(name string) {
 	}
 }
 
+// livePods returns the operator's live pod count.
+func livePods(o *Operator) int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return len(o.pods)
+}
+
 func waitFor(t *testing.T, cond func() bool, what string) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
@@ -206,7 +213,7 @@ func TestOperatorEndToEnd(t *testing.T) {
 	// ...and the idle fleet is drained away and its pods deleted.
 	waitFor(t, func() bool { return r.master.Stats().Workers == 0 }, "drain")
 	waitFor(t, func() bool { return r.srv.PodCount() == 0 }, "pod deletion")
-	waitFor(t, func() bool { return r.op.WorkerPods() == 0 }, "operator bookkeeping")
+	waitFor(t, func() bool { return livePods(r.op) == 0 }, "operator bookkeeping")
 	// The warm-up pod's cold start was measured.
 	if d, measured := r.op.InitTime(); !measured || d <= 0 || d > 5*time.Second {
 		t.Errorf("init time = %v measured=%v", d, measured)
@@ -262,7 +269,7 @@ func TestOperatorAdoptsExistingPods(t *testing.T) {
 	if _, ok := srv.Pod("default", "wq-worker-8"); !ok {
 		t.Error("new pod not numbered after adopted wq-worker-7")
 	}
-	if got := op.WorkerPods(); got != 2 {
+	if got := livePods(op); got != 2 {
 		t.Errorf("tracked pods = %d", got)
 	}
 }
@@ -299,13 +306,13 @@ func TestOperatorRewatchesAfterWatchDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return r.op.WorkerPods() == 2 }, "adoption after rewatch")
+	waitFor(t, func() bool { return livePods(r.op) == 2 }, "adoption after rewatch")
 
 	// Live events flow again: a deletion is observed, not just listed.
 	if err := r.client.DeletePod(context.Background(), "wq-worker-99"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return r.op.WorkerPods() == 1 }, "deletion after rewatch")
+	waitFor(t, func() bool { return livePods(r.op) == 1 }, "deletion after rewatch")
 }
 
 // TestOperatorRestartResumesLearnedState kills the operator process
@@ -399,7 +406,7 @@ func TestOperatorRestartResumesLearnedState(t *testing.T) {
 	go op2.Run(ctx2)
 	// The new incarnation adopts the surviving pods instead of
 	// creating a second fleet next to them.
-	waitFor(t, func() bool { return op2.WorkerPods() == podsBefore }, "pod adoption")
+	waitFor(t, func() bool { return livePods(op2) == podsBefore }, "pod adoption")
 	time.Sleep(3 * cfg.Cycle) // a few cycles to catch double-scaling
 	if got := srv.PodCount(); got != podsBefore {
 		t.Errorf("pod count %d after restart, want %d (no double-scale)", got, podsBefore)
@@ -572,14 +579,21 @@ func TestOperatorConcurrentObserve(t *testing.T) {
 	wg.Wait()
 	<-readsDone
 	mon := op.Monitor()
-	st0, _ := mon.Stats("cat0")
-	st1, _ := mon.Stats("cat1")
-	if st0.Count+st1.Count != conns*perConn {
-		t.Fatalf("counts = %d + %d, want %d", st0.Count, st1.Count, conns*perConn)
+	count := func(cat string) int {
+		for _, c := range mon.ExportState().Categories {
+			if c.Category == cat {
+				return c.Count
+			}
+		}
+		return 0
+	}
+	n0, n1 := count("cat0"), count("cat1")
+	if n0+n1 != conns*perConn {
+		t.Fatalf("counts = %d + %d, want %d", n0, n1, conns*perConn)
 	}
 	// The snapshot is a copy: later completions do not reach it.
 	op.onTaskComplete(wire.Result{Task: wire.Task{Category: "cat0", Resources: resources.New(1, 256, 1)}})
-	if st, _ := mon.Stats("cat0"); st.Count != st0.Count {
-		t.Fatalf("snapshot count moved from %d to %d", st0.Count, st.Count)
+	if n := count("cat0"); n != n0 {
+		t.Fatalf("snapshot count moved from %d to %d", n0, n)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"math"
 	"time"
 
+	"hta/internal/hpa"
 	"hta/internal/kubesim"
 	"hta/internal/simclock"
 	"hta/internal/wq"
@@ -49,11 +50,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-type recommendation struct {
-	at      time.Time
-	desired int
-}
-
 // Controller scales a WorkerSet from the master's queue length.
 type Controller struct {
 	cluster *kubesim.Cluster
@@ -61,7 +57,7 @@ type Controller struct {
 	master  *wq.Master
 	cfg     Config
 	ticker  *simclock.Ticker
-	recs    []recommendation
+	win     hpa.Window
 
 	// LastDesired exposes the most recent pre-stabilization
 	// recommendation.
@@ -80,6 +76,7 @@ func New(cluster *kubesim.Cluster, set *kubesim.WorkerSet, master *wq.Master, cf
 		set:     set,
 		master:  master,
 		cfg:     cfg,
+		win:     hpa.NewWindow(cfg.Stabilization),
 	}
 	c.ticker = cluster.Engine().Every(syncInterval, "qpa-sync", c.sync)
 	return c
@@ -91,7 +88,6 @@ func (c *Controller) Stop() { c.ticker.Stop() }
 func (c *Controller) sync() {
 	s := c.master.Stats()
 	outstanding := s.Waiting + s.Running
-	now := c.cluster.Engine().Now()
 	desired := int(math.Ceil(float64(outstanding) / float64(c.cfg.TasksPerWorker)))
 	if desired < minReplicas {
 		desired = minReplicas
@@ -103,21 +99,7 @@ func (c *Controller) sync() {
 
 	// Scale-down stabilization: the effective count is the highest
 	// recommendation inside the window; scale-ups apply immediately.
-	c.recs = append(c.recs, recommendation{at: now, desired: desired})
-	cutoff := now.Add(-c.cfg.Stabilization)
-	keep := c.recs[:0]
-	for _, r := range c.recs {
-		if !r.at.Before(cutoff) {
-			keep = append(keep, r)
-		}
-	}
-	c.recs = keep
-	effective := desired
-	for _, r := range c.recs {
-		if r.desired > effective {
-			effective = r.desired
-		}
-	}
+	effective := c.win.Observe(c.cluster.Engine().Now(), desired)
 	if effective != c.set.Replicas() {
 		c.set.SetReplicas(effective)
 	}

@@ -131,7 +131,7 @@ func TestInvalidConfigPanics(t *testing.T) {
 	c := kubesim.NewCluster(eng, kubesim.Config{Seed: 1})
 	defer c.Stop()
 	m := wq.NewMaster(eng, nil)
-	ws, err := kubesim.NewWorkerSet(c, "w", kubesim.PodSpec{Image: "i", Resources: resources.Cores(1)}, 0)
+	ws, err := kubesim.NewWorkerSet(c, "w", kubesim.PodSpec{Image: "i", Resources: resources.Vector{MilliCPU: 1000}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

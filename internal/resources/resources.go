@@ -8,8 +8,6 @@ package resources
 import (
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 )
 
 // Vector is a (CPU, memory, disk) resource amount. CPU is in
@@ -24,9 +22,6 @@ type Vector struct {
 
 // Zero is the empty resource vector.
 var Zero = Vector{}
-
-// Cores builds a vector with only whole cores set.
-func Cores(n float64) Vector { return Vector{MilliCPU: int64(n * 1000)} }
 
 // New builds a vector from cores, memory MB and disk MB.
 func New(cores float64, memMB, diskMB int64) Vector {
@@ -46,11 +41,6 @@ func (v Vector) Sub(w Vector) Vector {
 	return Vector{v.MilliCPU - w.MilliCPU, v.MemoryMB - w.MemoryMB, v.DiskMB - w.DiskMB}
 }
 
-// Scale returns v with every component multiplied by n.
-func (v Vector) Scale(n int64) Vector {
-	return Vector{v.MilliCPU * n, v.MemoryMB * n, v.DiskMB * n}
-}
-
 // Max returns the component-wise maximum of v and w.
 func (v Vector) Max(w Vector) Vector {
 	return Vector{max64(v.MilliCPU, w.MilliCPU), max64(v.MemoryMB, w.MemoryMB), max64(v.DiskMB, w.DiskMB)}
@@ -60,9 +50,6 @@ func (v Vector) Max(w Vector) Vector {
 func (v Vector) Min(w Vector) Vector {
 	return Vector{min64(v.MilliCPU, w.MilliCPU), min64(v.MemoryMB, w.MemoryMB), min64(v.DiskMB, w.DiskMB)}
 }
-
-// ClampNonNegative returns v with negative components set to zero.
-func (v Vector) ClampNonNegative() Vector { return v.Max(Zero) }
 
 // Fits reports whether v fits within capacity w on every dimension.
 func (v Vector) Fits(w Vector) bool {
@@ -77,107 +64,14 @@ func (v Vector) IsNonNegative() bool {
 	return v.MilliCPU >= 0 && v.MemoryMB >= 0 && v.DiskMB >= 0
 }
 
-// IsPositive reports whether every component is > 0.
-func (v Vector) IsPositive() bool {
-	return v.MilliCPU > 0 && v.MemoryMB > 0 && v.DiskMB > 0
-}
-
 // AnyPositive reports whether any component is > 0.
 func (v Vector) AnyPositive() bool {
 	return v.MilliCPU > 0 || v.MemoryMB > 0 || v.DiskMB > 0
 }
 
-// DivCeil returns the smallest n such that v fits into n copies of
-// unit, considering each dimension; it is the number of unit-sized
-// workers needed to cover demand v. A zero unit dimension with a
-// positive demand on that dimension returns an error.
-func (v Vector) DivCeil(unit Vector) (int, error) {
-	n := 0
-	dims := [][2]int64{
-		{v.MilliCPU, unit.MilliCPU},
-		{v.MemoryMB, unit.MemoryMB},
-		{v.DiskMB, unit.DiskMB},
-	}
-	for _, d := range dims {
-		need, per := d[0], d[1]
-		if need <= 0 {
-			continue
-		}
-		if per <= 0 {
-			return 0, fmt.Errorf("resources: demand %d on dimension with zero unit capacity", need)
-		}
-		k := int((need + per - 1) / per)
-		if k > n {
-			n = k
-		}
-	}
-	return n, nil
-}
-
 // String renders the vector as "2.000c 4096MB 10240MB-disk".
 func (v Vector) String() string {
 	return fmt.Sprintf("%.3fc %dMB %dMB-disk", v.CoresValue(), v.MemoryMB, v.DiskMB)
-}
-
-// Parse parses a vector from a compact spec like
-// "cores=2,memory=4096,disk=1024". Missing fields default to zero.
-// Cores may be fractional ("cores=0.5") or millicores ("cpu=500m").
-func Parse(s string) (Vector, error) {
-	var v Vector
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return v, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return Zero, fmt.Errorf("resources: malformed field %q (want key=value)", part)
-		}
-		key = strings.ToLower(strings.TrimSpace(key))
-		val = strings.TrimSpace(val)
-		switch key {
-		case "cores", "cpu":
-			m, err := parseCPU(val)
-			if err != nil {
-				return Zero, err
-			}
-			v.MilliCPU = m
-		case "memory", "mem":
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return Zero, fmt.Errorf("resources: bad memory %q: %v", val, err)
-			}
-			v.MemoryMB = n
-		case "disk":
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return Zero, fmt.Errorf("resources: bad disk %q: %v", val, err)
-			}
-			v.DiskMB = n
-		default:
-			return Zero, fmt.Errorf("resources: unknown field %q", key)
-		}
-	}
-	return v, nil
-}
-
-func parseCPU(val string) (int64, error) {
-	if strings.HasSuffix(val, "m") {
-		n, err := strconv.ParseInt(strings.TrimSuffix(val, "m"), 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("resources: bad millicores %q: %v", val, err)
-		}
-		return n, nil
-	}
-	f, err := strconv.ParseFloat(val, 64)
-	if err != nil {
-		return 0, fmt.Errorf("resources: bad cores %q: %v", val, err)
-	}
-	return int64(f * 1000), nil
 }
 
 // ErrInsufficient is returned by Pool.Acquire when the request does

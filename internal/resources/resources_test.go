@@ -32,9 +32,6 @@ func TestArithmetic(t *testing.T) {
 	if got := a.Sub(b); got != New(1.5, 3072, 50) {
 		t.Errorf("Sub = %v", got)
 	}
-	if got := b.Scale(3); got != New(1.5, 3072, 150) {
-		t.Errorf("Scale = %v", got)
-	}
 }
 
 func TestFits(t *testing.T) {
@@ -54,7 +51,7 @@ func TestFits(t *testing.T) {
 }
 
 func TestPredicates(t *testing.T) {
-	if !Zero.IsZero() || !Zero.IsNonNegative() || Zero.IsPositive() || Zero.AnyPositive() {
+	if !Zero.IsZero() || !Zero.IsNonNegative() || Zero.AnyPositive() {
 		t.Error("Zero predicates wrong")
 	}
 	v := Vector{MilliCPU: -1, MemoryMB: 5}
@@ -63,76 +60,6 @@ func TestPredicates(t *testing.T) {
 	}
 	if !v.AnyPositive() {
 		t.Error("AnyPositive should see memory")
-	}
-	if !v.ClampNonNegative().IsNonNegative() {
-		t.Error("clamp failed")
-	}
-	if v.ClampNonNegative().MemoryMB != 5 {
-		t.Error("clamp must not touch positive components")
-	}
-}
-
-func TestDivCeil(t *testing.T) {
-	unit := New(3, 12288, 100000)
-	cases := []struct {
-		demand Vector
-		want   int
-	}{
-		{Zero, 0},
-		{New(1, 1, 1), 1},
-		{New(3, 1, 1), 1},
-		{New(3.001, 1, 1), 2},
-		{New(60, 1, 1), 20},
-		{New(1, 13000, 1), 2},       // memory-bound
-		{Vector{MilliCPU: -500}, 0}, // negative demand needs nothing
-		{New(2, 24576, 150000), 2},  // max across dimensions
-	}
-	for _, c := range cases {
-		got, err := c.demand.DivCeil(unit)
-		if err != nil {
-			t.Fatalf("DivCeil(%v) error: %v", c.demand, err)
-		}
-		if got != c.want {
-			t.Errorf("DivCeil(%v) = %d, want %d", c.demand, got, c.want)
-		}
-	}
-	if _, err := New(1, 0, 0).DivCeil(Vector{MemoryMB: 10}); err == nil {
-		t.Error("DivCeil with zero-capacity dimension should error")
-	}
-}
-
-func TestParse(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Vector
-		ok   bool
-	}{
-		{"", Zero, true},
-		{"cores=2,memory=4096,disk=100", New(2, 4096, 100), true},
-		{"cpu=500m", Vector{MilliCPU: 500}, true},
-		{"cores=0.25", Vector{MilliCPU: 250}, true},
-		{" mem=8 , disk=9 ", Vector{MemoryMB: 8, DiskMB: 9}, true},
-		{"bogus=1", Zero, false},
-		{"cores", Zero, false},
-		{"cores=abc", Zero, false},
-		{"memory=1.5", Zero, false},
-		{"cpu=12xm", Zero, false},
-	}
-	for _, c := range cases {
-		got, err := Parse(c.in)
-		if c.ok && err != nil {
-			t.Errorf("Parse(%q) error: %v", c.in, err)
-			continue
-		}
-		if !c.ok {
-			if err == nil {
-				t.Errorf("Parse(%q) should fail", c.in)
-			}
-			continue
-		}
-		if got != c.want {
-			t.Errorf("Parse(%q) = %v, want %v", c.in, got, c.want)
-		}
 	}
 }
 
@@ -218,29 +145,6 @@ func TestPropertyFitsMonotone(t *testing.T) {
 	}
 }
 
-// Property: DivCeil(unit) copies of unit always cover the demand.
-func TestPropertyDivCeilCovers(t *testing.T) {
-	f := func(a boundedVec, c1, c2, c3 uint16) bool {
-		demand := Vector(a)
-		unit := Vector{int64(c1) + 1, int64(c2) + 1, int64(c3) + 1}
-		n, err := demand.DivCeil(unit)
-		if err != nil {
-			return false
-		}
-		if !demand.Fits(unit.Scale(int64(n))) {
-			return false
-		}
-		// Minimality: n-1 copies must not cover (when n > 0).
-		if n > 0 && demand.Fits(unit.Scale(int64(n-1))) {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: pool conservation — used + available == capacity after
 // any sequence of successful acquires/releases.
 func TestPropertyPoolConservation(t *testing.T) {
@@ -283,9 +187,6 @@ func TestMinMax(t *testing.T) {
 }
 
 func TestCoresHelpers(t *testing.T) {
-	if Cores(2.5).MilliCPU != 2500 {
-		t.Errorf("Cores(2.5) = %v", Cores(2.5))
-	}
 	if New(1.25, 0, 0).CoresValue() != 1.25 {
 		t.Errorf("CoresValue = %v", New(1.25, 0, 0).CoresValue())
 	}

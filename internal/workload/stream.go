@@ -298,15 +298,3 @@ func (p WorkflowStreamParams) Workflows() []TimedWorkflow {
 	})
 	return out
 }
-
-// Flatten expands workflow arrivals into per-task arrivals (every
-// task of a workflow arrives at the workflow's submission time).
-func Flatten(wfs []TimedWorkflow) []TimedTask {
-	var out []TimedTask
-	for _, wf := range wfs {
-		for _, spec := range wf.Tasks {
-			out = append(out, TimedTask{At: wf.At, Spec: spec})
-		}
-	}
-	return out
-}

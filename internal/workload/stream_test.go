@@ -111,7 +111,7 @@ func TestDayTraceShape(t *testing.T) {
 }
 
 // TestWorkflowStream: batch arrivals are deterministic, sized around
-// TasksPerWorkflow, and Flatten preserves order and count.
+// TasksPerWorkflow.
 func TestWorkflowStream(t *testing.T) {
 	p := WorkflowStreamParams{
 		Stream: StreamParams{
@@ -132,7 +132,6 @@ func TestWorkflowStream(t *testing.T) {
 		t.Fatalf("workflows = %d, want ~120", len(wfs))
 	}
 	again := p.Workflows()
-	total := 0
 	for i, wf := range wfs {
 		if len(wf.Tasks) < 14 || len(wf.Tasks) > 26 {
 			t.Fatalf("workflow %d has %d tasks, want 20 +- 30%%", i, len(wf.Tasks))
@@ -147,16 +146,6 @@ func TestWorkflowStream(t *testing.T) {
 			if spec.Tag == "" || spec.Category != "wf" {
 				t.Fatalf("workflow %d task %d spec malformed: %+v", i, j, spec)
 			}
-		}
-		total += len(wf.Tasks)
-	}
-	flat := Flatten(wfs)
-	if len(flat) != total {
-		t.Fatalf("Flatten lost tasks: %d vs %d", len(flat), total)
-	}
-	for i := 1; i < len(flat); i++ {
-		if flat[i].At < flat[i-1].At {
-			t.Fatalf("flattened arrivals not sorted at %d", i)
 		}
 	}
 }

@@ -111,30 +111,3 @@ func ReadTrace(r io.Reader) ([]wq.TaskSpec, error) {
 	}
 	return specs, nil
 }
-
-// WriteTrace writes task specs back out in the ReadTrace schema —
-// useful for exporting a generated workload or round-tripping a
-// modified trace.
-func WriteTrace(w io.Writer, specs []wq.TaskSpec) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"category", "exec_s", "cpu_milli", "memory_mb", "disk_mb", "input_mb", "output_mb", "cores"}); err != nil {
-		return err
-	}
-	for _, s := range specs {
-		row := []string{
-			s.Category,
-			strconv.FormatFloat(s.Profile.ExecDuration.Seconds(), 'f', -1, 64),
-			strconv.FormatInt(s.Profile.UsedCPUMilli, 10),
-			strconv.FormatInt(s.Profile.UsedMemoryMB, 10),
-			strconv.FormatInt(s.Profile.UsedDiskMB, 10),
-			strconv.FormatFloat(s.InputMB, 'f', -1, 64),
-			strconv.FormatFloat(s.OutputMB, 'f', -1, 64),
-			strconv.FormatFloat(s.Resources.CoresValue(), 'f', -1, 64),
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

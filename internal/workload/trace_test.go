@@ -75,31 +75,3 @@ func TestReadTraceErrors(t *testing.T) {
 		})
 	}
 }
-
-func TestTraceRoundTrip(t *testing.T) {
-	orig := DefaultIOBound()
-	orig.N = 5
-	specs := orig.Specs()
-	var b strings.Builder
-	if err := WriteTrace(&b, specs); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadTrace(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(specs) {
-		t.Fatalf("round trip count = %d", len(back))
-	}
-	for i := range specs {
-		if back[i].Category != specs[i].Category {
-			t.Errorf("spec %d category %q != %q", i, back[i].Category, specs[i].Category)
-		}
-		if back[i].Profile.ExecDuration != specs[i].Profile.ExecDuration {
-			t.Errorf("spec %d exec %v != %v", i, back[i].Profile.ExecDuration, specs[i].Profile.ExecDuration)
-		}
-		if back[i].Resources != specs[i].Resources {
-			t.Errorf("spec %d resources %v != %v", i, back[i].Resources, specs[i].Resources)
-		}
-	}
-}

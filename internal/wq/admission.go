@@ -1,10 +1,6 @@
 package wq
 
-import (
-	"time"
-
-	"hta/internal/metrics"
-)
+import "hta/internal/metrics"
 
 // AdmissionPolicy bounds the master's waiting queue under overload.
 // In an open system (continuous submission stream) an unbounded queue
@@ -46,17 +42,6 @@ func (m *Master) OverloadStats() metrics.OverloadCounters {
 	}
 	return s
 }
-
-// QueuedCount returns the number of tasks in the waiting queue proper
-// (excluding retry backoffs, rescue windows and the admission
-// buffer). With admission enabled this never exceeds
-// AdmissionPolicy.MaxWaiting except transiently through requeues of
-// already-admitted work.
-func (m *Master) QueuedCount() int { return m.waiting.Len() }
-
-// BufferedCount returns the number of submissions parked in the
-// admission buffer.
-func (m *Master) BufferedCount() int { return len(m.admQueue) }
 
 // ShedCount returns the number of submissions rejected at the hard
 // cap.
@@ -172,39 +157,4 @@ func (m *Master) exitOverload() {
 	}
 	m.inOverload = false
 	m.ostats.TimeInOverload += m.eng.Now().Sub(m.overloadSince)
-}
-
-// CategoryQueueAges returns, for every category with tasks in the
-// waiting queue, the age of its oldest queued task — the per-category
-// staleness signal an operator watches under overload (a category
-// whose head-of-line age keeps growing is starved). Walks the queue;
-// call it from samplers, not hot paths.
-func (m *Master) CategoryQueueAges() map[string]time.Duration {
-	if m.waiting.Len() == 0 {
-		return nil
-	}
-	now := m.eng.Now()
-	out := make(map[string]time.Duration)
-	m.waiting.ForEach(func(id int) {
-		t := m.byID[id]
-		age := now.Sub(m.base.time(t.submitted))
-		cat := m.category(t)
-		if cur, ok := out[cat]; !ok || age > cur {
-			out[cat] = age
-		}
-	})
-	return out
-}
-
-// OldestQueuedAge returns the age of the oldest task in the waiting
-// queue, or 0 when the queue is empty.
-func (m *Master) OldestQueuedAge() time.Duration {
-	var oldest time.Duration
-	now := m.eng.Now()
-	m.waiting.ForEach(func(id int) {
-		if age := now.Sub(m.base.time(m.byID[id].submitted)); age > oldest {
-			oldest = age
-		}
-	})
-	return oldest
 }

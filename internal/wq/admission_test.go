@@ -33,13 +33,13 @@ func TestAdmissionBoundsQueueDepth(t *testing.T) {
 	}
 	peakSeen := 0
 	tick := eng.Every(100*time.Millisecond, "depth-probe", func() {
-		if d := m.QueuedCount(); d > peakSeen {
+		if d := m.waiting.Len(); d > peakSeen {
 			peakSeen = d
 		}
-		if d := m.QueuedCount(); d > 20 {
+		if d := m.waiting.Len(); d > 20 {
 			t.Fatalf("queue depth %d exceeds cap 20", d)
 		}
-		if b := m.BufferedCount(); b > 10 {
+		if b := len(m.admQueue); b > 10 {
 			t.Fatalf("buffer depth %d exceeds cap 10", b)
 		}
 	})
@@ -100,10 +100,10 @@ func TestAdmissionBufferDrainsInArrivalOrder(t *testing.T) {
 		ids = append(ids, m.Submit(knownTask("a", 1, time.Second)))
 	}
 	eng.Run()
-	if got := m.QueuedCount(); got != 2 {
+	if got := m.waiting.Len(); got != 2 {
 		t.Fatalf("queued = %d, want 2", got)
 	}
-	if got := m.BufferedCount(); got != 4 {
+	if got := len(m.admQueue); got != 4 {
 		t.Fatalf("buffered = %d, want 4", got)
 	}
 	// Cancel the two queued tasks: the two oldest buffered submissions
@@ -115,7 +115,7 @@ func TestAdmissionBufferDrainsInArrivalOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Run()
-	if got := m.BufferedCount(); got != 2 {
+	if got := len(m.admQueue); got != 2 {
 		t.Fatalf("buffered after cancels = %d, want 2", got)
 	}
 	order := m.waiting.QueueOrder()
@@ -139,7 +139,7 @@ func TestAdmissionDisabledIsClassicWorkQueue(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		m.Submit(knownTask("a", 1, time.Second))
 	}
-	if got := m.QueuedCount(); got != 50 {
+	if got := m.waiting.Len(); got != 50 {
 		t.Fatalf("queued = %d, want 50", got)
 	}
 	o := m.OverloadStats()
@@ -162,7 +162,7 @@ func TestAdmissionCancelBuffered(t *testing.T) {
 	if err := m.Cancel(id2); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.BufferedCount(); got != 0 {
+	if got := len(m.admQueue); got != 0 {
 		t.Fatalf("buffered = %d, want 0", got)
 	}
 	if tk, _ := m.Task(id2); tk.State != TaskCanceled {
@@ -192,7 +192,7 @@ func TestAdmissionRequeueBypassesCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.RunFor(time.Second)
-	if got := m.QueuedCount(); got != 4 {
+	if got := m.waiting.Len(); got != 4 {
 		t.Fatalf("queued after kill = %d, want 4 (cap 2 + 2 requeues)", got)
 	}
 	order := m.waiting.QueueOrder()
@@ -222,7 +222,7 @@ func TestAdmissionSurvivesCrashRestore(t *testing.T) {
 	eng.RunFor(time.Minute)
 	m.Restore(snap, 0)
 	eng.Run()
-	if got := m.BufferedCount(); got != 3 {
+	if got := len(m.admQueue); got != 3 {
 		t.Fatalf("buffered after restore = %d, want 3", got)
 	}
 	after := m.OverloadStats()
@@ -233,25 +233,5 @@ func TestAdmissionSurvivesCrashRestore(t *testing.T) {
 	eng.Run()
 	if st := m.Stats(); st.Complete != 5 {
 		t.Fatalf("complete = %d, want 5", st.Complete)
-	}
-}
-
-// TestCategoryQueueAges checks the per-category staleness signal.
-func TestCategoryQueueAges(t *testing.T) {
-	eng := simclock.NewEngine(t0)
-	m := NewMaster(eng, nil)
-	m.Submit(knownTask("old", 1, time.Second))
-	eng.RunFor(30 * time.Second)
-	m.Submit(knownTask("young", 1, time.Second))
-	eng.RunFor(10 * time.Second)
-	ages := m.CategoryQueueAges()
-	if got := ages["old"]; got != 40*time.Second {
-		t.Errorf("old age = %v, want 40s", got)
-	}
-	if got := ages["young"]; got != 10*time.Second {
-		t.Errorf("young age = %v, want 10s", got)
-	}
-	if got := m.OldestQueuedAge(); got != 40*time.Second {
-		t.Errorf("oldest = %v, want 40s", got)
 	}
 }

@@ -1497,35 +1497,3 @@ func (m *Master) ForEachWorker(fn func(id string, capacity resources.Vector, dra
 
 // CompletedCount returns the number of completed tasks.
 func (m *Master) CompletedCount() int { return m.completeCount }
-
-// WorkerDetail describes one connected worker.
-type WorkerDetail struct {
-	ID          string
-	Capacity    resources.Vector
-	InUse       resources.Vector
-	Running     int
-	CachedFiles int
-	Draining    bool
-	JoinedAt    time.Time
-}
-
-// WorkerDetails returns per-worker state in join order — the data a
-// `work_queue_status`-style CLI prints.
-func (m *Master) WorkerDetails() []WorkerDetail {
-	out := make([]WorkerDetail, 0, m.workerCount)
-	for _, w := range m.roster {
-		if w == nil {
-			continue
-		}
-		out = append(out, WorkerDetail{
-			ID:          w.id,
-			Capacity:    w.pool.Capacity(),
-			InUse:       w.pool.Used(),
-			Running:     w.running.len(),
-			CachedFiles: w.cached,
-			Draining:    w.draining,
-			JoinedAt:    w.joinedAt,
-		})
-	}
-	return out
-}

@@ -270,14 +270,14 @@ func TestKillWorkerRequeuesTasks(t *testing.T) {
 
 func TestWorkerErrors(t *testing.T) {
 	_, m := newMaster(t)
-	if err := m.AddWorker("", resources.Cores(1)); err == nil {
+	if err := m.AddWorker("", resources.Vector{MilliCPU: 1000}); err == nil {
 		t.Error("empty id should fail")
 	}
 	if err := m.AddWorker("w", resources.Zero); err == nil {
 		t.Error("zero capacity should fail")
 	}
-	m.AddWorker("w", resources.Cores(1))
-	if err := m.AddWorker("w", resources.Cores(1)); err == nil {
+	m.AddWorker("w", resources.Vector{MilliCPU: 1000})
+	if err := m.AddWorker("w", resources.Vector{MilliCPU: 1000}); err == nil {
 		t.Error("duplicate should fail")
 	}
 	if err := m.DrainWorker("nope", nil); err == nil {
@@ -709,31 +709,6 @@ func TestBestFitConsolidatesForDraining(t *testing.T) {
 	}
 	if got := run(WorstFit); got != 0 {
 		t.Errorf("worst-fit idle workers = %d, want 0 (spread)", got)
-	}
-}
-
-func TestWorkerDetails(t *testing.T) {
-	eng := simclock.NewEngine(t0)
-	link := netsim.NewLink(eng, 1000, 0)
-	m := NewMaster(eng, link)
-	m.AddWorker("w1", resources.New(3, 12288, 100000))
-	m.AddWorker("w2", resources.New(3, 12288, 100000))
-	spec := knownTask("a", 1, time.Hour)
-	spec.SharedInputs = []File{{Name: "db", SizeMB: 10}}
-	m.Submit(spec)
-	eng.RunFor(time.Minute)
-	m.DrainWorker("w2", nil)
-	det := m.WorkerDetails()
-	if len(det) != 1 {
-		// w2 was idle: drained immediately and removed.
-		t.Fatalf("details = %+v", det)
-	}
-	d := det[0]
-	if d.ID != "w1" || d.Running != 1 || d.CachedFiles != 1 || d.Draining {
-		t.Errorf("detail = %+v", d)
-	}
-	if d.InUse.MilliCPU != 1000 {
-		t.Errorf("in-use = %v", d.InUse)
 	}
 }
 

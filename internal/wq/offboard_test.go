@@ -53,12 +53,12 @@ func TestFailAllPending(t *testing.T) {
 	if got := m.CompletedCount() + m.QuarantinedCount() + m.ShedCount(); got != m.SubmittedCount() {
 		t.Fatalf("conservation: %d terminal of %d submitted", got, m.SubmittedCount())
 	}
-	if m.WaitingRetries() != 0 {
-		t.Fatalf("retry timers still pending: %d", m.WaitingRetries())
+	if len(m.retryPending) != 0 {
+		t.Fatalf("retry timers still pending: %d", len(m.retryPending))
 	}
 	// The overload interval closed when the buffer was flushed.
-	if m.BufferedCount() != 0 {
-		t.Fatalf("admission buffer not empty: %d", m.BufferedCount())
+	if len(m.admQueue) != 0 {
+		t.Fatalf("admission buffer not empty: %d", len(m.admQueue))
 	}
 	if n := m.FailAllPending(); n != 0 {
 		t.Fatalf("second FailAllPending = %d, want 0", n)

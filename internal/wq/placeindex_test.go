@@ -108,7 +108,7 @@ func TestRosterCompaction(t *testing.T) {
 	if got := m.Stats().Workers; got != 50 {
 		t.Fatalf("Workers = %d, want 50", got)
 	}
-	if want := cap4.Scale(50); m.Stats().Capacity != want {
+	if want := resources.New(200, 50*16384, 50*100000); m.Stats().Capacity != want {
 		t.Fatalf("Capacity = %v, want %v", m.Stats().Capacity, want)
 	}
 	eng.Run()

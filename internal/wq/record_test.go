@@ -394,7 +394,7 @@ func TestVisitorsMatchTask(t *testing.T) {
 	}
 	m.ForEachWaiting(check)
 	m.ForEachRunning(check)
-	if st := m.Stats(); walks != st.Running+m.QueuedCount() || st.Running == 0 || m.QueuedCount() == 0 {
-		t.Fatalf("visited %d tasks; %d running, %d queued", walks, st.Running, m.QueuedCount())
+	if st := m.Stats(); walks != st.Running+m.waiting.Len() || st.Running == 0 || m.waiting.Len() == 0 {
+		t.Fatalf("visited %d tasks; %d running, %d queued", walks, st.Running, m.waiting.Len())
 	}
 }

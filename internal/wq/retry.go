@@ -263,7 +263,3 @@ func (m *Master) detachRunning(rt *runningTask) {
 	}
 	m.rev++
 }
-
-// WaitingRetries returns the number of failed tasks sitting out a
-// backoff delay (waiting but not yet back in the queue).
-func (m *Master) WaitingRetries() int { return len(m.retryPending) }

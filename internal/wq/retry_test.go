@@ -27,8 +27,8 @@ func TestKillWorkerBackoffDelaysRequeue(t *testing.T) {
 	if err := m.KillWorker("w1"); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.WaitingRetries(); got != 1 {
-		t.Fatalf("WaitingRetries = %d, want 1", got)
+	if got := len(m.retryPending); got != 1 {
+		t.Fatalf("retries waiting = %d, want 1", got)
 	}
 	if s := m.Stats(); s.Waiting != 1 {
 		t.Fatalf("Stats.Waiting = %d, want 1 (backoff task counted)", s.Waiting)
@@ -142,7 +142,7 @@ func TestCancelDuringBackoff(t *testing.T) {
 	if err := m.Cancel(id); err != nil {
 		t.Fatal(err)
 	}
-	if m.WaitingRetries() != 0 {
+	if len(m.retryPending) != 0 {
 		t.Fatalf("retry timer survived cancel")
 	}
 	m.AddWorker("w2", resources.New(4, 16384, 1000))

@@ -288,9 +288,6 @@ func (m *Master) Restore(snap Snapshot, rescueWindow time.Duration) {
 	m.scheduleDispatch()
 }
 
-// Epoch returns the number of restarts this master has survived.
-func (m *Master) Epoch() int { return m.epoch }
-
 // Down reports whether the master is crashed (between Crash and
 // Restore).
 func (m *Master) Down() bool { return m.down }

@@ -57,8 +57,8 @@ func TestCrashRestoreRescuesRunningTask(t *testing.T) {
 	if rec.RescuedTasks != 1 || rec.FencedAttempts != 0 || rec.RequeuedUnrescued != 0 {
 		t.Errorf("recovery counters = %+v", rec)
 	}
-	if m.Epoch() != 1 {
-		t.Errorf("Epoch = %d, want 1", m.Epoch())
+	if m.epoch != 1 {
+		t.Errorf("epoch = %d, want 1", m.epoch)
 	}
 	if fs := m.FailureStats(); fs.Requeues != 0 || fs.Quarantined != 0 {
 		t.Errorf("failure stats = %+v, want no requeues/quarantines", fs)
@@ -93,8 +93,8 @@ func TestRescueWindowExpiryRetriesWithBackoffNotQuarantine(t *testing.T) {
 	if tk.State != TaskWaiting {
 		t.Fatalf("state after rescue window = %v, want waiting", tk.State)
 	}
-	if m.WaitingRetries() != 1 {
-		t.Fatalf("WaitingRetries = %d, want 1 (backoff applies)", m.WaitingRetries())
+	if len(m.retryPending) != 1 {
+		t.Fatalf("retries waiting = %d, want 1 (backoff applies)", len(m.retryPending))
 	}
 	rec := m.RecoveryStats()
 	if rec.RequeuedUnrescued != 1 || rec.RescuedTasks != 0 {

@@ -121,7 +121,6 @@ type Master struct {
 	workers    map[string]*workerConn
 	order      []string
 	parked     map[string]*parkedWorker
-	rescued    int
 	onComplete []func(Result)
 	closed     bool
 	done       chan struct{}
@@ -403,7 +402,6 @@ func (m *Master) serve(c *conn) {
 			if reported[id] && t != nil && t.Status == StatusRunning && t.WorkerID == w.id {
 				_ = w.pool.Acquire(p.tasks[id])
 				w.running[id] = p.tasks[id]
-				m.rescued++
 				continue
 			}
 			if t != nil && t.Status == StatusRunning && t.WorkerID == w.id {
@@ -539,14 +537,6 @@ func (m *Master) expireParked(workerID string, p *parkedWorker) {
 	m.waiting = append(requeued, m.waiting...)
 	m.mu.Unlock()
 	m.dispatch()
-}
-
-// RescuedCount returns how many in-flight attempts reconnecting
-// workers resumed instead of being rescheduled.
-func (m *Master) RescuedCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.rescued
 }
 
 // dispatch assigns waiting tasks to workers: known requirements

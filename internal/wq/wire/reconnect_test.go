@@ -101,9 +101,6 @@ func TestReconnectRescuesInflightTask(t *testing.T) {
 	if st.ExitCode != 0 || st.Output == "" {
 		t.Errorf("result lost across reconnect: %+v", st)
 	}
-	if got := m.RescuedCount(); got != 1 {
-		t.Errorf("RescuedCount = %d, want 1", got)
-	}
 	if err := m.Drain("w1"); err != nil {
 		t.Fatal(err)
 	}

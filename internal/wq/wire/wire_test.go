@@ -284,7 +284,7 @@ func TestCloseKillsRunningChildren(t *testing.T) {
 }
 
 func TestRegisterValidation(t *testing.T) {
-	if _, err := Connect("127.0.0.1:1", WorkerConfig{ID: "", Capacity: resources.Cores(1)}); err == nil {
+	if _, err := Connect("127.0.0.1:1", WorkerConfig{ID: "", Capacity: resources.Vector{MilliCPU: 1000}}); err == nil {
 		t.Error("empty ID should fail")
 	}
 	if _, err := Connect("127.0.0.1:1", WorkerConfig{ID: "x"}); err == nil {
