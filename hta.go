@@ -215,7 +215,9 @@ func (s *System) RunWorkflow(g *Graph, specFor func(Node) TaskSpec, timeout time
 	return res, nil
 }
 
-// RunTasks executes a flat bag of tasks (no dependencies).
+// RunTasks executes a flat bag of tasks (no dependencies). The run
+// reads specs while it lasts and does not copy it: do not modify the
+// slice until RunTasks returns.
 func (s *System) RunTasks(specs []TaskSpec) (*Result, error) {
 	g, fn, err := flow.FromSpecs(specs)
 	if err != nil {

@@ -85,20 +85,27 @@ type Graph struct {
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
-	return &Graph{index: make(map[string]int32), producer: make(map[string]int32)}
+	return &Graph{index: make(map[string]int32)}
 }
 
 // Grow makes room for n more nodes, sparing Add its reallocations.
 func (g *Graph) Grow(n int) {
 	g.nodes = slices.Grow(g.nodes, n)
+	g.state = slices.Grow(g.state, n)
+	g.attempts = slices.Grow(g.attempts, n)
 	if len(g.nodes) == 0 && !g.finalized {
 		g.index = make(map[string]int32, n)
-		g.producer = make(map[string]int32, n)
 	}
 }
 
 // Add inserts a node. It fails on duplicate node IDs, on two nodes
 // producing the same output file, or after Finalize.
+//
+// Each ID and output costs one map assignment: a key that leaves its
+// map's length unchanged was there already, and the rejected Add puts
+// back the entry it overwrote. The producer map is made for the first
+// node with outputs, sized to the capacity Grow reserved, so a bag of
+// independent tasks never makes one.
 func (g *Graph) Add(n Node) error {
 	if g.finalized {
 		return fmt.Errorf("dag: Add %q after Finalize", n.ID)
@@ -106,27 +113,49 @@ func (g *Graph) Add(n Node) error {
 	if n.ID == "" {
 		return fmt.Errorf("dag: node with empty ID")
 	}
-	if _, dup := g.index[n.ID]; dup {
+	i := int32(len(g.nodes))
+	had := len(g.index)
+	g.index[n.ID] = i
+	if len(g.index) == had {
+		g.index[n.ID] = g.find(func(m *Node) bool { return m.ID == n.ID })
 		return fmt.Errorf("dag: duplicate node ID %q", n.ID)
 	}
-	for _, out := range n.Outputs {
-		if p, dup := g.producer[out]; dup {
-			return fmt.Errorf("dag: output %q produced by both %q and %q", out, g.nodes[p].ID, n.ID)
-		}
+	if len(n.Outputs) > 0 && g.producer == nil {
+		g.producer = make(map[string]int32, cap(g.nodes))
 	}
-	i := int32(len(g.nodes))
+	for k, out := range n.Outputs {
+		had := len(g.producer)
+		g.producer[out] = i
+		if len(g.producer) > had || slices.Contains(n.Outputs[:k], out) {
+			continue
+		}
+		p := g.find(func(m *Node) bool { return slices.Contains(m.Outputs, out) })
+		g.producer[out] = p
+		for _, o := range n.Outputs[:k] {
+			delete(g.producer, o)
+		}
+		delete(g.index, n.ID)
+		return fmt.Errorf("dag: output %q produced by both %q and %q", out, g.nodes[p].ID, n.ID)
+	}
 	n.Index = i
 	n.Inputs = g.copyFiles(n.Inputs)
 	n.Outputs = g.copyFiles(n.Outputs)
 	g.nodes = append(g.nodes, n)
-	g.index[n.ID] = i
-	for _, out := range n.Outputs {
-		g.producer[out] = i
-	}
 	g.inputs += len(n.Inputs)
 	g.state = append(g.state, Pending)
 	g.attempts = append(g.attempts, 0)
 	return nil
+}
+
+// find returns the index of the first node that matches: the owner of
+// an entry a rejected Add overwrote, so only error paths scan.
+func (g *Graph) find(match func(*Node) bool) int32 {
+	for i := range g.nodes {
+		if match(&g.nodes[i]) {
+			return int32(i)
+		}
+	}
+	panic("dag: overwritten map entry has no node")
 }
 
 // copyFiles copies a file list into the arena's shared chunks.

@@ -2,8 +2,10 @@ package dag
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -171,6 +173,108 @@ func TestAddErrors(t *testing.T) {
 	}
 	if err := g.Finalize(); err == nil {
 		t.Error("double Finalize should fail")
+	}
+}
+
+// TestRejectedAddRestoresGraph holds Add's one-assignment insert to
+// its contract: a rejected Add leaves the graph as it found it, with
+// the map entry it overwrote put back, and the next Add of a fresh ID
+// succeeds.
+func TestRejectedAddRestoresGraph(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bad  Node
+	}{
+		{"duplicate ID", Node{ID: "b", Outputs: []string{"new"}}},
+		{"output produced by another node", Node{ID: "c", Outputs: []string{"new", "g", "new2"}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := NewGraph()
+			if err := g.Add(Node{ID: "a", Outputs: []string{"f"}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.Add(Node{ID: "b", Inputs: []string{"f"}, Outputs: []string{"g"}}); err != nil {
+				t.Fatal(err)
+			}
+			producer := maps.Clone(g.producer)
+			if err := g.Add(tc.bad); err == nil {
+				t.Fatalf("Add(%+v) succeeded", tc.bad)
+			}
+			if g.Len() != 2 || len(g.index) != 2 {
+				t.Errorf("Len = %d, index has %d IDs; want 2 and 2", g.Len(), len(g.index))
+			}
+			for id, want := range map[string]int32{"a": 0, "b": 1} {
+				if i, ok := g.Index(id); !ok || i != want {
+					t.Errorf("Index(%q) = %d, %v; want %d", id, i, ok, want)
+				}
+			}
+			if _, ok := g.Index("c"); ok {
+				t.Error("the rejected node c is indexed")
+			}
+			if s := g.State("b"); s != Pending {
+				t.Errorf("State(b) = %v, want pending", s)
+			}
+			if !maps.Equal(g.producer, producer) {
+				t.Errorf("producer map = %v, want %v", g.producer, producer)
+			}
+			if err := g.Add(Node{ID: "c", Inputs: []string{"g"}, Outputs: []string{"new"}}); err != nil {
+				t.Fatalf("fresh Add after the rejection: %v", err)
+			}
+			if i, _ := g.Index("c"); i != 2 {
+				t.Errorf("Index(c) = %d, want 2", i)
+			}
+			if err := g.Finalize(); err != nil {
+				t.Fatal(err)
+			}
+			if got := g.Dependencies("b"); !slices.Equal(got, []string{"a"}) {
+				t.Errorf("Dependencies(b) = %v, want [a]", got)
+			}
+			if got := g.Dependencies("c"); !slices.Equal(got, []string{"b"}) {
+				t.Errorf("Dependencies(c) = %v, want [b]", got)
+			}
+		})
+	}
+}
+
+// TestAddOutputsTwiceInOneNode keeps what the model accepts: one node
+// naming the same output twice produces it, once.
+func TestAddOutputsTwiceInOneNode(t *testing.T) {
+	g := NewGraph()
+	if err := g.Add(Node{ID: "a", Outputs: []string{"f", "f"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Add(Node{ID: "b", Inputs: []string{"f"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Add(Node{ID: "c", Outputs: []string{"f"}}); err == nil {
+		t.Error("a second producer of f was accepted")
+	}
+	if err := g.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.Dependencies("b"); !slices.Equal(got, []string{"a"}) {
+		t.Errorf("Dependencies(b) = %v, want [a]", got)
+	}
+}
+
+// TestBagMakesNoProducerMap: nodes without outputs never need the
+// output → producer map, so a bag of independent tasks never makes it.
+func TestBagMakesNoProducerMap(t *testing.T) {
+	g := NewGraph()
+	g.Grow(100)
+	for i := range 100 {
+		if err := g.Add(Node{ID: fmt.Sprint("t", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if g.producer != nil {
+		t.Error("a bag made a producer map")
+	}
+	if err := g.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(g.Ready()); got != 100 {
+		t.Errorf("ready = %d, want 100", got)
 	}
 }
 

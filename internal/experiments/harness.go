@@ -38,7 +38,8 @@ type Workload struct {
 	Spec  flow.SpecFunc
 }
 
-// Flat wraps a bag of independent tasks as a Workload.
+// Flat wraps a bag of independent tasks as a Workload, which owns
+// specs from then on (see flow.FromSpecs): do not modify it.
 func Flat(specs []wq.TaskSpec) (Workload, error) {
 	g, fn, err := flow.FromSpecs(specs)
 	if err != nil {

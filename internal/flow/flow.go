@@ -7,8 +7,8 @@ package flow
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
+	"strings"
 	"sync"
 
 	"hta/internal/dag"
@@ -266,18 +266,29 @@ func (r *Runner) fail(err error) {
 // FromSpecs builds a trivial graph (no dependencies) from a list of
 // task specs — the flat bag-of-tasks shape of the paper's Fig. 2,
 // Fig. 4 and I/O-bound workloads — and returns it with its SpecFunc,
-// which reads a copy of specs by node index.
+// which reads specs by node index. The graph and the SpecFunc own
+// specs from then on: the caller must not modify it.
+//
+// Node i's ID is "task<i>". The IDs are written back to back into one
+// strings.Builder and each is a slice of it (a Builder never rewrites
+// bytes it has handed out), so a node costs no allocation of its own.
 func FromSpecs(specs []wq.TaskSpec) (*dag.Graph, SpecFunc, error) {
+	const prefix = "task"
+	var ids strings.Builder
+	ids.Grow(len(specs) * len(prefix+strconv.Itoa(len(specs))))
+	var num [20]byte
 	g := dag.NewGraph()
 	g.Grow(len(specs))
-	for i, spec := range specs {
-		if err := g.Add(dag.Node{ID: "task" + strconv.Itoa(i), Category: spec.Category}); err != nil {
+	for i := range specs {
+		start := ids.Len()
+		ids.WriteString(prefix)
+		ids.Write(strconv.AppendInt(num[:0], int64(i), 10))
+		if err := g.Add(dag.Node{ID: ids.String()[start:], Category: specs[i].Category}); err != nil {
 			return nil, nil, err
 		}
 	}
 	if err := g.Finalize(); err != nil {
 		return nil, nil, err
 	}
-	specs = slices.Clone(specs)
 	return g, func(n dag.Node) wq.TaskSpec { return specs[n.Index] }, nil
 }

@@ -1,6 +1,7 @@
 package makeflow
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -109,6 +110,51 @@ func FuzzReplay(f *testing.F) {
 		if len(again.Done) != len(rep.Done) || len(again.Failed) != len(rep.Failed) ||
 			len(again.InFlight) != len(rep.InFlight) || again.Truncated {
 			t.Fatalf("recovered prefix is not a fixed point: %+v vs %+v", again, rep)
+		}
+	})
+}
+
+// fieldsCases are the splitter's table: every space strings.Fields
+// knows, ASCII and not, and bytes that are not UTF-8.
+var fieldsCases = []string{
+	"",
+	" ",
+	"a",
+	"out.1 out.2",
+	"  in.1\tblastall  ",
+	"a\r\nb\vc\fd",
+	"\t\v\f\r\n ",
+	"x\u0085y\u00a0z",
+	" a\u3000b\u2028c\u1680d\u2009e ",
+	"\u00a0\u3000",
+	"\u65e5\u672c \u8a9e",
+	"a\xffb \xff",
+	"\xe2\x80 a",
+	"\u200bzero-width-is-not-space",
+}
+
+// TestAppendFieldsMatchesStringsFields holds the parser's splitter to
+// strings.Fields on the table, and shows it appends to what dst holds.
+func TestAppendFieldsMatchesStringsFields(t *testing.T) {
+	for _, s := range fieldsCases {
+		if got, want := appendFields(nil, s), strings.Fields(s); !slices.Equal(got, want) {
+			t.Errorf("appendFields(%q) = %q, want %q", s, got, want)
+		}
+	}
+	if got := appendFields([]string{"kept"}, " a b "); !slices.Equal(got, []string{"kept", "a", "b"}) {
+		t.Errorf("appendFields onto [kept] = %q", got)
+	}
+}
+
+// FuzzAppendFields is the splitter's differential fuzz against
+// strings.Fields.
+func FuzzAppendFields(f *testing.F) {
+	for _, s := range fieldsCases {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := appendFields(nil, s), strings.Fields(s); !slices.Equal(got, want) {
+			t.Fatalf("appendFields(%q) = %q, want %q", s, got, want)
 		}
 	})
 }

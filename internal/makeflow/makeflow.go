@@ -25,6 +25,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"hta/internal/dag"
 	"hta/internal/resources"
@@ -75,6 +77,11 @@ type parser struct {
 	graph    *dag.Graph
 	ruleN    int
 	exports  []string
+
+	// Scratch reused from rule to rule: dag.Graph.Add copies the file
+	// lists, and id is copied into each rule's ID string.
+	cmds, outs, ins []string
+	id              []byte
 }
 
 // Parse reads a Makeflow description and returns the workflow.
@@ -117,7 +124,7 @@ func Parse(r io.Reader) (*Result, error) {
 		}
 		if strings.Contains(expanded, ":") {
 			// Gather the tab-indented command block.
-			var cmds []string
+			cmds := p.cmds[:0]
 			j := i + 1
 			for ; j < len(lines); j++ {
 				ct := lines[j].text
@@ -132,6 +139,7 @@ func Parse(r io.Reader) (*Result, error) {
 					cmds = append(cmds, cexp)
 				}
 			}
+			p.cmds = cmds
 			if err := p.addRule(expanded, cmds, ln.num); err != nil {
 				return nil, err
 			}
@@ -299,38 +307,42 @@ func (p *parser) assign(name, val string, line int) error {
 }
 
 // expand substitutes $(NAME) and ${NAME} references; a line with no
-// '$' comes back as it is.
+// '$' comes back as it is. The text between references is copied a
+// span at a time.
 func (p *parser) expand(s string, line int) (string, error) {
 	if strings.IndexByte(s, '$') < 0 {
 		return s, nil
 	}
 	var b strings.Builder
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c != '$' || i+1 >= len(s) {
-			b.WriteByte(c)
-			continue
+	b.Grow(len(s))
+	for {
+		i := strings.IndexByte(s, '$')
+		if i < 0 || i+1 >= len(s) {
+			b.WriteString(s)
+			return b.String(), nil
 		}
-		open := s[i+1]
+		b.WriteString(s[:i])
+		s = s[i:] // s[0] is the '$'
 		var close byte
-		switch open {
+		switch s[1] {
 		case '(':
 			close = ')'
 		case '{':
 			close = '}'
 		case '$': // "$$" escapes a literal dollar
 			b.WriteByte('$')
-			i++
+			s = s[2:]
 			continue
 		default:
-			b.WriteByte(c)
+			b.WriteByte('$')
+			s = s[1:]
 			continue
 		}
-		end := strings.IndexByte(s[i+2:], close)
+		end := strings.IndexByte(s[2:], close)
 		if end < 0 {
-			return "", errf(line, "unterminated variable reference %q", s[i:])
+			return "", errf(line, "unterminated variable reference %q", s)
 		}
-		name := s[i+2 : i+2+end]
+		name := s[2 : 2+end]
 		if !isIdent(name) {
 			return "", errf(line, "invalid variable name %q", name)
 		}
@@ -343,9 +355,8 @@ func (p *parser) expand(s string, line int) (string, error) {
 			}
 		}
 		b.WriteString(val)
-		i += 2 + end
+		s = s[2+end+1:]
 	}
-	return b.String(), nil
 }
 
 func (p *parser) reservedValue(name string) string {
@@ -368,8 +379,9 @@ func (p *parser) addRule(head string, cmds []string, line int) error {
 	if !ok {
 		return errf(line, "rule without ':'")
 	}
-	outs := strings.Fields(targets)
-	ins := strings.Fields(sources)
+	p.outs = appendFields(p.outs[:0], targets)
+	p.ins = appendFields(p.ins[:0], sources)
+	outs, ins := p.outs, p.ins
 	if len(outs) == 0 {
 		return errf(line, "rule with no targets")
 	}
@@ -386,8 +398,11 @@ func (p *parser) addRule(head string, cmds []string, line int) error {
 		}
 	}
 	p.ruleN++
+	p.id = append(p.id[:0], "rule"...)
+	p.id = strconv.AppendInt(p.id, int64(p.ruleN), 10)
+	p.id = append(append(p.id, ':'), outs[0]...)
 	node := dag.Node{
-		ID:        "rule" + strconv.Itoa(p.ruleN) + ":" + outs[0],
+		ID:        string(p.id),
 		Command:   strings.Join(cmds, " && "),
 		Category:  p.category,
 		Inputs:    ins,
@@ -400,3 +415,34 @@ func (p *parser) addRule(head string, cmds []string, line int) error {
 	}
 	return nil
 }
+
+// appendFields appends the fields of s to dst, split exactly as
+// strings.Fields splits them: around each run of unicode.IsSpace
+// runes, an invalid UTF-8 byte counting as a non-space.
+func appendFields(dst []string, s string) []string {
+	start := -1 // the current field's first byte; -1 between fields
+	for i := 0; i < len(s); {
+		space, size := asciiSpace[s[i]] != 0, 1
+		if s[i] >= utf8.RuneSelf {
+			var r rune
+			r, size = utf8.DecodeRuneInString(s[i:])
+			space = unicode.IsSpace(r)
+		}
+		if !space {
+			if start < 0 {
+				start = i
+			}
+		} else if start >= 0 {
+			dst = append(dst, s[start:i])
+			start = -1
+		}
+		i += size
+	}
+	if start >= 0 {
+		dst = append(dst, s[start:])
+	}
+	return dst
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [256]uint8{'\t': 1, '\n': 1, '\v': 1, '\f': 1, '\r': 1, ' ': 1}

@@ -86,7 +86,7 @@ func ReadTrace(r io.Reader) ([]wq.TaskSpec, error) {
 		}
 		execS, cpu, mem, disk, inMB, outMB, cores := v[0], v[1], v[2], v[3], v[4], v[5], v[6]
 		spec := wq.TaskSpec{
-			Command:  fmt.Sprintf("trace-task %d", line-2),
+			Command:  "trace-task " + strconv.Itoa(line-2),
 			Category: category,
 			InputMB:  inMB,
 			OutputMB: outMB,

@@ -7,7 +7,8 @@
 package workload
 
 import (
-	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"hta/internal/dag"
@@ -53,10 +54,11 @@ func DefaultBlastFlat(n int) BlastFlatParams {
 // Specs generates the task list.
 func (p BlastFlatParams) Specs() []wq.TaskSpec {
 	rng := simclock.NewRNG(p.Seed)
+	cmds := numbered(p.N, "blastall -i query.", " -o out.", "")
 	specs := make([]wq.TaskSpec, 0, p.N)
 	for i := 0; i < p.N; i++ {
 		spec := wq.TaskSpec{
-			Command:  fmt.Sprintf("blastall -i query.%d -o out.%d", i, i),
+			Command:  cmds[i],
 			Category: "align",
 			InputMB:  p.InputMB,
 			OutputMB: p.OutputMB,
@@ -122,23 +124,26 @@ func (p MultistageParams) Build() (*dag.Graph, func(dag.Node) wq.TaskSpec, error
 		declared = resources.Vector{MilliCPU: 1000, MemoryMB: p.MemMB}
 	}
 
+	var prev []string // the previous stage's outputs
 	for stage := 0; stage < 3; stage++ {
-		for i := 0; i < p.StageCounts[stage]; i++ {
-			id := fmt.Sprintf("s%d_%d", stage+1, i)
+		n := strconv.Itoa(stage + 1)
+		category := "stage" + n
+		outs := numbered(p.StageCounts[stage], "s"+n+"_", ".out")
+		cmds := numbered(p.StageCounts[stage], "blast-stage s"+n+"_", "")
+		for i, out := range outs {
+			// Barrier: consume every previous-stage output. Add
+			// copies the lists, so the stage shares one.
 			node := dag.Node{
-				ID:       id,
-				Category: fmt.Sprintf("stage%d", stage+1),
-				Outputs:  []string{id + ".out"},
-			}
-			// Barrier: consume every previous-stage output.
-			for j := 0; stage > 0 && j < p.StageCounts[stage-1]; j++ {
-				node.Inputs = append(node.Inputs, fmt.Sprintf("s%d_%d.out", stage, j))
+				ID:       strings.TrimSuffix(out, ".out"),
+				Category: category,
+				Inputs:   prev,
+				Outputs:  outs[i : i+1],
 			}
 			if err := g.Add(node); err != nil {
 				return nil, nil, err
 			}
 			specs = append(specs, wq.TaskSpec{
-				Command:   "blast-stage " + id,
+				Command:   cmds[i],
 				Category:  node.Category,
 				Resources: declared,
 				OutputMB:  p.OutputMB,
@@ -149,6 +154,7 @@ func (p MultistageParams) Build() (*dag.Graph, func(dag.Node) wq.TaskSpec, error
 				},
 			})
 		}
+		prev = outs
 	}
 	if err := g.Finalize(); err != nil {
 		return nil, nil, err
@@ -189,10 +195,11 @@ func DefaultIOBound() IOBoundParams {
 // Specs generates the task list.
 func (p IOBoundParams) Specs() []wq.TaskSpec {
 	rng := simclock.NewRNG(p.Seed)
+	cmds := numbered(p.N, "dd if=/dev/sdb of=scratch.", " bs=1M")
 	specs := make([]wq.TaskSpec, 0, p.N)
 	for i := 0; i < p.N; i++ {
 		spec := wq.TaskSpec{
-			Command:  fmt.Sprintf("dd if=/dev/sdb of=scratch.%d bs=1M", i),
+			Command:  cmds[i],
 			Category: "io",
 			InputMB:  p.InputMB,
 			OutputMB: p.OutputMB,
@@ -230,10 +237,11 @@ func (p UniformParams) Specs() []wq.TaskSpec {
 	if cat == "" {
 		cat = "uniform"
 	}
+	cmds := numbered(p.N, "task ", "")
 	specs := make([]wq.TaskSpec, 0, p.N)
 	for i := 0; i < p.N; i++ {
 		specs = append(specs, wq.TaskSpec{
-			Command:   fmt.Sprintf("task %d", i),
+			Command:   cmds[i],
 			Category:  cat,
 			Resources: p.Resources,
 			Profile: wq.Profile{
@@ -243,6 +251,31 @@ func (p UniformParams) Specs() []wq.TaskSpec {
 		})
 	}
 	return specs
+}
+
+// numbered returns, for i = 0 … n-1, parts[0] i parts[1] i … i
+// parts[k]. The strings are written back to back into one
+// strings.Builder and each is a slice of it (a Builder never rewrites
+// bytes it has handed out): one allocation for all n, not one each.
+func numbered(n int, parts ...string) []string {
+	size := len(strconv.Itoa(n)) * (len(parts) - 1)
+	for _, p := range parts {
+		size += len(p)
+	}
+	var b strings.Builder
+	b.Grow(n * size)
+	var num [20]byte
+	out := make([]string, n)
+	for i := range out {
+		start := b.Len()
+		b.WriteString(parts[0])
+		for _, p := range parts[1:] {
+			b.Write(strconv.AppendInt(num[:0], int64(i), 10))
+			b.WriteString(p)
+		}
+		out[i] = b.String()[start:]
+	}
+	return out
 }
 
 func jitterDuration(rng *simclock.RNG, mean time.Duration, frac float64) time.Duration {

@@ -1,9 +1,13 @@
 package workload
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"hta/internal/wq"
 )
 
 func TestBlastFlatDefaults(t *testing.T) {
@@ -277,5 +281,65 @@ func TestStreamDeclared(t *testing.T) {
 	}
 	if tasks[0].Spec.Resources.MilliCPU != 1000 {
 		t.Errorf("declared = %v", tasks[0].Spec.Resources)
+	}
+}
+
+// TestGeneratedStrings pins every generated command, ID and file name
+// to the fmt format it replaced; 1234 tasks span four digit widths.
+func TestGeneratedStrings(t *testing.T) {
+	const n = 1234
+	check := func(what string, got []wq.TaskSpec, format string, args func(i int) []any) {
+		t.Helper()
+		if len(got) != n {
+			t.Fatalf("%s: %d specs, want %d", what, len(got), n)
+		}
+		for i, s := range got {
+			if want := fmt.Sprintf(format, args(i)...); s.Command != want {
+				t.Fatalf("%s: command %d = %q, want %q", what, i, s.Command, want)
+			}
+		}
+	}
+	once := func(i int) []any { return []any{i} }
+	check("blast", DefaultBlastFlat(n).Specs(), "blastall -i query.%d -o out.%d", func(i int) []any { return []any{i, i} })
+	dd := DefaultIOBound()
+	dd.N = n
+	check("io", dd.Specs(), "dd if=/dev/sdb of=scratch.%d bs=1M", once)
+	check("uniform", UniformParams{N: n}.Specs(), "task %d", once)
+
+	p := DefaultMultistage()
+	p.StageCounts = [3]int{n, 3, 2}
+	g, specFn, err := p.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := int32(0)
+	for stage, count := range p.StageCounts {
+		for k := 0; k < count; k++ {
+			nd := g.NodeIdx(i)
+			id := fmt.Sprintf("s%d_%d", stage+1, k)
+			if nd.ID != id || nd.Category != fmt.Sprintf("stage%d", stage+1) ||
+				!slices.Equal(nd.Outputs, []string{id + ".out"}) || specFn(nd).Command != "blast-stage "+id {
+				t.Fatalf("node %d = %+v, command %q; want ID %s", i, nd, specFn(nd).Command, id)
+			}
+			var inputs []string
+			for j := 0; stage > 0 && j < p.StageCounts[stage-1]; j++ {
+				inputs = append(inputs, fmt.Sprintf("s%d_%d.out", stage, j))
+			}
+			if !slices.Equal(nd.Inputs, inputs) {
+				t.Fatalf("node %s inputs = %v, want %v", id, nd.Inputs, inputs)
+			}
+			i++
+		}
+	}
+}
+
+// TestIOBoundSpecsAllocs pins the io-fleet bag's generation: the dd
+// commands share one string, so 40 000 specs cost a handful of
+// allocations, not one fmt.Sprintf each (79 750).
+func TestIOBoundSpecsAllocs(t *testing.T) {
+	p := DefaultIOBound()
+	p.N = 40000
+	if got := testing.AllocsPerRun(3, func() { p.Specs() }); got >= 100 {
+		t.Errorf("Specs of %d I/O tasks allocates %v times, want under 100", p.N, got)
 	}
 }
