@@ -18,11 +18,8 @@ var keptExports = map[string]string{
 	"Swap":                     "sort.Interface and heap.Interface method of the reference queues",
 	"DropWatches":              "kubetest is test support: it severs watches to test the operator's rewatch",
 	"AutoRun":                  "kubetest is test support: it plays the kubelet for the operator tests",
-	"Workflows":                "the golden wfstream report runs it",
 	"DurationQuantile":         "benchmark/benchmark_test.go checks the benchmark's quantiles against it",
 	"RunHTAStream":             "benchmark/benchmark_test.go checks the stream-day wiring against it",
-	"RunHTAWorkflowStream":     "the golden wfstream report runs it",
-	"WorkflowStreamParams":     "the golden wfstream report runs it",
 	"PlanOnly":                 "BenchmarkArbiterCycle and TestTenantsEJPlanDifferential measure and check it",
 	"GetService":               "core's deploy test reads the service it creates",
 	"Levels":                   "structure oracle for the makeflow parser and the workload generators",

@@ -32,9 +32,9 @@ package arbiter
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
+	"hta/internal/bind"
 	"hta/internal/core"
 	"hta/internal/kubesim"
 	"hta/internal/monitor"
@@ -66,9 +66,6 @@ type Config struct {
 	TotalWorkers int
 	// Policy selects the allocation policy (default PolicyFairShare).
 	Policy Policy
-	// WorkerImage is the worker-pod container image (default
-	// "wq-worker").
-	WorkerImage string
 	// Quarantine configures the crash-looping-tenant breaker
 	// (lifecycle.go). The zero value disables it.
 	Quarantine QuarantinePolicy
@@ -93,16 +90,6 @@ type TenantConfig struct {
 	QuotaMax int
 }
 
-// workerPodState tracks each worker pod the arbiter manages, same
-// tri-state as the single-tenant autoscaler's.
-type workerPodState int
-
-const (
-	podCreating workerPodState = iota // created, worker not yet connected
-	podActive                         // worker connected to the tenant's master
-	podDraining                       // drain requested
-)
-
 // Tenant is one tenant's control-plane state: its master, monitor,
 // memoized demand digest and managed pods.
 type Tenant struct {
@@ -121,9 +108,7 @@ type Tenant struct {
 	dirty   bool
 	demand  int64
 
-	pods                       map[string]workerPodState
-	podSeq                     int
-	creating, active, draining int
+	pods *bind.Pods // the tenant's worker pods, named "<ID>-w<seq>"
 
 	// Lifecycle state (lifecycle.go): leaving marks an offboarding
 	// tenant (demand forced to zero, pods draining, pending work
@@ -183,8 +168,11 @@ type Arbiter struct {
 	// construction instead of per tenant per cycle.
 	template resources.Vector
 
-	tenants  []*Tenant
-	byID     map[string]*Tenant
+	tenants []*Tenant
+	byID    map[string]*Tenant
+	// podOwner maps each booked pod to its tenant. It follows the
+	// watch: an entry goes when the pod's deletion is observed, or when
+	// a restore finds the pod gone unseen.
 	podOwner map[string]*Tenant
 
 	al allocator
@@ -192,8 +180,6 @@ type Arbiter struct {
 	demand   []int64
 	grant    []int64
 	refGrant []int64
-
-	drainBuf []string // apply() scratch
 
 	// gen is the arbiter's incarnation counter, bumped by Crash and
 	// stamped into every drain callback (and created pod) so callbacks
@@ -218,9 +204,6 @@ func New(eng *simclock.Engine, cluster *kubesim.Cluster, cfg Config) *Arbiter {
 	}
 	if cfg.TotalWorkers < 0 {
 		cfg.TotalWorkers = 0
-	}
-	if cfg.WorkerImage == "" {
-		cfg.WorkerImage = "wq-worker"
 	}
 	a := &Arbiter{
 		eng:      eng,
@@ -265,7 +248,11 @@ func (a *Arbiter) AddTenant(cfg TenantConfig) (*Tenant, error) {
 		master:  master,
 		mon:     mon,
 		lastRev: ^uint64(0), // force the first digest
-		pods:    make(map[string]workerPodState),
+		pods: bind.NewPods(a.cluster, master, cfg.ID+"-w", kubesim.PodSpec{
+			Image:     bind.WorkerImage,
+			Resources: a.template,
+			Labels:    map[string]string{"app": "wq-worker", "managed-by": "arbiter", "tenant": cfg.ID},
+		}),
 	}
 	a.tenants = append(a.tenants, t)
 	a.byID[cfg.ID] = t
@@ -313,14 +300,7 @@ func (a *Arbiter) Stop() {
 
 // drainTenantPods drains every live pod of one tenant, in name order.
 func (a *Arbiter) drainTenantPods(t *Tenant) {
-	names := make([]string, 0, len(t.pods))
-	for name, st := range t.pods {
-		if st != podDraining {
-			names = append(names, name)
-		}
-	}
-	slices.Sort(names)
-	for _, name := range names {
+	for _, name := range t.pods.Sorted() {
 		a.drainPod(t, name)
 	}
 }
@@ -445,99 +425,38 @@ func (a *Arbiter) estimateInput(t *Tenant) core.EstimateInput {
 func (a *Arbiter) apply(grant []int64) {
 	for _, t := range a.tenants {
 		target := int(grant[t.idx])
-		current := t.creating + t.active
-		switch {
-		case target > current:
-			for i := current; i < target; i++ {
-				a.createPod(t)
-			}
-		case target < current:
-			a.shrink(t, current-target)
+		current := t.pods.Live()
+		for i := current; i < target; i++ {
+			a.createPod(t)
 		}
-	}
-}
-
-// shrink releases n workers from the tenant: surplus still-creating
-// pods first (free to cancel), then idle workers in join order. If
-// fewer than n are idle the rest stay until tasks complete.
-func (a *Arbiter) shrink(t *Tenant, n int) {
-	if t.creating > 0 {
-		names := make([]string, 0, t.creating)
-		for name, st := range t.pods {
-			if st == podCreating {
-				names = append(names, name)
-			}
-		}
-		slices.Sort(names)
-		for _, name := range names {
-			if n == 0 {
-				return
-			}
+		// Shrink: surplus still-creating pods first, then idle workers.
+		// If fewer are idle than the surplus, the rest stay until their
+		// tasks complete.
+		for _, name := range t.pods.SelectDrain(current - target) {
 			a.drainPod(t, name)
-			n--
 		}
-	}
-	a.drainBuf = t.master.AppendIdleWorkers(a.drainBuf[:0])
-	for _, id := range a.drainBuf {
-		if n == 0 {
-			return
-		}
-		if t.pods[id] != podActive {
-			continue
-		}
-		a.drainPod(t, id)
-		n--
 	}
 }
 
-// --- pod/worker glue (the per-tenant analogue of core.Autoscaler's) ---
+// --- pod/worker glue (the tenant's book does the shared part) ---
 
 func (a *Arbiter) createPod(t *Tenant) {
-	t.podSeq++
-	name := fmt.Sprintf("%s-w%d", t.cfg.ID, t.podSeq)
-	spec := kubesim.PodSpec{
-		Name:      name,
-		Image:     a.cfg.WorkerImage,
-		Resources: a.template,
-		Labels: map[string]string{
-			"app":        "wq-worker",
-			"managed-by": "arbiter",
-			"tenant":     t.cfg.ID,
-		},
+	if name, ok := t.pods.Create(); ok {
+		a.podOwner[name] = t
+		a.stats.PodsCreated++
 	}
-	if _, err := a.cluster.CreatePod(spec); err != nil {
-		t.podSeq--
-		return
-	}
-	t.pods[name] = podCreating
-	t.creating++
-	a.podOwner[name] = t
-	a.stats.PodsCreated++
 }
 
 func (a *Arbiter) drainPod(t *Tenant, name string) {
-	switch t.pods[name] {
-	case podCreating:
-		// Never connected: delete outright.
-		a.forgetPod(t, name)
-		_ = a.cluster.DeletePod(name)
-		return
-	case podDraining:
-		return
-	}
-	t.pods[name] = podDraining
-	t.active--
-	t.draining++
-	// The drain changes the tenant's digest (its non-draining roster
-	// shrank) without bumping the master revision; mark it dirty by
-	// hand.
-	t.dirty = true
-	a.stats.PodsDrained++
-	err := t.master.DrainWorker(name, a.drainDone(t, name))
-	if err != nil {
-		a.forgetPod(t, name)
-		_ = a.cluster.DeletePod(name)
-		a.maybeSettle(t)
+	if t.pods.Drain(name) == bind.PodActive {
+		// The drain changes the tenant's digest (its non-draining
+		// roster shrank) without bumping the master revision; mark it
+		// dirty by hand.
+		t.dirty = true
+		a.stats.PodsDrained++
+		if !t.pods.DrainWorker(name, a.drainDone(t, name)) {
+			a.maybeSettle(t)
+		}
 	}
 }
 
@@ -554,28 +473,10 @@ func (a *Arbiter) drainDone(t *Tenant, name string) func() {
 			a.stats.FencedCallbacks++
 			return
 		}
-		if _, ok := t.pods[name]; !ok {
-			return
+		if t.pods.Release(name) {
+			a.maybeSettle(t)
 		}
-		a.forgetPod(t, name)
-		_ = a.cluster.MarkPodSucceeded(name)
-		_ = a.cluster.DeletePod(name)
-		a.maybeSettle(t)
 	}
-}
-
-// forgetPod removes a pod from the tenant's and the arbiter's books.
-func (a *Arbiter) forgetPod(t *Tenant, name string) {
-	switch t.pods[name] {
-	case podCreating:
-		t.creating--
-	case podActive:
-		t.active--
-	case podDraining:
-		t.draining--
-	}
-	delete(t.pods, name)
-	delete(a.podOwner, name)
 }
 
 func (a *Arbiter) onPodEvent(ev kubesim.PodWatchEvent) {
@@ -589,29 +490,24 @@ func (a *Arbiter) onPodEvent(ev kubesim.PodWatchEvent) {
 	if !mine {
 		return
 	}
-	st := t.pods[name]
+	if ev.Type == kubesim.Deleted {
+		delete(a.podOwner, name)
+	}
+	st, booked := t.pods.State(name)
+	if !booked {
+		return // the book let it go already: cancelled or released
+	}
 	switch {
-	case ev.Type == kubesim.Modified && ev.Reason == kubesim.ReasonStarted:
-		if st != podCreating {
-			return
-		}
-		t.pods[name] = podActive
-		t.creating--
-		t.active++
-		if t.master.Down() {
-			// The tenant's master is crashed: book the pod active now,
-			// connect the worker in RestoreTenantMaster's reconcile.
-			return
-		}
-		if err := t.master.AddWorker(name, ev.Pod.Resources); err == nil {
-			_ = a.cluster.SetPodUsage(name, func() resources.Vector {
-				return t.master.WorkerUsage(name)
-			})
+	case ev.Type == kubesim.Modified && ev.Reason == kubesim.ReasonStarted && st == bind.PodCreating:
+		t.pods.Set(name, bind.PodActive)
+		// A crashed master gets the worker in RestoreTenantMaster's
+		// reconcile.
+		if !t.master.Down() {
+			_ = t.pods.Connect(name, ev.Pod.Resources)
 		}
 	case ev.Type == kubesim.Deleted:
-		wasActive := st == podActive
-		a.forgetPod(t, name)
-		if wasActive && ev.Reason == kubesim.ReasonKilling && !t.master.Down() {
+		t.pods.Forget(name)
+		if st == bind.PodActive && ev.Reason == kubesim.ReasonKilling && !t.master.Down() {
 			// Pod killed underneath the arbiter (preemption, node
 			// failure): requeue its tasks. A crashed master settles the
 			// loss through its rescue window instead.

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"hta/internal/bind"
 	"hta/internal/kubesim"
 	"hta/internal/resources"
 	"hta/internal/wq"
@@ -76,7 +77,7 @@ func (a *Arbiter) OffboardTenant(id string) error {
 // event so settlement never happens re-entrantly inside a drain
 // callback, pod event or plan loop.
 func (a *Arbiter) maybeSettle(t *Tenant) {
-	if !t.leaving || t.removed || t.settleArmed || len(t.pods) > 0 {
+	if !t.leaving || t.removed || t.settleArmed || t.pods.Len() > 0 {
 		return
 	}
 	t.settleArmed = true
@@ -92,7 +93,7 @@ func (a *Arbiter) maybeSettle(t *Tenant) {
 // rescue window or a pod kill are settled with a second
 // FailAllPending sweep.
 func (a *Arbiter) settle(t *Tenant) {
-	if !t.leaving || t.removed || len(t.pods) > 0 || a.down {
+	if !t.leaving || t.removed || t.pods.Len() > 0 || a.down {
 		return
 	}
 	st := t.master.Stats()
@@ -123,9 +124,6 @@ func (a *Arbiter) removeTenantNow(t *Tenant) {
 		a.tenants[j].idx = j
 	}
 	delete(a.byID, t.cfg.ID)
-	for name := range t.pods {
-		delete(a.podOwner, name)
-	}
 	a.al.removeTenant(i)
 	a.demand = slices.Delete(a.demand, i, i+1)
 	a.grant = slices.Delete(a.grant, i, i+1)
@@ -176,22 +174,20 @@ func (a *Arbiter) RestoreTenantMaster(id string, rescueWindow time.Duration) err
 	t.master.Restore(t.masterSnap, rescueWindow)
 	t.masterSnap = wq.Snapshot{}
 	for _, w := range t.reattach {
-		st, booked := t.pods[w.ID]
-		if !booked || st == podCreating {
+		st, booked := t.pods.State(w.ID)
+		if !booked || st == bind.PodCreating {
 			continue
 		}
 		if _, live := a.cluster.GetPod(w.ID); !live {
 			// The pod died while the master was down; its attempts
 			// expire through the rescue window.
-			a.forgetPod(t, w.ID)
+			t.pods.Forget(w.ID)
+			delete(a.podOwner, w.ID)
 			a.stats.ReconcileCorrections++
 			continue
 		}
 		if err := t.master.AttachWorker(w); err == nil {
-			name := w.ID
-			_ = a.cluster.SetPodUsage(name, func() resources.Vector {
-				return t.master.WorkerUsage(name)
-			})
+			t.pods.ReportUsage(w.ID)
 		}
 	}
 	t.reattach = nil
@@ -261,30 +257,24 @@ func (a *Arbiter) noteTenantCrash(t *Tenant) {
 // deleted the pod), so the pod is released. Every divergence fixed
 // increments ReconcileCorrections.
 func (a *Arbiter) reconcileTenant(t *Tenant, adoptActive bool) {
-	names := make([]string, 0, len(t.pods))
-	for name := range t.pods {
-		names = append(names, name)
-	}
-	slices.Sort(names)
+	names := t.pods.Sorted()
 	masterUp := !t.master.Down()
-	present := make(map[string]bool, len(names))
-	draining := make(map[string]bool, len(names))
+	workers := make(map[string]bool, len(names)) // connected -> draining
 	if masterUp {
-		t.master.ForEachWorker(func(id string, _ resources.Vector, dr bool) {
-			present[id] = true
-			if dr {
-				draining[id] = true
-			}
+		t.master.ForEachWorker(func(id string, _ resources.Vector, draining bool) {
+			workers[id] = draining
 		})
 	}
 	for _, name := range names {
-		st := t.pods[name]
+		st, _ := t.pods.State(name)
+		draining, present := workers[name]
 		pod, live := a.cluster.GetPod(name)
 		if !live || pod.Phase == kubesim.PodSucceeded {
 			// The pod died (or finished) unseen: requeue its attempts
 			// if the master still counts it, and drop the book.
-			a.forgetPod(t, name)
-			if masterUp && present[name] {
+			t.pods.Forget(name)
+			delete(a.podOwner, name)
+			if present {
 				_ = t.master.KillWorker(name)
 			}
 			a.stats.ReconcileCorrections++
@@ -295,63 +285,32 @@ func (a *Arbiter) reconcileTenant(t *Tenant, adoptActive bool) {
 			// reconcile finishes the job.
 			continue
 		}
-		switch st {
-		case podCreating:
-			if pod.Phase == kubesim.PodRunning && !present[name] {
+		switch {
+		case st == bind.PodCreating:
+			if pod.Phase == kubesim.PodRunning && !present {
 				// Started while we were down (the watch event was
 				// dropped): promote and connect.
-				t.pods[name] = podActive
-				t.creating--
-				t.active++
-				if err := t.master.AddWorker(name, pod.Resources); err == nil {
-					_ = a.cluster.SetPodUsage(name, func() resources.Vector {
-						return t.master.WorkerUsage(name)
-					})
-				}
+				t.pods.Set(name, bind.PodActive)
+				_ = t.pods.Connect(name, pod.Resources)
 				a.stats.ReconcileCorrections++
 			}
-		case podActive:
-			switch {
-			case !present[name] && adoptActive:
-				if err := t.master.AddWorker(name, pod.Resources); err == nil {
-					_ = a.cluster.SetPodUsage(name, func() resources.Vector {
-						return t.master.WorkerUsage(name)
-					})
-				}
-				a.stats.ReconcileCorrections++
-			case !present[name]:
-				a.forgetPod(t, name)
-				_ = a.cluster.MarkPodSucceeded(name)
-				_ = a.cluster.DeletePod(name)
-				a.stats.ReconcileCorrections++
-			case draining[name]:
-				// The dead incarnation started this drain; rebook it
-				// and take over the callback (DrainWorker on a
-				// draining worker replaces the fenced one with ours).
-				t.pods[name] = podDraining
-				t.active--
-				t.draining++
-				_ = t.master.DrainWorker(name, a.drainDone(t, name))
+		case !present && st == bind.PodActive && adoptActive:
+			_ = t.pods.Connect(name, pod.Resources)
+			a.stats.ReconcileCorrections++
+		case !present:
+			// The drain finished while we were down; the fenced
+			// callback could not delete the pod. Do it now.
+			t.pods.Release(name)
+			a.stats.ReconcileCorrections++
+		case st == bind.PodDraining || draining:
+			// A drain is open, started by us or by the dead
+			// incarnation: book it and register our callback over the
+			// fenced one (DrainWorker on a draining worker replaces it).
+			if st != bind.PodDraining || !draining {
 				a.stats.ReconcileCorrections++
 			}
-		case podDraining:
-			if !present[name] {
-				// The drain finished while we were down; the fenced
-				// callback could not delete the pod. Do it now.
-				a.forgetPod(t, name)
-				_ = a.cluster.MarkPodSucceeded(name)
-				_ = a.cluster.DeletePod(name)
-				a.stats.ReconcileCorrections++
-			} else {
-				// Re-register our callback over the fenced one.
-				if err := t.master.DrainWorker(name, a.drainDone(t, name)); err != nil {
-					a.forgetPod(t, name)
-					_ = a.cluster.DeletePod(name)
-				}
-				if !draining[name] {
-					a.stats.ReconcileCorrections++
-				}
-			}
+			t.pods.Set(name, bind.PodDraining)
+			t.pods.DrainWorker(name, a.drainDone(t, name))
 		}
 	}
 	t.dirty = true

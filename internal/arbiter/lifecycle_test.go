@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"hta/internal/bind"
 	"hta/internal/kubesim"
 	"hta/internal/resources"
 	"hta/internal/simclock"
@@ -60,24 +61,17 @@ func checkBooks(tb testing.TB, a *Arbiter) {
 	tb.Helper()
 	owned := 0
 	for _, ten := range a.Tenants() {
-		var c, ac, d int
-		for name, st := range ten.pods {
-			switch st {
-			case podCreating:
-				c++
-			case podActive:
-				ac++
-			case podDraining:
-				d++
-			}
+		var walk [3]int
+		for _, name := range ten.pods.Sorted() {
+			st, _ := ten.pods.State(name)
+			walk[st]++
 			if a.podOwner[name] != ten {
 				tb.Fatalf("pod %s booked by %s but owned by someone else", name, ten.ID())
 			}
 			owned++
 		}
-		if c != ten.creating || ac != ten.active || d != ten.draining {
-			tb.Fatalf("tenant %s books: counted %d/%d/%d, cached %d/%d/%d",
-				ten.ID(), c, ac, d, ten.creating, ten.active, ten.draining)
+		if cached := bookCounts(ten); walk != cached {
+			tb.Fatalf("tenant %s books: counted %v, cached %v", ten.ID(), walk, cached)
 		}
 	}
 	if owned != len(a.podOwner) {
@@ -85,8 +79,14 @@ func checkBooks(tb testing.TB, a *Arbiter) {
 	}
 }
 
+// bookCounts returns the tenant's cached creating/active/draining
+// pod counts.
+func bookCounts(t *Tenant) [3]int {
+	return [3]int{t.pods.Count(bind.PodCreating), t.pods.Count(bind.PodActive), t.pods.Count(bind.PodDraining)}
+}
+
 // livePods returns the tenant's live (creating + active) worker pods.
-func livePods(t *Tenant) int { return t.creating + t.active }
+func livePods(t *Tenant) int { return t.pods.Live() }
 
 // TestOffboardHandback walks a graceful departure end to end: the
 // leaving tenant's pending work is quarantined, its running tasks
@@ -222,7 +222,7 @@ func TestTenantMasterCrashRestore(t *testing.T) {
 	// Alpha's pods stayed booked through the outage (drains never
 	// target a down master's pods because demand zero drains via the
 	// shrink path... which requires a live roster; the books hold).
-	if livePods(alpha)+alpha.draining == 0 {
+	if alpha.pods.Len() == 0 {
 		t.Fatal("alpha's pods vanished during the outage")
 	}
 	_ = podsBefore
@@ -362,7 +362,7 @@ func TestDrainStateMachine(t *testing.T) {
 		}))
 	}
 	a.RunCycle()
-	if ten.creating == 0 {
+	if ten.pods.Count(bind.PodCreating) == 0 {
 		t.Fatal("no creating pods to cancel")
 	}
 	// Cancel most of the queue: demand collapses, surplus creating
@@ -385,8 +385,8 @@ func TestDrainStateMachine(t *testing.T) {
 		t.Fatal("no task ever ran")
 	}
 	var victim string
-	for name, st := range ten.pods {
-		if st == podActive && ten.Master().WorkerBusy(name) {
+	for _, name := range ten.pods.Sorted() {
+		if st, _ := ten.pods.State(name); st == bind.PodActive && ten.Master().WorkerBusy(name) {
 			victim = name
 			break
 		}
@@ -400,7 +400,7 @@ func TestDrainStateMachine(t *testing.T) {
 	}
 	eng.RunUntil(eng.Now().Add(time.Second))
 	checkBooks(t, a)
-	if _, booked := ten.pods[victim]; booked {
+	if _, booked := ten.pods.State(victim); booked {
 		t.Fatal("killed pod still booked")
 	}
 	if got := ten.Master().FailureStats().Requeues; got <= requeuesBefore {
@@ -466,9 +466,8 @@ func TestDrainChurnSeeded(t *testing.T) {
 						})
 					}
 				case 1: // kill a random booked pod
-					for name := range ten.pods {
-						_ = a.cluster.DeletePod(name)
-						break
+					if names := ten.pods.Sorted(); len(names) > 0 {
+						_ = a.cluster.DeletePod(names[rng.Intn(len(names))])
 					}
 				case 2: // cancel a random waiting task
 					ten.Master().ForEachWaiting(func(tk *wq.Task) {})
@@ -496,4 +495,54 @@ func TestDrainChurnSeeded(t *testing.T) {
 			checkBooks(t, a)
 		})
 	}
+}
+
+// TestTenantPodLifecycleAllocs pins the allocation cost of one
+// steady-state tenant worker pod on a warm node (image cached, no
+// provisioning, a resident worker keeping the fleet non-empty), driven
+// through the arbiter's own glue: create → Started → AddWorker →
+// drain → Succeeded → Deleted. What is left is the pod's name and
+// record, the container-start event, the usage reporter and the drain
+// callback — the same five as HTA's TestWorkerPodLifecycleAllocs.
+func TestTenantPodLifecycleAllocs(t *testing.T) {
+	eng := simclock.NewEngine(simStart)
+	cluster := kubesim.NewCluster(eng, kubesim.Config{InitialNodes: 2, Seed: 1})
+	t.Cleanup(cluster.Stop)
+	a := New(eng, cluster, Config{})
+	ten, err := a.AddTenant(TenantConfig{ID: "solo"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The resident and the first cycling pod pull the image.
+	a.createPod(ten)
+	a.createPod(ten)
+	eng.RunFor(30 * time.Second)
+	if active := ten.pods.Count(bind.PodActive); active != 2 {
+		t.Fatalf("%d active workers after warm-up, want 2", active)
+	}
+	cycling := "solo-w2"
+	lifecycle := func() {
+		a.drainPod(ten, cycling)
+		eng.RunFor(time.Second)
+		if ten.pods.Len() != 1 {
+			t.Fatalf("%s still booked after its drain", cycling)
+		}
+		a.createPod(ten)
+		cycling = ten.pods.SelectDrain(1)[0] // the one creating pod
+		eng.RunFor(3 * time.Second)          // bind, then start the container
+		if ten.pods.Count(bind.PodActive) != 2 {
+			t.Fatalf("%s did not become an active worker", cycling)
+		}
+	}
+	// Grow the master's, the cluster's and the arbiter's amortized
+	// tables.
+	for range 64 {
+		lifecycle()
+	}
+	allocs := testing.AllocsPerRun(100, lifecycle)
+	t.Logf("%.0f allocations per tenant worker-pod lifecycle", allocs)
+	if allocs > 5 {
+		t.Errorf("one tenant worker-pod lifecycle allocates %.0f times, want at most 5", allocs)
+	}
+	checkBooks(t, a)
 }

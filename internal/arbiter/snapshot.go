@@ -1,12 +1,8 @@
 package arbiter
 
 import (
-	"slices"
-	"strconv"
-	"strings"
-
+	"hta/internal/bind"
 	"hta/internal/kubesim"
-	"hta/internal/resources"
 )
 
 // Arbiter crash-consistency. The durable state a real control plane
@@ -48,7 +44,7 @@ type TenantSnapshot struct {
 // PodRecord books one worker pod.
 type PodRecord struct {
 	Name  string
-	State int32 // workerPodState
+	State int32 // bind.PodState
 }
 
 // Snapshot captures the arbiter's durable state without disturbing
@@ -66,12 +62,12 @@ func (a *Arbiter) Snapshot() Snapshot {
 			Ceil:   a.al.ceil[t.idx],
 			Prio:   a.al.prio[t.idx],
 			Vsvc:   a.al.vsvc[t.idx],
-			PodSeq: t.podSeq,
+			PodSeq: t.pods.Seq(),
 		}
-		for name, st := range t.pods {
+		for _, name := range t.pods.Sorted() {
+			st, _ := t.pods.State(name)
 			ts.Pods = append(ts.Pods, PodRecord{Name: name, State: int32(st)})
 		}
-		slices.SortFunc(ts.Pods, func(x, y PodRecord) int { return strings.Compare(x.Name, y.Name) })
 		snap.Tenants = append(snap.Tenants, ts)
 	}
 	return snap
@@ -95,9 +91,7 @@ func (a *Arbiter) Crash() (Snapshot, bool) {
 		a.ticker = nil
 	}
 	for _, t := range a.tenants {
-		clear(t.pods)
-		t.creating, t.active, t.draining = 0, 0, 0
-		t.podSeq = 0
+		t.pods.Reset(0)
 		t.lastRev = ^uint64(0)
 		t.dirty = false
 		t.demand = 0
@@ -130,21 +124,12 @@ func (a *Arbiter) Restore(snap Snapshot) {
 		a.al.prio[i] = ts.Prio
 		a.al.vsvc[i] = ts.Vsvc
 		a.al.classDirty = true
-		t.podSeq = ts.PodSeq
+		t.pods.Reset(ts.PodSeq)
 		for _, pr := range ts.Pods {
-			st := workerPodState(pr.State)
-			if st < podCreating || st > podDraining {
+			if pr.State < int32(bind.PodCreating) || pr.State > int32(bind.PodDraining) {
 				continue
 			}
-			t.pods[pr.Name] = st
-			switch st {
-			case podCreating:
-				t.creating++
-			case podActive:
-				t.active++
-			case podDraining:
-				t.draining++
-			}
+			t.pods.Set(pr.Name, bind.PodState(pr.State))
 			a.podOwner[pr.Name] = t
 		}
 	}
@@ -165,50 +150,14 @@ func (a *Arbiter) Restore(snap Snapshot) {
 // advance the pod sequence past any adopted suffix so the restored
 // arbiter never reuses a live name.
 func (a *Arbiter) adoptUnbooked(t *Tenant) {
-	pods := a.cluster.ListPods(map[string]string{
-		"managed-by": "arbiter",
-		"tenant":     t.cfg.ID,
-	})
-	for _, pod := range pods {
-		if seq, ok := podSeqSuffix(t.cfg.ID, pod.Name); ok && seq > t.podSeq {
-			t.podSeq = seq
-		}
-		if _, booked := t.pods[pod.Name]; booked {
+	for _, pod := range a.cluster.ListPods(t.pods.Labels()) {
+		if !t.pods.Adopt(pod) {
 			continue
 		}
-		switch pod.Phase {
-		case kubesim.PodPending:
-			t.pods[pod.Name] = podCreating
-			t.creating++
-		case kubesim.PodRunning:
-			t.pods[pod.Name] = podActive
-			t.active++
-			if !t.master.Down() {
-				name := pod.Name
-				if err := t.master.AddWorker(name, pod.Resources); err == nil {
-					_ = a.cluster.SetPodUsage(name, func() resources.Vector {
-						return t.master.WorkerUsage(name)
-					})
-				}
-			}
-		default:
-			continue
+		if pod.Phase == kubesim.PodRunning && !t.master.Down() {
+			_ = t.pods.Connect(pod.Name, pod.Resources)
 		}
 		a.podOwner[pod.Name] = t
 		a.stats.ReconcileCorrections++
 	}
-}
-
-// podSeqSuffix parses the sequence from a worker-pod name of the form
-// "<tenant>-w<seq>".
-func podSeqSuffix(tenantID, name string) (int, bool) {
-	prefix := tenantID + "-w"
-	if !strings.HasPrefix(name, prefix) {
-		return 0, false
-	}
-	seq, err := strconv.Atoi(name[len(prefix):])
-	if err != nil || seq < 0 {
-		return 0, false
-	}
-	return seq, true
 }

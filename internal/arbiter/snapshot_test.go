@@ -3,9 +3,12 @@ package arbiter
 import (
 	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"hta/internal/bind"
 	"hta/internal/kubesim"
 	"hta/internal/resources"
 	"hta/internal/simclock"
@@ -60,9 +63,8 @@ func TestArbiterRestoreDifferential(t *testing.T) {
 			}
 			for i, ta := range fa.Tenants() {
 				tb := fb.Tenants()[i]
-				if ta.ID() != tb.ID() || ta.creating != tb.creating || ta.active != tb.active || ta.draining != tb.draining {
-					t.Fatalf("tenant %s books diverged: %d/%d/%d != %d/%d/%d",
-						ta.ID(), tb.creating, tb.active, tb.draining, ta.creating, ta.active, ta.draining)
+				if ta.ID() != tb.ID() || bookCounts(ta) != bookCounts(tb) {
+					t.Fatalf("tenant %s books diverged: %v != %v", ta.ID(), bookCounts(tb), bookCounts(ta))
 				}
 				if ta.Master().CompletedCount() != tb.Master().CompletedCount() {
 					t.Fatalf("tenant %s completions diverged: %d != %d",
@@ -89,7 +91,7 @@ func TestArbiterCrashMidRun(t *testing.T) {
 	busyPods := func() int {
 		n := 0
 		for _, ten := range a.Tenants() {
-			n += ten.active
+			n += ten.pods.Count(bind.PodActive)
 		}
 		return n
 	}
@@ -103,7 +105,7 @@ func TestArbiterCrashMidRun(t *testing.T) {
 	// drains open), then crash.
 	var victim *Tenant
 	for _, ten := range a.Tenants() {
-		if ten.active > 0 && ten.Master().Stats().Running > 0 {
+		if ten.pods.Count(bind.PodActive) > 0 && ten.Master().Stats().Running > 0 {
 			victim = ten
 			break
 		}
@@ -139,7 +141,7 @@ func TestArbiterCrashMidRun(t *testing.T) {
 	// Books match the live cluster exactly after the reconcile.
 	checkBooks(t, a)
 	for _, ten := range a.Tenants() {
-		for name := range ten.pods {
+		for _, name := range ten.pods.Sorted() {
 			if _, live := a.cluster.GetPod(name); !live {
 				t.Fatalf("tenant %s books dead pod %s", ten.ID(), name)
 			}
@@ -216,8 +218,8 @@ func TestArbiterRestoreStaleSnapshot(t *testing.T) {
 		}
 	}
 	for _, ten := range a.Tenants() {
-		if seq, ok := maxBookedSeq(ten); ok && ten.podSeq < seq {
-			t.Fatalf("tenant %s podSeq %d below adopted suffix %d", ten.ID(), ten.podSeq, seq)
+		if seq, ok := maxBookedSeq(ten); ok && ten.pods.Seq() < seq {
+			t.Fatalf("tenant %s podSeq %d below adopted suffix %d", ten.ID(), ten.pods.Seq(), seq)
 		}
 	}
 	total := func() int {
@@ -237,8 +239,8 @@ func TestArbiterRestoreStaleSnapshot(t *testing.T) {
 
 func maxBookedSeq(t *Tenant) (int, bool) {
 	best, found := 0, false
-	for name := range t.pods {
-		if seq, ok := podSeqSuffix(t.cfg.ID, name); ok {
+	for _, name := range t.pods.Sorted() {
+		if seq, err := strconv.Atoi(strings.TrimPrefix(name, t.cfg.ID+"-w")); err == nil {
 			found = true
 			if seq > best {
 				best = seq
@@ -289,8 +291,8 @@ func TestDrainFenceAcrossRestore(t *testing.T) {
 	eng.RunWhile(func() bool {
 		return ten.Master().Stats().Running == 0 && eng.Now().Before(simStart.Add(time.Hour))
 	})
-	if ten.active != 1 || ten.Master().Stats().Running == 0 {
-		t.Fatalf("task never ran: %d active pods, %d running", ten.active, ten.Master().Stats().Running)
+	if active := ten.pods.Count(bind.PodActive); active != 1 || ten.Master().Stats().Running == 0 {
+		t.Fatalf("task never ran: %d active pods, %d running", active, ten.Master().Stats().Running)
 	}
 	a.drainTenantPods(ten) // busy worker: drain stays open until the task ends
 	snap, _ := a.Crash()
@@ -310,8 +312,8 @@ func TestDrainFenceAcrossRestore(t *testing.T) {
 			live++
 		}
 	}
-	if live != 0 || len(ten.pods) != 0 {
-		t.Fatalf("finished drain not released: %d live pods, %d booked", live, len(ten.pods))
+	if live != 0 || ten.pods.Len() != 0 {
+		t.Fatalf("finished drain not released: %d live pods, %d booked", live, ten.pods.Len())
 	}
 	conserve(t, "solo", ten.Master())
 }

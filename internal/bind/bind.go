@@ -1,13 +1,13 @@
-// Package bind glues the pod world to the Work Queue world for
-// scenarios where something other than HTA owns the worker pods (the
-// HPA and queue-proportional baselines, and tests).
+// Package bind glues the pod world to the Work Queue world. Pods is
+// the worker-pod book HTA and the multi-tenant arbiter keep; Workers
+// connects pods that something else owns (the HPA and
+// queue-proportional baselines, and tests) through the same book.
 package bind
 
 import (
 	"fmt"
 
 	"hta/internal/kubesim"
-	"hta/internal/resources"
 	"hta/internal/wq"
 )
 
@@ -37,31 +37,24 @@ func (b *Binder) Err() error {
 // requeue-accounting experiment built on this glue.
 func Workers(cluster *kubesim.Cluster, master *wq.Master, selector map[string]string) *Binder {
 	b := &Binder{}
-	connected := make(map[string]bool)
+	pods := NewPods(cluster, master, "", kubesim.PodSpec{Labels: selector})
 	cluster.OnPod(func(ev kubesim.PodWatchEvent) {
 		name := ev.Pod.Name
 		if !ev.Pod.MatchesSelector(selector) {
 			return
 		}
+		_, connected := pods.State(name)
 		switch {
-		case ev.Type == kubesim.Modified && ev.Reason == kubesim.ReasonStarted:
-			if connected[name] {
-				return
-			}
-			if err := master.AddWorker(name, ev.Pod.Resources); err != nil {
+		case ev.Type == kubesim.Modified && ev.Reason == kubesim.ReasonStarted && !connected:
+			if err := pods.Connect(name, ev.Pod.Resources); err != nil {
 				b.errs = append(b.errs, fmt.Errorf("bind: add worker %s: %w", name, err))
 				return
 			}
-			connected[name] = true
-			_ = cluster.SetPodUsage(name, func() resources.Vector {
-				return master.WorkerUsage(name)
-			})
-		case ev.Type == kubesim.Deleted:
-			if connected[name] {
-				delete(connected, name)
-				if err := master.KillWorker(name); err != nil {
-					b.errs = append(b.errs, fmt.Errorf("bind: kill worker %s: %w", name, err))
-				}
+			pods.Set(name, PodActive)
+		case ev.Type == kubesim.Deleted && connected:
+			pods.Forget(name)
+			if err := master.KillWorker(name); err != nil {
+				b.errs = append(b.errs, fmt.Errorf("bind: kill worker %s: %w", name, err))
 			}
 		}
 	})

@@ -7,40 +7,47 @@ import (
 	"testing"
 	"time"
 
+	"hta/internal/bind"
 	"hta/internal/flow"
 	"hta/internal/kubesim"
 	"hta/internal/resources"
 	"hta/internal/workload"
 )
 
-// refDrainIdle is drainIdle before the idle list: a sort of every
-// managed pod name, then a walk of the master's whole roster probing
-// WorkerBusy per worker. It is the oracle drainIdle must match.
-func refDrainIdle(a *Autoscaler, n int) {
-	names := make([]string, 0, len(a.pods))
-	for name := range a.pods {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	for _, name := range names {
-		if n == 0 {
-			return
-		}
-		if a.pods[name] == podCreating {
-			a.drainPod(name)
-			n--
+// refSelectDrain is the drain choice before the idle list: a sort of
+// every managed pod name, then a walk of the master's whole roster
+// probing WorkerBusy per worker. It is the oracle the book's
+// SelectDrain must match; HTA's drainIdle and the arbiter's shrink
+// both drain what SelectDrain picks.
+func refSelectDrain(a *Autoscaler, n int) []string {
+	var picked []string
+	for _, name := range a.pods.Sorted() {
+		if st, _ := a.pods.State(name); st == bind.PodCreating && len(picked) < n {
+			picked = append(picked, name)
 		}
 	}
 	for _, id := range a.master.Workers() {
-		if n == 0 {
-			return
+		if st, ok := a.pods.State(id); ok && st == bind.PodActive && !a.master.WorkerBusy(id) && len(picked) < n {
+			picked = append(picked, id)
 		}
-		if a.pods[id] != podActive || a.master.WorkerBusy(id) {
-			continue
-		}
-		a.drainPod(id)
-		n--
 	}
+	return picked
+}
+
+// refDrainIdle drains what the oracle picks, one pod at a time.
+func refDrainIdle(a *Autoscaler, n int) {
+	for _, name := range refSelectDrain(a, n) {
+		a.drainPod(name)
+	}
+}
+
+// bookStates is the book's pod states by name.
+func bookStates(a *Autoscaler) map[string]bind.PodState {
+	m := make(map[string]bind.PodState)
+	for _, name := range a.pods.Sorted() {
+		m[name], _ = a.pods.State(name)
+	}
+	return m
 }
 
 // drainCase is one randomized pod and worker state: a seeded HTA run
@@ -70,7 +77,7 @@ func randomDrainCase(rng *rand.Rand) drainCase {
 // run builds the case's stack, drains with the given function and
 // returns the pods it let go of, in the order the drains reached the
 // cluster, plus the managed pods and connected workers left behind.
-func (c drainCase) run(t *testing.T, drain func(a *Autoscaler, n int)) (order []string, pods map[string]workerPodState, workers []string) {
+func (c drainCase) run(t *testing.T, drain func(a *Autoscaler, n int)) (order []string, pods map[string]bind.PodState, workers []string) {
 	s := newStack(t, kubesim.Config{InitialNodes: c.nodes, MaxNodes: c.maxNodes, Seed: c.seed}, Config{})
 	specs := workload.UniformParams{N: c.tasks, Category: "x", Exec: c.exec, Jitter: 0.5, CPUMilli: 900, Seed: c.seed}.Specs()
 	g, specFn, err := flow.FromSpecs(specs)
@@ -80,7 +87,10 @@ func (c drainCase) run(t *testing.T, drain func(a *Autoscaler, n int)) (order []
 	flow.NewRunner(g, s.a, specFn).Start()
 	s.eng.RunFor(c.stopAt)
 	for i := 0; i < c.extraPods; i++ {
-		s.a.createWorkerPod()
+		s.a.pods.Create()
+	}
+	if got, want := s.a.pods.SelectDrain(c.n), refSelectDrain(s.a, c.n); !slices.Equal(got, want) {
+		t.Fatalf("%+v: SelectDrain picked %v, oracle %v", c, got, want)
 	}
 	// A creating pod drained is deleted at once; an idle worker drained
 	// completes its pod in a zero-delay callback, in drain order.
@@ -95,7 +105,7 @@ func (c drainCase) run(t *testing.T, drain func(a *Autoscaler, n int)) (order []
 	drain(s.a, c.n)
 	s.eng.RunFor(0)
 	checkPodCounts(t, s.a, "after drain")
-	return order, s.a.pods, s.master.Workers()
+	return order, bookStates(s.a), s.master.Workers()
 }
 
 // TestDrainIdleMatchesOracle runs drainIdle and the sort-and-scan
@@ -115,7 +125,7 @@ func TestDrainIdleMatchesOracle(t *testing.T) {
 			t.Fatalf("case %d: %d managed pods left, oracle %d", i, len(gotPods), len(wantPods))
 		}
 		for name, st := range wantPods {
-			if gotPods[name] != st {
+			if got, ok := gotPods[name]; !ok || got != st {
 				t.Fatalf("case %d: pod %s state %d, oracle %d", i, name, gotPods[name], st)
 			}
 		}
@@ -147,14 +157,15 @@ func TestDrainIdleAllocs(t *testing.T) {
 		s.a.Submit(spec)
 	}
 	s.eng.RunFor(30 * time.Minute)
-	if s.a.creating != 0 || s.a.active != 8 || len(s.master.AppendIdleWorkers(nil)) != 0 {
-		t.Fatalf("creating=%d active=%d idle=%v, want 0/8/none", s.a.creating, s.a.active, s.master.AppendIdleWorkers(nil))
+	creating, active := s.a.pods.Count(bind.PodCreating), s.a.pods.Count(bind.PodActive)
+	if creating != 0 || active != 8 || len(s.master.AppendIdleWorkers(nil)) != 0 {
+		t.Fatalf("creating=%d active=%d idle=%v, want 0/8/none", creating, active, s.master.AppendIdleWorkers(nil))
 	}
 	avg := testing.AllocsPerRun(100, func() { s.a.drainIdle(4) })
 	if avg != 0 {
 		t.Fatalf("drainIdle allocates %v objects per call, want 0", avg)
 	}
-	if s.a.active != 8 {
-		t.Fatalf("active = %d after draining nothing, want 8", s.a.active)
+	if active := s.a.pods.Count(bind.PodActive); active != 8 {
+		t.Fatalf("active = %d after draining nothing, want 8", active)
 	}
 }

@@ -2,10 +2,9 @@ package core
 
 import (
 	"fmt"
-	"slices"
-	"strconv"
 	"time"
 
+	"hta/internal/bind"
 	"hta/internal/kubesim"
 	"hta/internal/monitor"
 	"hta/internal/resources"
@@ -43,11 +42,8 @@ type Config struct {
 	Panic PanicConfig
 }
 
-// The container images of the worker pods and the master.
-const (
-	workerImage = "wq-worker"
-	masterImage = "wq-master"
-)
+// masterImage is the container image of the master.
+const masterImage = "wq-master"
 
 func (c Config) withDefaults(cluster *kubesim.Cluster) Config {
 	if c.InitialWorkers == 0 {
@@ -65,15 +61,6 @@ func (c Config) withDefaults(cluster *kubesim.Cluster) Config {
 	return c
 }
 
-// workerPodState tracks each worker pod HTA manages.
-type workerPodState int
-
-const (
-	podCreating workerPodState = iota // created, worker not yet connected
-	podActive                         // worker connected to the master
-	podDraining                       // drain requested
-)
-
 // Autoscaler is the HTA middleware: it deploys the Work Queue
 // framework on the cluster, relays workflow tasks to the master
 // (holding back all but one probe task per unmeasured category during
@@ -86,12 +73,8 @@ type Autoscaler struct {
 	tracker *LifecycleTracker
 	cfg     Config
 
-	// pods is every worker pod HTA manages and its state; change it
-	// only through setPod and dropPod, which keep the per-state counts
-	// (creating, active, draining) in step.
-	pods                       map[string]workerPodState
-	creating, active, draining int
-	podSeq                     int
+	// pods is the book of every worker pod HTA manages.
+	pods *bind.Pods
 
 	held        map[string][]wq.TaskSpec // category -> held task specs
 	probeActive map[string]bool
@@ -107,7 +90,6 @@ type Autoscaler struct {
 	// so the per-cycle estimate allocates nothing in steady state.
 	planner   Planner
 	workerBuf []WorkerInfo
-	drainBuf  []string // drainIdle's scratch
 
 	// panicSt is the spike fast path's bookkeeping (see panic.go);
 	// inert while cfg.Panic is disabled.
@@ -144,6 +126,9 @@ type DecisionRecord struct {
 // create, list and watch filter, none of which mutates it.
 var workerLabels = map[string]string{"app": "wq-worker", "managed-by": "hta"}
 
+// workerPrefix starts the name of every worker pod HTA creates.
+const workerPrefix = "wq-worker-"
+
 // New wires an HTA instance to a cluster and a master. Call Start to
 // deploy and begin autoscaling.
 func New(eng *simclock.Engine, cluster *kubesim.Cluster, master *wq.Master, cfg Config) *Autoscaler {
@@ -154,10 +139,16 @@ func New(eng *simclock.Engine, cluster *kubesim.Cluster, master *wq.Master, cfg 
 		master:      master,
 		mon:         monitor.New(),
 		cfg:         cfg,
-		pods:        make(map[string]workerPodState),
 		held:        make(map[string][]wq.TaskSpec),
 		probeActive: make(map[string]bool),
 	}
+	// One worker-pod per node: the pod requests the node's entire
+	// allocatable vector (paper §IV-A).
+	a.pods = bind.NewPods(cluster, master, workerPrefix, kubesim.PodSpec{
+		Image:     bind.WorkerImage,
+		Resources: cluster.Config().NodeAllocatable,
+		Labels:    workerLabels,
+	})
 	a.tracker = NewLifecycleTracker(cluster, workerLabels, cfg.InitTimeFallback)
 	if !cfg.DisableEstimator {
 		master.SetEstimator(a.mon)
@@ -202,7 +193,7 @@ func (a *Autoscaler) Start() error {
 		}
 	}
 	for i := 0; i < a.cfg.InitialWorkers; i++ {
-		a.createWorkerPod()
+		a.pods.Create()
 	}
 	a.scheduleNext(a.cfg.DefaultCycle)
 	a.startPanicChecker()
@@ -271,13 +262,17 @@ func (a *Autoscaler) onTaskComplete(r wq.Result) {
 	a.mon.Observe(r.Task.Category, r.Task.Measured, r.Task.ExecWall)
 	a.warmupOver = true
 	// Release any held tasks of the now-measured category.
-	if hs := a.held[r.Task.Category]; len(hs) > 0 {
-		delete(a.held, r.Task.Category)
-		for _, spec := range hs {
-			a.master.Submit(spec)
-		}
-	}
+	a.releaseHeld(r.Task.Category)
 	a.maybeCleanup()
+}
+
+// releaseHeld submits a category's held tasks to the master.
+func (a *Autoscaler) releaseHeld(cat string) {
+	hs := a.held[cat]
+	delete(a.held, cat)
+	for _, spec := range hs {
+		a.master.Submit(spec)
+	}
 }
 
 func (a *Autoscaler) maybeCleanup() {
@@ -291,10 +286,8 @@ func (a *Autoscaler) maybeCleanup() {
 	a.cleaned = true
 	a.cycleTimer.Stop()
 	a.stopPanicChecker()
-	for _, name := range a.sortedPodNames() {
-		if a.pods[name] != podDraining {
-			a.drainPod(name)
-		}
+	for _, name := range a.pods.Sorted() {
+		a.drainPod(name)
 	}
 	// Best-effort removal of the deployment units.
 	_ = a.cluster.DeleteStatefulSet("wq-master")
@@ -307,82 +300,22 @@ func (a *Autoscaler) maybeCleanup() {
 
 // --- pod/worker glue ---
 
-func (a *Autoscaler) createWorkerPod() {
-	a.podSeq++
-	var buf [32]byte
-	name := string(strconv.AppendInt(append(buf[:0], "wq-worker-"...), int64(a.podSeq), 10))
-	// One worker-pod per node: the pod requests the node's entire
-	// allocatable vector (paper §IV-A).
-	spec := kubesim.PodSpec{
-		Name:      name,
-		Image:     workerImage,
-		Resources: a.cluster.Config().NodeAllocatable,
-		Labels:    workerLabels,
-	}
-	if _, err := a.cluster.CreatePod(spec); err != nil {
-		a.podSeq--
-		return
-	}
-	a.setPod(name, podCreating)
-}
-
-// setPod records a managed pod's state, adding the pod if it is new.
-func (a *Autoscaler) setPod(name string, st workerPodState) {
-	if old, ok := a.pods[name]; ok {
-		*a.stateCount(old)--
-	}
-	a.pods[name] = st
-	*a.stateCount(st)++
-}
-
-// dropPod forgets a managed pod, if it is one.
-func (a *Autoscaler) dropPod(name string) {
-	if old, ok := a.pods[name]; ok {
-		*a.stateCount(old)--
-		delete(a.pods, name)
-	}
-}
-
-// resetPods forgets every managed pod.
-func (a *Autoscaler) resetPods() {
-	a.pods = make(map[string]workerPodState)
-	a.creating, a.active, a.draining = 0, 0, 0
-}
-
-func (a *Autoscaler) stateCount(st workerPodState) *int {
-	switch st {
-	case podCreating:
-		return &a.creating
-	case podActive:
-		return &a.active
-	default:
-		return &a.draining
-	}
-}
-
 func (a *Autoscaler) onPodEvent(ev kubesim.PodWatchEvent) {
 	if a.down {
 		return
 	}
 	name := ev.Pod.Name
-	st, mine := a.pods[name]
+	st, mine := a.pods.State(name)
 	if !mine {
 		return
 	}
 	switch {
-	case ev.Type == kubesim.Modified && ev.Reason == kubesim.ReasonStarted:
-		if st != podCreating {
-			return
-		}
-		a.setPod(name, podActive)
-		if err := a.master.AddWorker(name, ev.Pod.Resources); err == nil {
-			_ = a.cluster.SetPodUsage(name, func() resources.Vector {
-				return a.master.WorkerUsage(name)
-			})
-		}
+	case ev.Type == kubesim.Modified && ev.Reason == kubesim.ReasonStarted && st == bind.PodCreating:
+		a.pods.Set(name, bind.PodActive)
+		_ = a.pods.Connect(name, ev.Pod.Resources)
 	case ev.Type == kubesim.Deleted:
-		a.dropPod(name)
-		if st == podActive && ev.Reason == kubesim.ReasonKilling {
+		a.pods.Forget(name)
+		if st == bind.PodActive && ev.Reason == kubesim.ReasonKilling {
 			// Pod killed underneath us (preemption, node failure):
 			// requeue its tasks and remember the loss for planning.
 			a.noteWorkerLoss()
@@ -459,47 +392,21 @@ func (a *Autoscaler) onTaskFailed(t wq.Task) {
 	}
 	if a.probeActive[t.Category] && !a.mon.Known(t.Category) {
 		delete(a.probeActive, t.Category)
-		if hs := a.held[t.Category]; len(hs) > 0 {
-			delete(a.held, t.Category)
-			for _, spec := range hs {
-				a.master.Submit(spec)
-			}
-		}
+		a.releaseHeld(t.Category)
 	}
 	a.maybeCleanup()
 }
 
 func (a *Autoscaler) drainPod(name string) {
-	st := a.pods[name]
-	switch st {
-	case podCreating:
-		// Never connected: delete outright.
-		a.dropPod(name)
-		_ = a.cluster.DeletePod(name)
-		return
-	case podDraining:
-		return
-	}
-	a.setPod(name, podDraining)
-	err := a.master.DrainWorker(name, func() {
-		// Worker exited cleanly; the pod completes and is removed.
-		if _, ok := a.pods[name]; !ok {
-			return
-		}
-		a.dropPod(name)
-		_ = a.cluster.MarkPodSucceeded(name)
-		_ = a.cluster.DeletePod(name)
-	})
-	if err != nil {
-		// Worker never connected or already gone.
-		a.dropPod(name)
-		_ = a.cluster.DeletePod(name)
+	if a.pods.Drain(name) == bind.PodActive {
+		// Once the worker exits cleanly, the pod completes and is removed.
+		a.pods.DrainWorker(name, func() { a.pods.Release(name) })
 	}
 }
 
 // WorkerPodCount returns the number of live (non-draining) worker
 // pods HTA manages.
-func (a *Autoscaler) WorkerPodCount() int { return a.creating + a.active }
+func (a *Autoscaler) WorkerPodCount() int { return a.pods.Live() }
 
 // --- resize loop ---
 
@@ -549,7 +456,7 @@ func (a *Autoscaler) decide() Decision {
 func (a *Autoscaler) estimateInput() EstimateInput {
 	a.workerBuf = a.workerBuf[:0]
 	a.master.ForEachWorker(func(id string, capacity resources.Vector, _ bool) {
-		if a.pods[id] != podDraining {
+		if st, _ := a.pods.State(id); st != bind.PodDraining {
 			a.workerBuf = append(a.workerBuf, WorkerInfo{ID: id, Capacity: capacity})
 		}
 	})
@@ -574,54 +481,24 @@ func (a *Autoscaler) apply(dec Decision) {
 	switch {
 	case dec.ScaleChange > 0:
 		// Pods already being created absorb part of the need.
-		n := dec.ScaleChange - a.creating
-		if room := a.cfg.MaxWorkers - a.creating - a.active; n > room {
+		n := dec.ScaleChange - a.pods.Count(bind.PodCreating)
+		if room := a.cfg.MaxWorkers - a.pods.Live(); n > room {
 			n = room
 		}
 		for i := 0; i < n; i++ {
-			a.createWorkerPod()
+			a.pods.Create()
 		}
 	case dec.ScaleChange < 0:
 		a.drainIdle(-dec.ScaleChange)
 	}
 }
 
-// sortedPodNames returns managed pod names in deterministic order.
-func (a *Autoscaler) sortedPodNames() []string {
-	names := make([]string, 0, len(a.pods))
-	for name := range a.pods {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	return names
-}
-
-// drainIdle drains up to n idle workers, and surplus still-creating
-// pods first, which are free to cancel: creating pods in name order,
-// then idle active workers in join order. Both lists are collected
-// before the first drain, which may compact the master's roster.
+// drainIdle drains up to n pods the book picks: surplus still-creating
+// pods first, then idle workers.
 func (a *Autoscaler) drainIdle(n int) {
-	buf := a.drainBuf[:0]
-	if a.creating > 0 {
-		for name, st := range a.pods {
-			if st == podCreating {
-				buf = append(buf, name)
-			}
-		}
-		slices.Sort(buf)
+	for _, name := range a.pods.SelectDrain(n) {
+		a.drainPod(name)
 	}
-	creating := len(buf)
-	buf = a.master.AppendIdleWorkers(buf)
-	for i, name := range buf {
-		if n == 0 {
-			break
-		}
-		if i < creating || a.pods[name] == podActive {
-			a.drainPod(name)
-			n--
-		}
-	}
-	a.drainBuf = buf[:0]
 }
 
 // Status is a point-in-time snapshot of the autoscaler, for
@@ -648,9 +525,9 @@ type Status struct {
 func (a *Autoscaler) Status() Status {
 	s := a.master.Stats()
 	st := Status{
-		WorkersActive:    a.active,
-		WorkersCreating:  a.creating,
-		WorkersDraining:  a.draining,
+		WorkersActive:    a.pods.Count(bind.PodActive),
+		WorkersCreating:  a.pods.Count(bind.PodCreating),
+		WorkersDraining:  a.pods.Count(bind.PodDraining),
 		QueueWaiting:     s.Waiting,
 		QueueRunning:     s.Running,
 		TasksHeld:        a.HeldTasks(),

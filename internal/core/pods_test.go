@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"hta/internal/bind"
 	"hta/internal/flow"
 	"hta/internal/kubesim"
 	"hta/internal/simclock"
@@ -12,23 +13,17 @@ import (
 )
 
 // checkPodCounts fails the test unless the autoscaler's per-state pod
-// counters equal a walk of its pod map.
+// counters equal a walk of its pod book.
 func checkPodCounts(t *testing.T, a *Autoscaler, where string) {
 	t.Helper()
-	var creating, active, draining int
-	for _, st := range a.pods {
-		switch st {
-		case podCreating:
-			creating++
-		case podActive:
-			active++
-		case podDraining:
-			draining++
-		}
+	var walk [3]int
+	for _, name := range a.pods.Sorted() {
+		st, _ := a.pods.State(name)
+		walk[st]++
 	}
-	if creating != a.creating || active != a.active || draining != a.draining {
-		t.Fatalf("%s: counters creating/active/draining = %d/%d/%d, map walk %d/%d/%d",
-			where, a.creating, a.active, a.draining, creating, active, draining)
+	counted := [3]int{a.pods.Count(bind.PodCreating), a.pods.Count(bind.PodActive), a.pods.Count(bind.PodDraining)}
+	if walk != counted {
+		t.Fatalf("%s: counters creating/active/draining = %v, map walk %v", where, counted, walk)
 	}
 }
 
@@ -85,10 +80,10 @@ func TestPodCountsTrackMap(t *testing.T) {
 	checkPodCounts(t, s.a, "after preemption")
 
 	// Create a pod and cancel it before it is even scheduled.
-	s.a.createWorkerPod()
+	s.a.pods.Create()
 	checkPodCounts(t, s.a, "after create")
-	for name, st := range s.a.pods {
-		if st == podCreating {
+	for _, name := range s.a.pods.Sorted() {
+		if st, _ := s.a.pods.State(name); st == bind.PodCreating {
 			s.a.drainPod(name)
 		}
 	}
@@ -108,7 +103,7 @@ func TestPodCountsTrackMap(t *testing.T) {
 		t.Fatalf("workload did not finish: %+v", s.master.Stats())
 	}
 	checkPodCounts(t, s.a, "after clean-up")
-	if n := s.a.creating + s.a.active + s.a.draining; n != 0 {
+	if n := s.a.pods.Len(); n != 0 {
 		t.Errorf("%d pods still counted after clean-up", n)
 	}
 	if preempted == 0 || cancelled == 0 || drained == 0 {
@@ -131,27 +126,23 @@ func TestWorkerPodLifecycleAllocs(t *testing.T) {
 	master := wq.NewMaster(eng, nil)
 	a := New(eng, cluster, master, Config{})
 	// The resident and the first cycling pod pull the image.
-	a.createWorkerPod()
-	a.createWorkerPod()
+	a.pods.Create()
+	a.pods.Create()
 	eng.RunFor(30 * time.Second)
-	if a.active != 2 {
-		t.Fatalf("%d active workers after warm-up, want 2", a.active)
+	if active := a.pods.Count(bind.PodActive); active != 2 {
+		t.Fatalf("%d active workers after warm-up, want 2", active)
 	}
 	cycling := "wq-worker-2"
 	lifecycle := func() {
 		a.drainPod(cycling)
 		eng.RunFor(time.Second)
-		if len(a.pods) != 1 {
+		if a.pods.Len() != 1 {
 			t.Fatalf("%s still managed after its drain", cycling)
 		}
-		a.createWorkerPod()
-		for name, st := range a.pods {
-			if st == podCreating {
-				cycling = name
-			}
-		}
-		eng.RunFor(3 * time.Second) // bind, then start the container
-		if a.active != 2 {
+		a.pods.Create()
+		cycling = a.pods.SelectDrain(1)[0] // the one creating pod
+		eng.RunFor(3 * time.Second)        // bind, then start the container
+		if a.pods.Count(bind.PodActive) != 2 {
 			t.Fatalf("%s did not become an active worker", cycling)
 		}
 	}

@@ -5,9 +5,9 @@ import (
 	"strings"
 	"time"
 
+	"hta/internal/bind"
 	"hta/internal/kubesim"
 	"hta/internal/monitor"
-	"hta/internal/resources"
 	"hta/internal/wq"
 )
 
@@ -41,7 +41,7 @@ func (a *Autoscaler) Snapshot() AutoscalerState {
 		Tracker:       a.tracker.ExportState(),
 		RecentKills:   append([]time.Time(nil), a.recentKills...),
 		LastStale:     a.lastStale,
-		PodSeq:        a.podSeq,
+		PodSeq:        a.pods.Seq(),
 		EverSubmitted: a.everSubmitted,
 		WarmupOver:    a.warmupOver,
 	}
@@ -71,7 +71,7 @@ func (a *Autoscaler) Crash() AutoscalerState {
 	a.cycleTimer.Stop()
 	a.stopPanicChecker()
 	a.panicSt = panicState{}
-	a.resetPods()
+	a.pods.Reset(0)
 	a.held = make(map[string][]wq.TaskSpec)
 	a.probeActive = make(map[string]bool)
 	a.recentKills = nil
@@ -105,7 +105,6 @@ func (a *Autoscaler) Restore(st AutoscalerState) int {
 	a.tracker.ImportState(st.Tracker)
 	a.recentKills = append([]time.Time(nil), st.RecentKills...)
 	a.lastStale = st.LastStale
-	a.podSeq = st.PodSeq
 	a.everSubmitted = st.EverSubmitted || a.master.SubmittedCount() > 0
 	a.warmupOver = st.WarmupOver
 	a.held = make(map[string][]wq.TaskSpec, len(st.Held))
@@ -119,34 +118,23 @@ func (a *Autoscaler) Restore(st AutoscalerState) int {
 
 	corrections := 0
 	// Re-derive pod membership from the API server.
-	a.resetPods()
+	a.pods.Reset(st.PodSeq)
 	live := a.cluster.ListPods(workerLabels)
 	slices.SortFunc(live, func(a, b kubesim.Pod) int { return strings.Compare(a.Name, b.Name) })
 	for _, p := range live {
-		switch p.Phase {
-		case kubesim.PodPending:
-			a.setPod(p.Name, podCreating)
-		case kubesim.PodRunning:
-			a.setPod(p.Name, podActive)
-			if _, known := a.master.WorkerCapacity(p.Name); !known {
-				// The pod came up while the controller was down; adopt it.
-				name := p.Name
-				if err := a.master.AddWorker(name, p.Resources); err == nil {
-					_ = a.cluster.SetPodUsage(name, func() resources.Vector {
-						return a.master.WorkerUsage(name)
-					})
-					corrections++
-				}
-			}
+		// A Running pod whose worker the master does not know came up
+		// while the controller was down; connect it.
+		if a.pods.Adopt(p) && p.Phase == kubesim.PodRunning && a.pods.Connect(p.Name, p.Resources) == nil {
+			corrections++
 		}
 	}
 	// Master workers whose pod vanished during the downtime: the
 	// deletion event was missed, so requeue their tasks now.
 	for _, id := range a.master.Workers() {
-		if !strings.HasPrefix(id, "wq-worker-") {
+		if !strings.HasPrefix(id, workerPrefix) {
 			continue // not a pod this controller manages
 		}
-		if _, mine := a.pods[id]; !mine {
+		if _, mine := a.pods.State(id); !mine {
 			a.noteWorkerLoss()
 			_ = a.master.KillWorker(id)
 			corrections++
@@ -162,11 +150,7 @@ func (a *Autoscaler) Restore(st AutoscalerState) int {
 		if !a.mon.Known(cat) {
 			continue
 		}
-		hs := a.held[cat]
-		delete(a.held, cat)
-		for _, spec := range hs {
-			a.master.Submit(spec)
-		}
+		a.releaseHeld(cat)
 		corrections++
 	}
 	if a.started && !a.cleaned {
@@ -188,12 +172,10 @@ func (a *Autoscaler) Down() bool { return a.down }
 // Returns the number of corrections.
 func (a *Autoscaler) OnMasterRestored() int {
 	corrections := 0
-	for _, name := range a.sortedPodNames() {
-		if a.pods[name] != podDraining {
-			continue
-		}
-		if _, alive := a.master.WorkerCapacity(name); alive {
-			a.setPod(name, podActive)
+	for _, name := range a.pods.Sorted() {
+		st, _ := a.pods.State(name)
+		if _, alive := a.master.WorkerCapacity(name); st == bind.PodDraining && alive {
+			a.pods.Set(name, bind.PodActive)
 			corrections++
 		}
 	}

@@ -44,25 +44,6 @@ var goldenReports = []struct {
 	{"ei", func() (fmt.Stringer, error) { return StreamEIWith(SmokeStreamEIConfig(1)) }},
 	{"ej", func() (fmt.Stringer, error) { return TenantsEJWith(SmokeTenantsEJConfig(1)) }},
 	{"ek", func() (fmt.Stringer, error) { return TenantChaosEKWith(SmokeTenantChaosEKConfig(1)) }},
-	{"wfstream", func() (fmt.Stringer, error) {
-		wfs, opt := workflowStreamCase(1)
-		res, err := RunHTAWorkflowStream("wf-stream", wfs, opt)
-		return runReport{res}, err
-	}},
-}
-
-// runReport renders one bare run for the pins: its summary row, its
-// counters, and its series as CSV.
-type runReport struct{ run *RunResult }
-
-func (r runReport) String() string {
-	return summaryTable(r.run.Name, []SummaryRow{summaryRow(r.run.Name, r.run)}) +
-		fmt.Sprintf("completed %d/%d, requeues %d, scaling actions %d, panics %d\n",
-			r.run.Completed, r.run.Submitted, r.run.Requeues, r.run.ScalingActions, r.run.Panics)
-}
-
-func (r runReport) WriteCSVs(dir string) error {
-	return writeRunsCSV(dir, "run", map[string]*RunResult{r.run.Name: r.run})
 }
 
 // TestGoldenReports compares each seed-1 report, and each CSV the

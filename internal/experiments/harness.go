@@ -277,8 +277,8 @@ func (e *ErrTimeout) Error() string {
 // retry and admission policies. The scaler plug-in sizes the
 // worker fleet: HTA, a WorkerSet under the HPA or the
 // queue-proportional scaler, or a static fleet. The arrival driver
-// feeds the workload: a DAG bag through flow.Runner, timed tasks, or
-// timed workflows. Sampling, the run loop, the deadline and the result
+// feeds the workload: a DAG bag through flow.Runner or timed tasks.
+// Sampling, the run loop, the deadline and the result
 // bookkeeping are shared, so swapping one part leaves the measurement
 // of the other two untouched. The engine and every timer on it are
 // dropped with the stack when a scenario returns, so nothing is

@@ -2,14 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"slices"
-	"strconv"
 	"strings"
 	"time"
 
 	"hta/internal/core"
-	"hta/internal/dag"
-	"hta/internal/flow"
 	"hta/internal/hpa"
 	"hta/internal/metrics"
 	"hta/internal/resources"
@@ -32,15 +28,6 @@ type StreamReport struct {
 // RunHTAStream executes a timed arrival stream through HTA.
 func RunHTAStream(name string, tasks []workload.TimedTask, opt HTAOptions) (*RunResult, error) {
 	return simulate(name, opt.stack(), &htaScaler{cfg: opt.HTA}, &taskStream{tasks: tasks})
-}
-
-// RunHTAWorkflowStream executes timed workflow submissions — whole
-// DAGs arriving over time at a long-lived master — through HTA.
-// Admission shedding is incompatible with DAG semantics — a shed node
-// would never complete — so opt.Admission is ignored here.
-func RunHTAWorkflowStream(name string, wfs []workload.TimedWorkflow, opt HTAOptions) (*RunResult, error) {
-	opt.Admission = wq.AdmissionPolicy{}
-	return simulate(name, opt.stack(), &htaScaler{cfg: opt.HTA}, &workflowStream{wfs: wfs})
 }
 
 // taskStream submits timed tasks open-loop and ends the run once every
@@ -89,75 +76,6 @@ func timedTasks(decl, undecl []workload.TimedTask) func(scaler) (arrivals, error
 		}
 		return &taskStream{tasks: undecl}, nil
 	}
-}
-
-// workflowStream submits whole workflows at their arrival times. Each
-// arrival becomes its own flow.Runner sharing the scheduler; node IDs
-// are the globally unique task tags, so concurrent workflows cannot
-// claim each other's completions. The run ends when every workflow's
-// DAG is done.
-type workflowStream struct {
-	wfs     []workload.TimedWorkflow
-	runners []*flow.Runner
-}
-
-func (s *workflowStream) start(r *run) {
-	done := 0
-	for _, wf := range s.wfs {
-		wf := wf
-		r.eng.At(r.eng.Now().Add(wf.At), "workflow-arrival", func() {
-			if r.failed != nil {
-				return
-			}
-			g, spec, err := workflowGraph(wf)
-			if err != nil {
-				r.fail(err)
-				return
-			}
-			fr := flow.NewRunner(g, r.target, spec)
-			fr.OnAllDone(func() {
-				if done++; done == len(s.wfs) {
-					r.finish()
-				}
-			})
-			s.runners = append(s.runners, fr)
-			fr.Start()
-		})
-	}
-	if len(s.wfs) == 0 {
-		r.finish()
-	}
-}
-
-func (s *workflowStream) report(*RunResult) error {
-	for _, fr := range s.runners {
-		if err := fr.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// workflowGraph builds a dependency-free DAG for one workflow whose
-// node IDs are the task tags — unique across workflows, which a
-// shared master requires (flow matches completions by tag). Its
-// SpecFunc reads a copy of the tasks by node index.
-func workflowGraph(wf workload.TimedWorkflow) (*dag.Graph, flow.SpecFunc, error) {
-	g := dag.NewGraph()
-	for i, spec := range wf.Tasks {
-		id := spec.Tag
-		if id == "" {
-			id = wf.Name + "/t" + strconv.Itoa(i)
-		}
-		if err := g.Add(dag.Node{ID: id, Category: spec.Category}); err != nil {
-			return nil, nil, fmt.Errorf("experiments: workflow %s: %w", wf.Name, err)
-		}
-	}
-	if err := g.Finalize(); err != nil {
-		return nil, nil, err
-	}
-	specs := slices.Clone(wf.Tasks)
-	return g, func(n dag.Node) wq.TaskSpec { return specs[n.Index] }, nil
 }
 
 // Stream runs S2; the two scalers run concurrently.

@@ -7,8 +7,6 @@ import (
 
 	"hta/internal/chaos"
 	"hta/internal/core"
-	"hta/internal/kubesim"
-	"hta/internal/workload"
 )
 
 // TestStreamEISmoke runs the compressed E-I twice and pins the
@@ -131,61 +129,6 @@ func TestHTAStreamHonoursStackOptions(t *testing.T) {
 	ratio := float64(run("sparse", sparse).Workers.Len()) / float64(base.Workers.Len())
 	if ratio < 0.15 || ratio > 0.18 {
 		t.Errorf("30 s sampling kept %.3f of the 5 s samples, want about 1/6", ratio)
-	}
-}
-
-// workflowStreamCase is a half-hour trickle of ten-task workflows on a
-// ten-node quota.
-func workflowStreamCase(seed int64) ([]workload.TimedWorkflow, HTAOptions) {
-	p := workload.WorkflowStreamParams{
-		Stream: workload.StreamParams{
-			Window:     30 * time.Minute,
-			BasePerMin: 0.5,
-			Category:   "wf",
-			Exec:       90 * time.Second,
-			Jitter:     0.1,
-			CPUMilli:   870,
-			MemMB:      1024,
-			Seed:       seed,
-		},
-		TasksPerWorkflow: 10,
-		SizeJitter:       0.2,
-	}
-	return p.Workflows(), HTAOptions{
-		Kube:    kubesim.Config{InitialNodes: 2, MinNodes: 1, MaxNodes: 10, Seed: seed},
-		HTA:     core.Config{MaxWorkers: 10},
-		Timeout: 6 * time.Hour,
-	}
-}
-
-// TestWorkflowStreamDriver: whole DAGs arriving over time at one
-// long-lived master all run to completion, deterministically.
-func TestWorkflowStreamDriver(t *testing.T) {
-	wfs, opt := workflowStreamCase(11)
-	if len(wfs) == 0 {
-		t.Fatal("no workflows generated")
-	}
-	total := 0
-	for _, wf := range wfs {
-		total += len(wf.Tasks)
-	}
-	run := func() *RunResult {
-		res, err := RunHTAWorkflowStream("wf-stream", wfs, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	res := run()
-	if res.Completed != total || res.Submitted != total {
-		t.Fatalf("completed %d / submitted %d, want %d (all workflow tasks)", res.Completed, res.Submitted, total)
-	}
-	if res.Shed != 0 {
-		t.Fatalf("workflow driver shed %d tasks without an admission policy", res.Shed)
-	}
-	if again := run(); again.Runtime != res.Runtime || again.Completed != res.Completed {
-		t.Fatalf("workflow stream not deterministic: %v/%d vs %v/%d",
-			res.Runtime, res.Completed, again.Runtime, again.Completed)
 	}
 }
 

@@ -249,52 +249,3 @@ func DayTrace(seed int64) StreamParams {
 		Seed:     seed,
 	}
 }
-
-// TimedWorkflow is one workflow submission: a batch of tasks arriving
-// together at At — a user handing a whole DAG stage to the facility,
-// as opposed to TimedTask's independent arrivals.
-type TimedWorkflow struct {
-	At    time.Duration
-	Name  string
-	Tasks []wq.TaskSpec
-}
-
-// WorkflowStreamParams generates Poisson arrivals of workflow
-// submissions: the Stream field drives the arrival process (its
-// BasePerMin is workflows per minute), and each arrival expands into
-// a batch of TasksPerWorkflow tasks (± SizeJitter).
-type WorkflowStreamParams struct {
-	Stream           StreamParams
-	TasksPerWorkflow int
-	// SizeJitter in [0, 1) varies the batch size uniformly by that
-	// fraction around TasksPerWorkflow.
-	SizeJitter float64
-}
-
-// Workflows generates the workflow arrival stream, sorted by arrival
-// time and deterministic under the stream seed.
-func (p WorkflowStreamParams) Workflows() []TimedWorkflow {
-	sp := p.Stream
-	if p.TasksPerWorkflow <= 0 {
-		return nil
-	}
-	rng := simclock.NewRNG(sp.Seed)
-	var out []TimedWorkflow
-	sp.arrivals(sp.segments(), rng, func(t time.Duration) {
-		n := p.TasksPerWorkflow
-		if p.SizeJitter > 0 {
-			span := float64(n) * p.SizeJitter
-			n += int((2*rng.Float64() - 1) * span)
-			if n < 1 {
-				n = 1
-			}
-		}
-		name := "wf-" + strconv.Itoa(len(out))
-		tasks := make([]wq.TaskSpec, n)
-		for i := range tasks {
-			tasks[i] = sp.task(rng, name+"/t"+strconv.Itoa(i), name+" task "+strconv.Itoa(i))
-		}
-		out = append(out, TimedWorkflow{At: t, Name: name, Tasks: tasks})
-	})
-	return out
-}

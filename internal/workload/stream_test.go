@@ -110,46 +110,6 @@ func TestDayTraceShape(t *testing.T) {
 	}
 }
 
-// TestWorkflowStream: batch arrivals are deterministic, sized around
-// TasksPerWorkflow.
-func TestWorkflowStream(t *testing.T) {
-	p := WorkflowStreamParams{
-		Stream: StreamParams{
-			Window:     2 * time.Hour,
-			BasePerMin: 1,
-			Category:   "wf",
-			Exec:       2 * time.Minute,
-			Jitter:     0.1,
-			CPUMilli:   870,
-			MemMB:      1024,
-			Seed:       3,
-		},
-		TasksPerWorkflow: 20,
-		SizeJitter:       0.3,
-	}
-	wfs := p.Workflows()
-	if len(wfs) < 60 || len(wfs) > 200 {
-		t.Fatalf("workflows = %d, want ~120", len(wfs))
-	}
-	again := p.Workflows()
-	for i, wf := range wfs {
-		if len(wf.Tasks) < 14 || len(wf.Tasks) > 26 {
-			t.Fatalf("workflow %d has %d tasks, want 20 +- 30%%", i, len(wf.Tasks))
-		}
-		if again[i].At != wf.At || len(again[i].Tasks) != len(wf.Tasks) {
-			t.Fatalf("workflow %d not deterministic", i)
-		}
-		if i > 0 && wf.At < wfs[i-1].At {
-			t.Fatalf("workflow arrivals not sorted at %d", i)
-		}
-		for j, spec := range wf.Tasks {
-			if spec.Tag == "" || spec.Category != "wf" {
-				t.Fatalf("workflow %d task %d spec malformed: %+v", i, j, spec)
-			}
-		}
-	}
-}
-
 // plainArrivals is Lewis thinning against one envelope for the whole
 // window, every burst above 1 multiplied together, with the exact rate
 // evaluated for every candidate. It is the oracle for arrivals: exact
@@ -210,8 +170,7 @@ func TestBurstFreeArrivalsMatchPlainThinning(t *testing.T) {
 	declared := DefaultStream()
 	declared.Declared = true
 	declared.Amplitude, declared.Period = 0, 0
-	wf := StreamParams{Window: 2 * time.Hour, BasePerMin: 1, Category: "wf", Seed: 3}
-	for name, p := range map[string]StreamParams{"default": DefaultStream(), "declared": declared, "workflow": wf} {
+	for name, p := range map[string]StreamParams{"default": DefaultStream(), "declared": declared} {
 		if got, want := times(p), plainArrivals(p, simclock.NewRNG(p.Seed)); !slices.Equal(got, want) {
 			t.Errorf("%s: %d arrivals, plain thinning %d", name, len(got), len(want))
 		}
