@@ -502,8 +502,8 @@ func TestDrainChurnSeeded(t *testing.T) {
 // provisioning, a resident worker keeping the fleet non-empty), driven
 // through the arbiter's own glue: create → Started → AddWorker →
 // drain → Succeeded → Deleted. What is left is the pod's name and
-// record, the container-start event, the usage reporter and the drain
-// callback — the same five as HTA's TestWorkerPodLifecycleAllocs.
+// record and the drain callback — the same three as HTA's
+// TestWorkerPodLifecycleAllocs.
 func TestTenantPodLifecycleAllocs(t *testing.T) {
 	eng := simclock.NewEngine(simStart)
 	cluster := kubesim.NewCluster(eng, kubesim.Config{InitialNodes: 2, Seed: 1})
@@ -541,8 +541,8 @@ func TestTenantPodLifecycleAllocs(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(100, lifecycle)
 	t.Logf("%.0f allocations per tenant worker-pod lifecycle", allocs)
-	if allocs > 5 {
-		t.Errorf("one tenant worker-pod lifecycle allocates %.0f times, want at most 5", allocs)
+	if allocs > 3 {
+		t.Errorf("one tenant worker-pod lifecycle allocates %.0f times, want at most 3", allocs)
 	}
 	checkBooks(t, a)
 }

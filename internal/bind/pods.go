@@ -131,11 +131,11 @@ func (b *Pods) Connect(name string, res resources.Vector) error {
 	return nil
 }
 
-// ReportUsage has the metrics server scrape a connected worker's usage.
+// ReportUsage has the metrics server scrape a connected worker's usage:
+// the master answers for the pod by name, so no per-pod closure is
+// made.
 func (b *Pods) ReportUsage(name string) {
-	_ = b.cluster.SetPodUsage(name, func() resources.Vector {
-		return b.master.WorkerUsage(name)
-	})
+	_ = b.cluster.SetPodUsage(name, b.master)
 }
 
 // Drain takes a booked pod out of service and returns the state it was

@@ -166,6 +166,11 @@ type Cluster struct {
 	provisioning int                // node count currently being reserved
 	pulls        map[pullKey][]*Pod // node/image -> pods waiting to start
 	stopped      bool
+
+	// The kubelet's event callbacks, bound once; each takes its pod as
+	// the event's argument (see kubelet.go).
+	imagePulledFn      func(any)
+	containerStartedFn func(any)
 }
 
 // NewCluster builds a cluster with cfg.InitialNodes ready nodes and
@@ -186,6 +191,7 @@ func NewCluster(eng *simclock.Engine, cfg Config) *Cluster {
 		cursorIdx:    make(map[resources.Vector]int),
 		pulls:        make(map[pullKey][]*Pod),
 	}
+	c.imagePulledFn, c.containerStartedFn = c.imagePulled, c.containerStarted
 	for i := 0; i < cfg.InitialNodes; i++ {
 		c.addNode()
 	}
@@ -277,8 +283,10 @@ func (c *Cluster) CreatePod(spec PodSpec) (Pod, error) {
 		Labels:    ls.labels,
 		Phase:     PodPending,
 		CreatedAt: c.eng.Now(),
-		usage:     spec.Usage,
 		labels:    ls,
+	}
+	if spec.Usage != nil {
+		p.usage = UsageFunc(spec.Usage)
 	}
 	c.pods[spec.Name] = p
 	c.indexPod(p)
@@ -632,5 +640,5 @@ func (c *Cluster) PodUsage(name string) resources.Vector {
 	if !ok || p.Phase != PodRunning || p.usage == nil {
 		return resources.Zero
 	}
-	return p.usage()
+	return p.usage.WorkerUsage(p.Name)
 }

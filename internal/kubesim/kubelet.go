@@ -21,7 +21,7 @@ type pullKey struct{ node, image string }
 // live set.
 func (c *Cluster) kubeletStart(p *Pod, n *Node) {
 	if n.Images[p.Image] {
-		c.containerStart(p, n)
+		c.containerStart(p)
 		return
 	}
 	p.PulledImage = true
@@ -32,26 +32,35 @@ func (c *Cluster) kubeletStart(p *Pod, n *Node) {
 	}
 	c.pulls[key] = []*Pod{p}
 	c.notifyPod(Modified, p, ReasonPulling)
-	c.eng.After(c.pullDuration(), "kubelet-image-pull", func() {
-		if _, alive := c.nodes[n.Name]; !alive {
-			delete(c.pulls, key)
-			return
-		}
-		waiters := c.pulls[key]
+	c.eng.AfterArg(c.pullDuration(), "kubelet-image-pull", c.imagePulledFn, p)
+}
+
+// imagePulled ends the image pull the pod p started on its node and
+// starts every pod that waited for it. A pod's node is fixed once it
+// is bound, and node names are never reused, so p names the pull
+// (its node and image) and the node it lands on.
+func (c *Cluster) imagePulled(a any) {
+	p := a.(*Pod)
+	key := pullKey{p.NodeName, p.Image}
+	n, alive := c.nodes[p.NodeName]
+	if !alive {
 		delete(c.pulls, key)
-		// Copy-on-write: node copies handed out earlier keep the
-		// image set they were given.
-		images := make(map[string]bool, len(n.Images)+1)
-		maps.Copy(images, n.Images)
-		images[p.Image] = true
-		n.Images = images
-		if cur, ok := c.pods[p.Name]; ok && cur == p && !p.Terminal() {
-			c.notifyPod(Modified, p, ReasonPulled)
-		}
-		for _, w := range waiters {
-			c.containerStart(w, n)
-		}
-	})
+		return
+	}
+	waiters := c.pulls[key]
+	delete(c.pulls, key)
+	// Copy-on-write: node copies handed out earlier keep the
+	// image set they were given.
+	images := make(map[string]bool, len(n.Images)+1)
+	maps.Copy(images, n.Images)
+	images[p.Image] = true
+	n.Images = images
+	if cur, ok := c.pods[p.Name]; ok && cur == p && !p.Terminal() {
+		c.notifyPod(Modified, p, ReasonPulled)
+	}
+	for _, w := range waiters {
+		c.containerStart(w)
+	}
 }
 
 func (c *Cluster) pullDuration() time.Duration {
@@ -61,17 +70,24 @@ func (c *Cluster) pullDuration() time.Duration {
 
 // containerStart transitions the pod to Running after the container
 // start delay, provided it is still bound and alive.
-func (c *Cluster) containerStart(p *Pod, n *Node) {
-	c.eng.After(containerStartDelay, "kubelet-container-start", func() {
-		cur, ok := c.pods[p.Name]
-		if !ok || cur != p || p.Terminal() || p.NodeName != n.Name {
-			return
-		}
-		if _, alive := c.nodes[n.Name]; !alive {
-			return
-		}
-		p.Phase = PodRunning
-		p.RunningAt = c.eng.Now()
-		c.notifyPod(Modified, p, ReasonStarted)
-	})
+func (c *Cluster) containerStart(p *Pod) {
+	c.eng.AfterArg(containerStartDelay, "kubelet-container-start", c.containerStartedFn, p)
+}
+
+// containerStarted ends containerStart's delay. The pod must still be
+// the stored pod under its name and not terminal, and its node still
+// alive. The scheduler sets NodeName once, at bind, so the pod is
+// still bound to the node it was started on.
+func (c *Cluster) containerStarted(a any) {
+	p := a.(*Pod)
+	cur, ok := c.pods[p.Name]
+	if !ok || cur != p || p.Terminal() {
+		return
+	}
+	if _, alive := c.nodes[p.NodeName]; !alive {
+		return
+	}
+	p.Phase = PodRunning
+	p.RunningAt = c.eng.Now()
+	c.notifyPod(Modified, p, ReasonStarted)
 }

@@ -57,6 +57,19 @@ type PodSpec struct {
 	Usage func() resources.Vector
 }
 
+// UsageSource reports the instantaneous resource consumption of the
+// worker running in a pod, looked up by the pod's name. A Work Queue
+// master is one: it knows its workers by their pods' names.
+type UsageSource interface {
+	WorkerUsage(pod string) resources.Vector
+}
+
+// UsageFunc is a UsageSource for one pod: it ignores the name.
+type UsageFunc func() resources.Vector
+
+// WorkerUsage calls f.
+func (f UsageFunc) WorkerUsage(string) resources.Vector { return f() }
+
 // Pod is the stored pod object. Clients (watch events, GetPod,
 // ListPods, CreatePod's return) receive shallow copies: the scalar
 // fields are theirs, but Labels is the cluster's own map, frozen at
@@ -85,7 +98,7 @@ type Pod struct {
 	// paper's "No Container Image" state).
 	PulledImage bool
 
-	usage func() resources.Vector
+	usage UsageSource
 	// labels is the shared label set Labels points into; CreatePod
 	// takes a reference and DeletePod drops it.
 	labels *labelSet

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"hta/internal/resources"
 	"hta/internal/simclock"
 )
 
@@ -144,14 +143,16 @@ func (ws *WorkerSet) deletionOrder(live []Pod) []Pod {
 	return out
 }
 
-// SetPodUsage attaches a usage reporter to an existing pod so the
-// metrics server can observe its consumption. The glue layer calls
-// this once it has spawned the worker process for the pod.
-func (c *Cluster) SetPodUsage(name string, fn func() resources.Vector) error {
+// SetPodUsage attaches a usage source to an existing pod so the
+// metrics server can observe its consumption; the server queries src
+// with the pod's name. The glue layer calls this once it has spawned
+// the worker process for the pod. One source, such as the master the
+// worker joined, serves every pod without a per-pod closure.
+func (c *Cluster) SetPodUsage(name string, src UsageSource) error {
 	p, ok := c.pods[name]
 	if !ok {
 		return fmt.Errorf("kubesim: pod %q not found", name)
 	}
-	p.usage = fn
+	p.usage = src
 	return nil
 }

@@ -13,7 +13,7 @@ func BenchmarkConcurrentTransfers(b *testing.B) {
 	l := NewLink(e, 1000, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		l.Start(float64(i%100)+1, nil)
+		l.Start(float64(i%100)+1, nil, nil)
 		if i%64 == 63 {
 			e.Run()
 		}
@@ -28,7 +28,7 @@ func BenchmarkContendedTransfers(b *testing.B) {
 	l.SetContention(0.96)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		l.Start(float64(i%100)+1, nil)
+		l.Start(float64(i%100)+1, nil, nil)
 		if i%64 == 63 {
 			e.Run()
 		}
@@ -45,12 +45,12 @@ func runLinkScale(mk func(*simclock.Engine, float64, float64) *Link, width, tota
 	e := simclock.NewEngine(t0)
 	l := mk(e, 1000, 0)
 	started := 0
-	var churn func()
+	var churn func(any)
 	startOne := func() {
 		started++
-		l.Start(float64(started%97)*3.5+1, churn)
+		l.Start(float64(started%97)*3.5+1, churn, nil)
 	}
-	churn = func() {
+	churn = func(any) {
 		if started < total {
 			startOne()
 		}

@@ -65,7 +65,7 @@ func driveLink(mk func(*simclock.Engine, float64, float64) *Link, capacity, perT
 	e := simclock.NewEngine(t0)
 	l := mk(e, capacity, perTransfer)
 	tr := linkTrace{capacity: capacity}
-	var started []*Transfer
+	var started []Transfer
 	at := time.Duration(0)
 	for i := range ops {
 		op := ops[i]
@@ -78,20 +78,20 @@ func driveLink(mk func(*simclock.Engine, float64, float64) *Link, capacity, perT
 			switch op.kind {
 			case opStart:
 				n := len(started)
-				t := l.Start(op.size, func() {
+				t := l.Start(op.size, call, func() {
 					tr.completions = append(tr.completions, completionRec{transfer: n, at: e.Elapsed()})
 					tr.sumCompleted += op.size
 				})
 				started = append(started, t)
 			case opCancel:
 				if len(started) > 0 {
-					tr.cancels[idx] = started[op.target%len(started)].Cancel()
+					tr.cancels[idx] = l.Cancel(started[op.target%len(started)])
 				}
 			case opSetContention:
 				l.SetContention(op.factor)
 			case opRead:
 				if len(started) > 0 {
-					tr.reads = append(tr.reads, started[len(started)/2].Remaining())
+					tr.reads = append(tr.reads, l.Remaining(started[len(started)/2]))
 				}
 				l.Stats()
 			}

@@ -17,7 +17,9 @@
 // A transfer that starts at credit s and moves S megabytes completes
 // when the counter reaches s+S, so a min-heap keyed on that finish
 // credit yields the next completion in O(log n) while advancing the
-// clock is O(1) regardless of how many transfers are in flight. The
+// clock is O(1) regardless of how many transfers are in flight.
+// Transfers live in a link-owned slab and callers hold generation-
+// checked value handles, so a transfer costs no allocation. The
 // original walk-everything implementation is retained in reference.go
 // (NewReferenceLink) as a differential-testing oracle.
 package netsim
@@ -42,11 +44,16 @@ type Link struct {
 
 	reference bool // route through the retained O(n)-per-event model
 
-	transfers map[int]*Transfer // active transfers by id (reference mode)
-	nextID    int
-	timer     simclock.Timer
-	onTimer   func() // the completion timer's callback, bound once
-	last      time.Time
+	// Transfers live in a slab addressed by index; a transfer's slot
+	// returns to the free list the moment it completes or is canceled,
+	// and its generation bump invalidates every handle to it.
+	trs    []transfer
+	free   []int32
+	nextID int
+
+	timer   simclock.Timer
+	onTimer func() // the completion timer's callback, bound once
+	last    time.Time
 
 	// Virtual-time state (indexed mode). vt is the cumulative
 	// per-transfer service credit in MB: every active transfer has
@@ -55,13 +62,13 @@ type Link struct {
 	// changes.
 	vt       float64
 	vtRate   float64
-	byFinish finishHeap
+	byFinish []int32 // 4-ary min-heap of slab indices; see less
 
-	// Reference-mode state: active transfers in ascending-id order so
-	// float accumulation is deterministic (map iteration is not).
-	order []*Transfer
+	// Reference-mode state: active slab indices in ascending-id order
+	// so float accumulation is deterministic.
+	order []int32
 
-	finished []*Transfer // scratch for completion batches
+	finished []int32 // scratch for completion batches
 
 	// statistics
 	deliveredMB float64
@@ -70,54 +77,99 @@ type Link struct {
 	completed   int
 }
 
-// Transfer is one in-flight data movement.
+// Transfer is a handle to one transfer: its slot in the link's slab
+// and the slot's generation when the transfer started. Handles are
+// values, like simclock.Timer. Once the transfer completes or is
+// canceled its slot may carry a newer transfer, but the generation no
+// longer matches, so a stale handle's Cancel and Remaining touch
+// nothing. The zero Transfer is stale from the start.
 type Transfer struct {
-	link      *Link
-	id        int
-	remaining float64 // MB; live in reference mode, materialized on exit in indexed mode
-	rate      float64 // MB/s; live in reference mode, stamped on exit in indexed mode
-	begun     time.Time
-	done      func()
-	canceled  bool
-
-	start  float64 // vt when the transfer started (indexed mode)
-	finish float64 // start + size: vt at which the transfer completes
-	pos    int     // index in byFinish, -1 when not enqueued
+	idx int32
+	gen uint32
 }
 
-// finishHeap is a 4-ary min-heap of active transfers keyed on
+// transfer is one in-flight data movement, in the link's slab.
+type transfer struct {
+	id        int
+	remaining float64 // MB; reference mode only
+	rate      float64 // MB/s; reference mode only
+	start     float64 // vt when the transfer started (indexed mode)
+	finish    float64 // start + size: vt at which the transfer completes
+	done      func(any)
+	arg       any
+	pos       int32  // index in byFinish (indexed mode)
+	gen       uint32 // bumped on release; never 0 for a slot in use
+}
+
+// alloc takes a transfer slot from the free list, or extends the slab.
+func (l *Link) alloc() int32 {
+	if n := len(l.free); n > 0 {
+		idx := l.free[n-1]
+		l.free = l.free[:n-1]
+		return idx
+	}
+	l.trs = append(l.trs, transfer{gen: 1})
+	return int32(len(l.trs) - 1)
+}
+
+// release returns a finished or canceled transfer's slot to the free
+// list. The generation bump makes every handle to it stale; dropping
+// the callback and its argument lets the collector have them.
+func (l *Link) release(idx int32) {
+	tr := &l.trs[idx]
+	tr.done, tr.arg = nil, nil
+	if tr.gen++; tr.gen == 0 {
+		tr.gen = 1
+	}
+	l.free = append(l.free, idx)
+}
+
+// lookup returns the transfer a handle names, or nil for a stale one.
+func (l *Link) lookup(h Transfer) *transfer {
+	if h.gen == 0 || int(h.idx) >= len(l.trs) {
+		return nil
+	}
+	if tr := &l.trs[h.idx]; tr.gen == h.gen {
+		return tr
+	}
+	return nil
+}
+
+// byFinish is a 4-ary min-heap of active transfers keyed on
 // (finish, id); the id tie-break pops simultaneous completions
 // deterministically. It is hand-rolled rather than container/heap
 // because popping from a 10k-wide heap is the hot path of the scale
 // benchmark: the 4-ary layout halves the sift-down depth and the
-// direct methods avoid interface dispatch.
-type finishHeap []*Transfer
-
-func transferLess(a, b *Transfer) bool {
-	if a.finish != b.finish {
-		return a.finish < b.finish
+// direct methods avoid interface dispatch. less orders two slab
+// indices by that key.
+func (l *Link) less(a, b int32) bool {
+	ta, tb := &l.trs[a], &l.trs[b]
+	if ta.finish != tb.finish {
+		return ta.finish < tb.finish
 	}
-	return a.id < b.id
+	return ta.id < tb.id
 }
 
-func (h finishHeap) siftUp(i int) {
-	tr := h[i]
+func (l *Link) siftUp(i int) {
+	h := l.byFinish
+	x := h[i]
 	for i > 0 {
 		p := (i - 1) / 4
-		if !transferLess(tr, h[p]) {
+		if !l.less(x, h[p]) {
 			break
 		}
 		h[i] = h[p]
-		h[i].pos = i
+		l.trs[h[i]].pos = int32(i)
 		i = p
 	}
-	h[i] = tr
-	tr.pos = i
+	h[i] = x
+	l.trs[x].pos = int32(i)
 }
 
-func (h finishHeap) siftDown(i int) {
+func (l *Link) siftDown(i int) {
+	h := l.byFinish
 	n := len(h)
-	tr := h[i]
+	x := h[i]
 	for {
 		first := 4*i + 1
 		if first >= n {
@@ -129,53 +181,36 @@ func (h finishHeap) siftDown(i int) {
 			last = n
 		}
 		for c := first + 1; c < last; c++ {
-			if transferLess(h[c], h[m]) {
+			if l.less(h[c], h[m]) {
 				m = c
 			}
 		}
-		if !transferLess(h[m], tr) {
+		if !l.less(h[m], x) {
 			break
 		}
 		h[i] = h[m]
-		h[i].pos = i
+		l.trs[h[i]].pos = int32(i)
 		i = m
 	}
-	h[i] = tr
-	tr.pos = i
+	h[i] = x
+	l.trs[x].pos = int32(i)
 }
 
-func (h *finishHeap) push(tr *Transfer) {
-	*h = append(*h, tr)
-	tr.pos = len(*h) - 1
-	h.siftUp(tr.pos)
+func (l *Link) push(idx int32) {
+	l.byFinish = append(l.byFinish, idx)
+	l.siftUp(len(l.byFinish) - 1)
 }
 
-func (h *finishHeap) popMin() *Transfer {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	old[n] = nil
-	*h = old[:n]
-	if n > 0 {
-		(*h).siftDown(0)
-	}
-	top.pos = -1
-	return top
-}
-
-func (h *finishHeap) removeAt(i int) {
-	old := *h
-	tr := old[i]
-	n := len(old) - 1
-	old[i] = old[n]
-	old[n] = nil
-	*h = old[:n]
+// removeAt takes the transfer at heap position i out of the heap.
+func (l *Link) removeAt(i int) {
+	h := l.byFinish
+	n := len(h) - 1
+	h[i] = h[n]
+	l.byFinish = h[:n]
 	if i < n {
-		(*h).siftDown(i)
-		(*h).siftUp(i)
+		l.siftDown(i)
+		l.siftUp(i)
 	}
-	tr.pos = -1
 }
 
 const completionEpsilonMB = 1e-9
@@ -199,7 +234,6 @@ func newLink(eng *simclock.Engine, capacityMBps, perTransferMBps float64, refere
 		perTransfer: perTransferMBps,
 		contention:  1,
 		reference:   reference,
-		transfers:   make(map[int]*Transfer),
 		last:        eng.Now(),
 	}
 	l.onTimer = func() {
@@ -250,85 +284,77 @@ func (l *Link) allocRate(n int) float64 {
 // Active returns the number of in-flight transfers.
 func (l *Link) Active() int {
 	if l.reference {
-		return len(l.transfers)
+		return len(l.order)
 	}
 	return len(l.byFinish)
 }
 
-// Start begins a transfer of sizeMB and calls done (if non-nil) when
-// it completes. Zero-size transfers complete on the next event.
-func (l *Link) Start(sizeMB float64, done func()) *Transfer {
+// Start begins a transfer of sizeMB and, when done is non-nil, has
+// the engine call done(arg) when it completes. Zero-size transfers
+// complete on the next event. A done bound once and a pointer-shaped
+// arg make a transfer's whole life allocation-free once the slab has
+// room.
+func (l *Link) Start(sizeMB float64, done func(any), arg any) Transfer {
 	if sizeMB < 0 || math.IsNaN(sizeMB) || math.IsInf(sizeMB, 0) {
 		panic(fmt.Sprintf("netsim: invalid transfer size %v", sizeMB))
 	}
 	l.advance()
 	l.nextID++
-	tr := &Transfer{
-		link:      l,
-		id:        l.nextID,
-		remaining: sizeMB,
-		begun:     l.eng.Now(),
-		done:      done,
-		pos:       -1,
-	}
+	idx := l.alloc()
+	tr := &l.trs[idx]
+	tr.id, tr.done, tr.arg = l.nextID, done, arg
+	h := Transfer{idx: idx, gen: tr.gen}
 	l.started++
 	if l.reference {
-		// The membership map and ordered slice exist only in reference
-		// mode; the indexed path tracks membership through tr.pos.
-		l.transfers[tr.id] = tr
-		l.order = append(l.order, tr) // ids ascend, so order stays sorted
+		// The ordered index list exists only in reference mode; the
+		// indexed path tracks membership through the heap.
+		tr.remaining, tr.rate = sizeMB, 0
+		l.order = append(l.order, idx) // ids ascend, so order stays sorted
 	} else {
 		tr.start = l.vt
 		tr.finish = l.vt + sizeMB
-		l.byFinish.push(tr)
+		l.push(idx)
 	}
 	l.reschedule()
-	return tr
+	return h
 }
 
 // Cancel aborts an in-flight transfer without invoking its callback.
-// It reports whether the transfer was still active.
-func (tr *Transfer) Cancel() bool {
-	if tr.canceled {
-		return false
-	}
-	l := tr.link
-	if l.reference {
-		if _, ok := l.transfers[tr.id]; !ok {
-			return false
-		}
-	} else if tr.pos < 0 {
+// It reports whether the transfer was still active; a stale handle
+// (the transfer completed or was canceled) reports false.
+func (l *Link) Cancel(h Transfer) bool {
+	tr := l.lookup(h)
+	if tr == nil {
 		return false
 	}
 	l.advance()
-	tr.canceled = true
 	if l.reference {
-		delete(l.transfers, tr.id)
-		l.refRemove(tr)
+		l.refRemove(h.idx)
 	} else {
-		l.byFinish.removeAt(tr.pos)
-		// Materialize progress. vt can overshoot finish by at most one
-		// nanosecond's worth of credit (the completion timer rounds up
-		// to whole nanoseconds); refund the overcharge.
+		l.removeAt(int(tr.pos))
+		// vt can overshoot finish by at most one nanosecond's worth of
+		// credit (the completion timer rounds up to whole nanoseconds);
+		// refund the overcharge.
 		if l.vt > tr.finish {
 			l.deliveredMB -= l.vt - tr.finish
-			tr.remaining = 0
-		} else {
-			tr.remaining = tr.finish - l.vt
 		}
-		tr.rate = l.vtRate
 	}
+	l.release(h.idx)
 	l.reschedule()
 	return true
 }
 
-// Remaining returns the megabytes left to move. It advances link
-// accounting to the current time but never re-arms timers: reads are
-// side-effect free with respect to scheduling.
-func (tr *Transfer) Remaining() float64 {
-	l := tr.link
+// Remaining returns the megabytes the transfer has left to move: 0
+// once it completed or was canceled. It advances link accounting to
+// the current time but never re-arms timers: reads are side-effect
+// free with respect to scheduling.
+func (l *Link) Remaining(h Transfer) float64 {
 	l.advance()
-	if l.reference || tr.pos < 0 {
+	tr := l.lookup(h)
+	if tr == nil {
+		return 0
+	}
+	if l.reference {
 		return tr.remaining
 	}
 	if rem := tr.finish - l.vt; rem > 0 {
@@ -370,24 +396,20 @@ func (l *Link) reschedule() {
 	finished := l.finished[:0]
 	for len(l.byFinish) > 0 {
 		top := l.byFinish[0]
-		if top.finish-l.vt > completionEpsilonMB {
+		finish := l.trs[top].finish
+		if finish-l.vt > completionEpsilonMB {
 			break
 		}
-		l.byFinish.popMin()
-		if l.vt > top.finish {
+		l.removeAt(0)
+		if l.vt > finish {
 			// Refund the sub-nanosecond overcharge past this
 			// transfer's finish credit, keeping delivered == size.
-			l.deliveredMB -= l.vt - top.finish
+			l.deliveredMB -= l.vt - finish
 		}
-		top.remaining = 0
-		top.rate = l.vtRate
 		l.completed++
 		finished = append(finished, top)
 	}
 	l.completeBatch(finished)
-	for i := range finished {
-		finished[i] = nil
-	}
 	l.finished = finished[:0]
 	n := len(l.byFinish)
 	if n == 0 {
@@ -398,30 +420,28 @@ func (l *Link) reschedule() {
 	if l.vtRate <= 0 {
 		return
 	}
-	d, ok := etaDuration((l.byFinish[0].finish - l.vt) / l.vtRate)
+	d, ok := etaDuration((l.trs[l.byFinish[0]].finish - l.vt) / l.vtRate)
 	if !ok {
 		return
 	}
 	l.timer = l.eng.After(d, "netsim-completion", l.onTimer)
 }
 
-// completeBatch schedules completion callbacks as zero-delay events
-// in deterministic ascending-id order. Callbacks run after the
-// current event's bookkeeping, so they can start new transfers
-// freely.
-func (l *Link) completeBatch(finished []*Transfer) {
-	if len(finished) == 0 {
-		return
-	}
+// completeBatch schedules the completed transfers' callbacks as
+// zero-delay events in deterministic ascending-id order, then releases
+// their slots. Callbacks run after the current event's bookkeeping, so
+// they can start new transfers freely.
+func (l *Link) completeBatch(finished []int32) {
 	// slices.SortFunc instead of sort.Slice: the closure-over-slice
 	// form boxed the slice header and allocated on every completion
 	// wave; the generic sort runs allocation-free (asserted by
 	// TestCompleteBatchAllocs).
-	slices.SortFunc(finished, func(a, b *Transfer) int { return cmp.Compare(a.id, b.id) })
-	for _, tr := range finished {
-		if tr.done != nil {
-			l.eng.After(0, "netsim-transfer-done", tr.done)
+	slices.SortFunc(finished, func(a, b int32) int { return cmp.Compare(l.trs[a].id, l.trs[b].id) })
+	for _, idx := range finished {
+		if tr := &l.trs[idx]; tr.done != nil {
+			l.eng.AfterArg(0, "netsim-transfer-done", tr.done, tr.arg)
 		}
+		l.release(idx)
 	}
 }
 

@@ -13,11 +13,15 @@ var t0 = time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// call is a transfer callback that runs the func() passed as its
+// argument, so a test can give each transfer its own closure.
+func call(a any) { a.(func())() }
+
 func TestSingleTransferDuration(t *testing.T) {
 	e := simclock.NewEngine(t0)
 	l := NewLink(e, 100, 0) // 100 MB/s
 	var doneAt time.Duration
-	l.Start(1400, func() { doneAt = e.Elapsed() }) // 1.4 GB
+	l.Start(1400, call, func() { doneAt = e.Elapsed() }) // 1.4 GB
 	e.Run()
 	if want := 14 * time.Second; doneAt != want {
 		t.Errorf("transfer finished at %v, want %v", doneAt, want)
@@ -35,8 +39,8 @@ func TestFairShareTwoTransfers(t *testing.T) {
 	e := simclock.NewEngine(t0)
 	l := NewLink(e, 100, 0)
 	var d1, d2 time.Duration
-	l.Start(100, func() { d1 = e.Elapsed() })
-	l.Start(100, func() { d2 = e.Elapsed() })
+	l.Start(100, call, func() { d1 = e.Elapsed() })
+	l.Start(100, call, func() { d2 = e.Elapsed() })
 	e.Run()
 	// Equal sizes started together share the link: each gets 50 MB/s,
 	// both finish at 2 s.
@@ -49,8 +53,8 @@ func TestProgressiveFilling(t *testing.T) {
 	e := simclock.NewEngine(t0)
 	l := NewLink(e, 100, 0)
 	var small, big time.Duration
-	l.Start(50, func() { small = e.Elapsed() })
-	l.Start(150, func() { big = e.Elapsed() })
+	l.Start(50, call, func() { small = e.Elapsed() })
+	l.Start(150, call, func() { big = e.Elapsed() })
 	e.Run()
 	// Both at 50 MB/s: small done at 1 s (50 MB). Big has 100 MB left,
 	// now alone at 100 MB/s: +1 s => 2 s total.
@@ -66,9 +70,9 @@ func TestLateJoinerSlowsExisting(t *testing.T) {
 	e := simclock.NewEngine(t0)
 	l := NewLink(e, 100, 0)
 	var first time.Duration
-	l.Start(100, func() { first = e.Elapsed() })
+	l.Start(100, call, func() { first = e.Elapsed() })
 	e.After(500*time.Millisecond, "join", func() {
-		l.Start(1000, nil)
+		l.Start(1000, nil, nil)
 	})
 	e.RunUntil(t0.Add(10 * time.Second))
 	// First moves 50 MB in 0.5 s, then shares: 50 MB at 50 MB/s = 1 s
@@ -82,7 +86,7 @@ func TestPerTransferCap(t *testing.T) {
 	e := simclock.NewEngine(t0)
 	l := NewLink(e, 1000, 100) // huge link, 100 MB/s per-transfer cap
 	var d time.Duration
-	l.Start(200, func() { d = e.Elapsed() })
+	l.Start(200, call, func() { d = e.Elapsed() })
 	e.Run()
 	if d != 2*time.Second {
 		t.Errorf("capped transfer finished at %v, want 2s", d)
@@ -93,8 +97,8 @@ func TestCapDoesNotExceedFairShare(t *testing.T) {
 	e := simclock.NewEngine(t0)
 	l := NewLink(e, 100, 80)
 	var d1, d2 time.Duration
-	l.Start(100, func() { d1 = e.Elapsed() })
-	l.Start(100, func() { d2 = e.Elapsed() })
+	l.Start(100, call, func() { d1 = e.Elapsed() })
+	l.Start(100, call, func() { d2 = e.Elapsed() })
 	e.Run()
 	// Fair share 50 < cap 80, so both run at 50 MB/s.
 	if d1 != 2*time.Second || d2 != 2*time.Second {
@@ -106,7 +110,7 @@ func TestZeroSizeTransferCompletes(t *testing.T) {
 	e := simclock.NewEngine(t0)
 	l := NewLink(e, 100, 0)
 	done := false
-	l.Start(0, func() { done = true })
+	l.Start(0, call, func() { done = true })
 	e.Run()
 	if !done {
 		t.Error("zero-size transfer never completed")
@@ -120,14 +124,14 @@ func TestCancel(t *testing.T) {
 	e := simclock.NewEngine(t0)
 	l := NewLink(e, 100, 0)
 	done := false
-	tr := l.Start(100, func() { done = true })
+	tr := l.Start(100, call, func() { done = true })
 	var other time.Duration
-	l.Start(100, func() { other = e.Elapsed() })
+	l.Start(100, call, func() { other = e.Elapsed() })
 	e.After(time.Second, "cancel", func() {
-		if !tr.Cancel() {
+		if !l.Cancel(tr) {
 			t.Error("Cancel reported inactive")
 		}
-		if tr.Cancel() {
+		if l.Cancel(tr) {
 			t.Error("second Cancel reported active")
 		}
 	})
@@ -145,12 +149,12 @@ func TestCancel(t *testing.T) {
 func TestRemainingAndRate(t *testing.T) {
 	e := simclock.NewEngine(t0)
 	l := NewLink(e, 100, 0)
-	tr := l.Start(100, nil)
+	tr := l.Start(100, nil, nil)
 	e.After(500*time.Millisecond, "check", func() {
-		if got := tr.Remaining(); !almost(got, 50, 1e-6) {
+		if got := l.Remaining(tr); !almost(got, 50, 1e-6) {
 			t.Errorf("Remaining = %v, want 50", got)
 		}
-		if got := tr.link.vtRate; !almost(got, 100, 1e-6) {
+		if got := l.vtRate; !almost(got, 100, 1e-6) {
 			t.Errorf("rate = %v, want 100", got)
 		}
 	})
@@ -160,9 +164,9 @@ func TestRemainingAndRate(t *testing.T) {
 func TestStatsBusyTime(t *testing.T) {
 	e := simclock.NewEngine(t0)
 	l := NewLink(e, 100, 0)
-	l.Start(100, nil) // 1 s
+	l.Start(100, nil, nil) // 1 s
 	e.After(10*time.Second, "second", func() {
-		l.Start(200, nil) // 2 s
+		l.Start(200, nil, nil) // 2 s
 	})
 	e.Run()
 	s := l.Stats()
@@ -183,7 +187,7 @@ func TestManySimultaneousEqualTransfers(t *testing.T) {
 	n := 15
 	finished := 0
 	for i := 0; i < n; i++ {
-		l.Start(10, func() { finished++ })
+		l.Start(10, call, func() { finished++ })
 	}
 	e.Run()
 	if finished != n {
@@ -201,8 +205,8 @@ func TestInvalidConstruction(t *testing.T) {
 		func() { NewLink(e, 0, 0) },
 		func() { NewLink(e, -1, 0) },
 		func() { NewLink(e, 1, -1) },
-		func() { NewLink(e, 100, 0).Start(-1, nil) },
-		func() { NewLink(e, 100, 0).Start(math.NaN(), nil) },
+		func() { NewLink(e, 100, 0).Start(-1, nil, nil) },
+		func() { NewLink(e, 100, 0).Start(math.NaN(), nil, nil) },
 	} {
 		func() {
 			defer func() {
@@ -239,7 +243,7 @@ func TestPropertyConservation(t *testing.T) {
 			}
 			at = at.Add(gap)
 			sz := szMB
-			e.At(at, "start", func() { l.Start(sz, nil) })
+			e.At(at, "start", func() { l.Start(sz, nil, nil) })
 		}
 		e.Run()
 		s := l.Stats()
@@ -267,7 +271,7 @@ func TestPropertyCapExactDuration(t *testing.T) {
 		e := simclock.NewEngine(t0)
 		l := NewLink(e, 250, cap)
 		var doneAt time.Duration
-		l.Start(size, func() { doneAt = e.Elapsed() })
+		l.Start(size, call, func() { doneAt = e.Elapsed() })
 		e.Run()
 		eff := math.Min(cap, 250)
 		want := size / eff
@@ -285,8 +289,8 @@ func TestContentionReducesAggregate(t *testing.T) {
 	// Two concurrent transfers: aggregate = 100 × 0.9 = 90 MB/s,
 	// 45 MB/s each; 90 MB each finishes in 2 s.
 	var d1, d2 time.Duration
-	l.Start(90, func() { d1 = e.Elapsed() })
-	l.Start(90, func() { d2 = e.Elapsed() })
+	l.Start(90, call, func() { d1 = e.Elapsed() })
+	l.Start(90, call, func() { d2 = e.Elapsed() })
 	e.Run()
 	if d1 != 2*time.Second || d2 != 2*time.Second {
 		t.Errorf("finish times %v %v, want 2s both", d1, d2)
@@ -294,7 +298,7 @@ func TestContentionReducesAggregate(t *testing.T) {
 	// A single transfer still gets full capacity (starts at the
 	// current virtual time, 2 s).
 	var d3 time.Duration
-	l.Start(100, func() { d3 = e.Elapsed() })
+	l.Start(100, call, func() { d3 = e.Elapsed() })
 	e.Run()
 	if d3 != 3*time.Second {
 		t.Errorf("lone transfer finished at %v, want 3s (1s duration)", d3)
@@ -307,7 +311,7 @@ func TestContentionMoreStreamsLowerBandwidth(t *testing.T) {
 		l := NewLink(e, 600, 0)
 		l.SetContention(0.96)
 		for i := 0; i < n; i++ {
-			l.Start(1400, nil)
+			l.Start(1400, nil, nil)
 		}
 		e.Run()
 		return l.Stats().AvgBandwidth
@@ -349,16 +353,16 @@ func TestReadsDoNotChurnTimers(t *testing.T) {
 		e := simclock.NewEngine(t0)
 		l := mk(e, 90, 0)
 		var done []int
-		trs := []*Transfer{
-			l.Start(100, func() { done = append(done, 0) }),
-			l.Start(200, func() { done = append(done, 1) }),
-			l.Start(300, func() { done = append(done, 2) }),
+		trs := []Transfer{
+			l.Start(100, call, func() { done = append(done, 0) }),
+			l.Start(200, call, func() { done = append(done, 1) }),
+			l.Start(300, call, func() { done = append(done, 2) }),
 		}
 		e.RunFor(time.Second)
 		before := e.Scheduled()
 		for i := 0; i < 100; i++ {
 			for _, tr := range trs {
-				tr.Remaining()
+				l.Remaining(tr)
 			}
 			l.Stats()
 		}
@@ -399,7 +403,7 @@ func TestCompletionBatchOrderedByID(t *testing.T) {
 		const n = 64
 		for i := 0; i < n; i++ {
 			i := i
-			l.Start(10, func() { order = append(order, i) })
+			l.Start(10, call, func() { order = append(order, i) })
 		}
 		e.Run()
 		if len(order) != n {
@@ -419,8 +423,8 @@ func TestReferenceBasics(t *testing.T) {
 	e := simclock.NewEngine(t0)
 	l := NewReferenceLink(e, 100, 0)
 	var d1, d2 time.Duration
-	l.Start(100, func() { d1 = e.Elapsed() })
-	l.Start(100, func() { d2 = e.Elapsed() })
+	l.Start(100, call, func() { d1 = e.Elapsed() })
+	l.Start(100, call, func() { d2 = e.Elapsed() })
 	e.Run()
 	if d1 != d2 || d1 != 2*time.Second {
 		t.Errorf("fair-share durations %v, %v; want both 2s", d1, d2)
@@ -429,8 +433,8 @@ func TestReferenceBasics(t *testing.T) {
 	e = simclock.NewEngine(t0)
 	l = NewReferenceLink(e, 100, 10) // cap binds: 10 MB/s each
 	var capped time.Duration
-	l.Start(50, func() { capped = e.Elapsed() })
-	l.Start(50, nil)
+	l.Start(50, call, func() { capped = e.Elapsed() })
+	l.Start(50, nil, nil)
 	e.Run()
 	if capped != 5*time.Second {
 		t.Errorf("capped duration %v, want 5s", capped)
@@ -439,20 +443,20 @@ func TestReferenceBasics(t *testing.T) {
 	e = simclock.NewEngine(t0)
 	l = NewReferenceLink(e, 100, 0)
 	fired := false
-	tr := l.Start(100, func() { fired = true })
-	other := l.Start(100, nil)
+	tr := l.Start(100, call, func() { fired = true })
+	other := l.Start(100, nil, nil)
 	e.RunFor(time.Second)
-	if !tr.Cancel() {
+	if !l.Cancel(tr) {
 		t.Fatal("cancel reported inactive")
 	}
-	if tr.Cancel() {
+	if l.Cancel(tr) {
 		t.Fatal("second cancel succeeded")
 	}
 	e.Run()
 	if fired {
 		t.Error("canceled transfer ran its callback")
 	}
-	if rem := other.Remaining(); rem != 0 {
+	if rem := l.Remaining(other); rem != 0 {
 		t.Errorf("surviving transfer remaining = %v", rem)
 	}
 	if got := l.Stats().Completed; got != 1 {
@@ -462,49 +466,56 @@ func TestReferenceBasics(t *testing.T) {
 
 // TestCompleteBatchAllocs pins the sort.Slice → slices.SortFunc
 // conversion in the completion hot path: sorting a completion wave and
-// recycling the batch scratch must not allocate. (Transfers without a
-// done callback short-circuit the engine batch-schedule, whose
-// callback-slice copy is the one intentional allocation in the full
-// path.) The closure-over-slice sort.Slice form boxed the slice header
-// and interface value, costing two allocations per wave.
+// releasing its slots must not allocate. The closure-over-slice
+// sort.Slice form boxed the slice header and interface value, costing
+// two allocations per wave.
 func TestCompleteBatchAllocs(t *testing.T) {
 	eng := simclock.NewEngine(t0)
 	l := NewLink(eng, 1000, 0)
 	const wave = 256
-	tmpl := make([]*Transfer, wave)
-	for i := range tmpl {
-		// Adversarial order: descending ids force real sort work.
-		tmpl[i] = &Transfer{link: l, id: wave - i}
+	batch := make([]int32, 0, wave)
+	fill := func() {
+		batch = batch[:0]
+		for i := 0; i < wave; i++ {
+			idx := l.alloc()
+			// Adversarial order: descending ids force real sort work.
+			l.trs[idx].id = wave - i
+			batch = append(batch, idx)
+		}
 	}
-	batch := make([]*Transfer, wave)
-	copy(batch, tmpl)
-	l.completeBatch(batch) // warm the doneFns scratch
+	fill()
+	l.completeBatch(batch) // warm the slab and the free list
 	allocs := testing.AllocsPerRun(100, func() {
-		copy(batch, tmpl)
+		fill()
 		l.completeBatch(batch)
 	})
 	if allocs != 0 {
 		t.Fatalf("completeBatch allocates %.1f times per wave, want 0", allocs)
 	}
 	for i := 1; i < wave; i++ {
-		if batch[i-1].id >= batch[i].id {
-			t.Fatalf("batch not sorted ascending by id at %d: %d, %d", i, batch[i-1].id, batch[i].id)
+		if a, b := l.trs[batch[i-1]].id, l.trs[batch[i]].id; a >= b {
+			t.Fatalf("batch not sorted ascending by id at %d: %d, %d", i, a, b)
 		}
+	}
+	if len(l.free) != wave || len(l.trs) != wave {
+		t.Fatalf("%d of %d slots free after the wave, want all %d", len(l.free), len(l.trs), wave)
 	}
 }
 
 // TestTransferLifecycleAllocs pins the cost of one transfer's whole
 // life on an idle link — Start, the completion timer, the done
-// callback — at the one allocation nothing can share: the *Transfer the
-// caller keeps. The completion timer's callback is bound once per
-// Link, and the engine's event records and the heap are recycled.
+// callback — at zero: the transfer is a recycled slab slot behind a
+// value handle, the completion timer's callback is bound once per
+// Link, the done callback is bound once by the caller and takes a
+// pointer argument, and the engine's event records and the heap are
+// recycled.
 func TestTransferLifecycleAllocs(t *testing.T) {
 	eng := simclock.NewEngine(t0)
 	l := NewLink(eng, 1000, 0)
 	done := 0
-	onDone := func() { done++ }
+	onDone := func(a any) { *a.(*int)++ }
 	lifecycle := func() {
-		l.Start(10, onDone)
+		l.Start(10, onDone, &done)
 		eng.Run()
 	}
 	lifecycle()
@@ -512,7 +523,63 @@ func TestTransferLifecycleAllocs(t *testing.T) {
 	if done != 102 {
 		t.Fatalf("%d transfers completed, want 102", done)
 	}
-	if allocs > 1 {
-		t.Errorf("one transfer lifecycle allocates %.0f times, want 1 (the *Transfer)", allocs)
+	if allocs != 0 {
+		t.Errorf("one transfer lifecycle allocates %.0f times, want 0", allocs)
 	}
+}
+
+// TestStaleTransferHandle holds handles past their transfers: after a
+// completion, and after a cancel whose slot a newer transfer took
+// over, Cancel reports false and Remaining 0, and neither touches the
+// newer transfer.
+func TestStaleTransferHandle(t *testing.T) {
+	forBothImpls(t, func(t *testing.T, mk func(*simclock.Engine, float64, float64) *Link) {
+		e := simclock.NewEngine(t0)
+		l := mk(e, 100, 0)
+		if l.Cancel(Transfer{}) || l.Remaining(Transfer{}) != 0 {
+			t.Fatal("the zero handle names a transfer")
+		}
+
+		done := l.Start(100, nil, nil)
+		e.Run() // completes at 1 s
+		if l.Cancel(done) {
+			t.Fatal("Cancel after completion reported an active transfer")
+		}
+		var reusedAt time.Duration
+		reused := l.Start(100, call, func() { reusedAt = e.Elapsed() })
+		if reused.idx != done.idx {
+			t.Fatalf("slot %d not reused (new slot %d)", done.idx, reused.idx)
+		}
+		if l.Cancel(done) || l.Remaining(done) != 0 {
+			t.Fatal("the completed transfer's handle reached its successor")
+		}
+		if l.Active() != 1 || !almost(l.Remaining(reused), 100, 1e-9) {
+			t.Fatalf("successor disturbed: active %d, remaining %v", l.Active(), l.Remaining(reused))
+		}
+		e.Run()
+		if reusedAt != 2*time.Second {
+			t.Fatalf("successor finished at %v, want 2s", reusedAt)
+		}
+
+		canceled := l.Start(100, nil, nil)
+		e.RunFor(500 * time.Millisecond)
+		if !l.Cancel(canceled) {
+			t.Fatal("Cancel of an active transfer reported false")
+		}
+		var nextAt time.Duration
+		next := l.Start(50, call, func() { nextAt = e.Elapsed() })
+		if next.idx != canceled.idx {
+			t.Fatalf("slot %d not reused (new slot %d)", canceled.idx, next.idx)
+		}
+		if l.Cancel(canceled) || l.Remaining(canceled) != 0 {
+			t.Fatal("the canceled transfer's handle reached its successor")
+		}
+		e.Run()
+		if nextAt != 3*time.Second {
+			t.Fatalf("successor finished at %v, want 3s", nextAt)
+		}
+		if s := l.Stats(); s.Started != 4 || s.Completed != 3 {
+			t.Fatalf("started/completed = %d/%d, want 4/3", s.Started, s.Completed)
+		}
+	})
 }

@@ -38,7 +38,8 @@ func (l *Link) refAdvance() {
 		return
 	}
 	l.busy += time.Duration(dt * float64(time.Second))
-	for _, tr := range l.order {
+	for _, idx := range l.order {
+		tr := &l.trs[idx]
 		moved := tr.rate * dt
 		if moved > tr.remaining {
 			moved = tr.remaining
@@ -60,27 +61,27 @@ func (l *Link) refAllocate() {
 	cap := l.effectiveCapacity(n)
 	if l.perTransfer == 0 {
 		share := cap / float64(n)
-		for _, tr := range l.order {
-			tr.rate = share
+		for _, idx := range l.order {
+			l.trs[idx].rate = share
 		}
 		return
 	}
 	remainingCap := cap
-	unset := make([]*Transfer, 0, n)
+	unset := make([]int32, 0, n)
 	unset = append(unset, l.order...)
 	for len(unset) > 0 {
 		share := remainingCap / float64(len(unset))
 		if l.perTransfer >= share {
 			// Nobody is capped below the equal share.
-			for _, tr := range unset {
-				tr.rate = share
+			for _, idx := range unset {
+				l.trs[idx].rate = share
 			}
 			return
 		}
 		// Every remaining transfer is capped (uniform cap), so they
 		// all take the cap.
-		for _, tr := range unset {
-			tr.rate = l.perTransfer
+		for _, idx := range unset {
+			l.trs[idx].rate = l.perTransfer
 		}
 		return
 	}
@@ -93,30 +94,24 @@ func (l *Link) refReschedule() {
 	l.timer.Stop()
 	finished := l.finished[:0]
 	keep := l.order[:0]
-	for _, tr := range l.order {
-		if tr.remaining <= completionEpsilonMB {
-			delete(l.transfers, tr.id)
+	for _, idx := range l.order {
+		if l.trs[idx].remaining <= completionEpsilonMB {
 			l.completed++
-			finished = append(finished, tr)
+			finished = append(finished, idx)
 		} else {
-			keep = append(keep, tr)
+			keep = append(keep, idx)
 		}
-	}
-	for i := len(keep); i < len(l.order); i++ {
-		l.order[i] = nil
 	}
 	l.order = keep
 	l.completeBatch(finished)
-	for i := range finished {
-		finished[i] = nil
-	}
 	l.finished = finished[:0]
 	if len(l.order) == 0 {
 		return
 	}
 	l.refAllocate()
 	soonest := math.Inf(1)
-	for _, tr := range l.order {
+	for _, idx := range l.order {
+		tr := &l.trs[idx]
 		if tr.rate <= 0 {
 			continue
 		}
@@ -136,12 +131,10 @@ func (l *Link) refReschedule() {
 }
 
 // refRemove drops a canceled transfer from the ordered active set.
-func (l *Link) refRemove(tr *Transfer) {
+func (l *Link) refRemove(idx int32) {
 	for i, o := range l.order {
-		if o == tr {
-			copy(l.order[i:], l.order[i+1:])
-			l.order[len(l.order)-1] = nil
-			l.order = l.order[:len(l.order)-1]
+		if o == idx {
+			l.order = append(l.order[:i], l.order[i+1:]...)
 			return
 		}
 	}

@@ -13,7 +13,8 @@ import (
 // with cancellation, periodic controllers with Reset/Stop — and the
 // firing logs must match event for event: same callback, same virtual
 // time, same order, same Stop results, same Processed/Pending
-// accounting. This is the house discipline from the kubesim and
+// accounting. Events go through both callback forms, After's closure
+// and AfterArg's bound callback with an argument. This is the house discipline from the kubesim and
 // netsim rewrites; the scenario shapes mirror the real components'
 // scheduling patterns.
 
@@ -50,6 +51,12 @@ func runScenario(e *Engine, seed int64, rounds int) scenarioResult {
 		}
 	}
 
+	// fireArg is the AfterArg form of record's callbacks: bound once,
+	// the id travels as the event's argument.
+	fireArg := func(a any) {
+		res.fires = append(res.fires, fireEntry{id: a.(int64), at: e.Elapsed()})
+	}
+
 	// live holds cancellable timers; a fraction get stopped later —
 	// some before firing, some after (Stop must report false then).
 	var live []Timer
@@ -73,9 +80,12 @@ func runScenario(e *Engine, seed int64, rounds int) scenarioResult {
 	var spawn func(depth int)
 	spawn = func(depth int) {
 		switch rng.Intn(10) {
-		case 0, 1, 2:
+		case 0, 1:
 			_, fn := record()
 			e.After(dur(), "single", fn)
+		case 2:
+			id, _ := record()
+			e.AfterArg(dur(), "single-arg", fireArg, id)
 		case 3, 4:
 			id, fn := record()
 			_ = id
@@ -111,8 +121,12 @@ func runScenario(e *Engine, seed int64, rounds int) scenarioResult {
 			t := e.After(dur(), "stopped", fn)
 			res.stops = append(res.stops, t.Stop())
 		case 8:
-			_, fn := record()
-			live = append(live, e.After(dur(), "maybe-stop", fn))
+			id, fn := record()
+			if id%2 == 0 {
+				live = append(live, e.AfterArg(dur(), "maybe-stop-arg", fireArg, id))
+			} else {
+				live = append(live, e.After(dur(), "maybe-stop", fn))
+			}
 		case 9:
 			// Zero-delay burst at the current instant.
 			k := 1 + rng.Intn(4)

@@ -19,10 +19,10 @@ import (
 // recycled event from the one a Timer was issued for.
 type refEvent struct {
 	at       time.Time
-	seq      uint64 // tie-breaker: FIFO among equal times
-	gen      uint64 // incremented on recycle; Timers validate it
-	fn       func()
-	name     string
+	seq      uint64    // tie-breaker: FIFO among equal times
+	gen      uint64    // incremented on recycle; Timers validate it
+	fn       func(any) // called with arg, as in rec
+	arg      any
 	eng      *Engine
 	canceled bool
 	index    int // heap index, -1 once popped
@@ -97,27 +97,22 @@ func (c *refCore) refAlloc() *refEvent {
 // invalidates any Timer still pointing at it.
 func (c *refCore) refRecycle(ev *refEvent) {
 	ev.gen++
-	ev.fn = nil
-	ev.name = ""
+	ev.fn, ev.arg = nil, nil
 	ev.canceled = false
 	c.free = append(c.free, ev)
 }
 
 // refAt is the reference-mode At: times in the past are clamped to the
 // current time, preserving FIFO order among same-time events.
-func (e *Engine) refAt(at time.Time, name string, fn func()) Timer {
-	if fn == nil {
-		panic("simclock: nil event callback")
-	}
+func (e *Engine) refAt(at time.Time, fn func(any), arg any) Timer {
 	c := e.ref
 	if at.Before(c.now) {
 		at = c.now
 	}
 	e.seq++
 	e.scheduled++
-	e.pending++
 	ev := c.refAlloc()
-	ev.at, ev.seq, ev.fn, ev.name, ev.eng = at, e.seq, fn, name, e
+	ev.at, ev.seq, ev.fn, ev.arg, ev.eng = at, e.seq, fn, arg, e
 	heap.Push(&c.events, ev)
 	return Timer{ev: ev, gen: ev.gen}
 }
@@ -138,7 +133,7 @@ func refStop(ev *refEvent, gen uint64) bool {
 	ev.canceled = true
 	eng := ev.eng
 	heap.Remove(&eng.ref.events, ev.index)
-	eng.pending--
+	eng.stops++
 	eng.ref.refRecycle(ev)
 	return true
 }
@@ -157,10 +152,9 @@ func (e *Engine) refStep() bool {
 			c.now = ev.at
 		}
 		e.processed++
-		e.pending--
-		fn := ev.fn
+		fn, arg := ev.fn, ev.arg
 		c.refRecycle(ev)
-		fn()
+		fn(arg)
 		return true
 	}
 	return false

@@ -45,17 +45,25 @@ import (
 )
 
 // rec is a packed event record: one callback at one (at, seq), in the
-// same-instant queue or a timing-wheel slot until it fires. It fits
-// in one 64-byte cache line (TestRecordSize pins the size).
+// same-instant queue or a timing-wheel slot until it fires. Firing
+// calls fn(arg); At and After store their func() as the arg of
+// callFunc. It fits in one 64-byte cache line (TestRecordSize pins the
+// size).
 type rec struct {
 	at      int64  // firing time, ns since engine base
 	seq     uint64 // schedule order; breaks ties between equal at
 	gen     uint64 // incremented on recycle; Timers validate it
-	fn      func()
-	name    string
+	fn      func(any)
+	arg     any
 	next    int32 // intrusive wheel-slot list link; -1 terminates
 	stopped bool  // canceled while queued or wheel-resident; never fires
 }
+
+// callFunc fires an At/After event: its plain callback rides in the
+// record's arg. A func value is pointer-shaped, so storing it in an
+// interface does not allocate, and one callback field serves both
+// event forms.
+func callFunc(a any) { a.(func())() }
 
 // Engine is a single-threaded discrete-event simulation engine.
 // It is not safe for concurrent use; all callbacks run on the
@@ -66,7 +74,7 @@ type Engine struct {
 	seq       uint64
 	processed uint64
 	scheduled uint64
-	pending   int
+	stops     uint64 // successful Timer.Stop calls
 
 	recs []rec   // packed event slab
 	free []int32 // recycled slab indices
@@ -120,9 +128,11 @@ func (e *Engine) Elapsed() time.Duration {
 }
 
 // Pending returns the number of scheduled, non-canceled events in
-// O(1) from a counter maintained at schedule/cancel/fire — a Pending
-// probe inside a hot loop must not pay a queue walk.
-func (e *Engine) Pending() int { return e.pending }
+// O(1): every scheduled event has fired, been stopped, or is pending,
+// so the count follows from the scheduled and processed totals and a
+// stop counter only Timer.Stop touches. Scheduling and firing keep no
+// extra books for it.
+func (e *Engine) Pending() int { return int(e.scheduled - e.processed - e.stops) }
 
 // Processed returns the total number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
@@ -163,7 +173,7 @@ func (t Timer) Stop() bool {
 		return false
 	}
 	r.stopped = true
-	e.pending--
+	e.stops++
 	return true
 }
 
@@ -200,49 +210,68 @@ func (e *Engine) alloc() int32 {
 func (e *Engine) recycle(idx int32) {
 	r := &e.recs[idx]
 	r.gen++
-	r.fn = nil
-	r.name = ""
+	r.fn, r.arg = nil, nil
 	r.stopped = false
 	e.free = append(e.free, idx)
 }
 
 // At schedules fn to run at time at. Times in the past are clamped to
 // the current time, preserving FIFO order among same-time events. The
-// name is used only for diagnostics.
+// name documents the event at the call site; the engine does not keep
+// it.
 func (e *Engine) At(at time.Time, name string, fn func()) Timer {
-	if e.ref != nil {
-		return e.refAt(at, name, fn)
+	if fn == nil {
+		panic("simclock: nil event callback")
 	}
-	return e.atRel(e.rel(at), name, fn)
+	if e.ref != nil {
+		return e.refAt(at, callFunc, fn)
+	}
+	return e.atRel(e.rel(at), callFunc, fn)
 }
 
 // After schedules fn to run d from now. Negative durations are
 // clamped to zero. Consecutive calls take consecutive seqs, so k
 // After calls at one delay fire back to back in call order.
 func (e *Engine) After(d time.Duration, name string, fn func()) Timer {
+	if fn == nil {
+		panic("simclock: nil event callback")
+	}
+	return e.after(d, callFunc, fn)
+}
+
+// AfterArg schedules fn(arg) to run d from now, ordered exactly like
+// After. The record keeps both, so a callback bound once (a method
+// value made at construction) and a pointer-shaped arg schedule an
+// event without allocating — the form for per-task events, which
+// would otherwise build a closure per attempt.
+func (e *Engine) AfterArg(d time.Duration, name string, fn func(any), arg any) Timer {
+	if fn == nil {
+		panic("simclock: nil event callback")
+	}
+	return e.after(d, fn, arg)
+}
+
+// after is After/AfterArg past the nil check.
+func (e *Engine) after(d time.Duration, fn func(any), arg any) Timer {
 	if d < 0 {
 		d = 0
 	}
 	if e.ref != nil {
-		return e.refAt(e.ref.now.Add(d), name, fn)
+		return e.refAt(e.ref.now.Add(d), fn, arg)
 	}
-	return e.atRel(e.now+int64(d), name, fn)
+	return e.atRel(e.now+int64(d), fn, arg)
 }
 
-// atRel is At on the relative timeline, skipping the conversion.
-func (e *Engine) atRel(rel int64, name string, fn func()) Timer {
-	if fn == nil {
-		panic("simclock: nil event callback")
-	}
+// atRel schedules on the relative timeline, skipping the conversion.
+func (e *Engine) atRel(rel int64, fn func(any), arg any) Timer {
 	if rel < e.now {
 		rel = e.now
 	}
 	e.seq++
 	e.scheduled++
-	e.pending++
 	idx := e.alloc()
 	r := &e.recs[idx]
-	r.at, r.seq, r.fn, r.name = rel, e.seq, fn, name
+	r.at, r.seq, r.fn, r.arg = rel, e.seq, fn, arg
 	if rel == e.now {
 		// The largest seq yet, so the queue stays in seq order.
 		e.nowq = append(e.nowq, idx)
@@ -283,14 +312,13 @@ func (e *Engine) step(limit int64) bool {
 			e.nowHead = 0
 		}
 		r := &e.recs[idx]
-		fn, stopped := r.fn, r.stopped
+		fn, arg, stopped := r.fn, r.arg, r.stopped
 		e.recycle(idx)
 		if stopped {
 			continue
 		}
 		e.processed++
-		e.pending--
-		fn()
+		fn(arg)
 		return true
 	}
 }

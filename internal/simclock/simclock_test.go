@@ -501,6 +501,49 @@ func TestSameInstantZeroAlloc(t *testing.T) {
 	}
 }
 
+// AfterArg is the allocation-free form for per-object events: a
+// callback bound once, with a pointer argument stored in the record.
+// After a warm-up, scheduling, stopping and firing such events
+// allocates nothing on either engine, and they keep After's order.
+func TestAfterArgZeroAlloc(t *testing.T) {
+	for _, e := range []*Engine{NewEngine(t0), NewReferenceEngine(t0)} {
+		type obj struct{ fired, id int }
+		var order []int
+		fire := func(a any) {
+			o := a.(*obj)
+			o.fired++
+			order = append(order, o.id)
+		}
+		objs := make([]obj, 8)
+		for i := range objs {
+			objs[i].id = i
+		}
+		round := func() {
+			order = order[:0]
+			for i := range objs {
+				tm := e.AfterArg(time.Duration(i%2)*time.Millisecond, "arg", fire, &objs[i])
+				if i == 5 {
+					tm.Stop()
+				}
+			}
+			e.Run()
+		}
+		for i := 0; i < 10; i++ {
+			round() // warm the slab, free lists and queues
+		}
+		if avg := testing.AllocsPerRun(100, round); avg != 0 {
+			t.Fatalf("reference=%v: AfterArg round allocates %.1f objects, want 0", e.Reference(), avg)
+		}
+		if want := []int{0, 2, 4, 6, 1, 3, 7}; !slices.Equal(order, want) {
+			t.Fatalf("reference=%v: order %v, want %v", e.Reference(), order, want)
+		}
+		if objs[5].fired != 0 || objs[0].fired != 111 {
+			t.Fatalf("reference=%v: stopped event fired %d times, first fired %d, want 0 and 111",
+				e.Reference(), objs[5].fired, objs[0].fired)
+		}
+	}
+}
+
 // --- Pending counter ---
 
 // Pending must stay exact through schedule/cancel/fire churn,

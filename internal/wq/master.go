@@ -114,7 +114,7 @@ type Master struct {
 	workerCount int
 	nextJoinSeq uint64
 	idle        idleHeap
-	freeFetch   []func() // free-transfer fetch arrivals batched per dispatch
+	freeFetch   []*fileFetch // free-transfer fetch arrivals batched per dispatch
 
 	// Per-category estimator memo, valid for one estimator revision:
 	// estRev[catID] holds rev+1 from the last probe (0 = never
@@ -170,6 +170,15 @@ type Master struct {
 	dispatchFn      func() // persistent coalesced-dispatch closure
 	completeCount   int
 
+	// The callbacks of per-attempt and per-fetch events, bound once in
+	// NewMaster. Each takes its dispatch record (or fileFetch) as the
+	// event's argument, so scheduling one allocates nothing.
+	execDoneFn    func(any) // execution finished: send the output
+	abortFn       func(any) // fast-abort deadline passed
+	inDoneFn      func(any) // private input arrived
+	outDoneFn     func(any) // output delivered: complete the task
+	fileArrivedFn func(any) // shared file arrived, over the link or for free
+
 	// Incremental aggregates, kept in lockstep with the queue and the
 	// worker pools so Stats, BusyCPU and the samplers are O(1).
 	runningCount  int
@@ -194,12 +203,12 @@ type simWorker struct {
 	id       string
 	wid      int32 // index into Master.workersBy while connected
 	joinSeq  uint64
-	slot     int                // roster index; -1 once removed
-	pool     resources.Pool     // embedded: one fewer allocation and cache line per worker
-	cache    []bool             // by fid: shared files present
-	cached   int                // count of set cache entries
-	fetching map[int32][]func() // shared files in flight -> waiters
-	fetches  map[int32]*netsim.Transfer
+	slot     int                      // roster index; -1 once removed
+	pool     resources.Pool           // embedded: one fewer allocation and cache line per worker
+	cache    []bool                   // by fid: shared files present
+	cached   int                      // count of set cache entries
+	fetching map[int32][]*runningTask // shared files in flight -> waiting attempts
+	fetches  map[int32]netsim.Transfer
 	running  runningSet
 	draining bool
 	onDrain  func()
@@ -222,19 +231,25 @@ func (w *simWorker) setFile(fid int32) {
 	}
 }
 
+// fileFetch names one shared file in flight to one worker: the
+// argument of its arrival event.
+type fileFetch struct {
+	w   *simWorker
+	fid int32
+}
+
+// runningTask is one dispatch record: a task's attempt on a worker.
+// Its events (transfer completions, execution end, fast abort) carry
+// the record as their argument to the master's bound callbacks, so
+// the record holds no closure.
 type runningTask struct {
 	task      *taskRec
 	worker    *simWorker
-	pending   int // outstanding input fetches
-	inTr      *netsim.Transfer
-	outTr     *netsim.Transfer
+	inTr      netsim.Transfer // zero while no input transfer is in flight
+	outTr     netsim.Transfer // zero while no output transfer is in flight
 	execTmr   simclock.Timer
 	abortTmr  simclock.Timer
-	execDone  func() // persistent exec-complete closure (see newRunningTask)
-	abortFn   func() // persistent fast-abort closure
-	fetchFn   func() // persistent shared-file-arrival closure
-	inFn      func() // persistent input-transfer-complete closure
-	outFn     func() // persistent output-transfer-complete closure
+	pending   int32 // outstanding input fetches
 	executing bool
 	aborted   bool             // attempt stopped; late fetch callbacks must not run it
 	execUsage resources.Vector // clamped usage while executing
@@ -359,6 +374,27 @@ func NewMaster(eng *simclock.Engine, link *netsim.Link) *Master {
 	m.dispatchFn = func() {
 		m.dispatchPending = false
 		m.dispatchOnce()
+	}
+	m.execDoneFn = func(a any) {
+		rt := a.(*runningTask)
+		m.fstats.UsefulCoreSeconds += m.clearExecuting(rt)
+		m.sendOutput(rt)
+	}
+	m.abortFn = func(a any) { m.fastAbort(a.(*runningTask)) }
+	m.inDoneFn = func(a any) {
+		rt := a.(*runningTask)
+		rt.inTr = netsim.Transfer{}
+		m.fetchDone(rt)
+	}
+	m.outDoneFn = func(a any) {
+		rt := a.(*runningTask)
+		rt.outTr = netsim.Transfer{}
+		m.completeTask(rt)
+	}
+	m.fileArrivedFn = func(a any) {
+		f := a.(*fileFetch)
+		delete(f.w.fetches, f.fid) // a free arrival has no entry
+		m.fileArrived(f.w, f.fid)
 	}
 	return m
 }
@@ -498,8 +534,7 @@ func (m *Master) allocTask() *taskRec {
 }
 
 // newRunningTask takes a dispatch record from the free list or makes
-// one. The exec-complete closure is built once per record and reads
-// the record's current fields, so it survives recycling.
+// one.
 func (m *Master) newRunningTask() *runningTask {
 	if n := len(m.rtFree); n > 0 {
 		rt := m.rtFree[n-1]
@@ -515,19 +550,15 @@ func (m *Master) newRunningTask() *runningTask {
 	}
 	rt := &m.rtSlab[0]
 	m.rtSlab = m.rtSlab[1:]
-	rt.execDone = func() {
-		m.fstats.UsefulCoreSeconds += m.clearExecuting(rt)
-		m.sendOutput(rt)
-	}
 	return rt
 }
 
 // recycleRunningTask returns a record to the free list, but only when
-// every callback that captured it has been consumed (fetch waiters,
+// every event that carries it has been consumed (fetch waiters,
 // input/output transfers); records from cancel/kill paths may still
 // be referenced and are left to the garbage collector.
 func (m *Master) recycleRunningTask(rt *runningTask) {
-	if rt.pending != 0 || rt.inTr != nil || rt.outTr != nil {
+	if rt.pending != 0 || rt.inTr != (netsim.Transfer{}) || rt.outTr != (netsim.Transfer{}) {
 		return
 	}
 	rt.task, rt.worker = nil, nil
@@ -712,16 +743,23 @@ func (m *Master) KillWorker(id string) error {
 // unwinding the executing-usage aggregate. Execution performed by the
 // stopped attempt is accounted as lost work.
 func (m *Master) stopTask(rt *runningTask) {
-	if rt.inTr != nil {
-		rt.inTr.Cancel()
-	}
-	if rt.outTr != nil {
-		rt.outTr.Cancel()
-	}
+	m.cancelTransfers(rt)
 	rt.execTmr.Stop()
 	rt.abortTmr.Stop()
 	rt.aborted = true
 	m.fstats.LostCoreSeconds += m.clearExecuting(rt)
+}
+
+// cancelTransfers cancels the attempt's input and output transfers
+// while they are in flight. The handles stay set: a transfer that has
+// completed but whose done event has not yet run still owns the
+// record (see recycleRunningTask), and Cancel ignores such a stale
+// handle.
+func (m *Master) cancelTransfers(rt *runningTask) {
+	if m.link != nil {
+		m.link.Cancel(rt.inTr)
+		m.link.Cancel(rt.outTr)
+	}
 }
 
 // clearExecuting ends the attempt's executing phase and returns the
@@ -751,7 +789,7 @@ func (m *Master) removeWorker(w *simWorker) {
 	}
 	slices.SortFunc(fids, func(a, b int32) int { return cmp.Compare(m.fids.Str(a), m.fids.Str(b)) })
 	for _, fid := range fids {
-		w.fetches[fid].Cancel()
+		m.link.Cancel(w.fetches[fid])
 		delete(w.fetches, fid)
 	}
 	m.workersBy[w.wid] = nil
@@ -1206,27 +1244,13 @@ func (m *Master) startTask(t *taskRec, w *simWorker, alloc resources.Vector, exc
 				continue
 			}
 			rt.pending++
-			if rt.fetchFn == nil {
-				// Bound lazily, like inFn/outFn: only staging-heavy
-				// workloads pay for it, once per record.
-				rt.fetchFn = func() { m.fetchDone(rt) }
-			}
-			m.ensureFile(w, fid, f.SizeMB, rt.fetchFn)
+			m.ensureFile(w, fid, f.SizeMB, rt)
 		}
 	}
 	m.flushFreeFetches()
 	if t.inputMB > 0 && m.link != nil {
 		rt.pending++
-		if rt.inFn == nil {
-			// Bound lazily: workloads without per-task transfers never
-			// pay for the closure; transfer-heavy ones pay once per
-			// record, then recycle it with the record.
-			rt.inFn = func() {
-				rt.inTr = nil
-				m.fetchDone(rt)
-			}
-		}
-		rt.inTr = m.link.Start(t.inputMB, rt.inFn)
+		rt.inTr = m.link.Start(t.inputMB, m.inDoneFn, rt)
 	}
 	m.fetchDone(rt) // release the setup barrier
 }
@@ -1236,41 +1260,40 @@ func (m *Master) startTask(t *taskRec, w *simWorker, alloc resources.Vector, exc
 // scheduled after the staging loop, not as each accumulates, so the
 // loop's own events (link timers) keep the earlier seqs.
 func (m *Master) flushFreeFetches() {
-	for i, fn := range m.freeFetch {
-		m.eng.After(0, "wq-fetch-free", fn)
+	for i, f := range m.freeFetch {
+		m.eng.AfterArg(0, "wq-fetch-free", m.fileArrivedFn, f)
 		m.freeFetch[i] = nil
 	}
 	m.freeFetch = m.freeFetch[:0]
 }
 
 // ensureFile fetches a shared file (by interned fid) onto the worker
-// exactly once; callbacks queue while a fetch is in flight.
-func (m *Master) ensureFile(w *simWorker, fid int32, sizeMB float64, cb func()) {
+// exactly once for the attempt rt; attempts queue while a fetch is in
+// flight, and each is released through fetchDone when the file lands.
+func (m *Master) ensureFile(w *simWorker, fid int32, sizeMB float64, rt *runningTask) {
 	if w.hasFile(fid) {
-		cb()
+		m.fetchDone(rt)
 		return
 	}
 	if _, inflight := w.fetching[fid]; inflight {
-		w.fetching[fid] = append(w.fetching[fid], cb)
+		w.fetching[fid] = append(w.fetching[fid], rt)
 		return
 	}
 	if w.fetching == nil {
-		w.fetching = make(map[int32][]func())
+		w.fetching = make(map[int32][]*runningTask)
 	}
-	w.fetching[fid] = []func(){cb}
+	w.fetching[fid] = []*runningTask{rt}
+	f := &fileFetch{w: w, fid: fid}
 	if m.link == nil || sizeMB <= 0 {
 		// Free transfers arrive instantly; the arrivals for one task's
 		// staging accumulate until flushFreeFetches schedules them.
-		m.freeFetch = append(m.freeFetch, func() { m.fileArrived(w, fid) })
+		m.freeFetch = append(m.freeFetch, f)
 		return
 	}
 	if w.fetches == nil {
-		w.fetches = make(map[int32]*netsim.Transfer)
+		w.fetches = make(map[int32]netsim.Transfer)
 	}
-	w.fetches[fid] = m.link.Start(sizeMB, func() {
-		delete(w.fetches, fid)
-		m.fileArrived(w, fid)
-	})
+	w.fetches[fid] = m.link.Start(sizeMB, m.fileArrivedFn, f)
 }
 
 func (m *Master) fileArrived(w *simWorker, fid int32) {
@@ -1278,10 +1301,10 @@ func (m *Master) fileArrived(w *simWorker, fid int32) {
 		return
 	}
 	w.setFile(fid)
-	cbs := w.fetching[fid]
+	waiters := w.fetching[fid]
 	delete(w.fetching, fid)
-	for _, cb := range cbs {
-		cb()
+	for _, rt := range waiters {
+		m.fetchDone(rt)
 	}
 }
 
@@ -1302,19 +1325,13 @@ func (m *Master) fetchDone(rt *runningTask) {
 	rt.execStart = m.eng.Elapsed()
 	rt.execUsage = t.used.Min(t.alloc)
 	m.busyUsage = m.busyUsage.Add(rt.execUsage)
-	rt.execTmr = m.eng.After(t.exec, "wq-exec", rt.execDone)
+	rt.execTmr = m.eng.AfterArg(t.exec, "wq-exec", m.execDoneFn, rt)
 }
 
 func (m *Master) sendOutput(rt *runningTask) {
 	t := rt.task
 	if t.outputMB > 0 && m.link != nil {
-		if rt.outFn == nil {
-			rt.outFn = func() {
-				rt.outTr = nil
-				m.completeTask(rt)
-			}
-		}
-		rt.outTr = m.link.Start(t.outputMB, rt.outFn)
+		rt.outTr = m.link.Start(t.outputMB, m.outDoneFn, rt)
 		return
 	}
 	m.completeTask(rt)

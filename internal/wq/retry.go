@@ -218,12 +218,7 @@ func (m *Master) armFastAbort(rt *runningTask) {
 		return
 	}
 	deadline := time.Duration(float64(mean) * m.retry.FastAbortMultiplier)
-	if rt.abortFn == nil {
-		// Bound lazily: only workloads with fast-abort armed pay for
-		// the closure, once per record.
-		rt.abortFn = func() { m.fastAbort(rt) }
-	}
-	rt.abortTmr = m.eng.After(deadline, "wq-fast-abort", rt.abortFn)
+	rt.abortTmr = m.eng.AfterArg(deadline, "wq-fast-abort", m.abortFn, rt)
 }
 
 // fastAbort kills a straggling attempt on its worker and resubmits

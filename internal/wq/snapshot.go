@@ -24,6 +24,7 @@ import (
 
 	"hta/internal/intern"
 	"hta/internal/metrics"
+	"hta/internal/netsim"
 	"hta/internal/resources"
 	"hta/internal/simclock"
 )
@@ -160,14 +161,8 @@ func (m *Master) Crash() (Snapshot, []WorkerReattach) {
 			// Stop the attempt's master-side machinery without the lost-
 			// work accounting of stopTask: the attempt itself lives on at
 			// the worker.
-			if rt.inTr != nil {
-				rt.inTr.Cancel()
-				rt.inTr = nil
-			}
-			if rt.outTr != nil {
-				rt.outTr.Cancel()
-				rt.outTr = nil
-			}
+			m.cancelTransfers(rt)
+			rt.inTr, rt.outTr = netsim.Transfer{}, netsim.Transfer{}
 			rt.execTmr.Stop()
 			rt.abortTmr.Stop()
 			rt.aborted = true
@@ -178,7 +173,7 @@ func (m *Master) Crash() (Snapshot, []WorkerReattach) {
 		}
 		slices.SortFunc(fids, func(a, b int32) int { return cmp.Compare(m.fids.Str(a), m.fids.Str(b)) })
 		for _, fid := range fids {
-			w.fetches[fid].Cancel()
+			m.link.Cancel(w.fetches[fid])
 		}
 		workers = append(workers, wr)
 	}
@@ -372,7 +367,7 @@ func (m *Master) rescue(w *simWorker, t *taskRec, remaining time.Duration) {
 	rt.execStart = m.eng.Elapsed()
 	rt.execUsage = t.used.Min(t.alloc)
 	m.busyUsage = m.busyUsage.Add(rt.execUsage)
-	rt.execTmr = m.eng.After(remaining, "wq-exec", rt.execDone)
+	rt.execTmr = m.eng.AfterArg(remaining, "wq-exec", m.execDoneFn, rt)
 	m.rec.RescuedTasks++
 }
 
