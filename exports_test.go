@@ -14,13 +14,10 @@ import (
 // keptExports names the exported declarations under internal/ that no
 // non-test file uses, each kept on purpose.
 var keptExports = map[string]string{
-	"Less":                     "sort.Interface and heap.Interface method of the reference queues",
-	"Swap":                     "sort.Interface and heap.Interface method of the reference queues",
 	"DropWatches":              "kubetest is test support: it severs watches to test the operator's rewatch",
 	"AutoRun":                  "kubetest is test support: it plays the kubelet for the operator tests",
 	"DurationQuantile":         "benchmark/benchmark_test.go checks the benchmark's quantiles against it",
 	"RunHTAStream":             "benchmark/benchmark_test.go checks the stream-day wiring against it",
-	"PlanOnly":                 "BenchmarkArbiterCycle and TestTenantsEJPlanDifferential measure and check it",
 	"GetService":               "core's deploy test reads the service it creates",
 	"Levels":                   "structure oracle for the makeflow parser and the workload generators",
 	"CategoryCounts":           "structure oracle for the makeflow parser and the workload generators",
@@ -32,10 +29,6 @@ var keptExports = map[string]string{
 	"SmokeStreamEIConfig":      "test-size configuration of E-I",
 	"SmokeTenantsEJConfig":     "test-size configuration of E-J",
 	"SmokeTenantChaosEKConfig": "test-size configuration of E-K",
-	"SetNaiveArbitration":      "switches to the reference arbiter the differential tests compare against",
-	"SetNaiveScheduling":       "switches to the reference scheduler the differential tests compare against",
-	"SetNaivePlacement":        "switches to the reference placement the differential tests compare against",
-	"ReferenceEstimateScale":   "the reference planner the differential tests compare against",
 }
 
 // TestNoTestOnlyExports fails on an exported func, method or type under
@@ -119,5 +112,55 @@ func TestNoTestOnlyExports(t *testing.T) {
 		if !found {
 			t.Errorf("keptExports names %s, which no longer exists", name)
 		}
+	}
+}
+
+// TestNoOracleSwitchesInProduction fails if a non-test file under
+// internal/ declares a switch to a test oracle (SetNaive*), a
+// constructor of one (NewReference*), or a naive*-named function,
+// method or struct field. The oracles live in their packages' _test.go
+// files, and every production type has one mode.
+func TestNoOracleSwitchesInProduction(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			var names []*ast.Ident
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				names = append(names, n.Name)
+			case *ast.StructType:
+				for _, field := range n.Fields.List {
+					names = append(names, field.Names...)
+				}
+			}
+			for _, id := range names {
+				if strings.HasPrefix(id.Name, "SetNaive") || strings.HasPrefix(id.Name, "NewReference") ||
+					strings.HasPrefix(id.Name, "naive") {
+					t.Errorf("%s: %s switches to or builds a test oracle; keep oracles in _test.go files",
+						fset.Position(id.Pos()), id.Name)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // Allocation semantics (the spec both the packed allocator below and
-// the naive referenceAllocate in reference.go implement — the
-// differential suite holds them byte-identical):
+// the naive referenceAllocate in reference_test.go implement — the
+// differential suite and fuzz target hold them byte-identical):
 //
 //  1. Each tenant's effective demand is capped at its quota ceiling
 //     (QuotaMax, 0 = unlimited): capᵢ = min(demandᵢ, ceilᵢ).
@@ -35,8 +35,8 @@ import (
 //
 // The allocator is deliberately a pure function of
 // (config, vsvc, demand): plan passes never mutate tenant state, so
-// the incremental and reference arbiters can be run side by side on
-// identical inputs.
+// the tests can run the incremental plan and the reference arbiter
+// side by side on identical inputs.
 type allocator struct {
 	policy Policy
 	total  int64 // cluster-wide worker capacity C
@@ -242,8 +242,8 @@ func (al *allocator) fill(idxs []int32, R int64, grant []int64) int64 {
 }
 
 // commit folds one cycle's grants into the virtual-service counters.
-// Called exactly once per cycle, after planning (incremental or
-// reference — both plan against the same pre-commit counters).
+// Called exactly once per cycle, after planning (the tests' reference
+// plan reads the same pre-commit counters).
 func (al *allocator) commit(grant []int64) {
 	for i := range al.vsvc {
 		al.vsvc[i] += grant[i] * vsvcUnit / al.weight[i]

@@ -25,9 +25,10 @@
 //     pooled scratch arena — zero heap allocations per steady-state
 //     cycle (asserted by TestArbiterCycleZeroAlloc).
 //
-// The naive full-replan arbiter is retained in reference.go and
-// pinned byte-identical by the differential suite and fuzz target, per
-// the house style.
+// The naive full-replan arbiter lives on in reference_test.go as a
+// test oracle: the differential suite and fuzz target hold the
+// incremental plan and the packed allocator byte-identical to it. The
+// Arbiter itself has one mode.
 package arbiter
 
 import (
@@ -159,9 +160,6 @@ type Arbiter struct {
 	eng     *simclock.Engine
 	cluster *kubesim.Cluster
 	cfg     Config
-	// naive routes every cycle through the retained full-replan
-	// reference arbiter (reference.go); see SetNaiveArbitration.
-	naive bool
 
 	// template is the shared cluster-roster fact every tenant plans
 	// against: the node-sized worker capacity, snapshotted once at
@@ -176,10 +174,9 @@ type Arbiter struct {
 	podOwner map[string]*Tenant
 
 	al allocator
-	// demand/grant/refGrant are the packed per-tenant cycle vectors.
-	demand   []int64
-	grant    []int64
-	refGrant []int64
+	// demand/grant are the packed per-tenant cycle vectors.
+	demand []int64
+	grant  []int64
 
 	// gen is the arbiter's incarnation counter, bumped by Crash and
 	// stamped into every drain callback (and created pod) so callbacks
@@ -259,7 +256,6 @@ func (a *Arbiter) AddTenant(cfg TenantConfig) (*Tenant, error) {
 	a.al.addTenant(int64(cfg.Weight), int64(cfg.QuotaMin), int64(cfg.QuotaMax), int32(cfg.Priority))
 	a.demand = append(a.demand, 0)
 	a.grant = append(a.grant, 0)
-	a.refGrant = append(a.refGrant, 0)
 	return t, nil
 }
 
@@ -274,11 +270,6 @@ func (a *Arbiter) Tenants() []*Tenant { return a.tenants }
 
 // Stats returns the arbiter's work counters.
 func (a *Arbiter) Stats() Stats { return a.stats }
-
-// SetNaiveArbitration routes subsequent cycles through the retained
-// full-replan reference arbiter (reference.go) instead of the
-// incremental path.
-func (a *Arbiter) SetNaiveArbitration(v bool) { a.naive = v }
 
 // Start begins the arbitration loop.
 func (a *Arbiter) Start() error {
@@ -313,29 +304,9 @@ func (a *Arbiter) RunCycle() {
 		return
 	}
 	a.stats.Cycles++
-	grant := a.grant
-	if a.naive {
-		grant = a.refGrant
-		a.referencePlan(grant)
-	} else {
-		a.plan(grant)
-	}
-	a.al.commit(grant)
-	a.apply(grant)
-}
-
-// PlanOnly runs the planning half of a cycle — demand digests plus the
-// allocation pass — without committing virtual-service counters or
-// touching pods. It isolates the arbitration cost the perf headline is
-// about (used by BenchmarkArbiterCycle). Returns the live grant
-// scratch; callers must not retain it.
-func (a *Arbiter) PlanOnly() []int64 {
-	if a.naive {
-		a.referencePlan(a.refGrant)
-		return a.refGrant
-	}
 	a.plan(a.grant)
-	return a.grant
+	a.al.commit(a.grant)
+	a.apply(a.grant)
 }
 
 // plan is the incremental path: memoized digests for clean tenants,

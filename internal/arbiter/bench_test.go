@@ -4,8 +4,9 @@ import (
 	"testing"
 )
 
-// BenchmarkArbiterCycle measures one arbitration planning pass at 1000
-// tenants, steady state: every tenant holds a queue of declared tasks
+// BenchmarkArbiterCycle measures one arbitration planning pass (demand
+// digests plus the allocation pass, without the commit or any pod
+// actuation) at 1000 tenants, steady state: every tenant holds a queue of declared tasks
 // and nothing changes between cycles, so the incremental path serves
 // every digest from the memo while the reference re-plans all 1000
 // tenants from fresh snapshots. The incremental path's bar is a ≥50×
@@ -13,12 +14,12 @@ import (
 func BenchmarkArbiterCycle(b *testing.B) {
 	b.Run("incremental-1000", func(b *testing.B) {
 		_, a := newTestFleet(b, 1000, 8, 4000)
-		a.PlanOnly() // warm the digests
+		a.plan(a.grant) // warm the digests
 		before := a.Stats()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			a.PlanOnly()
+			a.plan(a.grant)
 		}
 		b.StopTimer()
 		if d := a.Stats().Replans - before.Replans; d != 0 {
@@ -27,32 +28,30 @@ func BenchmarkArbiterCycle(b *testing.B) {
 	})
 	b.Run("reference-1000", func(b *testing.B) {
 		_, a := newTestFleet(b, 1000, 8, 4000)
-		a.SetNaiveArbitration(true)
-		a.PlanOnly()
+		a.referencePlan()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			a.PlanOnly()
+			a.referencePlan()
 		}
 	})
 	// Smaller points for scaling curves.
 	b.Run("incremental-100", func(b *testing.B) {
 		_, a := newTestFleet(b, 100, 8, 400)
-		a.PlanOnly()
+		a.plan(a.grant)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			a.PlanOnly()
+			a.plan(a.grant)
 		}
 	})
 	b.Run("reference-100", func(b *testing.B) {
 		_, a := newTestFleet(b, 100, 8, 400)
-		a.SetNaiveArbitration(true)
-		a.PlanOnly()
+		a.referencePlan()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			a.PlanOnly()
+			a.referencePlan()
 		}
 	})
 }

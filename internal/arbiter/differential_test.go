@@ -166,10 +166,9 @@ func TestArbiterControllerDifferential(t *testing.T) {
 			cycles := 0
 			eng.Every(a.cfg.Cycle, "diff-cycle", func() {
 				a.plan(a.grant)
-				a.referencePlan(a.refGrant)
-				if !slices.Equal(a.grant, a.refGrant) {
+				if ref := a.referencePlan(); !slices.Equal(a.grant, ref) {
 					t.Fatalf("cycle %d at %v: incremental %v != reference %v",
-						cycles, eng.Now(), a.grant, a.refGrant)
+						cycles, eng.Now(), a.grant, ref)
 				}
 				a.al.commit(a.grant)
 				a.apply(a.grant)
@@ -192,4 +191,146 @@ func TestArbiterControllerDifferential(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestArbiterEJPlanDifferential runs an E-J-shaped tenant set — 100
+// tenants in a BLAST / I/O / stream mix (undeclared bursts, small
+// declared tasks, declared tasks trickling in) under bounded admission
+// on a 20-worker cluster — through each E-J cell: fair share, greedy,
+// and fair share with quota floors and ceilings. At every arbitration
+// instant, just before the arbiter's own cycle, it plans twice from
+// the same state: the full re-plan and the incremental plan with its
+// memoized digests. The grants must agree, or the memo served a digest
+// its tenant's revision no longer backs.
+func TestArbiterEJPlanDifferential(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	for _, cell := range []struct {
+		name   string
+		policy Policy
+		quota  bool
+	}{
+		{"fair-share", PolicyFairShare, false},
+		{"greedy", PolicyGreedy, false},
+		{"fair-share+quota", PolicyFairShare, true},
+	} {
+		t.Run(cell.name, func(t *testing.T) {
+			cycles, mismatches := runEJShaped(t, cell.policy, cell.quota)
+			if mismatches > 0 {
+				t.Errorf("%d of %d cycles disagree", mismatches, cycles)
+			}
+			if cycles < 30 {
+				t.Errorf("only %d arbitration cycles checked", cycles)
+			}
+		})
+	}
+}
+
+// runEJShaped runs one E-J-shaped cell to completion with the plan
+// check before every arbitration cycle, and returns the cycles checked
+// and the ones that disagreed.
+func runEJShaped(t *testing.T, policy Policy, quota bool) (cycles, mismatches int) {
+	const (
+		tenants = 100
+		workers = 20
+		cycle   = 30 * time.Second
+	)
+	eng := simclock.NewEngine(simStart)
+	cluster := kubesim.NewCluster(eng, kubesim.Config{
+		InitialNodes:  workers / 4,
+		MinNodes:      1,
+		MaxNodes:      workers,
+		ProvisionMean: 90 * time.Second,
+		Seed:          1,
+	})
+	a := New(eng, cluster, Config{Cycle: cycle, TotalWorkers: workers, Policy: policy})
+	rng := rand.New(rand.NewSource(1))
+	total, done := 0, 0
+	terminal := func() { done++ }
+	for i := 0; i < tenants; i++ {
+		tc := TenantConfig{ID: fmt.Sprintf("t%05d", i), Weight: 1}
+		var specs []wq.TaskSpec
+		var at []time.Duration
+		switch i % 3 {
+		case 0: // BLAST: an undeclared burst of node-heavy tasks
+			if quota {
+				tc.QuotaMax = max(1, 2*workers/tenants)
+			}
+			for j := 0; j < 18; j++ {
+				specs = append(specs, wq.TaskSpec{Category: "blast", Profile: wq.Profile{
+					ExecDuration: time.Duration(45+rng.Intn(31)) * time.Second,
+					UsedCPUMilli: 870, UsedMemoryMB: 1700,
+				}})
+				at = append(at, 0)
+			}
+		case 1: // I/O: many small declared tasks
+			for j := 0; j < 24; j++ {
+				specs = append(specs, wq.TaskSpec{
+					Category:  "io",
+					Resources: resources.Vector{MilliCPU: 150, MemoryMB: 512},
+					Profile: wq.Profile{
+						ExecDuration: time.Duration(20+rng.Intn(21)) * time.Second,
+						UsedCPUMilli: 150, UsedMemoryMB: 512,
+					},
+				})
+				at = append(at, 0)
+			}
+		case 2: // stream: declared long tasks trickling in
+			tc.Weight = 2
+			if quota {
+				tc.QuotaMin = 1
+			}
+			for j := 0; j < 16; j++ {
+				specs = append(specs, wq.TaskSpec{
+					Category:  "stream",
+					Resources: resources.Vector{MilliCPU: 870, MemoryMB: 1700},
+					Profile: wq.Profile{
+						ExecDuration: time.Duration(100+rng.Intn(41)) * time.Second,
+						UsedCPUMilli: 870, UsedMemoryMB: 1700,
+					},
+				})
+				at = append(at, time.Duration(j)*45*time.Second+time.Duration(rng.Intn(int(45*time.Second/4))))
+			}
+		}
+		ten, err := a.AddTenant(tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := ten.Master()
+		m.SetAdmissionPolicy(wq.AdmissionPolicy{MaxWaiting: 12, BufferDepth: 64})
+		m.OnComplete(func(wq.Result) { terminal() })
+		m.OnTaskFailed(func(wq.Task) { terminal() })
+		m.OnRejected(func(wq.Task) { terminal() })
+		for j, spec := range specs {
+			total++
+			if at[j] == 0 {
+				m.Submit(spec)
+				continue
+			}
+			eng.After(at[j], "tenant-submit", func() { m.Submit(spec) })
+		}
+	}
+	// Created before the arbiter's ticker, so it fires first at each
+	// shared instant.
+	eng.Every(cycle, "ej-differential", func() {
+		ref := a.referencePlan()
+		a.plan(a.grant)
+		if !slices.Equal(a.grant, ref) {
+			if mismatches++; mismatches <= 3 {
+				t.Errorf("cycle at %v: incremental grants %v, reference %v", eng.Now(), a.grant, ref)
+			}
+		}
+		cycles++
+	})
+	if err := a.Start(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := simStart.Add(12 * time.Hour)
+	eng.RunWhile(func() bool { return done < total && eng.Now().Before(deadline) })
+	a.Stop()
+	if done != total {
+		t.Fatalf("stalled: %d/%d terminal by %v", done, total, eng.Now())
+	}
+	return cycles, mismatches
 }

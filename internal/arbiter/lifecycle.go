@@ -127,7 +127,6 @@ func (a *Arbiter) removeTenantNow(t *Tenant) {
 	a.al.removeTenant(i)
 	a.demand = slices.Delete(a.demand, i, i+1)
 	a.grant = slices.Delete(a.grant, i, i+1)
-	a.refGrant = slices.Delete(a.refGrant, i, i+1)
 	a.stats.TenantsRemoved++
 }
 

@@ -10,10 +10,10 @@ import (
 	"hta/internal/wq"
 )
 
-// This file retains the naive full-replan arbiter the incremental
-// path replaced, as a differential-testing oracle (house style: see
-// simclock/reference.go, wq's naive placement scan, netsim's
-// reference link, core's ReferenceEstimateScale). It is deliberately
+// This file keeps the naive full-replan arbiter the incremental path
+// replaced, as a test oracle (the same discipline as simclock's
+// refEngine, netsim's refLink, kubesim's naive sweeps, wq's roster
+// scan and core's referenceEstimateScale). It is deliberately
 // written the obvious way — fresh snapshots, fresh planner, fresh
 // allocations, no memoization, no dirty tracking, per-tenant maps and
 // sorts — so its per-cycle cost is O(T × planner) and its code shares
@@ -23,7 +23,7 @@ import (
 
 // referencePlan computes one cycle's grants the naive way: every
 // tenant is re-planned from a fresh snapshot, every cycle.
-func (a *Arbiter) referencePlan(grant []int64) {
+func (a *Arbiter) referencePlan() []int64 {
 	demand := make([]int64, len(a.tenants))
 	for i, t := range a.tenants {
 		if a.inactive(t) {
@@ -33,7 +33,7 @@ func (a *Arbiter) referencePlan(grant []int64) {
 		}
 		demand[i] = a.referenceDigest(t)
 	}
-	out := referenceAllocate(refInput{
+	return referenceAllocate(refInput{
 		policy: a.cfg.Policy,
 		total:  int64(a.cfg.TotalWorkers),
 		weight: a.al.weight,
@@ -43,7 +43,6 @@ func (a *Arbiter) referencePlan(grant []int64) {
 		vsvc:   a.al.vsvc,
 		demand: demand,
 	})
-	copy(grant, out)
 }
 
 // referenceDigest recomputes the tenant's demand from scratch:

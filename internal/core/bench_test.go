@@ -88,7 +88,7 @@ func BenchmarkEstimateScaleNaive(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if dec := ReferenceEstimateScale(in); dec.ScaleChange <= 0 {
+		if dec := referenceEstimateScale(in); dec.ScaleChange <= 0 {
 			b.Fatalf("expected a scale-up, got %+v", dec)
 		}
 	}

@@ -91,7 +91,7 @@ func TestDifferentialEstimateIdentical(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		for iter := 0; iter < 25; iter++ {
 			in := randomEstimateInput(rng)
-			want := ReferenceEstimateScale(in)
+			want := referenceEstimateScale(in)
 			got := p.EstimateScale(in)
 			if got != want {
 				t.Fatalf("seed %d iter %d: planner %+v, reference %+v\ninput: init=%v cycle=%v workers=%d running=%d waiting=%d discount=%v estimator=%v",

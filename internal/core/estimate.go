@@ -175,9 +175,11 @@ func EstimateScale(in EstimateInput) Decision {
 }
 
 // EstimateScale evaluates Algorithm 1 on the planner's scratch state.
-// Decisions are byte-identical to ReferenceEstimateScale: the grouped
-// simulation replays the exact placement and event sequence of the
-// per-task form, it just skips work that provably cannot change it.
+// Decisions are byte-identical to the per-task form the tests keep as
+// their oracle (referenceEstimateScale in reference_test.go): the
+// grouped simulation replays the exact placement and event sequence
+// of the per-task form, it just skips work that provably cannot change
+// it.
 func (p *Planner) EstimateScale(in EstimateInput) Decision {
 	if in.DefaultCycle <= 0 {
 		in.DefaultCycle = 30 * time.Second

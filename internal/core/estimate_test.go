@@ -204,7 +204,7 @@ func TestZeroNowRunningTaskHoldsWorker(t *testing.T) {
 	in.Running = []wq.Task{running("w1", "c", t0, resources.New(1, 3800, 0))}
 	for name, dec := range map[string]Decision{
 		"planner":   EstimateScale(in),
-		"reference": ReferenceEstimateScale(in),
+		"reference": referenceEstimateScale(in),
 	} {
 		if dec.ScaleChange != 0 {
 			t.Errorf("%s: ScaleChange = %d, want 0 (the busy worker holds)", name, dec.ScaleChange)

@@ -58,14 +58,14 @@ func TestPlannerPlansInDispatchOrder(t *testing.T) {
 
 	in.Tasks = nil
 	in.Waiting = dispatchOrder(m)
-	if want := ReferenceEstimateScale(in); got != want {
+	if want := referenceEstimateScale(in); got != want {
 		t.Fatalf("planner %+v, reference over dispatch order %+v", got, want)
 	}
 	if got.UnplacedWaiting != 2 {
 		t.Errorf("UnplacedWaiting = %d, want 2 (big and one small fill w1)", got.UnplacedWaiting)
 	}
 	in.Waiting = m.WaitingTasks()
-	if fifo := ReferenceEstimateScale(in); fifo == got {
+	if fifo := referenceEstimateScale(in); fifo == got {
 		t.Fatalf("submission order plans the same %+v; the test no longer separates the orders", fifo)
 	}
 
@@ -135,7 +135,7 @@ func liveViewDifferential(t *testing.T, seed int64) {
 			slices.SortFunc(in.Running, func(x, y wq.Task) int { return cmp.Compare(x.ID, y.ID) })
 			in.Waiting = dispatchOrder(m)
 			want := snap.EstimateScale(in)
-			ref := ReferenceEstimateScale(in)
+			ref := referenceEstimateScale(in)
 			if got != want || got != ref {
 				t.Fatalf("seed %d step %d init %v: live %+v, snapshot %+v, reference %+v (running %d, waiting %d, workers %d)",
 					seed, step, initTime, got, want, ref, len(in.Running), len(in.Waiting), len(in.Workers))

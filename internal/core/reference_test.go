@@ -7,11 +7,11 @@ import (
 	"hta/internal/resources"
 )
 
-// This file retains the original per-task Algorithm 1 evaluator
-// verbatim. It is the behavioural reference for the grouped planner in
-// estimate.go: differential tests assert the two return identical
-// Decisions on randomized inputs, and the benchmarks use it as the
-// naive baseline. Its cost is O(events × waiting × workers) — every
+// This file keeps the original per-task Algorithm 1 evaluator verbatim,
+// as a test oracle. It is the behavioural reference for the grouped
+// planner in estimate.go: differential tests assert the two return
+// identical Decisions on randomized inputs, and the benchmarks use it
+// as the naive baseline. Its cost is O(events × waiting × workers) — every
 // completion event rescans the whole waiting queue against every pool.
 
 type eventQueue []completionEvent
@@ -22,10 +22,9 @@ func (q eventQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
 func (q *eventQueue) Push(x any)        { *q = append(*q, x.(completionEvent)) }
 func (q *eventQueue) Pop() any          { old := *q; n := len(old); e := old[n-1]; *q = old[:n-1]; return e }
 
-// ReferenceEstimateScale is the retained naive implementation of the
-// paper's Algorithm 1. EstimateScale returns byte-identical Decisions;
-// use this form only as a test oracle or benchmark baseline.
-func ReferenceEstimateScale(in EstimateInput) Decision {
+// referenceEstimateScale is the naive implementation of the paper's
+// Algorithm 1. EstimateScale returns byte-identical Decisions.
+func referenceEstimateScale(in EstimateInput) Decision {
 	if in.DefaultCycle <= 0 {
 		in.DefaultCycle = 30 * time.Second
 	}

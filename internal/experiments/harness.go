@@ -289,11 +289,8 @@ type stackConfig struct {
 	kube *kubesim.Config // nil: no cluster (static fleets)
 	// linkMBps > 0 puts a netsim egress link behind the master.
 	linkMBps, contention, perTransfer float64
-	// referenceLink and referenceEngine select the retained netsim and
-	// simclock implementations, for differential runs.
-	referenceLink, referenceEngine bool
-	retry                          wq.RetryPolicy
-	admission                      wq.AdmissionPolicy
+	retry                             wq.RetryPolicy
+	admission                         wq.AdmissionPolicy
 	// chaos, when enabled, is armed by the scaler; controlPlane
 	// receives its control-plane kills.
 	chaos        *chaos.Plan
@@ -314,12 +311,7 @@ type stack struct {
 }
 
 func newStack(cfg stackConfig) *stack {
-	st := &stack{cfg: cfg}
-	if cfg.referenceEngine {
-		st.eng = simclock.NewReferenceEngine(SimStart)
-	} else {
-		st.eng = simclock.NewEngine(SimStart)
-	}
+	st := &stack{cfg: cfg, eng: simclock.NewEngine(SimStart)}
 	if cfg.kube != nil {
 		kube := *cfg.kube
 		if kube.Seed == 0 {
@@ -328,11 +320,7 @@ func newStack(cfg stackConfig) *stack {
 		st.cluster = kubesim.NewCluster(st.eng, kube)
 	}
 	if cfg.linkMBps > 0 {
-		if cfg.referenceLink {
-			st.link = netsim.NewReferenceLink(st.eng, cfg.linkMBps, cfg.perTransfer)
-		} else {
-			st.link = netsim.NewLink(st.eng, cfg.linkMBps, cfg.perTransfer)
-		}
+		st.link = netsim.NewLink(st.eng, cfg.linkMBps, cfg.perTransfer)
 		if cfg.contention > 0 && cfg.contention < 1 {
 			st.link.SetContention(cfg.contention)
 		}

@@ -47,12 +47,6 @@ type IOScaleConfig struct {
 	// run at ≈15 %, so the HPA never scales — the paper's point).
 	HPATarget float64
 	Seed      int64
-	// Reference routes every cell's egress link through the retained
-	// walk-everything netsim implementation, for differential runs.
-	Reference bool
-	// ReferenceEngine runs every cell on the retained container/heap
-	// event core, for differential runs.
-	ReferenceEngine bool
 }
 
 // DefaultIOScale returns the E-H configuration: fleets of 1k/5k/10k
@@ -232,11 +226,9 @@ func runIOScaleCell(cfg IOScaleConfig, cell ioScaleCell) (*RunResult, error) {
 		Seed:           cfg.Seed,
 	}
 	st := stackConfig{
-		kube:            &kube,
-		linkMBps:        cfg.LinkMBps,
-		perTransfer:     cfg.PerTransfer,
-		referenceLink:   cfg.Reference,
-		referenceEngine: cfg.ReferenceEngine,
+		kube:        &kube,
+		linkMBps:    cfg.LinkMBps,
+		perTransfer: cfg.PerTransfer,
 	}
 	var sc scaler
 	var expected time.Duration

@@ -50,67 +50,3 @@ func TestIOScaleSmallDeterministic(t *testing.T) {
 		t.Errorf("E-H not deterministic:\n--- first ---\n%s\n--- second ---\n%s", first, second)
 	}
 }
-
-// TestIOScaleReferenceLinkIdentical runs the small sweep through both
-// netsim implementations. The rendered reports must be byte-identical
-// and the raw rows must agree structurally; runtimes carry the same
-// ±1 ns-per-completion budget as the netsim differential suite (the
-// reference accumulates remaining bytes incrementally, so its
-// ceil-to-ns completion instants can flip by one nanosecond — see
-// internal/netsim/differential_test.go).
-func TestIOScaleReferenceLinkIdentical(t *testing.T) {
-	indexed, err := IOScaleEHWith(ioScaleSmall())
-	if err != nil {
-		t.Fatalf("indexed: %v", err)
-	}
-	refCfg := ioScaleSmall()
-	refCfg.Reference = true
-	reference, err := IOScaleEHWith(refCfg)
-	if err != nil {
-		t.Fatalf("reference: %v", err)
-	}
-	if got, want := reference.String(), indexed.String(); got != want {
-		t.Errorf("reference diverges from indexed:\n--- indexed ---\n%s\n--- reference ---\n%s", want, got)
-	}
-	for i := range indexed.Rows {
-		a, b := indexed.Rows[i], reference.Rows[i]
-		if a.Completed != b.Completed || a.Submitted != b.Submitted || a.PeakWorkers != b.PeakWorkers {
-			t.Errorf("row %d: indexed %+v, reference %+v", i, a, b)
-		}
-		budget := time.Duration(a.Completed + 1) // 1 ns per completion
-		if diff := a.Runtime - b.Runtime; diff < -budget || diff > budget {
-			t.Errorf("row %d: runtime indexed %v, reference %v (budget %v)", i, a.Runtime, b.Runtime, budget)
-		}
-		if a.AvgMBps != 0 && abs(a.AvgMBps-b.AvgMBps)/a.AvgMBps > 1e-6 {
-			t.Errorf("row %d: bandwidth indexed %v, reference %v", i, a.AvgMBps, b.AvgMBps)
-		}
-	}
-}
-
-// TestIOScaleReferenceEngineIdentical runs the small sweep with every
-// cell's event core swapped for the retained container/heap engine.
-// Unlike the link differential there is no rounding budget: the two
-// engines promise identical firing order, so the rendered reports
-// must be byte-identical.
-func TestIOScaleReferenceEngineIdentical(t *testing.T) {
-	indexed, err := IOScaleEHWith(ioScaleSmall())
-	if err != nil {
-		t.Fatalf("indexed: %v", err)
-	}
-	refCfg := ioScaleSmall()
-	refCfg.ReferenceEngine = true
-	reference, err := IOScaleEHWith(refCfg)
-	if err != nil {
-		t.Fatalf("reference engine: %v", err)
-	}
-	if got, want := reference.String(), indexed.String(); got != want {
-		t.Errorf("reference engine diverges from indexed:\n--- indexed ---\n%s\n--- reference ---\n%s", want, got)
-	}
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}

@@ -26,13 +26,10 @@ func BenchmarkSchedulerSweep(b *testing.B) {
 	}
 }
 
-// benchChurnCluster builds the ISSUE's scheduling stress fixture: a
-// 2000-node cluster with 4000 one-core resident pods bound across the
-// first third of the fleet. The mass placement always runs with the
-// indexed predicates — a naive mass pass at this scale takes minutes
-// and is setup, not the thing measured — and the requested mode is
-// switched on only before the churn rounds.
-func benchChurnCluster(b *testing.B, naive bool) *Cluster {
+// benchChurnCluster builds the scheduling stress fixture: a 2000-node
+// cluster with 4000 one-core resident pods bound across the first
+// third of the fleet.
+func benchChurnCluster(b *testing.B) *Cluster {
 	b.Helper()
 	eng := simclock.NewEngine(t0)
 	c := NewCluster(eng, Config{
@@ -51,7 +48,6 @@ func benchChurnCluster(b *testing.B, naive bool) *Cluster {
 	if n := c.pendingLive; n != 0 {
 		b.Fatalf("%d residents unschedulable after setup", n)
 	}
-	c.SetNaiveScheduling(naive)
 	return c
 }
 
@@ -67,9 +63,9 @@ func churnRound(b *testing.B, c *Cluster, round int) {
 		if len(victims) == 1000 {
 			break
 		}
-		bucket := make([]string, 0, len(c.podsByNode[n.Name]))
-		for name := range c.podsByNode[n.Name] {
-			bucket = append(bucket, name)
+		bucket := make([]string, 0, n.livePods)
+		for p := n.pods; p != nil; p = p.nextOnNode {
+			bucket = append(bucket, p.Name)
 		}
 		sort.Strings(bucket)
 		for _, name := range bucket {
@@ -95,8 +91,10 @@ func churnRound(b *testing.B, c *Cluster, round int) {
 	}
 }
 
-func benchKubesimChurn(b *testing.B, naive bool) {
-	c := benchChurnCluster(b, naive)
+// BenchmarkKubesimSchedule measures the indexed control plane on the
+// 2000-node cluster under 4000 pods of churn per iteration.
+func BenchmarkKubesimSchedule(b *testing.B) {
+	c := benchChurnCluster(b)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -105,14 +103,6 @@ func benchKubesimChurn(b *testing.B, naive bool) {
 		}
 	}
 }
-
-// BenchmarkKubesimSchedule measures the indexed control plane on the
-// 2000-node cluster under 4000 pods of churn per iteration.
-func BenchmarkKubesimSchedule(b *testing.B) { benchKubesimChurn(b, false) }
-
-// BenchmarkKubesimScheduleNaive runs the identical churn with the
-// retained naive predicates — the baseline for the speedup claim.
-func BenchmarkKubesimScheduleNaive(b *testing.B) { benchKubesimChurn(b, true) }
 
 // BenchmarkClusterLifecycle measures a complete scale-up/down cycle:
 // 20 node-sized pods on a 3-node cluster growing to quota.

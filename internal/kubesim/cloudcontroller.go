@@ -32,7 +32,6 @@ func (c *Cluster) addNode() *Node {
 
 func (c *Cluster) removeNode(n *Node) {
 	delete(c.nodes, n.Name)
-	delete(c.podsByNode, n.Name)
 	c.nodeStale = true
 	c.readyNodes--
 	c.stampEmpty(n, time.Time{})
@@ -49,10 +48,6 @@ func (c *Cluster) removeNode(n *Node) {
 // scaleDirty says its inputs moved, scale-down only when some
 // emptiness stamp can have expired.
 func (c *Cluster) cloudControllerOnce() {
-	if c.naive {
-		c.naiveCloudControllerOnce()
-		return
-	}
 	if c.scaleDirty {
 		// Re-evaluating unchanged inputs is a no-op even right after a
 		// reservation: that either covered the whole need or used up
@@ -185,25 +180,13 @@ func (c *Cluster) PreemptNode(name string) error {
 	if !ok {
 		return fmt.Errorf("kubesim: node %q not found", name)
 	}
-	var victims []string
-	if c.naive {
-		for _, p := range c.ListPods(nil) {
-			if p.NodeName == name && !p.Terminal() {
-				victims = append(victims, p.Name)
-			}
-		}
-	} else {
-		bound := make([]*Pod, 0, len(c.podsByNode[name]))
-		for _, p := range c.podsByNode[name] {
-			bound = append(bound, p)
-		}
-		slices.SortFunc(bound, func(a, b *Pod) int { return cmp.Compare(a.UID, b.UID) })
-		for _, p := range bound {
-			victims = append(victims, p.Name)
-		}
+	bound := make([]*Pod, 0, n.livePods)
+	for p := n.pods; p != nil; p = p.nextOnNode {
+		bound = append(bound, p)
 	}
-	for _, v := range victims {
-		if err := c.DeletePod(v); err != nil {
+	slices.SortFunc(bound, func(a, b *Pod) int { return cmp.Compare(a.UID, b.UID) })
+	for _, p := range bound {
+		if err := c.DeletePod(p.Name); err != nil {
 			return err
 		}
 	}

@@ -94,23 +94,19 @@ type Cluster struct {
 	eng *simclock.Engine
 	cfg Config
 	rng *simclock.RNG
-	// naive routes the scheduling predicates and sweeps through the
-	// retained reference forms (reference.go); see SetNaiveScheduling.
-	naive bool
 
 	pods         map[string]*Pod
 	nodes        map[string]*Node
 	services     map[string]*Service
 	statefulsets map[string]*StatefulSet
 
-	// Incremental scheduling indexes. podsByNode holds the live
-	// (non-terminal) pods bound to each node; a node's bucket lives as
-	// long as the node, so its successive pods reuse one map.
-	// podsByLabel holds every stored pod under each of its label pairs
-	// (labels are immutable after CreatePod). The naive reference path
-	// (SetNaiveScheduling) ignores every index in this block and
-	// rescans the stores; maintenance is unconditional.
-	podsByNode  map[string]map[string]*Pod
+	// Incremental scheduling indexes. The live (non-terminal) pods
+	// bound to a node form a list through the pods themselves (Node.pods,
+	// Pod.prevOnNode/nextOnNode), so binding onto a fresh node allocates
+	// nothing. podsByLabel holds every stored pod under each of its
+	// label pairs (labels are immutable after CreatePod). The tests
+	// check every index against a naive rescan of the stores
+	// (reference_test.go).
 	podsByLabel map[labelPair]map[string]*Pod
 	// labelSets holds the frozen label maps of the stored pods, one per
 	// distinct set, under its canonical encoding (see internLabels);
@@ -185,7 +181,6 @@ func NewCluster(eng *simclock.Engine, cfg Config) *Cluster {
 		nodes:        make(map[string]*Node),
 		services:     make(map[string]*Service),
 		statefulsets: make(map[string]*StatefulSet),
-		podsByNode:   make(map[string]map[string]*Pod),
 		podsByLabel:  make(map[labelPair]map[string]*Pod),
 		labelSets:    make(map[string]*labelSet),
 		cursorIdx:    make(map[resources.Vector]int),
@@ -216,16 +211,6 @@ func (c *Cluster) Stop() {
 
 // Config returns the effective configuration (defaults applied).
 func (c *Cluster) Config() Config { return c.cfg }
-
-// SetNaiveScheduling switches the control plane between the indexed
-// read paths and the retained naive reference forms of the scheduling
-// predicates and sweeps (full pod-store scans, fresh node sorts per
-// pass). The decisions are identical either way; the switch exists for
-// differential tests and benchmark baselines. Index maintenance is
-// unconditional, so the switch is valid at any point in a cluster's
-// life; benchmarks use it to build large fixtures with the indexed
-// paths before timing the naive ones.
-func (c *Cluster) SetNaiveScheduling(naive bool) { c.naive = naive }
 
 // Engine returns the underlying discrete-event engine.
 func (c *Cluster) Engine() *simclock.Engine { return c.eng }
@@ -399,9 +384,9 @@ func (c *Cluster) release(p *Pod) {
 	if n, ok := c.nodes[p.NodeName]; ok {
 		n.Allocated = n.Allocated.Sub(p.Resources)
 		n.livePods--
+		n.unlinkPod(p)
 		c.schedDirty, c.scaleDirty = true, true
 	}
-	delete(c.podsByNode[p.NodeName], p.Name)
 }
 
 // selectorBucket returns the smallest label-index bucket covering a
@@ -484,7 +469,7 @@ func (c *Cluster) GetPod(name string) (Pod, bool) {
 // the whole store.
 func (c *Cluster) ListPods(selector map[string]string) []Pod {
 	pods := c.pods
-	if len(selector) != 0 && !c.naive {
+	if len(selector) != 0 {
 		pods = c.selectorBucket(selector)
 	}
 	// Sort pointers and copy each pod once: moving whole Pod values
@@ -512,12 +497,7 @@ func (c *Cluster) ListPods(selector map[string]string) []Pod {
 // --- node accessors ---
 
 // ReadyNodes returns the number of ready nodes.
-func (c *Cluster) ReadyNodes() int {
-	if c.naive {
-		return c.naiveReadyNodes()
-	}
-	return c.readyNodes
-}
+func (c *Cluster) ReadyNodes() int { return c.readyNodes }
 
 // ReadyNodeNames returns the names of ready nodes in scheduler order
 // (creation time, then name) — a deterministic roster for fault
@@ -535,16 +515,10 @@ func (c *Cluster) ReadyNodeNames() []string {
 
 // PodsOnNode returns the count of non-terminal pods bound to the node.
 func (c *Cluster) PodsOnNode(name string) int {
-	if c.naive {
-		n := 0
-		for _, p := range c.pods {
-			if p.NodeName == name && !p.Terminal() {
-				n++
-			}
-		}
-		return n
+	if n, ok := c.nodes[name]; ok {
+		return n.livePods
 	}
-	return len(c.podsByNode[name])
+	return 0
 }
 
 // --- services & statefulsets ---

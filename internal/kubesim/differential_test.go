@@ -12,6 +12,19 @@ import (
 	"hta/internal/simclock"
 )
 
+// The control plane keeps incremental indexes (per-node occupancy, the
+// pod label index, the pending queue, the age-sorted roster, the fleet
+// counters) and dirty flags that let its loops skip work. The naive
+// forms in reference_test.go recompute each of them from the stores.
+// Two kinds of check hold the two together. stepChecks runs after
+// every step of a script: each index must equal its recomputation,
+// and each sweep a clear dirty flag lets a loop skip must, run in its
+// naive form, find nothing to do. And the whole-run differentials run
+// each script twice, once with the production loops and once with
+// their naive forms (useNaiveLoops), and require the same watch trace
+// and final state: the same bind choices, FailedScheduling
+// notifications, reservations and removals.
+
 // churnResult captures everything observable about a cluster run: the
 // full watch trace (every pod creation, FailedScheduling, bind, pull,
 // start, exit and deletion, and every node arrival and removal, in
@@ -22,26 +35,62 @@ type churnResult struct {
 	nodes   []Node
 }
 
+// scriptRun is one run of a script: its cluster, the watch trace, and
+// the per-step checks, which follow every step of a production-loop
+// run (a naive-loop run leaves its dirty flags set, and is checked by
+// the comparison with the production one).
+type scriptRun struct {
+	t     *testing.T
+	eng   *simclock.Engine
+	c     *Cluster
+	w     *watchTrace
+	naive bool
+	clean cleanChecks
+	step  int
+}
+
+func newScriptRun(t *testing.T, cfg Config, naive bool) *scriptRun {
+	t.Helper()
+	eng := simclock.NewEngine(t0)
+	c := NewCluster(eng, cfg)
+	if naive {
+		c.useNaiveLoops()
+	}
+	t.Cleanup(c.Stop)
+	return &scriptRun{t: t, eng: eng, c: c, w: recordWatches(c), naive: naive}
+}
+
+// advance runs the engine for d, then the per-step checks.
+func (r *scriptRun) advance(d time.Duration) {
+	r.t.Helper()
+	r.eng.RunFor(d)
+	if !r.naive {
+		r.clean.stepChecks(r.t, r.c, r.w, r.step)
+	}
+	r.step++
+}
+
+func (r *scriptRun) result() churnResult {
+	return churnResult{watches: r.w.records, pods: r.c.ListPods(nil), nodes: nodeCopies(r.c)}
+}
+
 // runChurnScript drives a cluster through a seeded, randomized
 // node/pod churn: mixed-size pod creation, deletions, graceful
 // completions, chaos-style node preemptions, and a WorkerSet resizing
-// under it. Every decision the script
-// makes is derived from cluster state that the differential assertion
-// proves identical, so the naive and indexed clusters replay the exact
-// same operation sequence.
-func runChurnScript(t *testing.T, seed int64, naive bool) churnResult {
+// under it. Every decision the script makes is derived from cluster
+// state that the differential assertion proves identical, so the
+// naive-loop and production-loop runs replay the exact same operation
+// sequence.
+func runChurnScript(t *testing.T, seed int64, naive bool) *scriptRun {
 	t.Helper()
-	eng := simclock.NewEngine(t0)
-	c := NewCluster(eng, Config{
+	r := newScriptRun(t, Config{
 		InitialNodes:   6,
 		MinNodes:       2,
 		MaxNodes:       14,
 		Seed:           seed,
 		ScaleDownDelay: 90 * time.Second,
-	})
-	c.SetNaiveScheduling(naive)
-	defer c.Stop()
-	w := recordWatches(c)
+	}, naive)
+	c := r.c
 	ws, err := NewWorkerSet(c, "churn-ws", PodSpec{
 		Image:     "wq-worker:latest",
 		Resources: resources.New(1, 2048, 100),
@@ -100,19 +149,10 @@ func runChurnScript(t *testing.T, seed int64, naive bool) churnResult {
 		case 5: // resize the worker set
 			ws.SetReplicas(rng.Intn(8))
 		}
-		eng.RunFor(time.Duration(rng.Intn(25)+1) * time.Second)
+		r.advance(time.Duration(rng.Intn(25)+1) * time.Second)
 	}
-	eng.RunFor(5 * time.Minute)
-	return churnResult{watches: w.records, pods: c.ListPods(nil), nodes: nodeCopies(c)}
-}
-
-// nodeCopies returns shallow copies of all nodes in scheduler order.
-func nodeCopies(c *Cluster) []Node {
-	var out []Node
-	for _, n := range c.sortedNodes() {
-		out = append(out, *n)
-	}
-	return out
+	r.advance(5 * time.Minute)
+	return r
 }
 
 func diffWatches(t *testing.T, naive, indexed []watchRecord) {
@@ -163,18 +203,23 @@ func assertSameRun(t *testing.T, naive, indexed churnResult) {
 	}
 }
 
-// TestDifferentialSchedulingIdentical pins the tentpole's contract:
-// for fixed seeds, the indexed control plane reproduces the naive
-// reference's bind sequence, watch trace (FailedScheduling
-// notifications included) and final state exactly across randomized
-// churn with chaos-driven preemptions.
+// TestDifferentialSchedulingIdentical holds the production control
+// loops to their naive forms over randomized churn with chaos-driven
+// preemptions, for fixed seeds: the same watch trace (FailedScheduling
+// notifications included) and final state, with every per-step check
+// passing along the way.
 func TestDifferentialSchedulingIdentical(t *testing.T) {
+	var exercised cleanChecks
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			assertSameRun(t, runChurnScript(t, seed, true), runChurnScript(t, seed, false))
+			naive := runChurnScript(t, seed, true)
+			indexed := runChurnScript(t, seed, false)
+			assertSameRun(t, naive.result(), indexed.result())
+			exercised.add(indexed.clean)
 		})
 	}
+	exercised.requireAll(t)
 }
 
 // runFleetScript drives a cluster the way io-fleet does rather than the
@@ -185,21 +230,18 @@ func TestDifferentialSchedulingIdentical(t *testing.T) {
 // drained through MarkPodSucceeded with the backlog refilling freed
 // nodes, and finally scale-down after ScaleDownDelay. Long quiet
 // stretches at quota are where the dirty-skip paths run.
-func runFleetScript(t *testing.T, seed int64, naive bool) churnResult {
+func runFleetScript(t *testing.T, seed int64, naive bool) *scriptRun {
 	t.Helper()
-	eng := simclock.NewEngine(t0)
 	rng := rand.New(rand.NewSource(seed))
 	quota := 22 + rng.Intn(8)
-	c := NewCluster(eng, Config{
+	r := newScriptRun(t, Config{
 		InitialNodes:   3,
 		MinNodes:       2,
 		MaxNodes:       quota,
 		Seed:           seed,
 		ScaleDownDelay: 2 * time.Minute,
-	})
-	c.SetNaiveScheduling(naive)
-	defer c.Stop()
-	w := recordWatches(c)
+	}, naive)
+	c, advance := r.c, r.advance
 	podN := 0
 	burst := func(n int) {
 		for i := 0; i < n; i++ {
@@ -222,14 +264,14 @@ func runFleetScript(t *testing.T, seed int64, naive bool) churnResult {
 	}
 
 	burst(quota/2 + rng.Intn(4))
-	eng.RunFor(time.Duration(40+rng.Intn(80)) * time.Second) // first wave in flight
-	burst(quota)                                             // past the quota
-	eng.RunFor(time.Duration(20+rng.Intn(40)) * time.Second)
+	advance(time.Duration(40+rng.Intn(80)) * time.Second) // first wave in flight
+	burst(quota)                                          // past the quota
+	advance(time.Duration(20+rng.Intn(40)) * time.Second)
 	names := c.ReadyNodeNames()
 	if err := c.PreemptNode(names[rng.Intn(len(names))]); err != nil {
 		t.Fatalf("preempt node: %v", err)
 	}
-	eng.RunFor(time.Duration(5+rng.Intn(5)) * time.Minute) // waves land, quota reached
+	advance(time.Duration(5+rng.Intn(5)) * time.Minute) // waves land, quota reached
 	if got := c.ReadyNodes(); got != quota {
 		t.Fatalf("fleet did not reach quota: %d of %d nodes", got, quota)
 	}
@@ -237,7 +279,7 @@ func runFleetScript(t *testing.T, seed int64, naive bool) churnResult {
 	if err := c.PreemptNode(names[rng.Intn(len(names))]); err != nil {
 		t.Fatalf("preempt node: %v", err)
 	}
-	eng.RunFor(4 * time.Minute)
+	advance(4 * time.Minute)
 
 	// Drain: workers exit a few at a time and the unschedulable backlog
 	// takes over the freed nodes until no pod is left running.
@@ -258,27 +300,33 @@ func runFleetScript(t *testing.T, seed int64, naive bool) churnResult {
 			}
 			run = append(run[:k], run[k+1:]...)
 		}
-		eng.RunFor(time.Duration(1+rng.Intn(30)) * time.Second)
+		advance(time.Duration(1+rng.Intn(30)) * time.Second)
 	}
 	if left := len(running()); left != 0 {
 		t.Fatalf("drain did not finish: %d pods still running", left)
 	}
-	eng.RunFor(10 * time.Minute) // scale-down to the floor
+	advance(10 * time.Minute) // scale-down to the floor
 	if got := c.ReadyNodes(); got != 2 {
 		t.Fatalf("fleet did not scale down to MinNodes: %d nodes", got)
 	}
-	return churnResult{watches: w.records, pods: c.ListPods(nil), nodes: nodeCopies(c)}
+	return r
 }
 
-// TestDifferentialFleetIdentical is the second differential script:
-// the io-fleet shape, exact against the naive reference on 8 seeds.
+// TestDifferentialFleetIdentical is the second script: the io-fleet
+// shape, production loops against naive loops on 8 seeds, with the
+// per-step checks.
 func TestDifferentialFleetIdentical(t *testing.T) {
+	var exercised cleanChecks
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			assertSameRun(t, runFleetScript(t, seed, true), runFleetScript(t, seed, false))
+			naive := runFleetScript(t, seed, true)
+			indexed := runFleetScript(t, seed, false)
+			assertSameRun(t, naive.result(), indexed.result())
+			exercised.add(indexed.clean)
 		})
 	}
+	exercised.requireAll(t)
 }
 
 // TestIndexInvariants replays churn on an indexed cluster and, at
@@ -296,62 +344,6 @@ func TestIndexInvariants(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(42))
 	var clean cleanChecks
-	check := func(step int) {
-		t.Helper()
-		for _, n := range c.nodes {
-			wantFree := c.naiveNodeFree(n)
-			if got := n.Allocatable.Sub(n.Allocated); got != wantFree {
-				t.Fatalf("step %d: node %s Allocated drift: free %v, naive %v", step, n.Name, got, wantFree)
-			}
-			live := 0
-			for _, p := range c.pods {
-				if p.NodeName == n.Name && !p.Terminal() {
-					live++
-				}
-			}
-			if n.livePods != live {
-				t.Fatalf("step %d: node %s livePods %d, naive %d", step, n.Name, n.livePods, live)
-			}
-			if len(c.podsByNode[n.Name]) != live {
-				t.Fatalf("step %d: node %s podsByNode size %d, naive %d", step, n.Name, len(c.podsByNode[n.Name]), live)
-			}
-			if c.nodeIsEmpty(n) != c.naiveNodeIsEmpty(n) {
-				t.Fatalf("step %d: node %s emptiness disagrees", step, n.Name)
-			}
-		}
-		checkPendingQueue(t, c, step)
-		checkFleetAggregates(t, c, step)
-		clean.check(t, c, w, step)
-		for _, sel := range []map[string]string{
-			{"tier": "t0"}, {"tier": "t1"}, {"tier": "t0", "app": "x"},
-		} {
-			got := c.ListPods(sel)
-			var want []Pod
-			for _, p := range c.ListPods(nil) {
-				if p.MatchesSelector(sel) {
-					want = append(want, p)
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("step %d: ListPods(%v) size %d, naive %d", step, sel, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Name != want[i].Name {
-					t.Fatalf("step %d: ListPods(%v)[%d] = %s, naive %s", step, sel, i, got[i].Name, want[i].Name)
-				}
-			}
-		}
-		roster := c.sortedNodes()
-		fresh := c.naiveSortedNodes()
-		if len(roster) != len(fresh) {
-			t.Fatalf("step %d: cached roster size %d, fresh %d", step, len(roster), len(fresh))
-		}
-		for i := range roster {
-			if roster[i] != fresh[i] {
-				t.Fatalf("step %d: roster[%d] = %s, fresh %s", step, i, roster[i].Name, fresh[i].Name)
-			}
-		}
-	}
 	podN := 0
 	for step := 0; step < 60; step++ {
 		switch rng.Intn(5) {
@@ -386,10 +378,81 @@ func TestIndexInvariants(t *testing.T) {
 			}
 		}
 		eng.RunFor(time.Duration(rng.Intn(15)+1) * time.Second)
-		check(step)
+		clean.stepChecks(t, c, w, step)
 	}
-	if clean.sched == 0 || clean.scaleUp == 0 || clean.scaleDown == 0 || clean.statefulSets == 0 {
-		t.Errorf("a dirty-skip path was never exercised: %+v", clean)
+	clean.requireAll(t)
+}
+
+// checkSelectors are the label selectors checkIndexes lists through
+// the label index: the scripts' tiers and apps, one of them
+// two-keyed.
+var checkSelectors = []map[string]string{
+	{"tier": "t0"}, {"tier": "t1"}, {"tier": "t2"}, {"tier": "t0", "app": "x"}, {"app": "worker"},
+}
+
+// checkIndexes cross-checks the per-node occupancy (Allocated, the
+// live count and the pod list), the label index and the age-sorted
+// roster against naive recomputations from the stores.
+func checkIndexes(t *testing.T, c *Cluster, step int) {
+	t.Helper()
+	for _, n := range c.nodes {
+		wantFree := c.naiveNodeFree(n)
+		if got := n.Allocatable.Sub(n.Allocated); got != wantFree {
+			t.Fatalf("step %d: node %s Allocated drift: free %v, naive %v", step, n.Name, got, wantFree)
+		}
+		live := 0
+		for _, p := range c.pods {
+			if p.NodeName == n.Name && !p.Terminal() {
+				live++
+			}
+		}
+		if n.livePods != live || c.PodsOnNode(n.Name) != live {
+			t.Fatalf("step %d: node %s livePods %d, PodsOnNode %d, naive %d", step, n.Name, n.livePods, c.PodsOnNode(n.Name), live)
+		}
+		listed := 0
+		for p := n.pods; p != nil; p = p.nextOnNode {
+			if p.NodeName != n.Name || p.Terminal() || c.pods[p.Name] != p {
+				t.Fatalf("step %d: node %s lists pod %s (node %s, phase %s), not a live pod of the node",
+					step, n.Name, p.Name, p.NodeName, p.Phase)
+			}
+			if p.nextOnNode != nil && p.nextOnNode.prevOnNode != p {
+				t.Fatalf("step %d: node %s pod list broken after %s", step, n.Name, p.Name)
+			}
+			listed++
+		}
+		if listed != live {
+			t.Fatalf("step %d: node %s lists %d pods, naive %d", step, n.Name, listed, live)
+		}
+		if (n.livePods == 0) != c.naiveNodeIsEmpty(n) {
+			t.Fatalf("step %d: node %s emptiness disagrees", step, n.Name)
+		}
+	}
+	for _, sel := range checkSelectors {
+		got := c.ListPods(sel)
+		var want []Pod
+		for _, p := range c.ListPods(nil) {
+			if p.MatchesSelector(sel) {
+				want = append(want, p)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("step %d: ListPods(%v) size %d, naive %d", step, sel, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Name != want[i].Name {
+				t.Fatalf("step %d: ListPods(%v)[%d] = %s, naive %s", step, sel, i, got[i].Name, want[i].Name)
+			}
+		}
+	}
+	roster := c.sortedNodes()
+	fresh := c.naiveSortedNodes()
+	if len(roster) != len(fresh) {
+		t.Fatalf("step %d: cached roster size %d, fresh %d", step, len(roster), len(fresh))
+	}
+	for i := range roster {
+		if roster[i] != fresh[i] {
+			t.Fatalf("step %d: roster[%d] = %s, fresh %s", step, i, roster[i].Name, fresh[i].Name)
+		}
 	}
 }
 
@@ -442,9 +505,35 @@ func checkFleetAggregates(t *testing.T, c *Cluster, step int) {
 // test below.
 type cleanChecks struct{ sched, statefulSets, scaleUp, scaleDown int }
 
+// stepChecks runs every per-step oracle on c: the indexes, the pending
+// queue and the fleet aggregates against their naive recomputations,
+// and each clear dirty flag against its naive sweep.
+func (cc *cleanChecks) stepChecks(t *testing.T, c *Cluster, w *watchTrace, step int) {
+	t.Helper()
+	checkIndexes(t, c, step)
+	checkPendingQueue(t, c, step)
+	checkFleetAggregates(t, c, step)
+	cc.check(t, c, w, step)
+}
+
+func (cc *cleanChecks) add(o cleanChecks) {
+	cc.sched += o.sched
+	cc.statefulSets += o.statefulSets
+	cc.scaleUp += o.scaleUp
+	cc.scaleDown += o.scaleDown
+}
+
+// requireAll fails unless every dirty-skip path was checked at least
+// once.
+func (cc *cleanChecks) requireAll(t *testing.T) {
+	t.Helper()
+	if cc.sched == 0 || cc.scaleUp == 0 || cc.scaleDown == 0 || cc.statefulSets == 0 {
+		t.Errorf("a dirty-skip path was never exercised: %+v", *cc)
+	}
+}
+
 // check asserts that a clear dirty flag means no outstanding work: the
-// sweep the flag lets the control loop skip is run in its retained
-// reference form, and must change nothing — no watch notification (w
+// sweep the flag lets the control loop skip is run in its naive form, and must change nothing — no watch notification (w
 // is subscribed to c), no pod, no node, no reservation. (A sweep that
 // finds nothing to do mutates nothing, so running it here does not
 // perturb the churn.)

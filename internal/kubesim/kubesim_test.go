@@ -64,6 +64,15 @@ func recordWatches(c *Cluster) *watchTrace {
 	return w
 }
 
+// nodeCopies returns shallow copies of all nodes in scheduler order.
+func nodeCopies(c *Cluster) []Node {
+	var out []Node
+	for _, n := range c.sortedNodes() {
+		out = append(out, *n)
+	}
+	return out
+}
+
 // count returns how many records carry the type and reason and
 // concern the object; an empty object matches every object.
 func (w *watchTrace) count(typ WatchEventType, reason, object string) int {
@@ -844,5 +853,41 @@ func TestPodLifecycleAllocs(t *testing.T) {
 	t.Logf("%.0f allocations per pod lifecycle", allocs)
 	if allocs > 1 {
 		t.Errorf("one pod lifecycle allocates %.0f times, want at most 1", allocs)
+	}
+}
+
+// TestBindFreshNodeAllocs pins binding a pod onto a node that has
+// never hosted one at zero allocations: a node's live pods form a list
+// through the pods themselves, so the first pod on a node costs no
+// per-node bucket. Each run binds a stored pod onto its own fresh node
+// that already holds the image, so the kubelet goes straight to the
+// container start, an event on a warm engine.
+func TestBindFreshNodeAllocs(t *testing.T) {
+	const runs = 100
+	eng, c := newTestCluster(t, Config{InitialNodes: 1, MaxNodes: runs + 2})
+	pods := make([]*Pod, runs+1)
+	nodes := make([]*Node, runs+1)
+	for i := range pods {
+		spec := smallPod(fmt.Sprintf("fresh-%d", i))
+		if _, err := c.CreatePod(spec); err != nil {
+			t.Fatal(err)
+		}
+		pods[i] = c.pods[spec.Name]
+		nodes[i] = c.addNode()
+		nodes[i].Images = map[string]bool{spec.Image: true}
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		c.bind(pods[next], nodes[next])
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("binding onto a fresh node allocates %.1f times, want 0", allocs)
+	}
+	eng.RunFor(containerStartDelay)
+	for i, n := range nodes {
+		if c.PodsOnNode(n.Name) != 1 || n.pods != pods[i] || pods[i].Phase != PodRunning {
+			t.Fatalf("node %s: %d pods, head %v, pod phase %s", n.Name, c.PodsOnNode(n.Name), n.pods, pods[i].Phase)
+		}
 	}
 }

@@ -6,21 +6,19 @@ import (
 	"time"
 
 	"hta/internal/resources"
+	"hta/internal/simclock"
 )
 
-// This file retains the pre-index control-plane primitives and the
-// pre-incremental sweeps verbatim. A cluster switched by
-// SetNaiveScheduling routes every scheduling predicate and sweep
-// through them, giving differential tests and benchmarks a reference
-// whose decisions the indexed fast path must reproduce byte-for-byte:
+// This file keeps the pre-index control-plane primitives and the
+// pre-incremental sweeps as test oracles (see differential_test.go):
 // the naive forms recompute node occupancy by scanning the entire pod
-// store, re-sort the node roster and the pending set on every pass and
-// first-fit every pod over every node and bin on every sync whether or
-// not anything changed, which is exactly the O(pending × nodes × pods)
-// behaviour the indexes, cursors and dirty flags remove. The state
-// transitions themselves (bind, markUnschedulable, provision,
-// removeNode) are shared, so the incremental state stays maintained
-// while the reference runs.
+// store, re-sort the node roster and the pending set on every pass
+// and first-fit every pod over every node and bin on every sync
+// whether or not anything changed, which is exactly the O(pending ×
+// nodes × pods) behaviour the indexes, cursors and dirty flags remove.
+// The state transitions themselves (bind, markUnschedulable,
+// provision, removeNode) are the production ones, so a sweep that
+// finds work changes the same state the loops would.
 
 // naiveNodeIsEmpty scans the whole pod store for a live pod bound to
 // the node.
@@ -102,6 +100,25 @@ func (c *Cluster) naiveScheduleOnce() {
 		if !placed && !p.UnschedulableSeen {
 			c.markUnschedulable(p)
 		}
+	}
+}
+
+// useNaiveLoops swaps the cluster's two control loops for their naive
+// forms on the same schedule: the scheduler runs naiveScheduleOnce,
+// the cloud controller both naive sweeps. Called right after
+// NewCluster, before anything else schedules an event, the loops keep
+// their place in the engine's order, so a whole run can be compared
+// event for event with one under the production loops.
+func (c *Cluster) useNaiveLoops() {
+	for _, t := range c.tickers {
+		t.Stop()
+	}
+	c.tickers = []*simclock.Ticker{
+		c.eng.Every(schedulerInterval, "kube-scheduler", func() {
+			c.naiveScheduleOnce()
+			c.compactPending()
+		}),
+		c.eng.Every(autoscalerInterval, "cloud-controller", c.naiveCloudControllerOnce),
 	}
 }
 

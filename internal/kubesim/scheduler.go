@@ -13,14 +13,6 @@ import (
 // NodeName for good and a delete makes the pod terminal.
 func (p *Pod) waiting() bool { return p.Phase == PodPending && p.NodeName == "" }
 
-// nodeIsEmpty reports whether no live pod is bound to the node.
-func (c *Cluster) nodeIsEmpty(n *Node) bool {
-	if c.naive {
-		return c.naiveNodeIsEmpty(n)
-	}
-	return n.livePods == 0
-}
-
 // stampEmpty sets the node's emptiness stamp (the zero time clears it)
 // and keeps the empty-node bookkeeping in step. Stamps are taken from
 // the clock, so a new one is never older than emptyOldest.
@@ -47,7 +39,7 @@ func (c *Cluster) freeNodeOf(p *Pod) {
 	if !ok {
 		return
 	}
-	if c.nodeIsEmpty(n) {
+	if n.livePods == 0 {
 		c.stampEmpty(n, c.eng.Now())
 	}
 }
@@ -105,19 +97,15 @@ func (c *Cluster) fits(request, free resources.Vector) bool {
 // sync (see the dirty flags on Cluster); the ticker still fires every
 // period.
 func (c *Cluster) scheduleOnce() {
-	if c.naive {
-		c.naiveScheduleOnce()
-	} else {
-		if c.ssDirty {
-			c.ssDirty = false
-			for _, ss := range c.statefulsets {
-				c.reconcileStatefulSet(ss)
-			}
+	if c.ssDirty {
+		c.ssDirty = false
+		for _, ss := range c.statefulsets {
+			c.reconcileStatefulSet(ss)
 		}
-		if c.schedDirty {
-			c.schedDirty = false
-			c.bindPending()
-		}
+	}
+	if c.schedDirty {
+		c.schedDirty = false
+		c.bindPending()
 	}
 	c.compactPending()
 }
@@ -204,9 +192,6 @@ func compareNodes(a, b *Node) int {
 // does happen under such a walk (scaleDownEmpty), is filtered out into
 // a fresh backing array instead, so the older snapshot stays intact.
 func (c *Cluster) sortedNodes() []*Node {
-	if c.naive {
-		return c.naiveSortedNodes()
-	}
 	if c.nodeSorted < len(c.nodeList) {
 		lo, first := c.nodeSorted, c.nodeList[c.nodeSorted].CreatedAt
 		for lo > 0 && c.nodeList[lo-1].CreatedAt.Equal(first) {
@@ -234,14 +219,31 @@ func (c *Cluster) bind(p *Pod, n *Node) {
 	c.stampEmpty(n, time.Time{})
 	n.Allocated = n.Allocated.Add(p.Resources)
 	n.livePods++
-	m := c.podsByNode[n.Name]
-	if m == nil {
-		m = make(map[string]*Pod)
-		c.podsByNode[n.Name] = m
-	}
-	m[p.Name] = p
+	n.linkPod(p)
 	c.pendingLive--
 	c.scaleDirty = true
 	c.notifyPod(Modified, p, ReasonScheduled)
 	c.kubeletStart(p, n)
+}
+
+// linkPod puts a freshly bound pod at the head of its node's list.
+func (n *Node) linkPod(p *Pod) {
+	p.prevOnNode, p.nextOnNode = nil, n.pods
+	if n.pods != nil {
+		n.pods.prevOnNode = p
+	}
+	n.pods = p
+}
+
+// unlinkPod takes a pod leaving the live set off its node's list.
+func (n *Node) unlinkPod(p *Pod) {
+	if p.prevOnNode != nil {
+		p.prevOnNode.nextOnNode = p.nextOnNode
+	} else {
+		n.pods = p.nextOnNode
+	}
+	if p.nextOnNode != nil {
+		p.nextOnNode.prevOnNode = p.prevOnNode
+	}
+	p.prevOnNode, p.nextOnNode = nil, nil
 }

@@ -102,6 +102,9 @@ type Pod struct {
 	// labels is the shared label set Labels points into; CreatePod
 	// takes a reference and DeletePod drops it.
 	labels *labelSet
+	// prevOnNode and nextOnNode link the live pods bound to one node
+	// (Node.pods), from bind until the pod leaves the live set.
+	prevOnNode, nextOnNode *Pod
 }
 
 // MatchesSelector reports whether the pod's labels contain every
@@ -141,8 +144,9 @@ type Node struct {
 	EmptySince time.Time
 
 	// livePods counts the non-terminal pods bound to the node; kept in
-	// lockstep with Allocated.
+	// lockstep with Allocated. pods heads their list (see Pod.nextOnNode).
 	livePods int
+	pods     *Pod
 }
 
 // Service is a named network endpoint selecting a set of pods. The

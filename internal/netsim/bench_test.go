@@ -41,7 +41,7 @@ func BenchmarkContendedTransfers(b *testing.B) {
 // been started, holding the active set near width throughout. This is
 // the regime the reference implementation handles in O(n) per event
 // and the virtual-time implementation in O(log n).
-func runLinkScale(mk func(*simclock.Engine, float64, float64) *Link, width, total int) Stats {
+func runLinkScale(mk linkMaker, width, total int) Stats {
 	e := simclock.NewEngine(t0)
 	l := mk(e, 1000, 0)
 	started := 0
@@ -70,7 +70,7 @@ func BenchmarkLinkScale(b *testing.B) {
 	b.Run("10k", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s := runLinkScale(NewLink, 10_000, 20_000)
+			s := runLinkScale(newIndexedLink, 10_000, 20_000)
 			if s.Completed != 20_000 {
 				b.Fatalf("completed %d transfers, want 20000", s.Completed)
 			}
@@ -79,7 +79,7 @@ func BenchmarkLinkScale(b *testing.B) {
 	b.Run("100k", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s := runLinkScale(NewLink, 100_000, 1_000_000)
+			s := runLinkScale(newIndexedLink, 100_000, 1_000_000)
 			if s.Completed != 1_000_000 {
 				b.Fatalf("completed %d transfers, want 1000000", s.Completed)
 			}
@@ -88,13 +88,13 @@ func BenchmarkLinkScale(b *testing.B) {
 }
 
 // BenchmarkLinkScaleReference runs the identical scenario on the
-// retained reference implementation. Like the Naive control-plane
+// test-local reference link (refLink). Like the Naive control-plane
 // baselines it is excluded from the CI bench smoke; run it beside
 // BenchmarkLinkScale/10k for the speedup.
 func BenchmarkLinkScaleReference(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := runLinkScale(NewReferenceLink, 10_000, 20_000)
+		s := runLinkScale(newRefLink, 10_000, 20_000)
 		if s.Completed != 20_000 {
 			b.Fatalf("completed %d transfers, want 20000", s.Completed)
 		}

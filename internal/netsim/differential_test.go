@@ -8,11 +8,14 @@ import (
 	"hta/internal/simclock"
 )
 
-// This file proves the virtual-time link equivalent to the retained
-// reference implementation: random interleavings of Start, Cancel,
-// SetContention and reads are replayed against both,
-// and the completion callbacks (order and times), cancel results and
-// accumulated stats must agree. Callback order must match exactly;
+// This file proves the virtual-time link equivalent to the test-local
+// reference link (refLink, reference_test.go): random interleavings of
+// every operation the simulated stack issues on a link — Start (with
+// and without a callback, zero-size included), Cancel (of active,
+// completed and already-canceled transfers), Remaining, Stats, Active
+// and SetContention — are replayed against both, and the completion
+// callbacks (order and times), cancel results, reads and accumulated
+// stats must agree. Callback order must match exactly;
 // completion times get a drift budget with two terms. The fixed term
 // is one nanosecond per completion: the reference accumulates
 // remaining-MB incrementally, so its eta carries sub-nanosecond float
@@ -52,6 +55,8 @@ type linkTrace struct {
 	completions  []completionRec
 	cancels      []bool
 	reads        []float64 // Remaining samples
+	statReads    []Stats   // Stats samples
+	actives      []int     // Active samples
 	stats        Stats
 	end          time.Duration
 	capacity     float64
@@ -61,7 +66,7 @@ type linkTrace struct {
 
 // driveLink replays ops against a fresh engine and link and records
 // everything observable.
-func driveLink(mk func(*simclock.Engine, float64, float64) *Link, capacity, perTransfer float64, ops []linkOp) linkTrace {
+func driveLink(mk linkMaker, capacity, perTransfer float64, ops []linkOp) linkTrace {
 	e := simclock.NewEngine(t0)
 	l := mk(e, capacity, perTransfer)
 	tr := linkTrace{capacity: capacity}
@@ -78,10 +83,17 @@ func driveLink(mk func(*simclock.Engine, float64, float64) *Link, capacity, perT
 			switch op.kind {
 			case opStart:
 				n := len(started)
-				t := l.Start(op.size, call, func() {
-					tr.completions = append(tr.completions, completionRec{transfer: n, at: e.Elapsed()})
-					tr.sumCompleted += op.size
-				})
+				var t Transfer
+				if op.target%5 == 4 {
+					// A transfer nobody waits for, as a worker's
+					// input prefetch can be.
+					t = l.Start(op.size, nil, nil)
+				} else {
+					t = l.Start(op.size, call, func() {
+						tr.completions = append(tr.completions, completionRec{transfer: n, at: e.Elapsed()})
+						tr.sumCompleted += op.size
+					})
+				}
 				started = append(started, t)
 			case opCancel:
 				if len(started) > 0 {
@@ -91,9 +103,10 @@ func driveLink(mk func(*simclock.Engine, float64, float64) *Link, capacity, perT
 				l.SetContention(op.factor)
 			case opRead:
 				if len(started) > 0 {
-					tr.reads = append(tr.reads, l.Remaining(started[len(started)/2]))
+					tr.reads = append(tr.reads, l.Remaining(started[op.target%len(started)]))
 				}
-				l.Stats()
+				tr.statReads = append(tr.statReads, l.Stats())
+				tr.actives = append(tr.actives, l.Active())
 			}
 		})
 	}
@@ -120,6 +133,7 @@ func randomOps(seed int64, n int) []linkOp {
 			if rng.Intn(12) == 0 {
 				op.size = 0
 			}
+			op.target = rng.Intn(1 << 20)
 		case k < 70:
 			op.kind = opCancel
 			op.target = rng.Intn(1 << 20)
@@ -131,6 +145,7 @@ func randomOps(seed int64, n int) []linkOp {
 			op.factor = 0.9 + 0.1*rng.Float64()
 		default:
 			op.kind = opRead
+			op.target = rng.Intn(1 << 20)
 		}
 	}
 	return ops
@@ -171,6 +186,19 @@ func compareTraces(t *testing.T, indexed, reference linkTrace, timeTol time.Dura
 	for i := range indexed.cancels {
 		if indexed.cancels[i] != reference.cancels[i] {
 			t.Fatalf("cancel %d: indexed %v, reference %v", i, indexed.cancels[i], reference.cancels[i])
+		}
+	}
+	if len(indexed.statReads) != len(reference.statReads) || len(indexed.actives) != len(reference.actives) {
+		t.Fatalf("stats reads: indexed %d, reference %d", len(indexed.statReads), len(reference.statReads))
+	}
+	for i := range indexed.statReads {
+		is, rs := indexed.statReads[i], reference.statReads[i]
+		if is.Started != rs.Started || is.Completed != rs.Completed || indexed.actives[i] != reference.actives[i] {
+			t.Fatalf("stats read %d: indexed %+v active %d, reference %+v active %d",
+				i, is, indexed.actives[i], rs, reference.actives[i])
+		}
+		if !relClose(is.DeliveredMB, rs.DeliveredMB, 1e-6) {
+			t.Fatalf("stats read %d: delivered indexed %v, reference %v", i, is.DeliveredMB, rs.DeliveredMB)
 		}
 	}
 	if len(indexed.reads) != len(reference.reads) {
@@ -234,8 +262,8 @@ func TestLinkDifferentialSeeds(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		ops := randomOps(seed, 300)
 		for _, cfg := range configs {
-			indexed := driveLink(NewLink, cfg.capacity, cfg.perTransfer, ops)
-			reference := driveLink(NewReferenceLink, cfg.capacity, cfg.perTransfer, ops)
+			indexed := driveLink(newIndexedLink, cfg.capacity, cfg.perTransfer, ops)
+			reference := driveLink(newRefLink, cfg.capacity, cfg.perTransfer, ops)
 			compareTraces(t, indexed, reference, 1)
 			checkInvariants(t, indexed)
 			checkInvariants(t, reference)
@@ -259,6 +287,7 @@ func decodeOps(data []byte) []linkOp {
 		case 0, 1, 2, 3:
 			op.kind = opStart
 			op.size = float64(uint(b2)<<8|uint(b3)) / 16
+			op.target = int(b0 >> 3)
 		case 4:
 			op.kind = opCancel
 			op.target = int(b2)<<8 | int(b3)
@@ -270,6 +299,7 @@ func decodeOps(data []byte) []linkOp {
 			op.factor = float64(b2%25+76) / 100
 		default:
 			op.kind = opRead
+			op.target = int(b2)<<8 | int(b3)
 		}
 		ops = append(ops, op)
 	}
@@ -293,8 +323,8 @@ func FuzzLinkDifferential(f *testing.F) {
 		if len(ops) == 0 {
 			t.Skip()
 		}
-		indexed := driveLink(NewLink, 100, 7, ops)
-		reference := driveLink(NewReferenceLink, 100, 7, ops)
+		indexed := driveLink(newIndexedLink, 100, 7, ops)
+		reference := driveLink(newRefLink, 100, 7, ops)
 		compareTraces(t, indexed, reference, 1)
 		checkInvariants(t, indexed)
 		checkInvariants(t, reference)
@@ -307,7 +337,7 @@ func FuzzLinkDifferential(f *testing.F) {
 func TestPropertyDeliveredWithinEnvelope(t *testing.T) {
 	for seed := int64(100); seed < 116; seed++ {
 		ops := randomOps(seed, 200)
-		for _, mk := range []func(*simclock.Engine, float64, float64) *Link{NewLink, NewReferenceLink} {
+		for _, mk := range []linkMaker{newIndexedLink, newRefLink} {
 			tr := driveLink(mk, 250, 20, ops)
 			checkInvariants(t, tr)
 		}

@@ -20,8 +20,9 @@
 // clock is O(1) regardless of how many transfers are in flight.
 // Transfers live in a link-owned slab and callers hold generation-
 // checked value handles, so a transfer costs no allocation. The
-// original walk-everything implementation is retained in reference.go
-// (NewReferenceLink) as a differential-testing oracle.
+// original walk-everything implementation lives on in
+// reference_test.go as the test-local refLink, the oracle of the
+// differential and fuzz suites; Link itself has one mode.
 package netsim
 
 import (
@@ -42,8 +43,6 @@ type Link struct {
 	perTransfer float64 // MB/s cap per transfer; 0 = unlimited
 	contention  float64 // per-extra-stream efficiency factor; 1 = none
 
-	reference bool // route through the retained O(n)-per-event model
-
 	// Transfers live in a slab addressed by index; a transfer's slot
 	// returns to the free list the moment it completes or is canceled,
 	// and its generation bump invalidates every handle to it.
@@ -55,18 +54,14 @@ type Link struct {
 	onTimer func() // the completion timer's callback, bound once
 	last    time.Time
 
-	// Virtual-time state (indexed mode). vt is the cumulative
-	// per-transfer service credit in MB: every active transfer has
-	// moved vt − tr.start megabytes. vtRate is the credit growth rate,
-	// recomputed only when the active set or the capacity model
-	// changes.
+	// Virtual-time state. vt is the cumulative per-transfer service
+	// credit in MB: a transfer started when the credit was s has moved
+	// vt − s megabytes, and completes when vt reaches its finish credit.
+	// vtRate is the credit growth rate, recomputed only when the active
+	// set or the capacity model changes.
 	vt       float64
 	vtRate   float64
 	byFinish []int32 // 4-ary min-heap of slab indices; see less
-
-	// Reference-mode state: active slab indices in ascending-id order
-	// so float accumulation is deterministic.
-	order []int32
 
 	finished []int32 // scratch for completion batches
 
@@ -90,15 +85,12 @@ type Transfer struct {
 
 // transfer is one in-flight data movement, in the link's slab.
 type transfer struct {
-	id        int
-	remaining float64 // MB; reference mode only
-	rate      float64 // MB/s; reference mode only
-	start     float64 // vt when the transfer started (indexed mode)
-	finish    float64 // start + size: vt at which the transfer completes
-	done      func(any)
-	arg       any
-	pos       int32  // index in byFinish (indexed mode)
-	gen       uint32 // bumped on release; never 0 for a slot in use
+	id     int
+	finish float64 // vt at start + size: vt at which the transfer completes
+	done   func(any)
+	arg    any
+	pos    int32  // index in byFinish
+	gen    uint32 // bumped on release; never 0 for a slot in use
 }
 
 // alloc takes a transfer slot from the free list, or extends the slab.
@@ -218,10 +210,6 @@ const completionEpsilonMB = 1e-9
 // NewLink creates a link with the given capacity in MB/s and an
 // optional per-transfer rate cap (0 disables the cap).
 func NewLink(eng *simclock.Engine, capacityMBps, perTransferMBps float64) *Link {
-	return newLink(eng, capacityMBps, perTransferMBps, false)
-}
-
-func newLink(eng *simclock.Engine, capacityMBps, perTransferMBps float64, reference bool) *Link {
 	if capacityMBps <= 0 {
 		panic(fmt.Sprintf("netsim: non-positive link capacity %v", capacityMBps))
 	}
@@ -233,7 +221,6 @@ func newLink(eng *simclock.Engine, capacityMBps, perTransferMBps float64, refere
 		capacity:    capacityMBps,
 		perTransfer: perTransferMBps,
 		contention:  1,
-		reference:   reference,
 		last:        eng.Now(),
 	}
 	l.onTimer = func() {
@@ -282,12 +269,7 @@ func (l *Link) allocRate(n int) float64 {
 }
 
 // Active returns the number of in-flight transfers.
-func (l *Link) Active() int {
-	if l.reference {
-		return len(l.order)
-	}
-	return len(l.byFinish)
-}
+func (l *Link) Active() int { return len(l.byFinish) }
 
 // Start begins a transfer of sizeMB and, when done is non-nil, has
 // the engine call done(arg) when it completes. Zero-size transfers
@@ -305,16 +287,8 @@ func (l *Link) Start(sizeMB float64, done func(any), arg any) Transfer {
 	tr.id, tr.done, tr.arg = l.nextID, done, arg
 	h := Transfer{idx: idx, gen: tr.gen}
 	l.started++
-	if l.reference {
-		// The ordered index list exists only in reference mode; the
-		// indexed path tracks membership through the heap.
-		tr.remaining, tr.rate = sizeMB, 0
-		l.order = append(l.order, idx) // ids ascend, so order stays sorted
-	} else {
-		tr.start = l.vt
-		tr.finish = l.vt + sizeMB
-		l.push(idx)
-	}
+	tr.finish = l.vt + sizeMB
+	l.push(idx)
 	l.reschedule()
 	return h
 }
@@ -328,16 +302,12 @@ func (l *Link) Cancel(h Transfer) bool {
 		return false
 	}
 	l.advance()
-	if l.reference {
-		l.refRemove(h.idx)
-	} else {
-		l.removeAt(int(tr.pos))
-		// vt can overshoot finish by at most one nanosecond's worth of
-		// credit (the completion timer rounds up to whole nanoseconds);
-		// refund the overcharge.
-		if l.vt > tr.finish {
-			l.deliveredMB -= l.vt - tr.finish
-		}
+	l.removeAt(int(tr.pos))
+	// vt can overshoot finish by at most one nanosecond's worth of
+	// credit (the completion timer rounds up to whole nanoseconds);
+	// refund the overcharge.
+	if l.vt > tr.finish {
+		l.deliveredMB -= l.vt - tr.finish
 	}
 	l.release(h.idx)
 	l.reschedule()
@@ -354,9 +324,6 @@ func (l *Link) Remaining(h Transfer) float64 {
 	if tr == nil {
 		return 0
 	}
-	if l.reference {
-		return tr.remaining
-	}
 	if rem := tr.finish - l.vt; rem > 0 {
 		return rem
 	}
@@ -367,10 +334,6 @@ func (l *Link) Remaining(h Transfer) float64 {
 // Every active transfer moves vtRate×dt megabytes of credit, so the
 // aggregate delivery is n times that.
 func (l *Link) advance() {
-	if l.reference {
-		l.refAdvance()
-		return
-	}
 	now := l.eng.Now()
 	dt := now.Sub(l.last).Seconds()
 	l.last = now
@@ -388,10 +351,6 @@ func (l *Link) advance() {
 // arms the timer for the next completion: O(log n) per completion,
 // O(1) otherwise.
 func (l *Link) reschedule() {
-	if l.reference {
-		l.refReschedule()
-		return
-	}
 	l.timer.Stop()
 	finished := l.finished[:0]
 	for len(l.byFinish) > 0 {

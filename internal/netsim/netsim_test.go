@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"hta/internal/simclock"
 )
@@ -16,6 +17,16 @@ func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 // call is a transfer callback that runs the func() passed as its
 // argument, so a test can give each transfer its own closure.
 func call(a any) { a.(func())() }
+
+// The slab holds one transfer per in-flight data movement, 80k of them
+// in a 40k-task I/O bag: a transfer is its id, its finish credit, its
+// callback and argument, its heap position and its generation — 48
+// bytes, with no field only a second mode reads.
+func TestTransferSize(t *testing.T) {
+	if n := unsafe.Sizeof(transfer{}); n > 48 {
+		t.Fatalf("transfer is %d bytes, want <= 48", n)
+	}
+}
 
 func TestSingleTransferDuration(t *testing.T) {
 	e := simclock.NewEngine(t0)
@@ -336,11 +347,11 @@ func TestSetContentionValidation(t *testing.T) {
 	}
 }
 
-// forBothImpls runs a test against the indexed and the retained
-// reference implementation.
-func forBothImpls(t *testing.T, fn func(t *testing.T, mk func(*simclock.Engine, float64, float64) *Link)) {
-	t.Run("indexed", func(t *testing.T) { fn(t, NewLink) })
-	t.Run("reference", func(t *testing.T) { fn(t, NewReferenceLink) })
+// forBothImpls runs a test against the indexed link and the
+// test-local reference link.
+func forBothImpls(t *testing.T, fn func(t *testing.T, mk linkMaker)) {
+	t.Run("indexed", func(t *testing.T) { fn(t, newIndexedLink) })
+	t.Run("reference", func(t *testing.T) { fn(t, newRefLink) })
 }
 
 // TestReadsDoNotChurnTimers is the regression test for the read-path
@@ -349,7 +360,7 @@ func forBothImpls(t *testing.T, fn func(t *testing.T, mk func(*simclock.Engine, 
 // schedule anything, and completions must still fire correctly after
 // a burst of reads.
 func TestReadsDoNotChurnTimers(t *testing.T) {
-	forBothImpls(t, func(t *testing.T, mk func(*simclock.Engine, float64, float64) *Link) {
+	forBothImpls(t, func(t *testing.T, mk linkMaker) {
 		e := simclock.NewEngine(t0)
 		l := mk(e, 90, 0)
 		var done []int
@@ -396,7 +407,7 @@ func TestReadsDoNotChurnTimers(t *testing.T) {
 // callback order for batches of simultaneous completions (now
 // produced by sort.Slice rather than an O(k²) bubble sort).
 func TestCompletionBatchOrderedByID(t *testing.T) {
-	forBothImpls(t, func(t *testing.T, mk func(*simclock.Engine, float64, float64) *Link) {
+	forBothImpls(t, func(t *testing.T, mk linkMaker) {
 		e := simclock.NewEngine(t0)
 		l := mk(e, 640, 0)
 		var order []int
@@ -417,11 +428,12 @@ func TestCompletionBatchOrderedByID(t *testing.T) {
 	})
 }
 
-// TestReferenceBasics exercises the retained implementation's core
-// behaviours directly (the differential suite covers the rest).
+// TestReferenceBasics exercises the reference link's core behaviours
+// on their own, so a differential failure can be told from a broken
+// oracle (the differential suite covers the rest).
 func TestReferenceBasics(t *testing.T) {
 	e := simclock.NewEngine(t0)
-	l := NewReferenceLink(e, 100, 0)
+	l := newRefLink(e, 100, 0)
 	var d1, d2 time.Duration
 	l.Start(100, call, func() { d1 = e.Elapsed() })
 	l.Start(100, call, func() { d2 = e.Elapsed() })
@@ -431,7 +443,7 @@ func TestReferenceBasics(t *testing.T) {
 	}
 
 	e = simclock.NewEngine(t0)
-	l = NewReferenceLink(e, 100, 10) // cap binds: 10 MB/s each
+	l = newRefLink(e, 100, 10) // cap binds: 10 MB/s each
 	var capped time.Duration
 	l.Start(50, call, func() { capped = e.Elapsed() })
 	l.Start(50, nil, nil)
@@ -441,7 +453,7 @@ func TestReferenceBasics(t *testing.T) {
 	}
 
 	e = simclock.NewEngine(t0)
-	l = NewReferenceLink(e, 100, 0)
+	l = newRefLink(e, 100, 0)
 	fired := false
 	tr := l.Start(100, call, func() { fired = true })
 	other := l.Start(100, nil, nil)
@@ -533,7 +545,7 @@ func TestTransferLifecycleAllocs(t *testing.T) {
 // over, Cancel reports false and Remaining 0, and neither touches the
 // newer transfer.
 func TestStaleTransferHandle(t *testing.T) {
-	forBothImpls(t, func(t *testing.T, mk func(*simclock.Engine, float64, float64) *Link) {
+	forBothImpls(t, func(t *testing.T, mk linkMaker) {
 		e := simclock.NewEngine(t0)
 		l := mk(e, 100, 0)
 		if l.Cancel(Transfer{}) || l.Remaining(Transfer{}) != 0 {

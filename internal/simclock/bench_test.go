@@ -8,7 +8,7 @@ import (
 // benchThroughput is the raw schedule+dispatch loop shared by the
 // engine and reference variants: the floor under every simulated
 // experiment.
-func benchThroughput(b *testing.B, e *Engine) {
+func benchThroughput(b *testing.B, e clock) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.After(time.Duration(i%1000)*time.Millisecond, "bench", func() {})
@@ -21,14 +21,14 @@ func benchThroughput(b *testing.B, e *Engine) {
 
 // BenchmarkEngineEventThroughput measures the int64 timing-wheel core.
 func BenchmarkEngineEventThroughput(b *testing.B) {
-	benchThroughput(b, NewEngine(t0))
+	benchThroughput(b, engineClock{NewEngine(t0)})
 }
 
-// BenchmarkEngineEventThroughputReference measures the retained seed
-// core (container/heap of pointer events keyed by time.Time) for the
-// speedup comparison.
+// BenchmarkEngineEventThroughputReference measures the seed core
+// (refEngine: a container/heap of pointer events keyed by time.Time)
+// for the speedup comparison.
 func BenchmarkEngineEventThroughputReference(b *testing.B) {
-	benchThroughput(b, NewReferenceEngine(t0))
+	benchThroughput(b, newRefEngine(t0))
 }
 
 // BenchmarkTimerStop measures cancellation cost.

@@ -7,16 +7,19 @@ import (
 )
 
 // The differential suite pins the int64 timing-wheel engine to the
-// retained reference core (reference.go): both run an identical
-// seeded multi-component scenario — dispatch-style zero-delay
-// cascades, k-event completion waves at one instant, timer churn
-// with cancellation, periodic controllers with Reset/Stop — and the
-// firing logs must match event for event: same callback, same virtual
-// time, same order, same Stop results, same Processed/Pending
-// accounting. Events go through both callback forms, After's closure
-// and AfterArg's bound callback with an argument. This is the house discipline from the kubesim and
-// netsim rewrites; the scenario shapes mirror the real components'
-// scheduling patterns.
+// seed core (refEngine, reference_test.go): both run an identical
+// seeded multi-component scenario and the firing logs must match event
+// for event: same callback, same virtual time, same order, same Stop
+// results, same Processed/Pending accounting. The scenario issues
+// every kind of operation the simulated stack does: At (in the past
+// too), After and AfterArg; dispatch-style zero-delay cascades and
+// same-instant chains scheduled from inside callbacks; k-event
+// completion waves at one instant; Stop of a record still in the
+// timing wheel, of one already queued at the executing instant and of
+// one that has fired; periodic controllers with Reset/Stop; Step,
+// RunFor, and RunUntil with the deadline exactly on an event; and
+// delays from nanoseconds to years, so records cascade down every
+// level of the wheel.
 
 // fireEntry is one observed firing: which logical callback ran and at
 // what elapsed virtual time.
@@ -29,6 +32,7 @@ type fireEntry struct {
 type scenarioResult struct {
 	fires     []fireEntry
 	stops     []bool // Timer.Stop return values, in stop order
+	pendings  []int  // Pending after every scenario round
 	processed uint64
 	pending   int
 	elapsed   time.Duration
@@ -38,7 +42,7 @@ type scenarioResult struct {
 // engine. The RNG is consumed inside callbacks as well as outside, so
 // any ordering divergence between engines desynchronizes the streams
 // and shows up as a log mismatch within a few events.
-func runScenario(e *Engine, seed int64, rounds int) scenarioResult {
+func runScenario(e clock, seed int64, rounds int) scenarioResult {
 	rng := NewRNG(seed)
 	var res scenarioResult
 	var nextID int64
@@ -59,18 +63,39 @@ func runScenario(e *Engine, seed int64, rounds int) scenarioResult {
 
 	// live holds cancellable timers; a fraction get stopped later —
 	// some before firing, some after (Stop must report false then).
-	var live []Timer
+	var live []timer
 
 	dur := func() time.Duration {
 		// Heavy mass at zero and small offsets: the clamped-past and
 		// same-instant cases are where the same-instant queue works.
-		switch rng.Intn(5) {
+		// The long tail reaches every wheel level: level 1 from
+		// ~268 ms, level 2 from ~69 s, level 3 from ~4.9 h, level 4
+		// from ~52 days, level 5 from ~36 years.
+		switch rng.Intn(7) {
 		case 0:
 			return 0
 		case 1:
 			return time.Duration(rng.Intn(3)) * time.Nanosecond
+		case 5:
+			return time.Duration(rng.Float64() * float64(10*time.Minute))
+		case 6:
+			horizon := []time.Duration{48 * time.Hour, 400 * 24 * time.Hour, 100 * 365 * 24 * time.Hour}
+			return time.Duration(rng.Float64() * float64(horizon[rng.Intn(len(horizon))]))
 		default:
 			return time.Duration(rng.Intn(5000)) * time.Millisecond
+		}
+	}
+
+	// chain returns a callback that fires and then schedules the next
+	// of n links at the executing instant, from inside the callback.
+	var chain func(n int) func()
+	chain = func(n int) func() {
+		_, fn := record()
+		return func() {
+			fn()
+			if n > 1 {
+				e.After(0, "chain", chain(n-1))
+			}
 		}
 	}
 
@@ -79,7 +104,7 @@ func runScenario(e *Engine, seed int64, rounds int) scenarioResult {
 	// more work from inside events.
 	var spawn func(depth int)
 	spawn = func(depth int) {
-		switch rng.Intn(10) {
+		switch rng.Intn(14) {
 		case 0, 1:
 			_, fn := record()
 			e.After(dur(), "single", fn)
@@ -87,9 +112,7 @@ func runScenario(e *Engine, seed int64, rounds int) scenarioResult {
 			id, _ := record()
 			e.AfterArg(dur(), "single-arg", fireArg, id)
 		case 3, 4:
-			id, fn := record()
-			_ = id
-			inner := fn
+			_, inner := record()
 			d := dur()
 			e.After(d, "cascade", func() {
 				inner()
@@ -134,6 +157,37 @@ func runScenario(e *Engine, seed int64, rounds int) scenarioResult {
 				_, fn := record()
 				e.After(0, "burst", fn)
 			}
+		case 10:
+			// At in the past: clamped to now, behind what is queued.
+			_, fn := record()
+			e.At(e.Now().Add(-dur()), "past", fn)
+		case 11:
+			// A same-instant chain scheduled link by link from inside
+			// its own callbacks.
+			e.After(dur(), "chain", chain(1+rng.Intn(5)))
+		case 12:
+			// Stop of a record already queued at the executing
+			// instant: the first of two same-instant events stops the
+			// second.
+			_, fn := record()
+			_, vfn := record()
+			d := dur()
+			var victim timer
+			e.After(d, "stopper", func() {
+				fn()
+				res.stops = append(res.stops, victim.Stop())
+			})
+			victim = e.After(d, "victim", vfn)
+		case 13:
+			// Schedule at the executing instant from inside a
+			// callback, then stop it before it leaves the queue.
+			_, fn := record()
+			vid, _ := record()
+			e.After(dur(), "stop-queued", func() {
+				fn()
+				t := e.AfterArg(0, "queued", fireArg, vid)
+				res.stops = append(res.stops, t.Stop())
+			})
 		}
 	}
 
@@ -141,7 +195,7 @@ func runScenario(e *Engine, seed int64, rounds int) scenarioResult {
 	// period mid-run, one runs to the end and is stopped outside.
 	tick1Fires := 0
 	_, t1fn := record()
-	var tk1 *Ticker
+	var tk1 ticker
 	tk1 = e.Every(700*time.Millisecond, "tick-selfstop", func() {
 		t1fn()
 		tick1Fires++
@@ -162,12 +216,25 @@ func runScenario(e *Engine, seed int64, rounds int) scenarioResult {
 			live[pick] = live[len(live)-1]
 			live = live[:len(live)-1]
 		}
-		if i%7 == 3 {
+		switch i % 7 {
+		case 3:
 			e.RunFor(time.Duration(rng.Intn(2000)) * time.Millisecond)
+		case 5:
+			// RunUntil with the deadline exactly on an event: the
+			// event fires, later ones stay queued.
+			_, fn := record()
+			d := time.Duration(rng.Intn(3000)) * time.Millisecond
+			e.After(d, "deadline", fn)
+			e.RunUntil(e.Now().Add(d))
+		case 6:
+			for k := rng.Intn(4); k > 0; k-- {
+				e.Step()
+			}
 		}
 		if i == rounds/2 {
 			tk2.Reset(400 * time.Millisecond)
 		}
+		res.pendings = append(res.pendings, e.Pending())
 	}
 	e.RunFor(20 * time.Second)
 	tk2.Stop()
@@ -188,8 +255,8 @@ func runScenario(e *Engine, seed int64, rounds int) scenarioResult {
 // description of the first divergence, or "" when identical.
 func diffScenario(seed int64, rounds int) string {
 	t0 := time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
-	fast := runScenario(NewEngine(t0), seed, rounds)
-	ref := runScenario(NewReferenceEngine(t0), seed, rounds)
+	fast := runScenario(engineClock{NewEngine(t0)}, seed, rounds)
+	ref := runScenario(newRefEngine(t0), seed, rounds)
 
 	if len(fast.fires) != len(ref.fires) {
 		return fmt.Sprintf("fired %d events, reference fired %d", len(fast.fires), len(ref.fires))
@@ -207,6 +274,14 @@ func diffScenario(seed int64, rounds int) string {
 			return fmt.Sprintf("stop %d: engine %v, reference %v", i, fast.stops[i], ref.stops[i])
 		}
 	}
+	if len(fast.pendings) != len(ref.pendings) {
+		return fmt.Sprintf("recorded %d pending counts, reference %d", len(fast.pendings), len(ref.pendings))
+	}
+	for i := range fast.pendings {
+		if fast.pendings[i] != ref.pendings[i] {
+			return fmt.Sprintf("round %d: pending %d, reference %d", i, fast.pendings[i], ref.pendings[i])
+		}
+	}
 	if fast.processed != ref.processed {
 		return fmt.Sprintf("processed %d, reference %d", fast.processed, ref.processed)
 	}
@@ -219,7 +294,7 @@ func diffScenario(seed int64, rounds int) string {
 	return ""
 }
 
-// TestEngineDifferential pins the engine to the reference core over
+// TestEngineDifferential pins the engine to the seed core over
 // seeded multi-component runs.
 func TestEngineDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {

@@ -26,13 +26,14 @@
 // by seq. Any event scheduled at the executing instant afterwards
 // takes a larger seq from the single global counter and appends behind
 // them, so consuming the queue front-to-back fires in exactly (time,
-// seq) order — the reference engine's heap order by construction,
-// which the differential suite in differential_test.go pins down.
+// seq) order — a heap's order by construction, which the differential
+// suite in differential_test.go pins down.
 //
 // The seed implementation — a serial container/heap of pointer events
-// keyed by time.Time — is retained in reference.go and selected by
-// NewReferenceEngine; it is the oracle for the differential and fuzz
-// suites and the baseline the engine benchmarks measure against.
+// keyed by time.Time — lives on in reference_test.go as the test-local
+// refEngine: the oracle the differential and fuzz suites run beside
+// Engine, and the baseline the engine benchmarks measure against. The
+// production Engine has no second mode.
 package simclock
 
 import (
@@ -90,8 +91,6 @@ type Engine struct {
 	// queue drains, so a steady cascade reuses the same storage.
 	nowq    []int32
 	nowHead int
-
-	ref *refCore // non-nil: route through the retained reference core
 }
 
 // NewEngine returns an Engine whose clock starts at start.
@@ -112,20 +111,10 @@ func (e *Engine) rel(t time.Time) int64 { return int64(t.Sub(e.base)) }
 func (e *Engine) abs(ns int64) time.Time { return e.base.Add(time.Duration(ns)) }
 
 // Now returns the current virtual time.
-func (e *Engine) Now() time.Time {
-	if e.ref != nil {
-		return e.ref.now
-	}
-	return e.abs(e.now)
-}
+func (e *Engine) Now() time.Time { return e.abs(e.now) }
 
 // Elapsed returns the virtual time elapsed since the engine started.
-func (e *Engine) Elapsed() time.Duration {
-	if e.ref != nil {
-		return e.ref.now.Sub(e.ref.start)
-	}
-	return time.Duration(e.now)
-}
+func (e *Engine) Elapsed() time.Duration { return time.Duration(e.now) }
 
 // Pending returns the number of scheduled, non-canceled events in
 // O(1): every scheduled event has fired, been stopped, or is pending,
@@ -148,7 +137,6 @@ func (e *Engine) Scheduled() uint64 { return e.scheduled }
 // Timer past its event's firing is safe (Stop just reports false).
 type Timer struct {
 	eng *Engine
-	ev  *refEvent // reference mode
 	idx int32
 	gen uint64
 }
@@ -160,9 +148,6 @@ type Timer struct {
 // walks it, a queued one (already due at the executing instant) when
 // the queue reaches it.
 func (t Timer) Stop() bool {
-	if t.ev != nil {
-		return refStop(t.ev, t.gen)
-	}
 	e := t.eng
 	if e == nil {
 		return false
@@ -223,9 +208,6 @@ func (e *Engine) At(at time.Time, name string, fn func()) Timer {
 	if fn == nil {
 		panic("simclock: nil event callback")
 	}
-	if e.ref != nil {
-		return e.refAt(at, callFunc, fn)
-	}
 	return e.atRel(e.rel(at), callFunc, fn)
 }
 
@@ -256,9 +238,6 @@ func (e *Engine) after(d time.Duration, fn func(any), arg any) Timer {
 	if d < 0 {
 		d = 0
 	}
-	if e.ref != nil {
-		return e.refAt(e.ref.now.Add(d), fn, arg)
-	}
 	return e.atRel(e.now+int64(d), fn, arg)
 }
 
@@ -283,12 +262,7 @@ func (e *Engine) atRel(rel int64, fn func(any), arg any) Timer {
 
 // Step executes the single next event, advancing the clock to its
 // scheduled time. It reports whether an event was executed.
-func (e *Engine) Step() bool {
-	if e.ref != nil {
-		return e.refStep()
-	}
-	return e.step(math.MaxInt64)
-}
+func (e *Engine) Step() bool { return e.step(math.MaxInt64) }
 
 // step executes the single next event whose scheduled time is at most
 // limit. Stopped records are recycled as the queue reaches them, and
@@ -335,30 +309,11 @@ func (e *Engine) Run() {
 // advances the clock to deadline. Events after the deadline remain
 // queued.
 func (e *Engine) RunUntil(deadline time.Time) {
-	if e.ref != nil {
-		e.refRunUntil(deadline)
-		return
-	}
 	relD := e.rel(deadline)
 	for e.step(relD) {
 	}
 	if e.now < relD {
 		e.now = relD
-	}
-}
-
-// refRunUntil is RunUntil on the reference core.
-func (e *Engine) refRunUntil(deadline time.Time) {
-	c := e.ref
-	for {
-		at, ok := e.refNextAt()
-		if !ok || at.After(deadline) {
-			break
-		}
-		e.refStep()
-	}
-	if c.now.Before(deadline) {
-		c.now = deadline
 	}
 }
 

@@ -464,6 +464,15 @@ func TestRecordSize(t *testing.T) {
 	}
 }
 
+// Components keep Timers in their per-task records (wq holds two per
+// attempt), so a Timer is the engine pointer, the slab index and the
+// generation: 24 bytes.
+func TestTimerSize(t *testing.T) {
+	if n := unsafe.Sizeof(Timer{}); n > 24 {
+		t.Fatalf("Timer is %d bytes, want <= 24", n)
+	}
+}
+
 // A steady zero-delay cascade and a k-single same-instant fan-out
 // reuse the slab, the free list and the same-instant queue: after a
 // warm-up neither allocates.
@@ -506,7 +515,7 @@ func TestSameInstantZeroAlloc(t *testing.T) {
 // After a warm-up, scheduling, stopping and firing such events
 // allocates nothing on either engine, and they keep After's order.
 func TestAfterArgZeroAlloc(t *testing.T) {
-	for _, e := range []*Engine{NewEngine(t0), NewReferenceEngine(t0)} {
+	for _, e := range []clock{engineClock{NewEngine(t0)}, newRefEngine(t0)} {
 		type obj struct{ fired, id int }
 		var order []int
 		fire := func(a any) {
@@ -532,14 +541,14 @@ func TestAfterArgZeroAlloc(t *testing.T) {
 			round() // warm the slab, free lists and queues
 		}
 		if avg := testing.AllocsPerRun(100, round); avg != 0 {
-			t.Fatalf("reference=%v: AfterArg round allocates %.1f objects, want 0", e.Reference(), avg)
+			t.Fatalf("%T: AfterArg round allocates %.1f objects, want 0", e, avg)
 		}
 		if want := []int{0, 2, 4, 6, 1, 3, 7}; !slices.Equal(order, want) {
-			t.Fatalf("reference=%v: order %v, want %v", e.Reference(), order, want)
+			t.Fatalf("%T: order %v, want %v", e, order, want)
 		}
 		if objs[5].fired != 0 || objs[0].fired != 111 {
-			t.Fatalf("reference=%v: stopped event fired %d times, first fired %d, want 0 and 111",
-				e.Reference(), objs[5].fired, objs[0].fired)
+			t.Fatalf("%T: stopped event fired %d times, first fired %d, want 0 and 111",
+				e, objs[5].fired, objs[0].fired)
 		}
 	}
 }
@@ -632,11 +641,10 @@ func TestTickerFiringAllocs(t *testing.T) {
 
 // --- reference engine API parity ---
 
+// TestReferenceEngineBasics checks the test-local seed engine on its
+// own, so a differential failure can be told from a broken oracle.
 func TestReferenceEngineBasics(t *testing.T) {
-	e := NewReferenceEngine(t0)
-	if !e.Reference() {
-		t.Fatal("Reference() = false")
-	}
+	e := newRefEngine(t0)
 	var got []int
 	for i := 1; i <= 4; i++ {
 		e.After(time.Second, "x", func() { got = append(got, i) })

@@ -38,13 +38,9 @@ func BenchmarkDispatchThroughput(b *testing.B) {
 // known-size tasks over 4-core workers, with jittered durations so
 // completions arrive as a stream of single events — one dispatch pass
 // per completion.
-func runScaleDispatch(b *testing.B, reference bool, tasks, workers int) {
+func runScaleDispatch(b *testing.B, tasks, workers int) {
 	eng := simclock.NewEngine(t0)
-	if reference {
-		eng = simclock.NewReferenceEngine(t0)
-	}
 	m := NewMaster(eng, nil)
-	m.SetNaivePlacement(reference)
 	for w := 0; w < workers; w++ {
 		m.AddWorker(fmt.Sprintf("w%d", w), resources.New(4, 16384, 100000))
 	}
@@ -67,19 +63,19 @@ func BenchmarkScaleDispatch(b *testing.B) {
 	b.Run("10k", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			runScaleDispatch(b, false, 10_000, 500)
+			runScaleDispatch(b, 10_000, 500)
 		}
 	})
 	b.Run("100k", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			runScaleDispatch(b, false, 1_000_000, 100_000)
+			runScaleDispatch(b, 1_000_000, 100_000)
 		}
 	})
 	b.Run("1M", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			runScaleDispatch(b, false, 10_000_000, 1_000_000)
+			runScaleDispatch(b, 10_000_000, 1_000_000)
 		}
 	})
 }
@@ -132,18 +128,6 @@ func BenchmarkDispatchMemoryProbe(b *testing.B) {
 		runtime.ReadMemStats(&after)
 		b.ReportMetric(float64(peak)/(1<<20), "peak-heap-MB")
 		b.ReportMetric(float64(after.NumGC-before.NumGC), "GCs")
-	}
-}
-
-// BenchmarkScaleDispatchReference runs the 10k cell on the retained
-// reference engine with the retained linear placement scan — the
-// pre-rewrite configuration the speedup is measured against. Like the
-// Naive control-plane baselines it is excluded from the CI bench
-// smoke; run it beside BenchmarkScaleDispatch/10k for the ratio.
-func BenchmarkScaleDispatchReference(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		runScaleDispatch(b, true, 10_000, 500)
 	}
 }
 

@@ -128,13 +128,10 @@ type Master struct {
 	// roster holds workers by slot in join order; departures leave nil
 	// tombstones (compacted once they dominate) so slots stay stable
 	// for the avail index. avail is the segment tree FirstFit descends
-	// instead of scanning; naivePlace retains the linear scan as the
-	// placement oracle.
-	roster     []*simWorker
-	tombs      int
-	avail      availIndex
-	naivePlace bool
-	naiveOrder []string // join-order id list for the retained naive scan
+	// instead of scanning.
+	roster []*simWorker
+	tombs  int
+	avail  availIndex
 
 	estimator  Estimator
 	onComplete []func(Result)
@@ -988,7 +985,7 @@ func (m *Master) dispatchPass() {
 	// maxFree bounds every eligible worker's available capacity from
 	// above for the whole pass: placements only shrink frees. A failed
 	// full roster scan refreshes it to the exact current value.
-	maxFree := m.maxFreeCapacity()
+	maxFree := m.avail.maxFree()
 	if m.queueStalled(maxFree) {
 		return
 	}
@@ -1063,23 +1060,6 @@ func (m *Master) queueStalled(maxFree resources.Vector) bool {
 	return stalled
 }
 
-// maxFreeCapacity returns the component-wise maximum free capacity
-// over non-draining workers: the avail-index root in O(1), or the
-// retained roster scan in naive mode.
-func (m *Master) maxFreeCapacity() resources.Vector {
-	if !m.naivePlace {
-		return m.avail.maxFree()
-	}
-	var free resources.Vector
-	for _, wid := range m.naiveOrder {
-		w := m.worker(wid)
-		if !w.draining {
-			free = free.Max(w.pool.Available())
-		}
-	}
-	return free
-}
-
 // Cancel withdraws a task. A waiting task leaves the queue; a running
 // task is stopped on its worker and its allocation freed, or, restored
 // after a crash and not yet rescued, leaves the rescue window. Canceling a
@@ -1138,7 +1118,7 @@ func (m *Master) Cancel(id int) error {
 // component-wise max free capacity observed, letting the caller
 // tighten its pass-wide bound.
 func (m *Master) placeKnown(t *taskRec, res resources.Vector) (placed bool, scannedMax resources.Vector, fullScan bool) {
-	if m.policy == FirstFit && !m.naivePlace {
+	if m.policy == FirstFit {
 		// Indexed path: leftmost-fit descent through the avail tree.
 		// On a miss the root is the exact max free, so the caller's
 		// bound refresh costs nothing extra.
@@ -1177,19 +1157,9 @@ func (m *Master) placeKnown(t *taskRec, res resources.Vector) (placed bool, scan
 		}
 		return false
 	}
-	if m.naivePlace {
-		// The retained scan, verbatim cost model included: join-order
-		// id list with a lookup per worker.
-		for _, wid := range m.naiveOrder {
-			if consider(m.worker(wid)) {
-				return true, scannedMax, false
-			}
-		}
-	} else {
-		for _, w := range m.roster {
-			if w != nil && consider(w) {
-				return true, scannedMax, false
-			}
+	for _, w := range m.roster {
+		if w != nil && consider(w) {
+			return true, scannedMax, false
 		}
 	}
 	if chosen == nil {

@@ -102,8 +102,9 @@ func (ix *availIndex) maxFree() resources.Vector {
 
 // findFirst returns the lowest slot whose available capacity fits
 // res, or -1. Roster slots are assigned in join order and compaction
-// preserves relative order, so lowest slot = first fit in join order,
-// matching the retained linear scan exactly.
+// preserves relative order, so lowest slot = first fit in join order:
+// exactly what a linear scan of the roster finds, which the placement
+// tests check after every event.
 func (ix *availIndex) findFirst(res resources.Vector) int {
 	if ix.n == 0 || !res.Fits(ix.node[0]) {
 		return -1
@@ -132,7 +133,7 @@ func (ix *availIndex) search(i int, res resources.Vector) int {
 // or draining change. Draining workers index as Zero so placement
 // never selects them.
 func (m *Master) syncAvail(w *simWorker) {
-	if m.naivePlace || w.slot < 0 {
+	if w.slot < 0 {
 		return
 	}
 	if w.draining {
@@ -146,10 +147,6 @@ func (m *Master) syncAvail(w *simWorker) {
 func (m *Master) rosterAppend(w *simWorker) {
 	w.slot = len(m.roster)
 	m.roster = append(m.roster, w)
-	if m.naivePlace {
-		m.naiveOrder = append(m.naiveOrder, w.id)
-		return
-	}
 	m.avail.ensure(len(m.roster))
 	m.avail.set(w.slot, w.pool.Available())
 }
@@ -161,17 +158,7 @@ func (m *Master) rosterRemove(w *simWorker) {
 		return
 	}
 	m.roster[w.slot] = nil
-	if m.naivePlace {
-		// The retained O(W) splice, as the pre-index roster paid.
-		for i, id := range m.naiveOrder {
-			if id == w.id {
-				m.naiveOrder = append(m.naiveOrder[:i], m.naiveOrder[i+1:]...)
-				break
-			}
-		}
-	} else {
-		m.avail.set(w.slot, resources.Zero)
-	}
+	m.avail.set(w.slot, resources.Zero)
 	w.slot = -1
 	m.tombs++
 	if m.tombs > 64 && m.tombs > len(m.roster)/2 {
@@ -192,9 +179,6 @@ func (m *Master) compactRoster() {
 	}
 	m.roster = live
 	m.tombs = 0
-	if m.naivePlace {
-		return
-	}
 	leaves := make([]resources.Vector, len(live))
 	for i, w := range live {
 		if !w.draining {
@@ -202,35 +186,4 @@ func (m *Master) compactRoster() {
 		}
 	}
 	m.avail.reset(leaves)
-}
-
-// SetNaivePlacement switches FirstFit placement (and the maxFree
-// bound) to the retained pre-index linear roster scan — the oracle
-// the placement differential tests compare against, as kubesim's
-// SetNaiveScheduling does for its scheduler index.
-func (m *Master) SetNaivePlacement(naive bool) {
-	if m.naivePlace == naive {
-		return
-	}
-	m.naivePlace = naive
-	if naive {
-		m.avail = availIndex{}
-		m.naiveOrder = m.naiveOrder[:0]
-		for _, w := range m.roster {
-			if w != nil {
-				m.naiveOrder = append(m.naiveOrder, w.id)
-			}
-		}
-	} else {
-		m.naiveOrder = nil
-		leaves := make([]resources.Vector, len(m.roster))
-		for i, w := range m.roster {
-			if w != nil && !w.draining {
-				leaves[i] = w.pool.Available()
-			}
-		}
-		m.avail.reset(leaves)
-	}
-	m.rev++
-	m.scheduleDispatch()
 }

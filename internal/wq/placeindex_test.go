@@ -9,26 +9,68 @@ import (
 	"hta/internal/simclock"
 )
 
-// TestPlacementDifferential pins the avail-index placement to the
-// retained linear scan and the timing-wheel engine to the reference
-// core: every (policy, engine, placement) combination must produce a
-// byte-identical completion trace for the same seeded scenario —
-// same worker choices, same finish times, same attempt counts.
+// TestPlacementDifferential pins the avail index to a linear scan of
+// the roster in join order, which is FirstFit placement without the
+// index: after every event of a seeded mixed scenario (priorities,
+// exclusive tasks, cancellations, a worker kill, two drains), under
+// each policy, findFirst of every probe shape must name the first
+// eligible worker the scan finds and maxFree must be the scan's
+// componentwise max.
 func TestPlacementDifferential(t *testing.T) {
 	for _, policy := range []Policy{FirstFit, BestFit, WorstFit} {
 		policy := policy
 		t.Run(policy.String(), func(t *testing.T) {
-			want := runPlacementTrace(3, policy, false, false)
-			for _, reference := range []bool{false, true} {
-				for _, naive := range []bool{false, true} {
-					got := runPlacementTrace(3, policy, reference, naive)
-					if got != want {
-						t.Fatalf("reference=%v naive=%v diverged:\n--- indexed\n%s--- variant\n%s",
-							reference, naive, want, got)
-					}
-				}
+			steps := 0
+			trace := runPlacementTrace(3, policy, func(m *Master, step int) {
+				checkAvail(t, m, step)
+				steps++
+			})
+			if steps < 500 {
+				t.Fatalf("scenario too small: %d steps", steps)
+			}
+			if trace != runPlacementTrace(3, policy, nil) {
+				t.Fatal("the checks perturbed the run")
 			}
 		})
+	}
+}
+
+// availProbes are the request shapes checkAvail looks up: the
+// scenario's own one- and two-core tasks, and shapes that fit only
+// partly used, only idle, or no workers.
+var availProbes = []resources.Vector{
+	resources.New(0.5, 512, 10),
+	resources.New(1, 1024, 100),
+	resources.New(2, 1024, 100),
+	resources.New(3, 1024, 100),
+	resources.New(4, 16384, 100000),
+	resources.New(1, 16000, 100),
+	resources.New(5, 1024, 100),
+}
+
+// checkAvail compares the avail index with a linear scan of m.roster.
+func checkAvail(t *testing.T, m *Master, step int) {
+	t.Helper()
+	var maxFree resources.Vector
+	for _, w := range m.roster {
+		if w != nil && !w.draining {
+			maxFree = maxFree.Max(w.pool.Available())
+		}
+	}
+	if got := m.avail.maxFree(); got != maxFree {
+		t.Fatalf("step %d: maxFree %v, roster scan %v", step, got, maxFree)
+	}
+	for _, shape := range availProbes {
+		want := -1
+		for slot, w := range m.roster {
+			if w != nil && !w.draining && shape.Fits(w.pool.Available()) {
+				want = slot
+				break
+			}
+		}
+		if got := m.avail.findFirst(shape); got != want {
+			t.Fatalf("step %d: findFirst(%v) = slot %d, roster scan %d", step, shape, got, want)
+		}
 	}
 }
 

@@ -82,23 +82,19 @@ func TestCancelWhileWaitingLargeQueue(t *testing.T) {
 
 // runDeterminismTrace drives a master through a mixed scenario —
 // priorities, unknown-resource (exclusive) tasks, cancellations, a
-// worker kill, a drain — and returns a trace of every completion.
+// worker kill, two drains — and returns a trace of every completion.
 func runDeterminismTrace(seed int64) string {
-	return runPlacementTrace(seed, FirstFit, false, false)
+	return runPlacementTrace(seed, FirstFit, nil)
 }
 
-// runPlacementTrace is runDeterminismTrace parameterized over the
-// engine implementation and the placement path, so the differential
-// test can assert that the avail-index FirstFit, the retained linear
-// scan, and both event cores all produce byte-identical outcomes.
-func runPlacementTrace(seed int64, policy Policy, reference, naive bool) string {
+// runPlacementTrace is runDeterminismTrace under any placement policy.
+// The engine runs one event at a time, and a non-nil afterStep is
+// called after every event, so the placement tests can check the
+// master's indexes at each step.
+func runPlacementTrace(seed int64, policy Policy, afterStep func(m *Master, step int)) string {
 	eng := simclock.NewEngine(t0)
-	if reference {
-		eng = simclock.NewReferenceEngine(t0)
-	}
 	m := NewMaster(eng, nil)
 	m.SetPolicy(policy)
-	m.SetNaivePlacement(naive)
 	var b strings.Builder
 	m.OnComplete(func(r Result) {
 		fmt.Fprintf(&b, "%d %s %s %d %v %d\n",
@@ -125,7 +121,14 @@ func runPlacementTrace(seed int64, policy Policy, reference, naive bool) string 
 	})
 	eng.After(5*time.Minute, "kill", func() { m.KillWorker("w3") })
 	eng.After(9*time.Minute, "drain", func() { m.DrainWorker("w5", nil) })
-	eng.Run()
+	// Once the queue runs dry, a drain of a worker with capacity to
+	// spare: the placement index must stop offering it at once.
+	eng.After(time.Hour, "drain-spare", func() { m.DrainWorker("w6", nil) })
+	for step := 0; eng.Step(); step++ {
+		if afterStep != nil {
+			afterStep(m, step)
+		}
+	}
 	fmt.Fprintf(&b, "completed=%d\n", m.CompletedCount())
 	return b.String()
 }

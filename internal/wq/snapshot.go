@@ -197,7 +197,6 @@ func (m *Master) Crash() (Snapshot, []WorkerReattach) {
 	m.workerCount = 0
 	m.roster, m.tombs = nil, 0
 	m.avail = availIndex{}
-	m.naiveOrder = nil
 	m.idle = nil
 	m.retryPending = make(map[int]simclock.Timer)
 	m.retryResume = make(map[int]time.Time)

@@ -110,7 +110,10 @@ func TestReconnectRescuesInflightTask(t *testing.T) {
 }
 
 // TestReattachGraceExpiryRequeues parks a disconnected worker's task
-// and requeues it when the worker never returns.
+// and requeues it when the worker never returns. The park is read when
+// the master sees the disconnect, before the worker is closed: Close
+// waits for the killed command's process group, which can outlast the
+// grace on a loaded machine.
 func TestReattachGraceExpiryRequeues(t *testing.T) {
 	m, err := ListenConfig("127.0.0.1:0", MasterConfig{ReattachGrace: 150 * time.Millisecond})
 	if err != nil {
@@ -124,11 +127,27 @@ func TestReattachGraceExpiryRequeues(t *testing.T) {
 	id := m.Submit("sleep 30", "c", resources.New(1, 1, 1))
 	waitFor(t, func() bool { st, _ := m.Task(id); return st.Status == StatusRunning }, "dispatch")
 
-	w.Close() // worker dies for good
-	// Parked first: still assigned during the grace window...
-	if st, _ := m.Task(id); st.Status != StatusRunning {
-		t.Fatalf("status right after disconnect = %v, want still running (parked)", st.Status)
+	// Sever the connection under the worker; its command keeps running.
+	m.mu.Lock()
+	wc := m.workers["w1"]
+	m.mu.Unlock()
+	_ = wc.conn.close()
+	// Parked first: still assigned during the grace window. The status
+	// is read in the same critical section that sees the disconnect.
+	var status TaskStatus
+	waitFor(t, func() bool {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if _, connected := m.workers["w1"]; connected {
+			return false
+		}
+		status = m.tasks[id].Status
+		return true
+	}, "disconnect")
+	if status != StatusRunning {
+		t.Fatalf("status right after disconnect = %v, want still running (parked)", status)
 	}
+	w.Close() // the worker dies for good
 	// ...then requeued once the grace expires.
 	waitFor(t, func() bool { st, _ := m.Task(id); return st.Status == StatusWaiting }, "requeue after grace")
 }

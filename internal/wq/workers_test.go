@@ -24,6 +24,15 @@ func TestTaskSize(t *testing.T) {
 	}
 }
 
+// TestRunningTaskSize pins the dispatch record: a dispatch storm holds
+// one per in-flight attempt, 400k at its peak. It carries two
+// simclock.Timers, so it is 120 bytes only while a Timer is 24.
+func TestRunningTaskSize(t *testing.T) {
+	if sz := unsafe.Sizeof(runningTask{}); sz > 120 {
+		t.Fatalf("runningTask is %d bytes, want at most 120", sz)
+	}
+}
+
 // TestWorkerChurnTableBounded churns 10k workers through connect and
 // remove (drains of idle workers, kills of busy ones) with at most 64
 // connected at once. The worker table must stay sized to the peak live
