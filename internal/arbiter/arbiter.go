@@ -110,6 +110,9 @@ type Tenant struct {
 	demand  int64
 
 	pods *bind.Pods // the tenant's worker pods, named "<ID>-w<seq>"
+	// drained is the tenant's worker-drained callback for the current
+	// arbiter generation (see drainDone).
+	drained func(name string)
 
 	// Lifecycle state (lifecycle.go): leaving marks an offboarding
 	// tenant (demand forced to zero, pods draining, pending work
@@ -251,6 +254,7 @@ func (a *Arbiter) AddTenant(cfg TenantConfig) (*Tenant, error) {
 			Labels:    map[string]string{"app": "wq-worker", "managed-by": "arbiter", "tenant": cfg.ID},
 		}),
 	}
+	t.drained = a.drainDone(t)
 	a.tenants = append(a.tenants, t)
 	a.byID[cfg.ID] = t
 	a.al.addTenant(int64(cfg.Weight), int64(cfg.QuotaMin), int64(cfg.QuotaMax), int32(cfg.Priority))
@@ -425,21 +429,23 @@ func (a *Arbiter) drainPod(t *Tenant, name string) {
 		// dirty by hand.
 		t.dirty = true
 		a.stats.PodsDrained++
-		if !t.pods.DrainWorker(name, a.drainDone(t, name)) {
+		if !t.pods.DrainWorker(name, t.drained) {
 			a.maybeSettle(t)
 		}
 	}
 }
 
-// drainDone builds the worker-drained callback, stamped with the
-// current arbiter generation. A callback registered by a previous
-// incarnation is fenced: after a crash the restored books may
-// disagree with what the dead incarnation knew, so Restore's
-// reconcile re-registers the drains it still wants and settles the
-// rest — the stale callback must not delete pods underneath it.
-func (a *Arbiter) drainDone(t *Tenant, name string) func() {
+// drainDone builds the tenant's worker-drained callback, stamped with
+// the current arbiter generation; AddTenant binds one and Crash binds
+// a new one for the next generation, so a drain makes none. A callback
+// registered by a previous incarnation is fenced: after a crash the
+// restored books may disagree with what the dead incarnation knew, so
+// Restore's reconcile re-registers the drains it still wants and
+// settles the rest — the stale callback must not delete pods
+// underneath it.
+func (a *Arbiter) drainDone(t *Tenant) func(name string) {
 	gen := a.gen
-	return func() {
+	return func(name string) {
 		if a.down || gen != a.gen {
 			a.stats.FencedCallbacks++
 			return

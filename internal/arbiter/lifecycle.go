@@ -309,7 +309,7 @@ func (a *Arbiter) reconcileTenant(t *Tenant, adoptActive bool) {
 				a.stats.ReconcileCorrections++
 			}
 			t.pods.Set(name, bind.PodDraining)
-			t.pods.DrainWorker(name, a.drainDone(t, name))
+			t.pods.DrainWorker(name, t.drained)
 		}
 	}
 	t.dirty = true

@@ -99,6 +99,9 @@ func (a *Arbiter) Crash() (Snapshot, bool) {
 	clear(a.podOwner)
 	a.down = true
 	a.gen++
+	for _, t := range a.tenants {
+		t.drained = a.drainDone(t)
+	}
 	return snap, true
 }
 

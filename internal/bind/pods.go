@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"hta/internal/kubesim"
+	"hta/internal/names"
 	"hta/internal/resources"
 	"hta/internal/wq"
 )
@@ -39,7 +40,8 @@ type Pods struct {
 	state map[string]PodState
 	count [3]int // per PodState
 	seq   int
-	buf   []string // SelectDrain's scratch
+	names names.Chunks // Create's pod names
+	buf   []string     // SelectDrain's scratch
 }
 
 // NewPods returns an empty book. Create names pods prefix plus a
@@ -110,9 +112,8 @@ func (b *Pods) Sorted() []string {
 // Create makes the next pod from the template and books it creating.
 // It returns the pod's name, or false if the cluster refused the pod.
 func (b *Pods) Create() (string, bool) {
-	var buf [64]byte
 	spec := b.spec
-	spec.Name = string(strconv.AppendInt(append(buf[:0], b.prefix...), int64(b.seq+1), 10))
+	spec.Name = b.names.Numbered(b.prefix, b.seq+1)
 	if _, err := b.cluster.CreatePod(spec); err != nil {
 		return "", false
 	}
@@ -157,10 +158,12 @@ func (b *Pods) Drain(name string) PodState {
 }
 
 // DrainWorker asks a draining pod's worker to finish its running tasks
-// and exit, calling done once it has; done normally ends in Release.
-// If the master no longer knows the worker, the pod is deleted and
-// forgotten at once and DrainWorker returns false.
-func (b *Pods) DrainWorker(name string, done func()) bool {
+// and exit, calling done with the pod's name once it has; done
+// normally ends in Release. A controller binds one done for all of its
+// pods, so a drain allocates nothing. If the master no longer knows
+// the worker, the pod is deleted and forgotten at once and DrainWorker
+// returns false.
+func (b *Pods) DrainWorker(name string, done func(name string)) bool {
 	if b.master.DrainWorker(name, done) != nil {
 		b.Forget(name)
 		_ = b.cluster.DeletePod(name)

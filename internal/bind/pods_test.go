@@ -150,7 +150,7 @@ func TestPodsLifecycle(t *testing.T) {
 	if _, known := m.WorkerCapacity(name); !known {
 		t.Fatalf("%s's worker never connected", name)
 	}
-	if b.Drain(name) != PodActive || !b.DrainWorker(name, func() { b.Release(name) }) {
+	if b.Drain(name) != PodActive || !b.DrainWorker(name, func(name string) { b.Release(name) }) {
 		t.Fatalf("drain of %s refused", name)
 	}
 	if b.Drain(name) != PodDraining {

@@ -76,6 +76,11 @@ type Autoscaler struct {
 	// pods is the book of every worker pod HTA manages.
 	pods *bind.Pods
 
+	// The drain and resize-cycle callbacks, bound once in New so that
+	// neither a drain nor a cycle allocates a closure.
+	drainedFn func(name string)
+	resizeFn  func()
+
 	held        map[string][]wq.TaskSpec // category -> held task specs
 	probeActive map[string]bool
 
@@ -149,6 +154,9 @@ func New(eng *simclock.Engine, cluster *kubesim.Cluster, master *wq.Master, cfg 
 		Resources: cluster.Config().NodeAllocatable,
 		Labels:    workerLabels,
 	})
+	// Once the worker exits cleanly, the pod completes and is removed.
+	a.drainedFn = func(name string) { a.pods.Release(name) }
+	a.resizeFn = a.resizeOnce
 	a.tracker = NewLifecycleTracker(cluster, workerLabels, cfg.InitTimeFallback)
 	if !cfg.DisableEstimator {
 		master.SetEstimator(a.mon)
@@ -399,8 +407,7 @@ func (a *Autoscaler) onTaskFailed(t wq.Task) {
 
 func (a *Autoscaler) drainPod(name string) {
 	if a.pods.Drain(name) == bind.PodActive {
-		// Once the worker exits cleanly, the pod completes and is removed.
-		a.pods.DrainWorker(name, func() { a.pods.Release(name) })
+		a.pods.DrainWorker(name, a.drainedFn)
 	}
 }
 
@@ -414,7 +421,7 @@ func (a *Autoscaler) scheduleNext(d time.Duration) {
 	if d < time.Second {
 		d = time.Second
 	}
-	a.cycleTimer = a.eng.After(d, "hta-resize", a.resizeOnce)
+	a.cycleTimer = a.eng.After(d, "hta-resize", a.resizeFn)
 }
 
 func (a *Autoscaler) resizeOnce() {

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"strconv"
 	"time"
 )
 
@@ -13,9 +12,9 @@ import (
 func (c *Cluster) addNode() *Node {
 	c.nodeSeq++
 	now := c.eng.Now()
-	var name [24]byte
-	n := &Node{
-		Name:        string(strconv.AppendInt(append(name[:0], "node-"...), int64(c.nodeSeq), 10)),
+	n := c.nodeSlab.next()
+	*n = Node{
+		Name:        c.nodeNames.Numbered("node-", c.nodeSeq),
 		Allocatable: c.cfg.NodeAllocatable,
 		Ready:       true,
 		CreatedAt:   now,
@@ -32,6 +31,7 @@ func (c *Cluster) addNode() *Node {
 
 func (c *Cluster) removeNode(n *Node) {
 	delete(c.nodes, n.Name)
+	c.dropImages(n)
 	c.nodeStale = true
 	c.readyNodes--
 	c.stampEmpty(n, time.Time{})
@@ -89,13 +89,16 @@ func (c *Cluster) provision(needed int) {
 	}
 	c.provisioning += needed
 	d := time.Duration((base + jitter) * float64(time.Second))
-	ready := func() {
-		c.provisioning--
-		c.addNode()
-	}
 	for range needed {
-		c.eng.After(d, "node-provision", ready)
+		c.eng.After(d, "node-provision", c.nodeProvisionedFn)
 	}
+}
+
+// nodeProvisioned ends one machine's reservation: the node joins the
+// fleet.
+func (c *Cluster) nodeProvisioned() {
+	c.provisioning--
+	c.addNode()
 }
 
 // packUnschedulable first-fit packs the unschedulable pods, in UID
@@ -154,6 +157,8 @@ func (c *Cluster) scaleDownEmpty() {
 		return
 	}
 	var oldest time.Time
+	c.walks++
+	defer func() { c.walks-- }()
 	for _, n := range c.sortedNodes() {
 		if len(c.nodes)+c.provisioning <= c.cfg.MinNodes {
 			return

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"time"
 
+	"hta/internal/names"
 	"hta/internal/resources"
 	"hta/internal/simclock"
 )
@@ -125,10 +126,13 @@ type Cluster struct {
 	pendingLive int
 	// nodeList is the age-sorted roster: its first nodeSorted entries
 	// are in order, addNode appends behind them, and nodeStale says a
-	// removal has not been filtered out yet (see sortedNodes).
+	// removal has not been filtered out yet (see sortedNodes). walks
+	// counts the roster walks in progress that call out to watch
+	// handlers, which may remove nodes under them.
 	nodeList   []*Node
 	nodeSorted int
 	nodeStale  bool
+	walks      int
 	// Fleet aggregates maintained at addNode/removeNode. emptyNodes
 	// counts the nodes with a non-zero EmptySince and emptyOldest is a
 	// lower bound on the oldest such stamp.
@@ -155,18 +159,35 @@ type Cluster struct {
 	uid     int64
 	nodeSeq int
 
+	// Pod and node records come from append-only slabs and node names
+	// from shared byte chunks, so the steady pod and node churn of an
+	// autoscaled fleet allocates once per chunk rather than per object.
+	// A slot is never handed out twice: a deleted pod's record may still
+	// be held by a pending-queue tombstone, a pull waiter list or a
+	// kubelet event, which tell it from the live pod under its name by
+	// pointer identity.
+	podSlab   slab[Pod]
+	nodeSlab  slab[Node]
+	nodeNames names.Chunks
+
 	podHandlers  []func(PodWatchEvent)
 	nodeHandlers []func(NodeWatchEvent)
 
 	tickers      []*simclock.Ticker
-	provisioning int                // node count currently being reserved
-	pulls        map[pullKey][]*Pod // node/image -> pods waiting to start
-	stopped      bool
+	provisioning int                     // node count currently being reserved
+	pulls        map[pullKey]pullWaiters // node/image -> pods waiting to start
+	// images is the node image cache: an entry says the node holds the
+	// image, and its value is the image the node pulled before it (see
+	// Node.lastImage), so removeNode finds a node's entries.
+	images  map[pullKey]string
+	stopped bool
 
 	// The kubelet's event callbacks, bound once; each takes its pod as
-	// the event's argument (see kubelet.go).
+	// the event's argument (see kubelet.go). nodeProvisionedFn ends a
+	// machine reservation.
 	imagePulledFn      func(any)
 	containerStartedFn func(any)
+	nodeProvisionedFn  func()
 }
 
 // NewCluster builds a cluster with cfg.InitialNodes ready nodes and
@@ -184,9 +205,11 @@ func NewCluster(eng *simclock.Engine, cfg Config) *Cluster {
 		podsByLabel:  make(map[labelPair]map[string]*Pod),
 		labelSets:    make(map[string]*labelSet),
 		cursorIdx:    make(map[resources.Vector]int),
-		pulls:        make(map[pullKey][]*Pod),
+		pulls:        make(map[pullKey]pullWaiters),
+		images:       make(map[pullKey]string),
 	}
 	c.imagePulledFn, c.containerStartedFn = c.imagePulled, c.containerStarted
+	c.nodeProvisionedFn = c.nodeProvisioned
 	for i := 0; i < cfg.InitialNodes; i++ {
 		c.addNode()
 	}
@@ -223,8 +246,7 @@ func (c *Cluster) Engine() *simclock.Engine { return c.eng }
 func (c *Cluster) OnPod(h func(PodWatchEvent)) { c.podHandlers = append(c.podHandlers, h) }
 
 // OnNode registers an informer-style handler for node watch events.
-// Every handler receives the same shallow copy of the node: its Images
-// map is the cluster's and must not be mutated.
+// Every handler receives the same copy of the node.
 func (c *Cluster) OnNode(h func(NodeWatchEvent)) { c.nodeHandlers = append(c.nodeHandlers, h) }
 
 func (c *Cluster) notifyPod(t WatchEventType, p *Pod, reason string) {
@@ -260,7 +282,8 @@ func (c *Cluster) CreatePod(spec PodSpec) (Pod, error) {
 	}
 	c.uid++
 	ls := c.internLabels(spec.Labels)
-	p := &Pod{
+	p := c.podSlab.next()
+	*p = Pod{
 		Name:      spec.Name,
 		UID:       c.uid,
 		Image:     spec.Image,
@@ -291,6 +314,22 @@ func (spec PodSpec) validate() error {
 		return fmt.Errorf("has negative resource requests %v", spec.Resources)
 	}
 	return nil
+}
+
+// slabChunk is the number of records in one slab chunk.
+const slabChunk = 128
+
+// slab hands out zeroed records from append-only chunks. A record's
+// address is its own for life: no slot is ever handed out again, and
+// a chunk is freed by the GC once none of its records is reachable.
+type slab[T any] struct{ chunk []T }
+
+func (s *slab[T]) next() *T {
+	if len(s.chunk) == cap(s.chunk) {
+		s.chunk = make([]T, 0, slabChunk)
+	}
+	s.chunk = s.chunk[:len(s.chunk)+1]
+	return &s.chunk[len(s.chunk)-1]
 }
 
 // labelPair is one label, the key of the podsByLabel index.

@@ -476,8 +476,10 @@ func checkPendingQueue(t *testing.T, c *Cluster, step int) {
 	}
 }
 
-// checkFleetAggregates cross-checks the O(1) fleet counters and the
-// empty-node bookkeeping against walks of the node map.
+// checkFleetAggregates cross-checks the O(1) fleet counters, the
+// empty-node bookkeeping and the image cache against walks of the node
+// map: every cache entry belongs to a node in the fleet and is on that
+// node's chain.
 func checkFleetAggregates(t *testing.T, c *Cluster, step int) {
 	t.Helper()
 	if got, want := c.readyNodes, c.naiveReadyNodes(); got != want {
@@ -498,6 +500,21 @@ func checkFleetAggregates(t *testing.T, c *Cluster, step int) {
 	}
 	if c.emptyNodes != stamped {
 		t.Fatalf("step %d: emptyNodes %d, naive %d", step, c.emptyNodes, stamped)
+	}
+	cached := 0
+	for _, n := range c.nodes {
+		image := n.lastImage
+		for range n.images {
+			prev, ok := c.images[pullKey{n.Name, image}]
+			if !ok {
+				t.Fatalf("step %d: node %s chains image %q, not in the cache", step, n.Name, image)
+			}
+			image = prev
+		}
+		cached += n.images
+	}
+	if len(c.images) != cached {
+		t.Fatalf("step %d: %d image cache entries, the fleet's nodes hold %d", step, len(c.images), cached)
 	}
 }
 

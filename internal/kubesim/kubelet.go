@@ -1,12 +1,38 @@
 package kubesim
 
-import (
-	"maps"
-	"time"
-)
+import "time"
 
-// pullKey names one in-flight image pull: a node and an image.
+// pullKey names a node and an image: the key of one in-flight pull and
+// of one node image cache entry.
 type pullKey struct{ node, image string }
+
+// pullWaiters lists the pods waiting for one pull, in bind order,
+// linked through Pod.nextWaiter. The first is the pod that started it.
+type pullWaiters struct{ head, tail *Pod }
+
+// hasImage reports whether the node holds the image.
+func (c *Cluster) hasImage(n *Node, image string) bool {
+	_, ok := c.images[pullKey{n.Name, image}]
+	return ok
+}
+
+// cacheImage records that the node now holds the image.
+func (c *Cluster) cacheImage(n *Node, image string) {
+	c.images[pullKey{n.Name, image}] = n.lastImage
+	n.lastImage = image
+	n.images++
+}
+
+// dropImages forgets the images of a node leaving the fleet.
+func (c *Cluster) dropImages(n *Node) {
+	image := n.lastImage
+	for range n.images {
+		key := pullKey{n.Name, image}
+		image = c.images[key]
+		delete(c.images, key)
+	}
+	n.images, n.lastImage = 0, ""
+}
 
 // kubeletStart drives a freshly bound pod through the node-local part
 // of its lifecycle: pull the container image if the node does not
@@ -20,46 +46,47 @@ type pullKey struct{ node, image string }
 // charge is reversed once, in Cluster.release, when the pod leaves the
 // live set.
 func (c *Cluster) kubeletStart(p *Pod, n *Node) {
-	if n.Images[p.Image] {
+	if c.hasImage(n, p.Image) {
 		c.containerStart(p)
 		return
 	}
 	p.PulledImage = true
 	key := pullKey{n.Name, p.Image}
-	if waiters, inflight := c.pulls[key]; inflight {
-		c.pulls[key] = append(waiters, p)
+	if w, inflight := c.pulls[key]; inflight {
+		w.tail.nextWaiter = p
+		w.tail = p
+		c.pulls[key] = w
 		return
 	}
-	c.pulls[key] = []*Pod{p}
+	c.pulls[key] = pullWaiters{head: p, tail: p}
 	c.notifyPod(Modified, p, ReasonPulling)
 	c.eng.AfterArg(c.pullDuration(), "kubelet-image-pull", c.imagePulledFn, p)
 }
 
 // imagePulled ends the image pull the pod p started on its node and
-// starts every pod that waited for it. A pod's node is fixed once it
-// is bound, and node names are never reused, so p names the pull
-// (its node and image) and the node it lands on.
+// schedules the container start of every pod that waited for it, in
+// bind order; a waiter deleted meanwhile is dropped by
+// containerStarted. A pod's node is fixed once it is bound, and node
+// names are never reused, so p names the pull (its node and image) and
+// the node it lands on.
 func (c *Cluster) imagePulled(a any) {
 	p := a.(*Pod)
 	key := pullKey{p.NodeName, p.Image}
 	n, alive := c.nodes[p.NodeName]
-	if !alive {
-		delete(c.pulls, key)
-		return
-	}
 	waiters := c.pulls[key]
 	delete(c.pulls, key)
-	// Copy-on-write: node copies handed out earlier keep the
-	// image set they were given.
-	images := make(map[string]bool, len(n.Images)+1)
-	maps.Copy(images, n.Images)
-	images[p.Image] = true
-	n.Images = images
+	if !alive {
+		return
+	}
+	c.cacheImage(n, p.Image)
 	if cur, ok := c.pods[p.Name]; ok && cur == p && !p.Terminal() {
 		c.notifyPod(Modified, p, ReasonPulled)
 	}
-	for _, w := range waiters {
+	for w := waiters.head; w != nil; {
+		next := w.nextWaiter
+		w.nextWaiter = nil
 		c.containerStart(w)
+		w = next
 	}
 }
 

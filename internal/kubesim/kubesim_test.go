@@ -823,11 +823,11 @@ func TestCreatePodCopiesLabels(t *testing.T) {
 	}
 }
 
-// TestPodLifecycleAllocs pins the allocation cost of one pod's whole
-// life on a warm node with the image cached: create, bind, start,
-// graceful exit and delete. Watch events and the returned pod share
-// the stored labels, and the container-start event carries the pod as
-// its argument, so what is left is the pod record.
+// TestPodLifecycleAllocs pins one pod's whole life on a warm node with
+// the image cached — create, bind, start, graceful exit and delete — at
+// zero allocations, amortized: watch events and the returned pod share
+// the stored labels, the container-start event carries the pod as its
+// argument, and the pod record comes from a slab chunk.
 func TestPodLifecycleAllocs(t *testing.T) {
 	eng, c := newTestCluster(t, Config{InitialNodes: 1})
 	spec := smallPod("w")
@@ -851,8 +851,8 @@ func TestPodLifecycleAllocs(t *testing.T) {
 	lifecycle()
 	allocs := testing.AllocsPerRun(100, lifecycle)
 	t.Logf("%.0f allocations per pod lifecycle", allocs)
-	if allocs > 1 {
-		t.Errorf("one pod lifecycle allocates %.0f times, want at most 1", allocs)
+	if allocs != 0 {
+		t.Errorf("one pod lifecycle allocates %.0f times, want 0", allocs)
 	}
 }
 
@@ -874,7 +874,7 @@ func TestBindFreshNodeAllocs(t *testing.T) {
 		}
 		pods[i] = c.pods[spec.Name]
 		nodes[i] = c.addNode()
-		nodes[i].Images = map[string]bool{spec.Image: true}
+		c.cacheImage(nodes[i], spec.Image)
 	}
 	next := 0
 	allocs := testing.AllocsPerRun(runs, func() {
@@ -889,5 +889,118 @@ func TestBindFreshNodeAllocs(t *testing.T) {
 		if c.PodsOnNode(n.Name) != 1 || n.pods != pods[i] || pods[i].Phase != PodRunning {
 			t.Fatalf("node %s: %d pods, head %v, pod phase %s", n.Name, c.PodsOnNode(n.Name), n.pods, pods[i].Phase)
 		}
+	}
+}
+
+// TestPullWaitersStartInOrder checks the waiter list of one image
+// pull: pods bound to a node while its pull is in flight start in bind
+// order once it ends, and a waiter deleted mid-pull does not start.
+func TestPullWaitersStartInOrder(t *testing.T) {
+	eng, c := newTestCluster(t, Config{InitialNodes: 1})
+	w := recordWatches(c)
+	for _, name := range []string{"a", "b", "c", "d"} {
+		spec := smallPod(name)
+		spec.Resources = resources.New(0.5, 1024, 100)
+		if _, err := c.CreatePod(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.scheduleOnce() // binds all four onto node-1; a starts the pull
+	if pulls := w.count(Modified, ReasonPulling, ""); pulls != 1 {
+		t.Fatalf("%d pulls started, want 1", pulls)
+	}
+	if err := c.DeletePod("c"); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunFor(30 * time.Second)
+	var started []string
+	for _, r := range w.records {
+		if r.Reason == ReasonStarted {
+			started = append(started, r.Object)
+		}
+	}
+	if want := []string{"pod/a", "pod/b", "pod/d"}; !slices.Equal(started, want) {
+		t.Errorf("started %v, want %v", started, want)
+	}
+	if len(c.pulls) != 0 {
+		t.Errorf("%d pulls outlive their end", len(c.pulls))
+	}
+}
+
+// TestStaleContainerStartSkipsNewPod checks that a container-start
+// event of a deleted pod cannot start a later pod of the same name: the
+// event holds the deleted pod's record, which is never handed out
+// again, so it no longer matches the stored pod under that name.
+func TestStaleContainerStartSkipsNewPod(t *testing.T) {
+	eng, c := newTestCluster(t, Config{InitialNodes: 1})
+	w := recordWatches(c)
+	if _, err := c.CreatePod(smallPod("warm")); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunFor(30 * time.Second) // pulls the image
+	if _, err := c.CreatePod(smallPod("x")); err != nil {
+		t.Fatal(err)
+	}
+	c.scheduleOnce() // binds x; its container starts one second later
+	if err := c.DeletePod("x"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreatePod(smallPod("x")); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunFor(containerStartDelay) // the deleted x's start is due
+	if p, _ := c.GetPod("x"); p.Phase == PodRunning || w.count(Modified, ReasonStarted, "pod/x") != 0 {
+		t.Fatalf("the deleted pod's container start started the new x (phase %s)", p.Phase)
+	}
+	eng.RunFor(containerStartDelay)
+	p, _ := c.GetPod("x")
+	if p.Phase != PodRunning || p.RunningAt.Sub(p.ScheduledAt) != containerStartDelay {
+		t.Fatalf("new x: phase %s, scheduled %v, running %v", p.Phase, p.ScheduledAt, p.RunningAt)
+	}
+	if n := w.count(Modified, ReasonStarted, "pod/x"); n != 1 {
+		t.Errorf("%d Started events for x, want 1", n)
+	}
+}
+
+// TestNodeLifecycleAllocs pins one node's whole life at zero
+// allocations, amortized: a pod no node can take makes the cloud
+// controller provision a node, which becomes ready, pulls the image
+// and starts the pod; the pod is deleted and the empty node scaled
+// down. Node and pod records come from slab chunks and node names
+// from shared byte chunks, the image cache and the pull's waiter list
+// live in the cluster's maps and the pods, and the roster is filtered
+// in place.
+func TestNodeLifecycleAllocs(t *testing.T) {
+	eng, c := newTestCluster(t, Config{InitialNodes: 1, MaxNodes: 2, ScaleDownDelay: time.Minute})
+	full := smallPod("resident")
+	full.Resources = c.cfg.NodeAllocatable
+	if _, err := c.CreatePod(full); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunFor(30 * time.Second)
+	full.Name = "cycling"
+	lifecycle := func() {
+		if _, err := c.CreatePod(full); err != nil {
+			t.Fatal(err)
+		}
+		eng.RunFor(5 * time.Minute) // provision, pull, start
+		if p, _ := c.GetPod("cycling"); p.Phase != PodRunning || !p.PulledImage {
+			t.Fatalf("cycling pod %s (pulled %v) after provisioning", p.Phase, p.PulledImage)
+		}
+		if err := c.DeletePod("cycling"); err != nil {
+			t.Fatal(err)
+		}
+		eng.RunFor(2 * time.Minute) // scale-down
+		if len(c.nodes) != 1 || len(c.images) != 1 {
+			t.Fatalf("%d nodes, %d cached images after scale-down, want 1 and 1", len(c.nodes), len(c.images))
+		}
+	}
+	for range 4 {
+		lifecycle()
+	}
+	allocs := testing.AllocsPerRun(100, lifecycle)
+	t.Logf("%.0f allocations per node lifecycle", allocs)
+	if allocs != 0 {
+		t.Errorf("one node lifecycle allocates %.0f times, want 0", allocs)
 	}
 }

@@ -114,6 +114,8 @@ func (c *Cluster) scheduleOnce() {
 // age-sorted roster.
 func (c *Cluster) bindPending() {
 	nodes := c.sortedNodes()
+	c.walks++
+	defer func() { c.walks-- }()
 	c.resetCursors()
 	var cur *fitCursor
 	// Pods a handler creates during the pass are appended past queued
@@ -189,8 +191,10 @@ func compareNodes(a, b *Node) int {
 // tail from the newcomers' first instant on is sorted, in place: nodes
 // arrive from NewCluster and the provisioning wave's events, never under
 // a control loop that is walking a roster snapshot. A removal, which
-// does happen under such a walk (scaleDownEmpty), is filtered out into
-// a fresh backing array instead, so the older snapshot stays intact.
+// does happen under such a walk (scaleDownEmpty, or a handler called
+// from bindPending), is filtered out in place too when no walk is
+// open, and into a fresh backing array while one is, so the walk's
+// snapshot stays intact.
 func (c *Cluster) sortedNodes() []*Node {
 	if c.nodeSorted < len(c.nodeList) {
 		lo, first := c.nodeSorted, c.nodeList[c.nodeSorted].CreatedAt
@@ -201,11 +205,17 @@ func (c *Cluster) sortedNodes() []*Node {
 		c.nodeSorted = len(c.nodeList)
 	}
 	if c.nodeStale {
-		out := make([]*Node, 0, len(c.nodes))
+		out := c.nodeList[:0]
+		if c.walks > 0 {
+			out = make([]*Node, 0, len(c.nodes))
+		}
 		for _, n := range c.nodeList {
 			if c.nodes[n.Name] == n {
 				out = append(out, n)
 			}
+		}
+		if c.walks == 0 {
+			clear(c.nodeList[len(out):])
 		}
 		c.nodeList, c.nodeSorted = out, len(out)
 		c.nodeStale = false

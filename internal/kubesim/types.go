@@ -105,6 +105,9 @@ type Pod struct {
 	// prevOnNode and nextOnNode link the live pods bound to one node
 	// (Node.pods), from bind until the pod leaves the live set.
 	prevOnNode, nextOnNode *Pod
+	// nextWaiter links the pods waiting for one image pull on one node,
+	// in bind order (see Cluster.pulls), until the pull ends.
+	nextWaiter *Pod
 }
 
 // MatchesSelector reports whether the pod's labels contain every
@@ -121,10 +124,9 @@ func (p *Pod) MatchesSelector(sel map[string]string) bool {
 // Terminal reports whether the pod reached a terminal phase.
 func (p *Pod) Terminal() bool { return p.Phase == PodSucceeded || p.Phase == PodFailed }
 
-// Node is a cluster machine. Clients (watch events, Nodes) receive
-// shallow copies whose Images map is shared with the cluster and must
-// not be mutated; the cluster never mutates a map it has handed out
-// either, so a copy's Images stays the snapshot it was.
+// Node is a cluster machine. Clients (watch events) receive copies;
+// the images a node holds are the cluster's (see Cluster.images) and
+// not part of the record.
 type Node struct {
 	Name        string
 	Allocatable resources.Vector
@@ -135,10 +137,6 @@ type Node struct {
 	Ready     bool
 	CreatedAt time.Time
 	ReadyAt   time.Time
-	// Images lists container images already present on the node. It
-	// is copy-on-write: a completed pull replaces the map (nil until
-	// the first pull) rather than adding to it.
-	Images map[string]bool
 	// EmptySince is the time the node last became free of pods; zero
 	// while occupied.
 	EmptySince time.Time
@@ -147,6 +145,10 @@ type Node struct {
 	// lockstep with Allocated. pods heads their list (see Pod.nextOnNode).
 	livePods int
 	pods     *Pod
+	// images counts the images pulled onto the node and lastImage names
+	// the newest; each Cluster.images entry links to the one before.
+	images    int
+	lastImage string
 }
 
 // Service is a named network endpoint selecting a set of pods. The
@@ -189,5 +191,5 @@ type PodWatchEvent struct {
 // NodeWatchEvent is delivered to node informers.
 type NodeWatchEvent struct {
 	Type WatchEventType
-	Node Node // Images is shared, read-only
+	Node Node // a copy; the cluster keeps the node's image cache
 }

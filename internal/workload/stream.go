@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"hta/internal/names"
 	"hta/internal/resources"
 	"hta/internal/simclock"
 	"hta/internal/wq"
@@ -210,18 +211,21 @@ func (p StreamParams) task(rng *simclock.RNG, tag, command string) wq.TaskSpec {
 }
 
 // Tasks generates the arrival stream (sorted by arrival time) via
-// Poisson thinning, into a slice presized to the expected count.
+// Poisson thinning, into a slice presized to the expected count. The
+// commands are cut from one chunk sized for that count.
 func (p StreamParams) Tasks() []TimedTask {
 	segs := p.segments()
 	if segs == nil {
 		return nil
 	}
+	const prefix = "stream-task "
 	rng := simclock.NewRNG(p.Seed)
-	out := make([]TimedTask, 0, p.capacity(segs))
+	n := p.capacity(segs)
+	out := make([]TimedTask, 0, n)
+	var cmds names.Chunks
+	cmds.Grow(n * (len(prefix) + len(strconv.Itoa(n))))
 	p.arrivals(segs, rng, func(t time.Duration) {
-		var buf [32]byte // one allocation per command: the string itself
-		command := string(strconv.AppendInt(append(buf[:0], "stream-task "...), int64(len(out)), 10))
-		out = append(out, TimedTask{At: t, Spec: p.task(rng, "", command)})
+		out = append(out, TimedTask{At: t, Spec: p.task(rng, "", cmds.Numbered(prefix, len(out)))})
 	})
 	return out
 }

@@ -272,20 +272,28 @@ func TestSegmentedThinningMatchesRate(t *testing.T) {
 	}
 }
 
-// TestStreamTasksAllocs pins Tasks' allocations: one command string
-// per task plus a few fixed ones (the RNG's three, the segment table,
-// and the presized slice, which the runtime may count twice when it is
-// large). The slice, presized to ∫rate + 4σ, does not grow, and over
+// TestStreamTasksAllocs pins Tasks' allocations to a few that do not
+// grow with the stream: the RNG's three, the segment table, the
+// presized slice and the presized command buffer, each of the two
+// large ones counted twice by the runtime at most. The slice and the
+// buffer, presized to ∫rate + 4σ arrivals, do not grow, and over
 // DayTrace(1..20) at 25× the rate no stream exceeds that capacity.
 func TestStreamTasksAllocs(t *testing.T) {
-	const fixed = 8
+	const limit = 8
 	p := DayTrace(1)
 	tasks := p.Tasks()
 	if c := p.capacity(p.segments()); cap(tasks) != c {
 		t.Errorf("Tasks grew its slice: cap %d, presized %d", cap(tasks), c)
 	}
-	if got, limit := testing.AllocsPerRun(5, func() { p.Tasks() }), float64(len(tasks)+fixed); got > limit {
-		t.Errorf("Tasks allocates %v for %d arrivals, want at most %v", got, len(tasks), limit)
+	for _, rate := range []float64{1, 25} {
+		p := p
+		p.BasePerMin *= rate
+		n := len(p.Tasks())
+		got := testing.AllocsPerRun(3, func() { p.Tasks() })
+		t.Logf("%.0f allocations for %d arrivals", got, n)
+		if got > limit {
+			t.Errorf("Tasks allocates %v for %d arrivals, want at most %d", got, n, limit)
+		}
 	}
 	for seed := int64(1); seed <= 20; seed++ {
 		p := DayTrace(seed)

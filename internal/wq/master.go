@@ -175,6 +175,7 @@ type Master struct {
 	inDoneFn      func(any) // private input arrived
 	outDoneFn     func(any) // output delivered: complete the task
 	fileArrivedFn func(any) // shared file arrived, over the link or for free
+	drainedFn     func(any) // a drained worker's callback is due
 
 	// Incremental aggregates, kept in lockstep with the queue and the
 	// worker pools so Stats, BusyCPU and the samplers are O(1).
@@ -208,7 +209,7 @@ type simWorker struct {
 	fetches  map[int32]netsim.Transfer
 	running  runningSet
 	draining bool
-	onDrain  func()
+	onDrain  func(id string)
 	joinedAt time.Time
 }
 
@@ -392,6 +393,12 @@ func NewMaster(eng *simclock.Engine, link *netsim.Link) *Master {
 		f := a.(*fileFetch)
 		delete(f.w.fetches, f.fid) // a free arrival has no entry
 		m.fileArrived(f.w, f.fid)
+	}
+	m.drainedFn = func(a any) {
+		w := a.(*simWorker)
+		cb := w.onDrain
+		w.onDrain = nil
+		cb(w.id)
 	}
 	return m
 }
@@ -675,10 +682,13 @@ func (m *Master) AddWorker(id string, capacity resources.Vector) error {
 	return nil
 }
 
-// DrainWorker stops dispatching to the worker and invokes onDrained
-// once its running tasks finish (immediately if it is idle). The
-// worker is removed from the roster when drained.
-func (m *Master) DrainWorker(id string, onDrained func()) error {
+// DrainWorker stops dispatching to the worker and, once its running
+// tasks finish (at once if it is idle), removes it from the roster and
+// calls onDrained with the worker's id in a zero-delay "wq-drained"
+// event. The id lets a controller bind one callback for all of its
+// workers instead of making one per drain. A later DrainWorker before
+// the drain finishes replaces the callback; a nil one is not called.
+func (m *Master) DrainWorker(id string, onDrained func(id string)) error {
 	w := m.worker(id)
 	if w == nil {
 		return fmt.Errorf("wq: worker %q not connected", id)
@@ -825,9 +835,9 @@ func (m *Master) finishDrain(w *simWorker) {
 	}
 	m.removeWorker(w)
 	if w.onDrain != nil {
-		cb := w.onDrain
-		w.onDrain = nil
-		m.eng.After(0, "wq-drained", cb)
+		// The removed worker's record is never handed out again, so
+		// its callback waits there for the event.
+		m.eng.AfterArg(0, "wq-drained", m.drainedFn, w)
 	}
 	m.scheduleDispatch()
 }

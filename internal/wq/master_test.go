@@ -199,7 +199,8 @@ func TestDrainWorker(t *testing.T) {
 	eng.RunFor(time.Second)
 	drained := false
 	var drainedAt time.Duration
-	if err := m.DrainWorker("w1", func() { drained = true; drainedAt = eng.Elapsed() }); err != nil {
+	var drainedID string
+	if err := m.DrainWorker("w1", func(id string) { drained = true; drainedAt = eng.Elapsed(); drainedID = id }); err != nil {
 		t.Fatal(err)
 	}
 	// New tasks must not land on the draining worker.
@@ -210,6 +211,9 @@ func TestDrainWorker(t *testing.T) {
 	}
 	if drainedAt != 10*time.Second {
 		t.Errorf("drained at %v, want 10s (after running task)", drainedAt)
+	}
+	if drainedID != "w1" {
+		t.Errorf("drain callback got worker %q, want w1", drainedID)
 	}
 	s := m.Stats()
 	if s.Workers != 0 {
@@ -224,7 +228,7 @@ func TestDrainIdleWorkerImmediate(t *testing.T) {
 	eng, m := newMaster(t)
 	m.AddWorker("w1", resources.New(3, 12288, 1000))
 	drained := false
-	m.DrainWorker("w1", func() { drained = true })
+	m.DrainWorker("w1", func(string) { drained = true })
 	eng.Run()
 	if !drained {
 		t.Fatal("idle drain did not fire")
@@ -626,7 +630,7 @@ func TestCancelLastTaskCompletesDrain(t *testing.T) {
 	id := m.Submit(knownTask("a", 1, time.Hour))
 	eng.RunFor(time.Second)
 	drained := false
-	m.DrainWorker("w1", func() { drained = true })
+	m.DrainWorker("w1", func(string) { drained = true })
 	if err := m.Cancel(id); err != nil {
 		t.Fatal(err)
 	}
@@ -842,7 +846,7 @@ func TestDrainCancelMidFetchFreesLink(t *testing.T) {
 		t.Fatalf("active transfers = %d, want the in-flight fetch", link.Active())
 	}
 	drained := false
-	m.DrainWorker("w1", func() { drained = true })
+	m.DrainWorker("w1", func(string) { drained = true })
 	if err := m.Cancel(id); err != nil {
 		t.Fatal(err)
 	}
